@@ -19,23 +19,16 @@ Both figures are *virtual* and therefore exactly reproducible.  The
 gate also re-asserts that checkpointing never changes the math: all
 three runs' final weights must be bit-identical.
 
-Exit-code convention (same as ``repro bench`` / ``repro diff``):
-
-* ``0`` — gates pass, weights bit-identical.
-* ``1`` — regression (``REGRESSION: ...`` on stderr).
-* ``2`` — configuration error (unreadable/mismatched baseline).
-
-Refresh the baseline after an intentional change with::
-
-    python benchmarks/bench_checkpoint.py --update-baseline
+Flags, baseline handling and exit codes (0 pass, 1 ``REGRESSION:``,
+2 unusable baseline) are those of ``_gate.run_gate``; refresh the
+baseline after an intentional change with ``--update-baseline``.
 """
 
-import argparse
-import json
 import os
-import sys
 
 import numpy as np
+
+import _gate
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_checkpoint.json")
 BENCH_SCHEMA = "repro.checkpoint.bench/v1"
@@ -111,21 +104,7 @@ def run_checkpoint_bench() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="extra slack on the committed gates (fraction)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.tolerance < 0:
-        print("bench gate error: tolerance must be >= 0", file=sys.stderr)
-        return 2
-
-    record = run_checkpoint_bench()
+def _report(record) -> None:
     print(f"config   : {record['config']}")
     print(f"stored   : erasure {record['erasure_stored_bytes']} B vs "
           f"replicate {record['replicate_stored_bytes']} B over "
@@ -135,64 +114,41 @@ def main(argv=None) -> int:
           f"{record['replicate_s']:.6f}s (virtual)")
     print(f"overhead : {record['overhead']:.4f}x")
 
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline : updated {args.baseline}")
-        return 0
 
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    if baseline.get("schema") != BENCH_SCHEMA:
-        print(f"bad baseline schema {baseline.get('schema')!r}", file=sys.stderr)
-        return 2
-    if baseline.get("config") != record["config"]:
-        print("baseline config does not match this benchmark's config; "
-              "re-run with --update-baseline", file=sys.stderr)
-        return 2
+_LAYOUT_DRIFT = (
+    "{key} changed: {value} vs baseline {limit} (shard layout drifted; "
+    "update the baseline if intended)"
+)
 
-    failures = []
-    if not record["identical"]:
-        failures.append(
-            "checkpointed weights diverged bitwise from the checkpoint-free run"
-        )
-    floor = float(baseline["min_reduction"]) * (1.0 - args.tolerance)
-    if record["reduction"] < floor:
-        failures.append(
-            f"stored-bytes reduction {record['reduction']:.2f}x fell below "
-            f"the committed floor {floor:.2f}x"
-        )
-    ceiling = float(baseline["max_overhead"]) * (1.0 + args.tolerance)
-    if record["overhead"] > ceiling:
-        failures.append(
-            f"checkpoint overhead {record['overhead']:.4f}x exceeds the "
-            f"committed ceiling {ceiling:.4f}x"
-        )
-    for key in ("erasure_stored_bytes", "replicate_stored_bytes"):
-        if record[key] != baseline.get(key):
-            failures.append(
-                f"{key} changed: {record[key]} vs baseline "
-                f"{baseline.get(key)} (shard layout drifted; update the "
-                "baseline if intended)"
-            )
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"gate     : PASS (reduction floor {floor:.2f}x, overhead "
-          f"ceiling {ceiling:.4f}x, baseline {baseline['reduction']:.2f}x / "
-          f"{baseline['overhead']:.4f}x)")
-    return 0
+CHECKS = [
+    ("true", "identical", None,
+     "checkpointed weights diverged bitwise from the checkpoint-free run"),
+    ("floor", "reduction", "min_reduction",
+     "stored-bytes reduction {value:.2f}x fell below the committed floor "
+     "{limit:.2f}x"),
+    ("ceiling", "overhead", "max_overhead",
+     "checkpoint overhead {value:.4f}x exceeds the committed ceiling "
+     "{limit:.4f}x"),
+    ("same", "erasure_stored_bytes", None, _LAYOUT_DRIFT),
+    ("same", "replicate_stored_bytes", None, _LAYOUT_DRIFT),
+]
 
 
-def test_checkpoint_capacity_gate():
-    """Tier-2 hook so `pytest benchmarks/bench_checkpoint.py` runs the gate."""
-    assert main([]) == 0
+def main(argv=None) -> int:
+    return _gate.run_gate(
+        argv,
+        description=__doc__.splitlines()[0],
+        baseline_path=BASELINE_PATH,
+        measure=run_checkpoint_bench,
+        report=_report,
+        checks=CHECKS,
+        passed="reduction floor {min_reduction:.2f}x, overhead ceiling "
+               "{max_overhead:.4f}x, baseline {baseline[reduction]:.2f}x / "
+               "{baseline[overhead]:.4f}x",
+    )
+
+
+test_checkpoint_capacity_gate = _gate.tier2_hook(main)
 
 
 if __name__ == "__main__":

@@ -22,25 +22,18 @@ Three claims are gated against the committed baseline in
    and an unprofiled run of the same program must produce identical
    weights, losses, virtual clocks, and canonical traces.
 
-Exit-code convention (same as the other ``BENCH_*`` gates):
-
-* ``0`` — all gates pass.
-* ``1`` — regression (``REGRESSION: ...`` on stderr).
-* ``2`` — configuration error (unreadable/mismatched baseline).
-
-Refresh the baseline after an intentional change with::
-
-    python benchmarks/bench_profile.py --update-baseline
+Flags, baseline handling and exit codes (0 pass, 1 ``REGRESSION:``,
+2 unusable baseline) are those of ``_gate.run_gate``; refresh the
+baseline after an intentional change with ``--update-baseline``.
 """
 
-import argparse
-import json
 import os
 import statistics
-import sys
 import time
 
 import numpy as np
+
+import _gate
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_profile.json")
 BENCH_SCHEMA = "repro.profile.bench/v1"
@@ -177,20 +170,7 @@ def run_profile_bench() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="extra slack on the committed gates (fraction)",
-    )
-    args = parser.parse_args(argv)
-    if args.tolerance < 0:
-        print("bench gate error: tolerance must be >= 0", file=sys.stderr)
-        return 2
-
-    record = run_profile_bench()
+def _report(record) -> None:
     print(f"overhead    : profiled/bare wall ratio {record['overhead_ratio']:.3f} "
           f"(reps {[f'{r:.3f}' for r in record['overhead_ratio_reps']]})")
     print(f"sampler     : busy fraction {record['sampler_busy_frac']:.2%} "
@@ -201,68 +181,39 @@ def main(argv=None) -> int:
           "(rows sum to wall within 10%)")
     print(f"identity    : {'PASS' if record['identical'] else 'FAIL'}")
 
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline    : updated {args.baseline}")
-        return 0
 
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    if baseline.get("schema") != BENCH_SCHEMA:
-        print(f"bad baseline schema {baseline.get('schema')!r}", file=sys.stderr)
-        return 2
-    if baseline.get("config") != record["config"]:
-        print("baseline config does not match this benchmark's config; "
-              "re-run with --update-baseline", file=sys.stderr)
-        return 2
-
-    failures = []
-    ceiling_ratio = float(baseline["ceiling_overhead_ratio"]) * (1.0 + args.tolerance)
-    if record["overhead_ratio"] > ceiling_ratio:
-        failures.append(
-            f"profiler overhead ratio {record['overhead_ratio']:.3f} exceeds "
-            f"the committed ceiling {ceiling_ratio:.3f}"
-        )
-    budget = float(baseline["budget"]) * (1.0 + args.tolerance)
-    if record["sampler_busy_frac"] > budget:
-        failures.append(
-            f"sampler busy fraction {record['sampler_busy_frac']:.2%} exceeds "
-            f"the budget {budget:.2%}"
-        )
-    ceiling_msg = float(baseline["ceiling_us_per_msg"]) * (1.0 + args.tolerance)
-    if record["us_per_msg_allin"] > ceiling_msg:
-        failures.append(
-            f"all-in per-message host cost {record['us_per_msg_allin']:.1f}µs "
-            f"exceeds the committed ceiling {ceiling_msg:.1f}µs"
-        )
-    if not record["attribution_ok"]:
-        failures.append(
-            "attribution rows no longer sum to the measured wall-clock "
-            "within 10%"
-        )
-    if not record["identical"]:
-        failures.append(
-            "profiled run diverged bitwise from the unprofiled run "
-            "(values, clocks, or canonical trace)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"gate        : PASS (ratio <= {ceiling_ratio:.3f}, "
-          f"busy <= {budget:.2%}, µs/msg <= {ceiling_msg:.0f})")
-    return 0
+CHECKS = [
+    ("ceiling", "overhead_ratio", "ceiling_overhead_ratio",
+     "profiler overhead ratio {value:.3f} exceeds the committed ceiling "
+     "{limit:.3f}"),
+    ("ceiling", "sampler_busy_frac", "budget",
+     "sampler busy fraction {value:.2%} exceeds the budget {limit:.2%}"),
+    ("ceiling", "us_per_msg_allin", "ceiling_us_per_msg",
+     "all-in per-message host cost {value:.1f}µs exceeds the committed "
+     "ceiling {limit:.1f}µs"),
+    ("true", "attribution_ok", None,
+     "attribution rows no longer sum to the measured wall-clock within 10%"),
+    ("true", "identical", None,
+     "profiled run diverged bitwise from the unprofiled run "
+     "(values, clocks, or canonical trace)"),
+]
 
 
-def test_profile_gate():
-    """Tier-2 hook so `pytest benchmarks/bench_profile.py` runs the gate."""
-    assert main([]) == 0
+def main(argv=None) -> int:
+    return _gate.run_gate(
+        argv,
+        description=__doc__.splitlines()[0],
+        baseline_path=BASELINE_PATH,
+        measure=run_profile_bench,
+        report=_report,
+        checks=CHECKS,
+        passed="ratio <= {ceiling_overhead_ratio:.3f}, busy <= {budget:.2%}, "
+               "µs/msg <= {ceiling_us_per_msg:.0f}",
+        width=12,
+    )
+
+
+test_profile_gate = _gate.tier2_hook(main)
 
 
 if __name__ == "__main__":

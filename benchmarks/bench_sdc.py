@@ -11,23 +11,16 @@ terms).  The gate also re-asserts the headline invariant that guards
 never change the math: guarded weights must be bit-identical to the
 unguarded run's.
 
-Exit-code convention (same as ``repro bench`` / ``repro diff``):
-
-* ``0`` — overhead within the committed ceiling, weights bit-identical.
-* ``1`` — regression (``REGRESSION: ...`` on stderr).
-* ``2`` — configuration error (unreadable/mismatched baseline).
-
-Refresh the baseline after an intentional change with::
-
-    python benchmarks/bench_sdc.py --update-baseline
+Flags, baseline handling and exit codes (0 pass, 1 ``REGRESSION:``,
+2 unusable baseline) are those of ``_gate.run_gate``; refresh the
+baseline after an intentional change with ``--update-baseline``.
 """
 
-import argparse
-import json
 import os
-import sys
 
 import numpy as np
+
+import _gate
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_sdc.json")
 BENCH_SCHEMA = "repro.sdc.bench/v1"
@@ -89,77 +82,38 @@ def run_sdc_bench() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="extra slack on the committed overhead ceiling (fraction)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.tolerance < 0:
-        print("bench gate error: tolerance must be >= 0", file=sys.stderr)
-        return 2
-
-    record = run_sdc_bench()
+def _report(record) -> None:
     print(f"config   : {record['config']}")
     print(f"unguarded: {record['unguarded_s']:.6f} virtual s")
     print(f"guarded  : {record['guarded_s']:.6f} virtual s "
           f"({record['guard_bytes']} digest bytes on the wire)")
     print(f"overhead : {record['overhead']:.4f}x")
 
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline : updated {args.baseline}")
-        return 0
 
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    if baseline.get("schema") != BENCH_SCHEMA:
-        print(f"bad baseline schema {baseline.get('schema')!r}", file=sys.stderr)
-        return 2
-    if baseline.get("config") != record["config"]:
-        print("baseline config does not match this benchmark's config; "
-              "re-run with --update-baseline", file=sys.stderr)
-        return 2
-
-    failures = []
-    if not record["identical"]:
-        failures.append(
-            "guarded weights diverged bitwise from the unguarded run"
-        )
-    ceiling = float(baseline["max_overhead"]) * (1.0 + args.tolerance)
-    if record["overhead"] > ceiling:
-        failures.append(
-            f"guard overhead {record['overhead']:.4f}x exceeds the "
-            f"committed ceiling {ceiling:.4f}x"
-        )
-    if record["guard_bytes"] != baseline.get("guard_bytes"):
-        failures.append(
-            f"digest traffic changed: {record['guard_bytes']} bytes vs "
-            f"baseline {baseline.get('guard_bytes')} "
-            "(guard coverage grew or shrank; update the baseline if intended)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"gate     : PASS (ceiling {ceiling:.4f}x, "
-          f"baseline {baseline['overhead']:.4f}x)")
-    return 0
+CHECKS = [
+    ("true", "identical", None,
+     "guarded weights diverged bitwise from the unguarded run"),
+    ("ceiling", "overhead", "max_overhead",
+     "guard overhead {value:.4f}x exceeds the committed ceiling {limit:.4f}x"),
+    ("same", "guard_bytes", None,
+     "digest traffic changed: {value} bytes vs baseline {limit} "
+     "(guard coverage grew or shrank; update the baseline if intended)"),
+]
 
 
-def test_sdc_guard_overhead_gate():
-    """Tier-2 hook so `pytest benchmarks/bench_sdc.py` runs the gate."""
-    assert main([]) == 0
+def main(argv=None) -> int:
+    return _gate.run_gate(
+        argv,
+        description=__doc__.splitlines()[0],
+        baseline_path=BASELINE_PATH,
+        measure=run_sdc_bench,
+        report=_report,
+        checks=CHECKS,
+        passed="ceiling {max_overhead:.4f}x, baseline {baseline[overhead]:.4f}x",
+    )
+
+
+test_sdc_guard_overhead_gate = _gate.tier2_hook(main)
 
 
 if __name__ == "__main__":

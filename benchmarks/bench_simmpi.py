@@ -26,25 +26,18 @@ Three claims are gated against the committed baseline in
    identical across backends (the full matrix lives in
    ``tests/test_backend_matrix.py``).
 
-Exit-code convention (same as the other ``BENCH_*`` gates):
-
-* ``0`` — all gates pass.
-* ``1`` — regression (``REGRESSION: ...`` on stderr).
-* ``2`` — configuration error (unreadable/mismatched baseline).
-
-Refresh the baseline after an intentional change with::
-
-    python benchmarks/bench_simmpi.py --update-baseline
+Flags, baseline handling and exit codes (0 pass, 1 ``REGRESSION:``,
+2 unusable baseline) are those of ``_gate.run_gate``; refresh the
+baseline after an intentional change with ``--update-baseline``.
 """
 
-import argparse
-import json
 import os
 import statistics
-import sys
 import time
 
 import numpy as np
+
+import _gate
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_simmpi.json")
 BENCH_SCHEMA = "repro.simmpi.bench/v1"
@@ -179,20 +172,7 @@ def run_simmpi_bench() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="extra slack on the committed gates (fraction)",
-    )
-    args = parser.parse_args(argv)
-    if args.tolerance < 0:
-        print("bench gate error: tolerance must be >= 0", file=sys.stderr)
-        return 2
-
-    record = run_simmpi_bench()
+def _report(record) -> None:
     print(f"storm P={CONFIG['storm_small']['ranks']:>4}: "
           f"event beats thread by {record['ratio_p64']:.1f}x "
           f"(reps {[f'{r:.1f}' for r in record['ratio_p64_reps']]})")
@@ -203,68 +183,40 @@ def main(argv=None) -> int:
           f"{record['scale_wall_s']:.1f}s (event backend)")
     print(f"identity    : {'PASS' if record['identical'] else 'FAIL'}")
 
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline    : updated {args.baseline}")
-        return 0
 
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    if baseline.get("schema") != BENCH_SCHEMA:
-        print(f"bad baseline schema {baseline.get('schema')!r}", file=sys.stderr)
-        return 2
-    if baseline.get("config") != record["config"]:
-        print("baseline config does not match this benchmark's config; "
-              "re-run with --update-baseline", file=sys.stderr)
-        return 2
-
-    slack = 1.0 - min(args.tolerance, 0.99)
-    failures = []
-    floor_small = float(baseline["floor_p64"]) * slack
-    if record["ratio_p64"] < floor_small:
-        failures.append(
-            f"P=64 scheduler speedup {record['ratio_p64']:.2f}x fell below "
-            f"the committed floor {floor_small:.2f}x"
-        )
-    floor_large = float(baseline["floor_p512"]) * slack
-    if record["ratio_p512"] < floor_large:
-        failures.append(
-            f"P=512 scheduler speedup {record['ratio_p512']:.2f}x fell below "
-            f"the committed floor {floor_large:.2f}x"
-        )
-    ceiling = float(baseline["ceiling_s"]) * (1.0 + args.tolerance)
-    if record["scale_wall_s"] > ceiling:
-        failures.append(
-            f"P=1024 full-telemetry step took {record['scale_wall_s']:.1f}s, "
-            f"over the committed ceiling {ceiling:.1f}s"
-        )
-    if not record["scale_ok"]:
-        failures.append(
-            "P=1024 run lost its telemetry or clocks (scale sanity failed)"
-        )
-    if not record["identical"]:
-        failures.append(
-            "event backend diverged bitwise from the threaded backend "
-            "(values, clocks, or canonical trace)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"gate        : PASS (floors {floor_small:.1f}x / {floor_large:.1f}x, "
-          f"ceiling {ceiling:.0f}s)")
-    return 0
+CHECKS = [
+    ("floor", "ratio_p64", "floor_p64",
+     "P=64 scheduler speedup {value:.2f}x fell below the committed floor "
+     "{limit:.2f}x"),
+    ("floor", "ratio_p512", "floor_p512",
+     "P=512 scheduler speedup {value:.2f}x fell below the committed floor "
+     "{limit:.2f}x"),
+    ("ceiling", "scale_wall_s", "ceiling_s",
+     "P=1024 full-telemetry step took {value:.1f}s, over the committed "
+     "ceiling {limit:.1f}s"),
+    ("true", "scale_ok", None,
+     "P=1024 run lost its telemetry or clocks (scale sanity failed)"),
+    ("true", "identical", None,
+     "event backend diverged bitwise from the threaded backend "
+     "(values, clocks, or canonical trace)"),
+]
 
 
-def test_simmpi_backend_gate():
-    """Tier-2 hook so `pytest benchmarks/bench_simmpi.py` runs the gate."""
-    assert main([]) == 0
+def main(argv=None) -> int:
+    return _gate.run_gate(
+        argv,
+        description=__doc__.splitlines()[0],
+        baseline_path=BASELINE_PATH,
+        measure=run_simmpi_bench,
+        report=_report,
+        checks=CHECKS,
+        passed="floors {floor_p64:.1f}x / {floor_p512:.1f}x, "
+               "ceiling {ceiling_s:.0f}s",
+        width=12,
+    )
+
+
+test_simmpi_backend_gate = _gate.tier2_hook(main)
 
 
 if __name__ == "__main__":

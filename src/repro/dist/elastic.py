@@ -59,13 +59,16 @@ from repro.dist.erasure import (
     unpack_block_state,
 )
 from repro.dist.grid import GridComm
-from repro.dist.layers import relu, relu_grad
-from repro.dist.loss import softmax_cross_entropy
-from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d
+from repro.dist.matmul15d import fc_stack_step_15d
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.dist.train import MLPParams, _batch_columns
-from repro.errors import ConfigurationError, PeerFailedError, ShapeError, StrategyError
+from repro.dist.train import (
+    MLPParams,
+    _batch_columns,
+    check_mlp_inputs,
+    trainer_run_record,
+)
+from repro.errors import ConfigurationError, PeerFailedError, StrategyError
 from repro.machine.params import MachineParams, cori_knl
 from repro.nn.zoo import mlp
 from repro.profile.session import maybe_profile
@@ -532,43 +535,14 @@ def _elastic_loop(
                     my_cols = col_part.take(cols, grid.col)
                     a_local = x[:, my_cols]
                     yb_local = y[my_cols]
-                    acts = [a_local]
-                    zs = []
-                    for i in range(num_layers):
-                        with span("fwd", comm=world, layer=i):
-                            z = forward_15d(
-                                grid, w_locals[i], acts[-1],
-                                layer=i, step=step, guard=guard,
-                            )
-                        zs.append(z)
-                        acts.append(relu(z) if i < num_layers - 1 else z)
-                    with span("loss", comm=world):
-                        loss_local, dz = softmax_cross_entropy(
-                            zs[-1], yb_local, global_batch=batch
-                        )
-                        loss_global = float(
-                            grid.row_comm.allreduce(
-                                np.array([loss_local]), algorithm="ring"
-                            )[0]
-                        )
+                    loss_global, grads, _ = fc_stack_step_15d(
+                        grid, w_locals, row_parts, a_local, yb_local,
+                        batch=batch, step=step, guard=guard,
+                    )
                     losses.append(loss_global)
-                    grads: List[Optional[np.ndarray]] = [None] * num_layers
-                    for i in range(num_layers - 1, -1, -1):
-                        dy_rows = row_parts[i].take(dz, grid.row, axis=0)
-                        with span("bwd_dw", comm=world, layer=i):
-                            grads[i] = backward_dw_15d(
-                                grid, dy_rows, acts[i],
-                                layer=i, step=step, guard=guard,
-                            )
-                        if i > 0:
-                            with span("bwd_dx", comm=world, layer=i):
-                                da = backward_dx_15d(
-                                    grid, w_locals[i], dy_rows,
-                                    layer=i, step=step, guard=guard,
-                                )
-                            dz = relu_grad(zs[i - 1], da)
                     with span("update", comm=world):
-                        opt.step(w_locals, grads)  # type: ignore[arg-type]
+                        opt.step(w_locals, grads)
+                    del grads  # else held through the next step's products: peak footprint
                 emit_heartbeat(world, step=step, loss=loss_global, phase="elastic")
             full_weights = _full_blocks(grid, w_locals)
             return losses, full_weights, grids, restores, degraded, restored, store
@@ -621,10 +595,7 @@ def elastic_mlp_train(
     results are bit-identical with or without it).
     Raises :class:`~repro.errors.RankFailedError` if every rank dies.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"x must be (features, samples), got {x.shape}")
-    if batch < 1 or batch > x.shape[1]:
-        raise ConfigurationError(f"batch {batch} must lie in [1, {x.shape[1]}]")
+    check_mlp_inputs(x, y, batch)
     if checkpoint_every < 1:
         raise ConfigurationError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -702,8 +673,6 @@ def elastic_run_record(
     ``meta`` block (they describe the fault scenario, not the
     comparable configuration).  Requires the run to have been traced.
     """
-    from repro.analysis.record import build_run_record
-
     dims = (result.weights[0].shape[1],) + tuple(
         w.shape[0] for w in result.weights
     )
@@ -723,20 +692,8 @@ def elastic_run_record(
         "ckpt_mode": str(ckpt_mode),
         "parity": int(parity),
     }
-    if sdc is not None:
-        from repro.dist.train import _sdc_mode
-
-        config["sdc"] = _sdc_mode(sdc)
-    return build_run_record(
-        result.engine.tracer.canonical(),
-        trainer="elastic",
-        config=config,
-        pr=pr,
-        pc=pc,
-        clocks=result.sim.clocks,
-        machine=result.engine.network.machine,
-        dropped=result.engine.tracer.dropped,
-        meta=merged,
-        health_config=health_config,
+    return trainer_run_record(
+        result.engine, result.sim, trainer="elastic", config=config,
+        pr=pr, pc=pc, sdc=sdc, meta=merged, health_config=health_config,
         host=host,
     )

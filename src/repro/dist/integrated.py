@@ -34,10 +34,10 @@ from repro.dist.layers import (
     relu_grad,
 )
 from repro.dist.loss import softmax_cross_entropy
-from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d
+from repro.dist.matmul15d import fc_stack_step_15d
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.dist.train import _batch_columns
+from repro.dist.train import _batch_columns, assemble_weights, trainer_run_record
 from repro.errors import ConfigurationError, ShapeError
 from repro.profile.session import maybe_profile
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
@@ -318,7 +318,6 @@ def _cnn_train_program(
     col_part = BlockPartition(batch, grid.pc)
     opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
     losses: List[float] = []
-    nfc = len(fc_ws)
 
     for step in range(steps):
         with span("step", comm=comm, step=step), payload_guard(guard):
@@ -351,38 +350,13 @@ def _cnn_train_program(
                 else:
                     a_full = a
             flat_shape = a_full.shape
-            acts = [a_full.reshape(b_local, -1).T]  # (features, b_local)
-            # --- forward: 1.5D FC stack ---
-            zs = []
-            for i in range(nfc):
-                with span("fwd", comm=comm, layer=i):
-                    z = forward_15d(
-                        grid, fc_ws[i], acts[-1], layer=i, step=step, guard=guard
-                    )
-                zs.append(z)
-                acts.append(relu(z) if i < nfc - 1 else z)
-            with span("loss", comm=comm):
-                loss_local, dz = softmax_cross_entropy(
-                    zs[-1], yb_local, global_batch=batch
-                )
-                loss_global = float(
-                    grid.row_comm.allreduce(np.array([loss_local]), algorithm="ring")[0]
-                )
+            # --- forward, loss, backward: 1.5D FC stack; the convs need dX ---
+            loss_global, fc_grads, da = fc_stack_step_15d(
+                grid, fc_ws, fc_row_parts,
+                a_full.reshape(b_local, -1).T,  # (features, b_local)
+                yb_local, batch=batch, step=step, guard=guard, input_grad=True,
+            )
             losses.append(loss_global)
-            # --- backward: FC stack ---
-            fc_grads: List[Optional[np.ndarray]] = [None] * nfc
-            for i in range(nfc - 1, -1, -1):
-                dy_rows = fc_row_parts[i].take(dz, grid.row, axis=0)
-                with span("bwd_dw", comm=comm, layer=i):
-                    fc_grads[i] = backward_dw_15d(
-                        grid, dy_rows, acts[i], layer=i, step=step, guard=guard
-                    )
-                with span("bwd_dx", comm=comm, layer=i):
-                    da = backward_dx_15d(
-                        grid, fc_ws[i], dy_rows, layer=i, step=step, guard=guard
-                    )
-                if i > 0:
-                    dz = relu_grad(zs[i - 1], da)
             # --- backward through the redistribution: slice my rows, no comm ---
             d_feat_full = da.T.reshape(flat_shape)
             pooled_part = BlockPartition(flat_shape[2], grid.pr)
@@ -401,6 +375,9 @@ def _cnn_train_program(
                     conv_grads[i] = grid.comm.allreduce(dw_partial, algorithm="ring")
             with span("update", comm=comm):
                 opt.step(conv_ws + fc_ws, conv_grads + fc_grads)  # type: ignore[arg-type]
+            # Held across the next step's FC products, these dW blocks
+            # would add a weight-sized array per rank to the peak footprint.
+            del fc_grads
             emit_heartbeat(comm, step=step, loss=loss_global, phase="integrated")
     return conv_ws, fc_ws, losses
 
@@ -464,12 +441,9 @@ def distributed_cnn_train(
             sdc=make_guard(sdc, single_thread=engine.backend == "event"),
         )
     # Conv weights are replicated (take rank 0's); FC weights reassemble
-    # from the r-row blocks of column 0.
+    # from their row blocks.
     conv_ws = [w.copy() for w in result.values[0][0]]
-    fc_ws: List[np.ndarray] = []
-    for layer in range(len(params0.fc_weights)):
-        blocks = [result.values[r * pc][1][layer] for r in range(pr)]
-        fc_ws.append(np.vstack(blocks))
+    fc_ws = assemble_weights(result, pr, pc, 1)
     losses = list(result.values[0][2])
     return CNNParams(conv_ws, fc_ws), losses, result
 
@@ -494,9 +468,6 @@ def cnn_run_record(
     the record is deterministic.  ``host`` opts in to the v5 host-time
     block (e.g. ``repro.profile.host_block(engine)``).
     """
-    from repro.analysis.record import build_run_record
-    from repro.dist.train import _sdc_mode
-
     record_config = {
         "image": [int(config.in_channels), int(config.height), int(config.width)],
         "conv_channels": [int(c) for c in config.conv_channels],
@@ -504,17 +475,7 @@ def cnn_run_record(
         "batch": int(batch),
         "steps": int(steps),
     }
-    if sdc is not None:
-        record_config["sdc"] = _sdc_mode(sdc)
-    return build_run_record(
-        engine.tracer.canonical(),
-        trainer="integrated",
-        config=record_config,
-        pr=pr,
-        pc=pc,
-        clocks=sim.clocks,
-        machine=engine.network.machine,
-        dropped=engine.tracer.dropped,
-        meta=meta,
-        host=host,
+    return trainer_run_record(
+        engine, sim, trainer="integrated", config=record_config,
+        pr=pr, pc=pc, sdc=sdc, meta=meta, host=host,
     )

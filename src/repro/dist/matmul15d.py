@@ -20,20 +20,28 @@ training products then need exactly the collectives of Fig. 5:
 Degenerate grids recover the pure algorithms: ``Pr = 1`` is Fig. 2
 (pure batch: no forward communication, one dW all-reduce), ``Pc = 1``
 is Fig. 1 (pure model).
+
+:func:`fc_stack_step_15d` chains the three products over a stack of
+fully connected layers — forward, loss, backward — and is the one place
+the Fig. 5 / Eq. 8 training step is spelled out; the MLP, elastic and
+integrated-CNN trainers all call it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dist.abft import SDCGuard, inject_unguarded
 from repro.dist.grid import GridComm
+from repro.dist.layers import relu, relu_grad
+from repro.dist.loss import softmax_cross_entropy
 from repro.dist.partition import BlockPartition
 from repro.errors import ShapeError
+from repro.telemetry.spans import span
 
-__all__ = ["forward_15d", "backward_dx_15d", "backward_dw_15d"]
+__all__ = ["forward_15d", "backward_dx_15d", "backward_dw_15d", "fc_stack_step_15d"]
 
 
 def _local_gemm(
@@ -150,11 +158,75 @@ def backward_dw_15d(
     return grid.row_comm.allreduce(dw_partial, algorithm="ring")
 
 
-def weight_rows_partition(d_out: int, grid: GridComm) -> BlockPartition:
-    """The row partition of a ``(d_out, d_in)`` weight matrix over ``Pr``."""
-    return BlockPartition(d_out, grid.pr)
+def fc_stack_step_15d(
+    grid: GridComm,
+    weights: Sequence[np.ndarray],
+    row_parts: Sequence[BlockPartition],
+    a_local: np.ndarray,
+    labels: np.ndarray,
+    *,
+    batch: int,
+    step: int,
+    guard: Optional[SDCGuard],
+    input_grad: bool = False,
+) -> Tuple[float, List[np.ndarray], Optional[np.ndarray]]:
+    """One Fig. 5 / Eq. 8 training step of a ReLU fully connected stack.
 
+    Forward through every layer (caching the full ``(d_i, b_c)``
+    activations), softmax cross-entropy against ``labels`` with the
+    shard losses summed over the ``Pc`` batch groups, then backward:
+    ``dW`` for every layer, ``dX`` between layers.  Each product runs
+    under its ``fwd`` / ``bwd_dw`` / ``bwd_dx`` span (``loss`` for the
+    loss all-reduce) and carries the ``(layer, step)`` identity and
+    ``guard`` of :func:`forward_15d`.
 
-def batch_cols_partition(batch: int, grid: GridComm) -> BlockPartition:
-    """The column partition of a ``(d, B)`` activation matrix over ``Pc``."""
-    return BlockPartition(batch, grid.pc)
+    Parameters
+    ----------
+    weights, row_parts:
+        Per layer, this rank's weight rows and the ``Pr`` row partition
+        they were cut with.
+    a_local, labels:
+        The stack input ``(d_0, b_c)`` and the class ids of this rank's
+        batch shard.
+    batch:
+        The global batch size (the ``1/B`` loss scaling).
+    input_grad:
+        Also compute the gradient w.r.t. ``a_local`` — one more ``dX``
+        all-reduce over ``Pr``, needed only when layers precede the
+        stack (the integrated trainer's convolutions).
+
+    Returns ``(global_loss, weight_row_gradients, dX or None)``.
+    """
+    comm = grid.comm
+    num_layers = len(weights)
+    acts = [a_local]
+    zs = []
+    for i in range(num_layers):
+        with span("fwd", comm=comm, layer=i):
+            z = forward_15d(
+                grid, weights[i], acts[-1], layer=i, step=step, guard=guard
+            )
+        zs.append(z)
+        acts.append(relu(z) if i < num_layers - 1 else z)
+    with span("loss", comm=comm):
+        loss_local, dz = softmax_cross_entropy(zs[-1], labels, global_batch=batch)
+        # Global loss: shard losses add over the Pc batch groups.
+        loss = float(
+            grid.row_comm.allreduce(np.array([loss_local]), algorithm="ring")[0]
+        )
+    grads: List[np.ndarray] = [None] * num_layers  # type: ignore[list-item]
+    da = None
+    for i in range(num_layers - 1, -1, -1):
+        dy_rows = row_parts[i].take(dz, grid.row, axis=0)
+        with span("bwd_dw", comm=comm, layer=i):
+            grads[i] = backward_dw_15d(
+                grid, dy_rows, acts[i], layer=i, step=step, guard=guard
+            )
+        if i > 0 or input_grad:
+            with span("bwd_dx", comm=comm, layer=i):
+                da = backward_dx_15d(
+                    grid, weights[i], dy_rows, layer=i, step=step, guard=guard
+                )
+        if i > 0:
+            dz = relu_grad(zs[i - 1], da)
+    return loss, grads, da if input_grad else None

@@ -30,6 +30,7 @@ import numpy as np
 from repro.dist.abft import inject_unguarded, make_guard
 from repro.dist.grid import GridComm
 from repro.dist.partition import BlockPartition
+from repro.dist.train import trainer_run_record
 from repro.errors import PartitionError, ShapeError
 from repro.profile.session import maybe_profile
 from repro.simmpi.engine import resolve_engine
@@ -211,22 +212,8 @@ def summa_run_record(
     :class:`~repro.simmpi.engine.SimEngine`; the ``(m, k, n)`` problem
     shape is the comparable configuration.
     """
-    from repro.analysis.record import build_run_record
-
     config = {"m": int(m), "k": int(k), "n": int(n)}
-    if sdc is not None:
-        from repro.dist.train import _sdc_mode
-
-        config["sdc"] = _sdc_mode(sdc)
-    return build_run_record(
-        engine.tracer.canonical(),
-        trainer="summa2d",
-        config=config,
-        pr=pr,
-        pc=pc,
-        clocks=sim.clocks,
-        machine=engine.network.machine,
-        dropped=engine.tracer.dropped,
-        meta=meta,
-        host=host,
+    return trainer_run_record(
+        engine, sim, trainer="summa2d", config=config,
+        pr=pr, pc=pc, sdc=sdc, meta=meta, host=host,
     )

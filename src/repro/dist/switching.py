@@ -37,8 +37,8 @@ from repro.dist.loss import softmax_cross_entropy
 from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.dist.train import MLPParams, _batch_columns
-from repro.errors import ConfigurationError, StrategyError
+from repro.dist.train import MLPParams, _batch_columns, check_mlp_inputs
+from repro.errors import StrategyError
 from repro.simmpi.engine import SimEngine, SimResult
 
 __all__ = ["switching_mlp_train_program", "distributed_switching_mlp_train"]
@@ -81,8 +81,6 @@ def switching_mlp_train_program(
     dims = params0.dims
     placements = _check_placements(placements, len(params0.weights))
     p = grid.p
-    if batch % 1:
-        raise ConfigurationError("batch must be an integer")
 
     # Hierarchical batch partitions: cols_c over Pc, then sub-shard r over Pr.
     col_part = BlockPartition(batch, pc)
@@ -199,6 +197,7 @@ def distributed_switching_mlp_train(
 ) -> Tuple[List[np.ndarray], List[float], SimResult]:
     """Run the switching trainer on a simulated grid; reassemble weights."""
     placements = _check_placements(placements, len(params0.weights))
+    check_mlp_inputs(x, y, batch)
     engine = SimEngine(pr * pc, machine, trace=trace)
     result = engine.run(
         switching_mlp_train_program,
@@ -215,7 +214,6 @@ def distributed_switching_mlp_train(
         schedule=schedule,
         lr_schedule=lr_schedule,
     )
-    dims = params0.dims
     weights: List[np.ndarray] = []
     for i in range(len(params0.weights)):
         if placements[i] == _LAYOUT_MODEL:

@@ -20,7 +20,7 @@ from repro.dist.abft import make_guard
 from repro.dist.grid import GridComm
 from repro.dist.layers import relu, relu_grad
 from repro.dist.loss import softmax_cross_entropy
-from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d
+from repro.dist.matmul15d import fc_stack_step_15d
 from repro.simmpi.sdc import payload_guard
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
@@ -65,6 +65,22 @@ class MLPParams:
         return MLPParams([w.copy() for w in self.weights])
 
 
+def check_mlp_inputs(x: np.ndarray, y: np.ndarray, batch: int) -> None:
+    """Reject a dataset/batch combination no MLP trainer can run.
+
+    Shared by the serial, 1.5D, elastic and switching entry points so
+    they fail alike: cyclic batch windows would otherwise wrap silently
+    over a too-small or mis-shaped dataset.
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"x must be (features, samples), got {x.shape}")
+    n = x.shape[1]
+    if y.shape != (n,):
+        raise ShapeError(f"y shape {y.shape} != ({n},)")
+    if batch < 1 or batch > n:
+        raise ConfigurationError(f"batch {batch} must lie in [1, {n}]")
+
+
 def _batch_columns(step: int, batch: int, n: int, schedule=None) -> np.ndarray:
     """Batch indices for ``step``: a :class:`~repro.data.batches.BatchSchedule`
     when given, else the default deterministic cyclic window."""
@@ -103,13 +119,8 @@ def serial_mlp_train(
     (default: cyclic windows); ``lr_schedule`` an optional
     ``step -> learning rate`` callable applied before each update.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"x must be (features, samples), got {x.shape}")
+    check_mlp_inputs(x, y, batch)
     n = x.shape[1]
-    if y.shape != (n,):
-        raise ShapeError(f"y shape {y.shape} != ({n},)")
-    if batch < 1 or batch > n:
-        raise ConfigurationError(f"batch {batch} must lie in [1, {n}]")
     params = params.copy()
     weights = params.weights
     opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
@@ -176,7 +187,6 @@ def mlp_train_program(
     col_part = BlockPartition(batch, grid.pc)
     opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
     losses: List[float] = []
-    num_layers = len(w_locals)
     with payload_guard(guard):
         for step in range(steps):
             with span("step", comm=comm, step=step):
@@ -186,61 +196,29 @@ def mlp_train_program(
                 my_cols = col_part.take(cols, grid.col)
                 a_local = x[:, my_cols]
                 yb_local = y[my_cols]
-                # Forward: cache the full (d_i x b_c) activations per layer.
-                acts = [a_local]
-                zs = []
-                for i in range(num_layers):
-                    with span("fwd", comm=comm, layer=i):
-                        z = forward_15d(
-                            grid, w_locals[i], acts[-1],
-                            layer=i, step=step, guard=guard,
-                        )
-                    zs.append(z)
-                    acts.append(relu(z) if i < num_layers - 1 else z)
-                with span("loss", comm=comm):
-                    loss_local, dz = softmax_cross_entropy(
-                        zs[-1], yb_local, global_batch=batch
-                    )
-                    # Global loss: shard losses add over the Pc batch groups.
-                    loss_global = float(
-                        grid.row_comm.allreduce(np.array([loss_local]), algorithm="ring")[0]
-                    )
+                loss_global, grads, _ = fc_stack_step_15d(
+                    grid, w_locals, row_parts, a_local, yb_local,
+                    batch=batch, step=step, guard=guard,
+                )
                 losses.append(loss_global)
-                # Backward.
-                grads: List[Optional[np.ndarray]] = [None] * num_layers
-                for i in range(num_layers - 1, -1, -1):
-                    dy_rows = row_parts[i].take(dz, grid.row, axis=0)
-                    with span("bwd_dw", comm=comm, layer=i):
-                        grads[i] = backward_dw_15d(
-                            grid, dy_rows, acts[i],
-                            layer=i, step=step, guard=guard,
-                        )
-                    if i > 0:
-                        with span("bwd_dx", comm=comm, layer=i):
-                            da = backward_dx_15d(
-                                grid, w_locals[i], dy_rows,
-                                layer=i, step=step, guard=guard,
-                            )
-                        dz = relu_grad(zs[i - 1], da)
                 with span("update", comm=comm):
-                    opt.step(w_locals, grads)  # type: ignore[arg-type]
+                    opt.step(w_locals, grads)
+                del grads  # else held through the next step's products: peak footprint
                 emit_heartbeat(comm, step=step, loss=loss_global, phase="train")
     return w_locals, losses
 
 
 def assemble_weights(
-    result: SimResult, dims: Sequence[int], pr: int, pc: int
+    result: SimResult, pr: int, pc: int, index: int
 ) -> List[np.ndarray]:
-    """Rebuild full weight matrices from the rank-local blocks of a run."""
-    weights: List[np.ndarray] = []
-    for layer in range(len(dims) - 1):
-        blocks = []
-        for r in range(pr):
-            world_rank = r * pc + 0  # any column replica; take c = 0
-            w_locals, _ = result.values[world_rank]
-            blocks.append(w_locals[layer])
-        weights.append(np.vstack(blocks))
-    return weights
+    """Rebuild full weight matrices from the rank-local row blocks of a run.
+
+    ``result.values[rank][index]`` is that rank's list of per-layer row
+    blocks.  Block ``r`` is replicated across grid row ``r``; the copy
+    of column 0 (world rank ``r * pc``) is taken.
+    """
+    per_row = [result.values[r * pc][index] for r in range(pr)]
+    return [np.vstack(blocks) for blocks in zip(*per_row)]
 
 
 def distributed_mlp_train(
@@ -281,8 +259,7 @@ def distributed_mlp_train(
     :class:`~repro.profile.ProfileSession` (observability only: values,
     clocks, and traces are bit-identical with or without it).
     """
-    if batch % 1:
-        raise ConfigurationError("batch must be an integer")
+    check_mlp_inputs(x, y, batch)
     engine = resolve_engine(engine, pr * pc, machine, trace=trace, metrics=metrics)
     # One shared guard so all ranks aggregate into the same sdc.* counters.
     guard = make_guard(sdc, single_thread=engine.backend == "event")
@@ -303,16 +280,53 @@ def distributed_mlp_train(
             lr_schedule=lr_schedule,
             sdc=guard,
         )
-    weights = assemble_weights(result, params0.dims, pr, pc)
+    weights = assemble_weights(result, pr, pc, 0)
     losses = list(result.values[0][1])
     return weights, losses, result
 
 
-def _sdc_mode(sdc) -> str:
-    """The policy mode string of any accepted ``sdc`` argument form."""
-    if isinstance(sdc, str):
-        return sdc
-    return make_guard(sdc).policy.mode
+def trainer_run_record(
+    engine: SimEngine,
+    sim: SimResult,
+    *,
+    trainer: str,
+    config: dict,
+    pr: int,
+    pc: int,
+    sdc=None,
+    meta=None,
+    health_config=None,
+    host=None,
+):
+    """The :class:`~repro.analysis.record.RunRecord` of a traced trainer run.
+
+    ``engine`` must be the (tracing) engine the run executed on and
+    ``sim`` its result; the trace is read in canonical (replay-stable)
+    order so the record is deterministic for a given program.  ``sdc``
+    is the run's ``sdc`` argument in any accepted form: its policy mode
+    joins ``config`` so guarded records get a distinct config key
+    (unguarded records stay byte-identical to pre-SDC baselines).
+    ``host`` opts in to the v5 host-time block (e.g.
+    ``repro.profile.host_block(engine)``).
+    """
+    from repro.analysis.record import build_run_record
+
+    if sdc is not None:
+        mode = sdc if isinstance(sdc, str) else make_guard(sdc).policy.mode
+        config = {**config, "sdc": mode}
+    return build_run_record(
+        engine.tracer.canonical(),
+        trainer=trainer,
+        config=config,
+        pr=pr,
+        pc=pc,
+        clocks=sim.clocks,
+        machine=engine.network.machine,
+        dropped=engine.tracer.dropped,
+        meta=meta,
+        health_config=health_config,
+        host=host,
+    )
 
 
 def mlp_run_record(
@@ -331,33 +345,14 @@ def mlp_run_record(
 ):
     """Build the :class:`~repro.analysis.record.RunRecord` of a traced run.
 
-    ``engine`` must be the (tracing) engine the run executed on and
-    ``sim`` its result; the trace is read in canonical (replay-stable)
-    order so the record is deterministic for a given program.  Pass the
-    run's ``sdc`` policy mode so guarded records get a distinct config
-    key (unguarded records stay byte-identical to pre-SDC baselines).
-    ``host`` opts in to the v5 host-time block (e.g.
-    ``repro.profile.host_block(engine)``).
+    See :func:`trainer_run_record` for ``engine``, ``sdc`` and ``host``.
     """
-    from repro.analysis.record import build_run_record
-
     config = {
         "dims": list(int(d) for d in dims),
         "batch": int(batch),
         "steps": int(steps),
     }
-    if sdc is not None:
-        config["sdc"] = _sdc_mode(sdc)
-    return build_run_record(
-        engine.tracer.canonical(),
-        trainer="train",
-        config=config,
-        pr=pr,
-        pc=pc,
-        clocks=sim.clocks,
-        machine=engine.network.machine,
-        dropped=engine.tracer.dropped,
-        meta=meta,
-        health_config=health_config,
-        host=host,
+    return trainer_run_record(
+        engine, sim, trainer="train", config=config, pr=pr, pc=pc,
+        sdc=sdc, meta=meta, health_config=health_config, host=host,
     )

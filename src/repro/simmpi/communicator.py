@@ -640,8 +640,7 @@ class Comm:
         Callable only on a supervised engine, after a peer crash has
         surfaced as :class:`~repro.errors.PeerFailedError`.  Every
         survivor must call it; the shrink coordinates on the engine's
-        failure generation, clears the pending-recovery flag once all
-        survivors have arrived, and returns a fresh communicator (with a
+        failure generation and returns a fresh communicator (with a
         fresh message namespace, so stale in-flight messages from the
         interrupted step can never be matched).  If another rank dies
         mid-shrink, the attempt retries against the updated survivor
@@ -677,7 +676,6 @@ class Comm:
                 # Another crash landed mid-shrink: re-snapshot and retry.
                 continue
             engine.mark_recovered(self._world_rank, gen)
-            engine.end_shrink(gen)
             engine.tracer.record(
                 TraceEvent(
                     self._world_rank, "fault.recovery", -1, 0, self.clock, self.clock,

@@ -171,14 +171,12 @@ class SimEngine:
         if self.injector is not None and backend == "event":
             self.injector.set_single_thread(True)
         self._clocks = [0.0] * size
-        self._clock_lock = threading.Lock()
         self._abort = threading.Event()
         self._coord_lock = threading.Lock()
         self._coord_cond = threading.Condition(self._coord_lock)
         self._coord_store: Dict[Tuple, Dict[int, Any]] = {}
         self._coord_reads: Dict[Tuple, int] = {}
         self._fault_lock = threading.Lock()
-        self._recovery = threading.Event()
         self._dead: Set[int] = set()
         self._fail_gen = 0
         self._crash_failures: Dict[int, BaseException] = {}
@@ -226,13 +224,6 @@ class SimEngine:
     def dead_ranks(self) -> Tuple[int, ...]:
         with self._fault_lock:
             return tuple(sorted(self._dead))
-
-    def survivors(self) -> Tuple[int, ...]:
-        dead = set(self.dead_ranks())
-        return tuple(r for r in range(self.size) if r not in dead)
-
-    def in_recovery(self) -> bool:
-        return self._recovery.is_set()
 
     def peer_generation(self, rank: int) -> int:
         """The communicator generation ``rank`` has (or is moving to).
@@ -310,7 +301,6 @@ class SimEngine:
             self._crash_failures[world_rank] = exc
         t = self._clocks[world_rank]
         self.tracer.record(TraceEvent(world_rank, "fault.crash", -1, 0, t, t))
-        self._recovery.set()
         self.mailbox.kick()
         with self._coord_cond:
             self._coord_cond.notify_all()
@@ -320,16 +310,6 @@ class SimEngine:
         with self._fault_lock:
             survivors = tuple(r for r in range(self.size) if r not in self._dead)
             return self._fail_gen, survivors
-
-    def end_shrink(self, gen: int) -> None:
-        """Clear the recovery flag once a shrink at generation ``gen`` holds.
-
-        Idempotent; a further crash (which bumps the generation) keeps
-        the recovery flag set so survivors go around again.
-        """
-        with self._fault_lock:
-            if self._fail_gen == gen:
-                self._recovery.clear()
 
     # -- metadata coordination (Comm.split / Comm.shrink) --------------------
 
@@ -403,7 +383,6 @@ class SimEngine:
         """
         self._clocks = [0.0] * self.size
         self._abort.clear()
-        self._recovery.clear()
         self._dead = set()
         self._fail_gen = 0
         self._crash_failures: Dict[int, BaseException] = {}
@@ -506,10 +485,13 @@ def resolve_engine(
     default), a backend name (``"thread"``/``"event"`` — build an
     engine with that backend and the supplied configuration), or a
     prebuilt :class:`SimEngine` (validated against ``size`` and
-    returned as-is; the other keyword arguments are then ignored, since
-    the caller already configured the engine).  This is how ``engine=``
-    plumbs through the four trainers and the CLI without each call site
-    re-implementing the coercion.
+    returned as-is).  The caller configured a prebuilt engine already,
+    so also passing ``machine``/``trace``/``metrics``/``faults`` — or
+    requiring ``supervise`` of an unsupervised engine — is a
+    :class:`~repro.errors.ConfigurationError` rather than a silently
+    dropped argument.  This is how ``engine=`` plumbs through the four
+    trainers and the CLI without each call site re-implementing the
+    coercion.
     """
     if engine is None or isinstance(engine, str):
         if engine is not None and engine not in SimEngine.BACKENDS:
@@ -531,5 +513,19 @@ def resolve_engine(
     if engine.size != size:
         raise ConfigurationError(
             f"engine has {engine.size} ranks, grid needs {size}"
+        )
+    for name, value in (
+        ("machine", machine), ("trace", trace or None),
+        ("metrics", metrics), ("faults", faults),
+    ):
+        if value is not None:
+            raise ConfigurationError(
+                f"{name}= conflicts with a prebuilt engine; configure "
+                f"SimEngine({name}=...) instead"
+            )
+    if supervise and not engine.supervise:
+        raise ConfigurationError(
+            "supervise=True needs a supervised engine; build it with "
+            "SimEngine(supervise=True)"
         )
     return engine

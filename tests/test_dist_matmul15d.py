@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from repro.dist.grid import GridComm
-from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d
+from repro.dist.layers import relu, relu_grad
+from repro.dist.loss import softmax_cross_entropy
+from repro.dist.matmul15d import (
+    backward_dw_15d,
+    backward_dx_15d,
+    fc_stack_step_15d,
+    forward_15d,
+)
 from repro.dist.partition import BlockPartition
 from repro.errors import RankFailedError
 from repro.simmpi.engine import SimEngine
@@ -119,6 +126,54 @@ class TestProducts:
         for rank, dw_local in enumerate(res.values):
             r = rank // pc
             np.testing.assert_allclose(dw_local, rows.take(expected, r, axis=0), rtol=1e-10)
+
+
+@pytest.mark.parametrize("input_grad", [False, True])
+@pytest.mark.parametrize("pr,pc", [(1, 1), (1, 4), (4, 1), (2, 2)])
+def test_fc_stack_step_matches_serial(pr, pc, input_grad):
+    """The whole Fig. 5 step — loss, every dW block, the input gradient —
+    against a plain NumPy forward/backward of the same stack."""
+    dims, batch = (7, 10, 6, 5), 12
+    rng = np.random.default_rng(23)
+    weights = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(3)]
+    x = rng.standard_normal((dims[0], batch))
+    y = rng.integers(0, dims[-1], batch)
+
+    acts, zs = [x], []
+    for i, w in enumerate(weights):
+        zs.append(w @ acts[-1])
+        acts.append(relu(zs[-1]) if i < 2 else zs[-1])
+    loss, dz = softmax_cross_entropy(zs[-1], y)
+    grads = [None] * 3
+    for i in (2, 1, 0):
+        grads[i] = dz @ acts[i].T
+        dx = weights[i].T @ dz
+        if i > 0:
+            dz = relu_grad(zs[i - 1], dx)
+
+    row_parts = [BlockPartition(d, pr) for d in dims[1:]]
+    cols = BlockPartition(batch, pc)
+
+    def prog(comm):
+        grid = GridComm(comm, pr, pc)
+        w_locals = [
+            part.take(w, grid.row, axis=0) for part, w in zip(row_parts, weights)
+        ]
+        return fc_stack_step_15d(
+            grid, w_locals, row_parts,
+            cols.take(x, grid.col, axis=1), cols.take(y, grid.col),
+            batch=batch, step=0, guard=None, input_grad=input_grad,
+        )
+
+    for rank, (loss_d, grads_d, dx_d) in enumerate(run_grid(pr, pc, prog).values):
+        r, c = divmod(rank, pc)
+        assert loss_d == pytest.approx(loss, rel=1e-12)
+        for part, got, want in zip(row_parts, grads_d, grads):
+            np.testing.assert_allclose(got, part.take(want, r, axis=0), atol=1e-12)
+        if input_grad:
+            np.testing.assert_allclose(dx_d, cols.take(dx, c, axis=1), atol=1e-12)
+        else:
+            assert dx_d is None
 
 
 class TestShapeValidation:

@@ -20,6 +20,7 @@ from repro.dist.sgd import SGD
 from repro.dist.train import MLPParams, serial_mlp_train
 from repro.errors import ConfigurationError, RankFailedError
 from repro.machine.params import cori_knl
+from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import (
     Cascade,
     Crash,
@@ -76,6 +77,11 @@ class TestElasticNoFaults:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             _elastic(checkpoint_every=0)
+
+    def test_unsupervised_prebuilt_engine_rejected(self):
+        # It would abort on the first crash instead of recovering.
+        with pytest.raises(ConfigurationError, match="supervise=True"):
+            _elastic(engine=SimEngine(4))
 
 
 class TestElasticRecovery:

@@ -37,7 +37,10 @@ from repro.profile import (
 from repro.profile import hooks as profile_hooks
 from repro.profile.export import PPROF_SCHEMA
 from repro.profile.sampler import Sampler
+from repro.machine.params import cori_knl
 from repro.simmpi.engine import SimEngine, resolve_engine
+from repro.simmpi.faults import FaultPlan
+from repro.telemetry.metrics import MetricsRegistry
 
 DIMS = (12, 10, 6)
 
@@ -353,6 +356,25 @@ class TestResolveEngine:
     def test_prebuilt_size_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_engine(SimEngine(4), 6)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("trace", True),
+            ("metrics", MetricsRegistry()),
+            ("machine", cori_knl()),
+            ("faults", FaultPlan(seed=0)),
+        ],
+    )
+    def test_prebuilt_engine_rejects_configuration_it_would_drop(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name}= conflicts"):
+            resolve_engine(SimEngine(4), 4, **{name: value})
+
+    def test_prebuilt_engine_must_be_supervised_when_required(self):
+        with pytest.raises(ConfigurationError, match="supervise=True"):
+            resolve_engine(SimEngine(4), 4, supervise=True)
+        engine = SimEngine(4, supervise=True)
+        assert resolve_engine(engine, 4, supervise=True) is engine
 
 
 class TestSummaTrain:

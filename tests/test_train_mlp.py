@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import separable_blobs, synthetic_classification
+from repro.dist.elastic import elastic_mlp_train
+from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.train import (
     MLPParams,
     distributed_mlp_train,
@@ -63,6 +65,35 @@ class TestSerialTrainer:
             serial_mlp_train(PARAMS, X, Y[:-1], **KW)
         with pytest.raises(ConfigurationError):
             serial_mlp_train(PARAMS, X, Y, batch=1000, steps=1)
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        serial_mlp_train,
+        lambda *a, **kw: distributed_mlp_train(*a, pr=2, pc=2, **kw),
+        lambda *a, **kw: elastic_mlp_train(*a, pr=2, pc=2, **kw),
+        lambda *a, **kw: distributed_switching_mlp_train(
+            *a, placements=("batch", "model", "model"), pr=2, pc=2, **kw
+        ),
+    ],
+    ids=["serial", "distributed", "elastic", "switching"],
+)
+class TestEveryEntryPointRejectsBadInputs:
+    """The distributed trainers used to wrap batch windows silently over
+    inputs the serial oracle rejects."""
+
+    def test_one_dimensional_x(self, train):
+        with pytest.raises(ShapeError, match="features, samples"):
+            train(PARAMS, X[0], Y, batch=16, steps=1)
+
+    def test_label_count_mismatch(self, train):
+        with pytest.raises(ShapeError, match="y shape"):
+            train(PARAMS, X, Y[:-1], batch=16, steps=1)
+
+    def test_batch_larger_than_dataset(self, train):
+        with pytest.raises(ConfigurationError, match=r"must lie in \[1, 64\]"):
+            train(PARAMS, X, Y, batch=65, steps=1)
 
 
 @pytest.mark.parametrize("pr,pc", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2)])
