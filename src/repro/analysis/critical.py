@@ -92,31 +92,6 @@ class DependencyGraph:
     def n_edges(self) -> int:
         return len(self.program_edges) + len(self.message_edges)
 
-    def successors(self) -> Dict[int, List[Tuple[int, float]]]:
-        """``u -> [(v, gap)]`` adjacency with the slack-absorbing gap.
-
-        Program-order edges are rigid (gap 0: delaying ``u`` delays the
-        compute that follows it and hence ``v``).  A message edge's gap
-        is ``recv.t_end - arrival`` — the time the message sat in the
-        mailbox before the receiver needed it.
-        """
-        adj: Dict[int, List[Tuple[int, float]]] = {}
-        for u, v in self.program_edges:
-            adj.setdefault(u, []).append((v, 0.0))
-        for u, v in self.message_edges:
-            gap = max(0.0, self.nodes[v].t_end - self.arrivals[(u, v)])
-            adj.setdefault(u, []).append((v, gap))
-        return adj
-
-
-def _dropped_send_keys(events: Sequence[TraceEvent]) -> set:
-    """Identity keys of sends whose message was injected-dropped."""
-    return {
-        (e.rank, e.peer, e.tag[0] if e.tag else None, e.t_start)
-        for e in events
-        if e.op == "fault.drop"
-    }
-
 
 def build_dependency_graph(events: Sequence[TraceEvent]) -> DependencyGraph:
     """Extract the dependency DAG from a trace.
@@ -127,8 +102,15 @@ def build_dependency_graph(events: Sequence[TraceEvent]) -> DependencyGraph:
     whose payload was dropped by fault injection produce no message
     edge; unmatched sends (e.g. to a crashed rank) simply stay leaves.
     """
-    nodes = tuple(e for e in events if e.op in ("send", "recv"))
-    dropped = _dropped_send_keys(events)
+    nodes: List[TraceEvent] = []
+    # Identity keys of sends whose message was injected-dropped.
+    dropped = set()
+    for e in events:
+        op = e.op
+        if op == "send" or op == "recv":
+            nodes.append(e)
+        elif op == "fault.drop":
+            dropped.add((e.rank, e.peer, e.tag[0] if e.tag else None, e.t_start))
     program_edges: List[Tuple[int, int]] = []
     last_of_rank: Dict[int, int] = {}
     # FIFO queues of unmatched send indices per (src, dst, tag).
@@ -136,29 +118,34 @@ def build_dependency_graph(events: Sequence[TraceEvent]) -> DependencyGraph:
     message_edges: List[Tuple[int, int]] = []
     arrivals: Dict[Tuple[int, int], float] = {}
     for i, e in enumerate(nodes):
-        prev = last_of_rank.get(e.rank)
+        rank = e.rank
+        prev = last_of_rank.get(rank)
         if prev is not None:
             program_edges.append((prev, i))
-        last_of_rank[e.rank] = i
+        last_of_rank[rank] = i
         tag = e.tag[0] if e.tag else None
         if e.op == "send":
-            if (e.rank, e.peer, tag, e.t_start) in dropped:
+            if dropped and (rank, e.peer, tag, e.t_start) in dropped:
                 continue
-            pending.setdefault((e.rank, e.peer, tag), deque()).append(i)
+            key = (rank, e.peer, tag)
+            queue = pending.get(key)
+            if queue is None:
+                queue = pending[key] = deque()
+            queue.append(i)
         else:
-            queue = pending.get((e.peer, e.rank, tag))
+            queue = pending.get((e.peer, rank, tag))
             if queue:
                 u = queue.popleft()
-                message_edges.append((u, i))
+                edge = (u, i)
+                message_edges.append(edge)
                 # The receive ended at max(posted time, arrival); if it
                 # waited, its end *is* the arrival.
-                arrivals[(u, i)] = (
-                    e.t_end
-                    if e.t_end > e.t_start
-                    else min(e.t_end, nodes[u].t_end)
+                t_end = e.t_end
+                arrivals[edge] = (
+                    t_end if t_end > e.t_start else min(t_end, nodes[u].t_end)
                 )
     return DependencyGraph(
-        nodes, tuple(program_edges), tuple(message_edges), arrivals
+        tuple(nodes), tuple(program_edges), tuple(message_edges), arrivals
     )
 
 
@@ -269,28 +256,6 @@ class CriticalPathReport:
         return table
 
 
-def _topological_order(n: int, adj: Dict[int, List[Tuple[int, float]]]) -> List[int]:
-    indegree = [0] * n
-    for _, targets in adj.items():
-        for v, _gap in targets:
-            indegree[v] += 1
-    ready = deque(i for i in range(n) if indegree[i] == 0)
-    order: List[int] = []
-    while ready:
-        u = ready.popleft()
-        order.append(u)
-        for v, _gap in adj.get(u, ()):
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                ready.append(v)
-    if len(order) != n:
-        raise ConfigurationError(
-            "dependency graph has a cycle — the trace is not in per-rank "
-            "program order"
-        )
-    return order
-
-
 def critical_path(
     events: Sequence[TraceEvent],
     *,
@@ -307,18 +272,38 @@ def critical_path(
     events.
     """
     graph = build_dependency_graph(events)
-    if not graph.nodes:
+    nodes = graph.nodes
+    if not nodes:
         raise ConfigurationError(
             "cannot extract a critical path: the trace has no p2p events"
         )
-    adj = graph.successors()
-    n = graph.n_nodes
-    # Tail compute between a rank's last event and its final clock is
-    # rigid: delaying the event delays the clock one-for-one.
+    n = len(nodes)
+    # A node has at most one program successor and, if it is a matched
+    # send, one receive, so the adjacency fits in arrays.  Program-order
+    # edges are rigid (gap 0: delaying ``u`` delays the compute that
+    # follows it and hence ``v``); a message edge's gap is
+    # ``recv.t_end - arrival``, the time the message sat in the mailbox
+    # before the receiver needed it.
+    next_prog = [-1] * n
+    next_msg = [-1] * n
+    msg_gap = [0.0] * n
+    for u, v in graph.program_edges:
+        next_prog[u] = v
+    arrivals = graph.arrivals
+    for edge in graph.message_edges:
+        u, v = edge
+        next_msg[u] = v
+        msg_gap[u] = max(0.0, nodes[v].t_end - arrivals[edge])
+    # Backward slack pass.  build_dependency_graph only ever adds an
+    # edge from an earlier node to a later one, so node order is already
+    # a topological order.  A sink's slack is what is left after the
+    # tail compute between the rank's last event and its final clock,
+    # which is rigid: delaying the event delays the clock one-for-one.
     tail: Dict[int, float] = {}
     makespan = 0.0
-    for i, e in enumerate(graph.nodes):
-        if not adj.get(i):
+    for i in range(n):
+        if next_prog[i] < 0 and next_msg[i] < 0:
+            e = nodes[i]
             wall = e.t_end
             if clocks is not None and e.rank < len(clocks):
                 wall = max(wall, float(clocks[e.rank]))
@@ -327,31 +312,37 @@ def critical_path(
     if clocks is not None and len(clocks) > 0:
         makespan = max(makespan, max(float(c) for c in clocks))
     slack = [0.0] * n
-    for u in reversed(_topological_order(n, adj)):
-        targets = adj.get(u)
-        if not targets:
+    for u in range(n - 1, -1, -1):
+        v = next_prog[u]
+        w = next_msg[u]
+        if w >= 0:
+            slack[u] = slack[w] + msg_gap[u]
+            if v >= 0 and slack[v] < slack[u]:
+                slack[u] = slack[v]
+        elif v >= 0:
+            slack[u] = slack[v]
+        else:
             slack[u] = makespan - tail[u]
-            continue
-        slack[u] = min(slack[v] + gap for v, gap in targets)
     # Walk the zero-slack chain forward from its earliest member.
     start = min(
         (i for i in range(n) if slack[i] <= _EPS),
-        key=lambda i: (graph.nodes[i].t_start, graph.nodes[i].t_end),
+        key=lambda i: (nodes[i].t_start, nodes[i].t_end),
         default=None,
     )
     path_idx: List[int] = []
     cur = start
     while cur is not None:
         path_idx.append(cur)
-        nxt = None
-        for v, gap in sorted(adj.get(cur, ())):
-            if gap <= _EPS and slack[v] <= _EPS:
-                nxt = v
-                break
-        cur = nxt
+        hops = sorted(
+            hop
+            for hop in ((next_prog[cur], 0.0), (next_msg[cur], msg_gap[cur]))
+            if hop[0] >= 0
+        )
+        cur = next(
+            (v for v, gap in hops if gap <= _EPS and slack[v] <= _EPS), None
+        )
     path = tuple(
-        CriticalEvent(graph.nodes[i], *attribute_event(graph.nodes[i]))
-        for i in path_idx
+        CriticalEvent(nodes[i], *attribute_event(nodes[i])) for i in path_idx
     )
     return CriticalPathReport(
         path=path,

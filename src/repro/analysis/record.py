@@ -439,31 +439,41 @@ def build_run_record(
         "imbalance": accounting.imbalance,
         "straggler_rank": accounting.straggler_rank,
     }
-    ops = [e.op for e in events]
-    takes = [e for e in events if e.op == "ckpt.take"]
-    rsts = [e for e in events if e.op == "ckpt.restore"]
+    # One pass for the rare markers instead of one scan per counter.
+    ops: Dict[str, int] = {}
+    stored = fetched = guard_bytes = 0
+    for e in events:
+        op = e.op
+        if op == "send":
+            guard_bytes += e.guard_bytes
+        elif op != "recv":
+            ops[op] = ops.get(op, 0) + 1
+            if op == "ckpt.take":
+                stored += int(e.tag[2])
+            elif op == "ckpt.restore":
+                fetched += int(e.tag[2])
     ckpt: Dict[str, int] = {}
-    if takes or rsts:
+    if ops.get("ckpt.take") or ops.get("ckpt.restore"):
         ckpt = {
-            "takes": len(takes),
-            "restores": len(rsts),
-            "degraded": ops.count("ckpt.degraded"),
-            "stored_bytes": sum(int(e.tag[2]) for e in takes),
-            "fetched_bytes": sum(int(e.tag[2]) for e in rsts),
+            "takes": ops.get("ckpt.take", 0),
+            "restores": ops.get("ckpt.restore", 0),
+            "degraded": ops.get("ckpt.degraded", 0),
+            "stored_bytes": stored,
+            "fetched_bytes": fetched,
         }
-    injected = ops.count("fault.bitflip")
-    detected = ops.count("fault.sdc_detected")
-    guard_bytes = sum(e.guard_bytes for e in events if e.op == "send")
+    injected = ops.get("fault.bitflip", 0)
+    detected = ops.get("fault.sdc_detected", 0)
     sdc: Dict[str, int] = {}
     if injected or guard_bytes:
         sdc = {
             "injected": injected,
             "detected": detected,
-            "corrected": ops.count("fault.sdc_corrected"),
+            "corrected": ops.get("fault.sdc_corrected", 0),
             # Recomputed GEMM blocks plus retransmitted payloads: both
             # are "redo the work" recoveries.
             "recomputed": (
-                ops.count("fault.sdc_recomputed") + ops.count("fault.sdc_retransmit")
+                ops.get("fault.sdc_recomputed", 0)
+                + ops.get("fault.sdc_retransmit", 0)
             ),
             # A flip nobody detected escaped into the run silently.
             "escaped": max(0, injected - detected),

@@ -45,10 +45,12 @@ def _mark(comm, op: str, nbytes: int = 0, seq: Optional[int] = None) -> None:
     (``str`` rather than ``hash`` so traces compare across processes
     regardless of hash randomization).
     """
+    tracer = comm._engine.tracer
+    if not tracer.enabled:
+        return
     tag: tuple = () if seq is None else (str(comm._ctx), seq)
-    comm._engine.tracer.record(
-        TraceEvent(comm.world_rank, op, -1, nbytes, comm.clock, comm.clock, tag)
-    )
+    now = comm.clock
+    tracer.record(TraceEvent(comm.world_rank, op, -1, nbytes, now, now, tag))
 
 
 # ---------------------------------------------------------------------------

@@ -149,21 +149,7 @@ class Request:
             h.msgs_delivered += 1
         engine.sync_clock(comm.world_rank, arrival)
         if engine.tracer.enabled:
-            engine.tracer.record(
-                TraceEvent(
-                    comm.world_rank,
-                    "recv",
-                    self._key[1],
-                    payload_bytes(payload),
-                    t0,
-                    comm.clock,
-                    (self._key[3],),
-                    data_bytes=payload_data_bytes(payload),
-                    guard_bytes=(
-                        SDC_DIGEST_BYTES if isinstance(payload, GuardedPayload) else 0
-                    ),
-                )
-            )
+            comm._trace_recv(self._key[1], self._key[3], payload, t0)
         payload = comm._accept_payload(payload, self._key[1])
         self._payload = payload
         self._done = True
@@ -358,8 +344,7 @@ class Comm:
                 engine.tracer.record(
                     TraceEvent(
                         self._world_rank, "send", dst_world, nbytes, t0, self.clock, (tag,),
-                        data_bytes=payload_data_bytes(obj),
-                        guard_bytes=guard_extra,
+                        payload_data_bytes(obj), (), guard_extra,
                     )
                 )
             return
@@ -439,8 +424,7 @@ class Comm:
             engine.tracer.record(
                 TraceEvent(
                     self._world_rank, "send", dst_world, nbytes, t0, self.clock, (tag,),
-                    data_bytes=payload_data_bytes(obj),
-                    guard_bytes=guard_extra,
+                    payload_data_bytes(obj), (), guard_extra,
                 )
             )
 
@@ -457,22 +441,25 @@ class Comm:
             h.msgs_delivered += 1
         self._engine.sync_clock(self._world_rank, arrival)
         if self._engine.tracer.enabled:
-            self._engine.tracer.record(
-                TraceEvent(
-                    self._world_rank,
-                    "recv",
-                    src_world,
-                    payload_bytes(payload),
-                    t0,
-                    self.clock,
-                    (tag,),
-                    data_bytes=payload_data_bytes(payload),
-                    guard_bytes=(
-                        SDC_DIGEST_BYTES if isinstance(payload, GuardedPayload) else 0
-                    ),
-                )
-            )
+            self._trace_recv(src_world, tag, payload, t0)
         return self._accept_payload(payload, src_world)
+
+    def _trace_recv(self, src_world: int, tag: int, payload: Any, t0: float) -> None:
+        """Record the ``recv`` event of a just-delivered ``payload``."""
+        if isinstance(payload, np.ndarray):
+            # A bare array is its own wire and data size: measure it once.
+            nbytes = data_bytes = payload.nbytes
+            guard_bytes = 0
+        else:
+            nbytes = payload_bytes(payload)
+            data_bytes = payload_data_bytes(payload)
+            guard_bytes = SDC_DIGEST_BYTES if isinstance(payload, GuardedPayload) else 0
+        self._engine.tracer.record(
+            TraceEvent(
+                self._world_rank, "recv", src_world, nbytes, t0, self.clock, (tag,),
+                data_bytes, (), guard_bytes,
+            )
+        )
 
     def _accept_payload(self, payload: Any, src_world: int) -> Any:
         """Unwrap a guarded payload: apply in-flight corruption, verify, recover.

@@ -14,7 +14,6 @@ Scalability: for long runs the in-memory event list can be bounded with
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
@@ -51,7 +50,6 @@ class NullLock:
         return None
 
 
-@dataclasses.dataclass(frozen=True)
 class TraceEvent:
     """One communication event.
 
@@ -70,18 +68,16 @@ class TraceEvent:
     audits can account checksum traffic as its own explicit term.
     ``span`` is the telemetry span path active when the event was
     recorded — see :mod:`repro.telemetry.spans`.
+
+    A slotted value class: one is built per message on the traced hot
+    path, so construction is ten plain attribute stores.  Equality,
+    hashing and ``repr`` follow every field in declaration order.
     """
 
-    rank: int
-    op: str
-    peer: int
-    nbytes: int
-    t_start: float
-    t_end: float
-    tag: Tuple[object, ...] = ()
-    data_bytes: int = 0
-    span: Tuple[str, ...] = ()
-    guard_bytes: int = 0
+    __slots__ = (
+        "rank", "op", "peer", "nbytes", "t_start", "t_end",
+        "tag", "data_bytes", "span", "guard_bytes",
+    )
 
     #: Prefix shared by every fault-subsystem event (``fault.crash``,
     #: ``fault.transient``, ``fault.retry``, ``fault.backoff``,
@@ -90,6 +86,50 @@ class TraceEvent:
     #: ``fault.sdc_corrected``, ``fault.sdc_recomputed``,
     #: ``fault.sdc_retransmit``, ``fault.sdc_escalated``).
     FAULT_PREFIX = "fault."
+
+    def __init__(
+        self,
+        rank: int,
+        op: str,
+        peer: int,
+        nbytes: int,
+        t_start: float,
+        t_end: float,
+        tag: Tuple[object, ...] = (),
+        data_bytes: int = 0,
+        span: Tuple[str, ...] = (),
+        guard_bytes: int = 0,
+    ) -> None:
+        self.rank = rank
+        self.op = op
+        self.peer = peer
+        self.nbytes = nbytes
+        self.t_start = t_start
+        self.t_end = t_end
+        self.tag = tag
+        self.data_bytes = data_bytes
+        self.span = span
+        self.guard_bytes = guard_bytes
+
+    def _fields(self) -> Tuple[object, ...]:
+        return (
+            self.rank, self.op, self.peer, self.nbytes, self.t_start,
+            self.t_end, self.tag, self.data_bytes, self.span, self.guard_bytes,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{self.__class__.__qualname__}({inner})"
 
     @property
     def is_fault(self) -> bool:
@@ -157,10 +197,8 @@ class Tracer:
             path = _current_path()
             if path:
                 # Annotate in place: the event was freshly constructed
-                # by the caller and is not yet shared, and
-                # ``dataclasses.replace`` (which re-runs the generated
-                # ``__init__``) dominates this hot path at scale.
-                object.__setattr__(event, "span", path)
+                # by the caller and is not yet shared.
+                event.span = path
         sink = self.sink
         if sink is not None:
             sink(event)

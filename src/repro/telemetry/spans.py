@@ -28,6 +28,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional, Tuple
 
+from repro.simmpi.tracing import TraceEvent
+
 __all__ = ["span", "current_path", "format_label", "parse_label", "base_name"]
 
 _local = threading.local()
@@ -168,8 +170,6 @@ class span:
         if comm is not None:
             tracer = comm._engine.tracer
             if tracer.enabled:
-                from repro.simmpi.tracing import TraceEvent
-
                 tracer.record(
                     TraceEvent(
                         comm.world_rank,
@@ -179,7 +179,8 @@ class span:
                         self._t0,
                         comm.clock,
                         tuple(sorted(self.attrs.items())),
-                        span=self._path,
+                        0,
+                        self._path,
                     )
                 )
         return False

@@ -9,7 +9,7 @@ terminal view; the Chrome export is the zoomable one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.results import ResultTable
 from repro.report.tables import format_seconds
@@ -17,11 +17,6 @@ from repro.simmpi.tracing import TraceEvent
 from repro.telemetry.spans import base_name
 
 __all__ = ["span_summary", "span_totals", "dropped_warning"]
-
-
-def _phase_of(event: TraceEvent) -> Optional[str]:
-    """The innermost span name of an event, or None outside any span."""
-    return base_name(event.span[-1]) if event.span else None
 
 
 def dropped_warning(dropped: int) -> str:
@@ -47,12 +42,16 @@ def span_totals(
     count: Dict[Tuple[str, int], int] = {}
     msgs: Dict[Tuple[str, int], int] = {}
     nbytes: Dict[Tuple[str, int], int] = {}
+    names: Dict[str, str] = {}  # innermost label -> its base name
     for e in events:
-        name = _phase_of(e)
-        if name is None:
+        if not e.span:
             continue
+        label = e.span[-1]
+        name = names.get(label)
+        if name is None:
+            name = names[label] = base_name(label)
         key = (name, e.rank if per_rank else -1)
-        if e.op == "span" and base_name(e.span[-1]) == name:
+        if e.op == "span":
             time[key] = time.get(key, 0.0) + (e.t_end - e.t_start)
             count[key] = count.get(key, 0) + 1
         elif e.op == "send":
