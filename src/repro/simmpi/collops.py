@@ -13,7 +13,8 @@ their *emergent virtual timings* can be validated against theory.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Sequence
+from functools import lru_cache
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,8 +132,14 @@ def _allgather_naive(comm, block: Any) -> List[Any]:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_bounds(n: int, p: int) -> List[tuple]:
-    """Near-equal split of ``n`` elements into ``p`` contiguous chunks."""
+@lru_cache(maxsize=256)
+def _chunk_bounds(n: int, p: int) -> Tuple[Tuple[int, int], ...]:
+    """Near-equal split of ``n`` elements into ``p`` contiguous chunks.
+
+    A pure function of two integers that every ring all-reduce of a run
+    asks for again (the same few layer sizes over the same group
+    sizes), so it is memoised; the result is an immutable tuple.
+    """
     base, rem = divmod(n, p)
     bounds = []
     start = 0
@@ -140,7 +147,7 @@ def _chunk_bounds(n: int, p: int) -> List[tuple]:
         size = base + (1 if i < rem else 0)
         bounds.append((start, start + size))
         start += size
-    return bounds
+    return tuple(bounds)
 
 
 def allreduce(comm, arr: np.ndarray, algorithm: str = "ring") -> np.ndarray:
@@ -171,28 +178,25 @@ def allreduce(comm, arr: np.ndarray, algorithm: str = "ring") -> np.ndarray:
 
 def _allreduce_ring(comm, arr: np.ndarray) -> np.ndarray:
     p, r = comm.size, comm.rank
-    flat = arr.astype(arr.dtype, copy=True).ravel()
+    flat = arr.flatten()  # the one private copy, reduced in place
     bounds = _chunk_bounds(flat.size, p)
     right = (r + 1) % p
     left = (r - 1) % p
+    sendrecv = comm.sendrecv
     # Phase 1: reduce-scatter.  After P-1 rounds rank r owns the full sum
     # of chunk (r + 1) % p.
+    tag = _TAG_COLL + 3000
     for round_no in range(p - 1):
-        send_idx = (r - round_no) % p
-        recv_idx = (r - round_no - 1) % p
-        tag = _TAG_COLL + 3000 + round_no
-        s0, s1 = bounds[send_idx]
-        received = comm.sendrecv(flat[s0:s1], right, left, tag)
-        r0, r1 = bounds[recv_idx]
+        s0, s1 = bounds[(r - round_no) % p]
+        received = sendrecv(flat[s0:s1], right, left, tag + round_no)
+        r0, r1 = bounds[(r - round_no - 1) % p]
         flat[r0:r1] += received
     # Phase 2: ring all-gather of the reduced chunks.
+    tag = _TAG_COLL + 4000
     for round_no in range(p - 1):
-        send_idx = (r + 1 - round_no) % p
-        recv_idx = (r - round_no) % p
-        tag = _TAG_COLL + 4000 + round_no
-        s0, s1 = bounds[send_idx]
-        received = comm.sendrecv(flat[s0:s1], right, left, tag)
-        r0, r1 = bounds[recv_idx]
+        s0, s1 = bounds[(r + 1 - round_no) % p]
+        received = sendrecv(flat[s0:s1], right, left, tag + round_no)
+        r0, r1 = bounds[(r - round_no) % p]
         flat[r0:r1] = received
     return flat.reshape(arr.shape)
 
@@ -243,7 +247,7 @@ def _allreduce_rabenseifner(comm, arr: np.ndarray) -> np.ndarray:
     largest power of two first (as in MPICH) and unfold at the end.
     """
     p, r = comm.size, comm.rank
-    flat = arr.astype(arr.dtype, copy=True).ravel()
+    flat = arr.flatten()
     pof2 = 1 << (p.bit_length() - 1) if (p & (p - 1)) else p
     rem = p - pof2
     tag0 = _TAG_COLL + 12_000
@@ -325,22 +329,21 @@ def _allreduce_naive(comm, arr: np.ndarray) -> np.ndarray:
 def reduce_scatter_ring(comm, arr: np.ndarray) -> np.ndarray:
     """Ring reduce-scatter: rank ``r`` returns the summed chunk ``r``."""
     p, r = comm.size, comm.rank
-    flat = arr.astype(arr.dtype, copy=True).ravel()
-    bounds = _chunk_bounds(flat.size, p)
+    flat = arr.flatten()
     if p == 1:
-        return flat.copy()
+        return flat
+    bounds = _chunk_bounds(flat.size, p)
     seq = comm._next_coll_seq()
     with span("reduce_scatter", comm=comm, alg="ring", seq=seq):
         _mark(comm, "reduce_scatter[ring]", int(arr.nbytes), seq=seq)
         right = (r + 1) % p
         left = (r - 1) % p
+        sendrecv = comm.sendrecv
+        tag = _TAG_COLL + 6000
         for round_no in range(p - 1):
-            send_idx = (r - round_no - 1) % p
-            recv_idx = (r - round_no - 2) % p
-            tag = _TAG_COLL + 6000 + round_no
-            s0, s1 = bounds[send_idx]
-            received = comm.sendrecv(flat[s0:s1], right, left, tag)
-            r0, r1 = bounds[recv_idx]
+            s0, s1 = bounds[(r - round_no - 1) % p]
+            received = sendrecv(flat[s0:s1], right, left, tag + round_no)
+            r0, r1 = bounds[(r - round_no - 2) % p]
             flat[r0:r1] += received
         s0, s1 = bounds[r]
         return flat[s0:s1].copy()

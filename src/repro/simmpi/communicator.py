@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections import deque
+from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -102,6 +103,30 @@ class Mailbox:
                 waited += _POLL_INTERVAL
 
 
+def _size_and_copy(obj: Any) -> Tuple[int, Any]:
+    """Wire size and the receiver's own copy of a non-bare-array payload.
+
+    In general :func:`payload_bytes` and ``copy.deepcopy``.  A list or
+    tuple of distinct plain numeric arrays — every Bruck round ships
+    one — is still sized by its pickle (that length *is* virtual time),
+    but copied element by element in ``order="K"``, which is where
+    ``deepcopy`` ends up through ``ndarray.__deepcopy__`` without the
+    memo walk.  A container naming one array twice (``deepcopy`` keeps
+    the aliasing) and object dtypes (whose elements need the deep copy)
+    take the general route.
+    """
+    kind = type(obj)
+    if (kind is list or kind is tuple) and len(set(map(id, obj))) == len(obj):
+        copies = []
+        for item in obj:
+            if type(item) is not np.ndarray or item.dtype.hasobject:
+                break
+            copies.append(item.copy(order="K"))
+        else:
+            return payload_bytes(obj), kind(copies)
+    return payload_bytes(obj), obj.copy() if isinstance(obj, np.ndarray) else copy.deepcopy(obj)
+
+
 class Request:
     """Handle for a non-blocking operation (mpi4py-style).
 
@@ -129,7 +154,12 @@ class Request:
         return self._done
 
     def test(self) -> bool:
-        """Non-blocking completion probe (never advances the clock)."""
+        """Non-blocking completion probe (never advances the clock).
+
+        A request belongs to its run: once ``run()`` has returned, the
+        messages nobody received are gone and a pending request answers
+        ``False`` from then on.
+        """
         if self._done:
             return True
         return self._comm._engine.mailbox.peek(self._key)
@@ -138,20 +168,7 @@ class Request:
         """Block until complete; returns the payload for receives."""
         if self._done:
             return self._payload
-        comm = self._comm
-        engine = comm._engine
-        t0 = comm.clock
-        payload, arrival = engine.mailbox.take(
-            self._key, engine.timeout, comm._interrupt_for(self._key[1])
-        )
-        h = _profile_hooks.ACTIVE
-        if h is not None:
-            h.msgs_delivered += 1
-        engine.sync_clock(comm.world_rank, arrival)
-        if engine.tracer.enabled:
-            comm._trace_recv(self._key[1], self._key[3], payload, t0)
-        payload = comm._accept_payload(payload, self._key[1])
-        self._payload = payload
+        self._payload = payload = self._comm._deliver(self._key)
         self._done = True
         return payload
 
@@ -197,6 +214,7 @@ class Comm:
             )
         self._split_seq = 0
         self._coll_seq = 0
+        self._interrupts: Dict[int, Any] = {}  # source world rank -> predicate
 
     def _next_coll_seq(self) -> int:
         """Per-communicator collective sequence number.
@@ -265,15 +283,14 @@ class Comm:
         The receive fails only when the source provably cannot satisfy
         it (dead, or moved past this communicator's generation), which
         keeps supervised interruption points deterministic — independent
-        of wall-clock thread scheduling.
+        of wall-clock thread scheduling.  One predicate per source is
+        built on first use and kept for the communicator's lifetime.
         """
-        engine = self._engine
-        rank = self._world_rank
-        gen = self._gen
-
-        def interrupt() -> Optional[BaseException]:
-            return engine.interruption(rank, src=src_world, gen=gen)
-
+        interrupt = self._interrupts.get(src_world)
+        if interrupt is None:
+            interrupt = self._interrupts[src_world] = partial(
+                self._engine.interruption, self._world_rank, src=src_world, gen=self._gen
+            )
         return interrupt
 
     def heartbeat(self, step: Optional[int] = None) -> None:
@@ -312,16 +329,21 @@ class Comm:
         drops pay the full send cost but never arrive, and degraded
         links time the message with the derated link machine.
         """
-        dst_world = self._check_peer(dest)
+        ranks = self._world_ranks
+        dst_world = ranks[dest] if 0 <= dest < len(ranks) else self._check_peer(dest)
+        me = self._world_rank
         engine = self._engine
         injector = engine.injector
-        nbytes = payload_bytes(obj)
+        if type(obj) is np.ndarray:
+            nbytes = obj.nbytes
+            payload = obj.copy()
+        else:
+            nbytes, payload = _size_and_copy(obj)
         h = _profile_hooks.ACTIVE
         if h is not None:
             h.msgs_sent += 1
             h.bytes_sent += nbytes
-        payload = obj.copy() if isinstance(obj, np.ndarray) else copy.deepcopy(obj)
-        key = (self._ctx, self._world_rank, dst_world, tag)
+        key = (self._ctx, me, dst_world, tag)
         guard = current_guard()
         guard_extra = 0
         if injector is None:
@@ -336,14 +358,20 @@ class Comm:
                     payload = wrapped
                     guard_extra = SDC_DIGEST_BYTES
                     nbytes += SDC_DIGEST_BYTES
-            t0 = self.clock
-            arrival = engine.network.arrival_time(t0, nbytes)
-            engine.advance_clock(self._world_rank, engine.network.machine.alpha)
+            # PostalNetwork.arrival_time + advance_clock inline: same
+            # float association, same postal_calls count.
+            if h is not None:
+                h.postal_calls += 1
+            machine = engine.network.machine
+            clocks = engine._clocks
+            t0 = clocks[me]
+            arrival = t0 + (machine.alpha + machine.beta_per_byte * nbytes)
+            clocks[me] = t1 = t0 + machine.alpha
             engine.mailbox.post(key, payload, arrival)
             if engine.tracer.enabled:
                 engine.tracer.record(
                     TraceEvent(
-                        self._world_rank, "send", dst_world, nbytes, t0, self.clock, (tag,),
+                        me, "send", dst_world, nbytes, t0, t1, (tag,),
                         payload_data_bytes(obj), (), guard_extra,
                     )
                 )
@@ -430,18 +458,29 @@ class Comm:
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Block for a message from ``source``; advances the clock to arrival."""
-        src_world = self._check_peer(source)
-        key = (self._ctx, src_world, self._world_rank, tag)
-        t0 = self.clock
-        payload, arrival = self._engine.mailbox.take(
-            key, self._engine.timeout, self._interrupt_for(src_world)
+        ranks = self._world_ranks
+        src_world = ranks[source] if 0 <= source < len(ranks) else self._check_peer(source)
+        return self._deliver((self._ctx, src_world, self._world_rank, tag))
+
+    def _deliver(self, key: Tuple) -> Any:
+        """Take the message matching ``key``: the body of ``recv`` and ``wait``."""
+        src_world = key[1]
+        me = self._world_rank
+        engine = self._engine
+        clocks = engine._clocks
+        t0 = clocks[me]
+        payload, arrival = engine.mailbox.take(
+            key, engine.timeout, self._interrupts.get(src_world) or self._interrupt_for(src_world)
         )
         h = _profile_hooks.ACTIVE
         if h is not None:
             h.msgs_delivered += 1
-        self._engine.sync_clock(self._world_rank, arrival)
-        if self._engine.tracer.enabled:
-            self._trace_recv(src_world, tag, payload, t0)
+        if arrival > t0:
+            clocks[me] = arrival
+        if engine.tracer.enabled:
+            self._trace_recv(src_world, key[3], payload, t0)
+        if type(payload) is np.ndarray:
+            return payload  # a bare array is never guarded
         return self._accept_payload(payload, src_world)
 
     def _trace_recv(self, src_world: int, tag: int, payload: Any, t0: float) -> None:
@@ -601,8 +640,8 @@ class Comm:
             key = self._rank
         seq = self._split_seq
         self._split_seq += 1
-        # Deposit (color, key) with the engine and read everyone's values;
-        # the exchange is deterministic metadata, charged zero virtual time.
+        # Deposit (color, key) with the engine; the exchange is
+        # deterministic metadata, charged zero virtual time.
         values = self._engine.coordinate(
             ctx=(self._ctx, "split", seq),
             world_rank=self._world_rank,
@@ -610,14 +649,22 @@ class Comm:
             participants=self._world_ranks,
             gen=self._gen,
         )
-        members = sorted(
-            (
-                (values[w][1], self._world_ranks.index(w), w)
-                for w in self._world_ranks
-                if values[w][0] == color
-            ),
-        )
-        new_world_ranks = tuple(w for _, _, w in members)
+        # The first reader groups everyone by colour and leaves that on
+        # the shared store under "groups" (its other keys are ranks);
+        # each member then picks up its own group's tuple.  Under the
+        # coordination lock, so threaded ranks group once too.
+        with self._engine._coord_lock:
+            groups = values.get("groups")
+            if groups is None:
+                by_color: Dict[Any, List[Tuple]] = {}
+                for old_rank, w in enumerate(self._world_ranks):
+                    c, k = values[w]
+                    by_color.setdefault(c, []).append((k, old_rank, w))
+                groups = values["groups"] = {
+                    c: tuple(w for _, _, w in sorted(members))
+                    for c, members in by_color.items()
+                }
+        new_world_ranks = groups[color]
         new_ctx = (self._ctx, "split", seq, color)
         return Comm(self._engine, new_world_ranks, self._world_rank, new_ctx, gen=self._gen)
 

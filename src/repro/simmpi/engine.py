@@ -325,8 +325,15 @@ class SimEngine:
         """All ``participants`` deposit a value and read everyone's.
 
         A tiny built-in allgather for communicator metadata (used by
-        ``split`` and ``shrink``); charged zero virtual time.  The entry
-        is garbage collected once every participant has read it.  In a
+        ``split`` and ``shrink``); charged zero virtual time.  Every
+        participant gets the one shared ``{world rank: value}`` store,
+        not a copy of it — P copies of P entries is what made ``split``
+        quadratic — so readers leave the rank entries alone.  They may
+        share a derived result on it under a non-rank key while holding
+        ``_coord_lock`` (``split`` keeps its grouping under
+        ``"groups"``).  The engine forgets the store once every
+        participant has read it; the readers' references keep it alive
+        until they are done.  In a
         supervised run the exchange fails with
         :class:`~repro.errors.PeerFailedError` if a participant dies or
         moves past generation ``gen`` (it will then never deposit here),
@@ -358,7 +365,7 @@ class SimEngine:
                     )
                 self._coord_cond.wait(0.05)
                 waited += 0.05
-            result = dict(self._coord_store[ctx])
+            result = self._coord_store[ctx]
             self._coord_reads[ctx] = self._coord_reads.get(ctx, 0) + 1
             if self._coord_reads[ctx] == n:
                 del self._coord_store[ctx]
@@ -389,8 +396,9 @@ class SimEngine:
         self._rank_gen = [0] * self.size
         self._rank_target = [0] * self.size
         self._rank_recovering = [False] * self.size
-        # A fresh mailbox and coordination store: messages left in flight
-        # by an interrupted previous run must not leak into this one.
+        # A fresh coordination store (the mailbox was emptied when the
+        # previous run returned): nothing left in flight by an interrupted
+        # run may leak into this one.
         self._coord_store = {}
         self._coord_reads = {}
         if self.injector is not None:
@@ -415,10 +423,13 @@ class SimEngine:
                     )
                 finally:
                     self._event_core = None
+                    # The core's mailbox points back at the core, and the
+                    # core at this engine and (through its tasks) at every
+                    # rank's Thread: drop it rather than keep that cycle.
+                    core.mailbox = None
                     if profile_hooks is not None:
                         profile_hooks.note_switches(core.switches)
                 return self._finish(results, failures)
-            self.mailbox = Mailbox()
             results: List[Any] = [None] * self.size
             failures: Dict[int, BaseException] = {}
 
@@ -446,6 +457,9 @@ class SimEngine:
                 t.join()
             return self._finish(results, failures)
         finally:
+            # Messages nobody received die with the run, on either backend:
+            # a request left pending probes an empty mailbox afterwards.
+            self.mailbox = Mailbox()
             self.last_host_wall_s = perf_counter() - t_host_start
             if profile_hooks is not None:
                 profile_hooks.note_run_end(self)

@@ -474,11 +474,12 @@ class EventCore:
     ) -> Dict[int, Any]:
         """Event-backend :meth:`SimEngine.coordinate`.
 
-        Same deposit/read/garbage-collection protocol and failure
-        conditions as the threaded version, but waiters suspend on the
-        scheduler and are woken only when the exchange completes or a
-        relevant state change lands — O(participants) tasklet switches
-        per exchange instead of a herd wakeup per deposit.
+        Same deposit/read/garbage-collection protocol, shared (not
+        copied) result store and failure conditions as the threaded
+        version, but waiters suspend on the scheduler and are woken only
+        when the exchange completes or a relevant state change lands —
+        O(participants) tasklet switches per exchange instead of a herd
+        wakeup per deposit.
         """
         engine = self.engine
         task = self.tasks[world_rank]
@@ -498,7 +499,7 @@ class EventCore:
                     if p in engine._dead or engine.peer_generation(p) > gen:
                         raise PeerFailedError(engine.dead_ranks() or (p,))
             self._suspend_coord(task, ctx, participants, gen)
-        result = dict(engine._coord_store[ctx])
+        result = engine._coord_store[ctx]
         reads = engine._coord_reads.get(ctx, 0) + 1
         engine._coord_reads[ctx] = reads
         if reads == n:

@@ -20,6 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.errors import CommunicatorError
 from repro.machine.params import MachineParams, cori_knl
 from repro.profile import hooks as _profile_hooks
 from repro.simmpi.sdc import SDC_DIGEST_BYTES, GuardedPayload
@@ -34,7 +35,8 @@ def payload_bytes(obj: Any) -> int:
     as one element of their dtype; Python numeric scalars as one machine
     word (8 bytes — 16 for ``complex``, which is two doubles); anything
     else is measured by its pickle, mirroring the mpi4py convention of
-    fast buffer sends vs pickled object sends.
+    fast buffer sends vs pickled object sends.  A payload that cannot be
+    pickled raises :class:`~repro.errors.CommunicatorError`.
     """
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
@@ -50,8 +52,11 @@ def payload_bytes(obj: Any) -> int:
         return payload_bytes(obj.data) + SDC_DIGEST_BYTES
     try:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:  # pragma: no cover - unpicklable payloads are exotic
-        return 64
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        # No size means no arrival time: refuse rather than invent one.
+        raise CommunicatorError(
+            f"cannot size a {type(obj).__name__} payload for the wire: {exc}"
+        ) from exc
 
 
 def payload_data_bytes(obj: Any) -> int:

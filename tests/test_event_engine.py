@@ -10,7 +10,9 @@ elision used in single-thread mode (``Tracer(threadsafe=False)``,
 observable output.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -129,6 +131,31 @@ def test_event_backend_leaves_no_threads_behind():
     engine = SimEngine(6, backend="event")
     engine.run(_ring_program, 3, 4)
     assert threading.active_count() == before
+
+
+def test_finished_engine_is_freed_without_the_cycle_collector():
+    """No reference cycle keeps a finished engine (or its rank threads) alive."""
+    engine = SimEngine(64, backend="event")
+    held = {}
+
+    def program(comm):
+        if comm.rank == 0:
+            held["request"] = comm.irecv(1, tag=9)  # never matched
+            held["thread"] = weakref.ref(threading.current_thread())
+        comm.barrier()
+
+    gc.collect()
+    gc.disable()
+    try:
+        engine.run(program)
+        # The mailbox left behind is empty and answers probes.
+        assert held["request"].test() is False
+        alive = weakref.ref(engine)
+        del engine, held["request"]
+        assert alive() is None and held["thread"]() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_scheduler_switch_counter_advances():

@@ -69,6 +69,27 @@ class TestBasics:
         with pytest.raises(RankFailedError):
             SimEngine(2, timeout=0.3).run(prog)
 
+    @pytest.mark.parametrize("backend", ["thread", "event"])
+    def test_pending_request_probes_empty_once_the_run_is_over(self, backend):
+        """Arrived-but-unwaited or never sent: after ``run()`` both answer
+        ``False``, on either backend — the run's messages are gone."""
+        held = {}
+
+        def prog(comm):
+            if comm.rank == 0:
+                held["arrived"] = comm.irecv(1, tag=1)
+                held["never"] = comm.irecv(1, tag=2)
+            else:
+                comm.send(np.arange(3.0), 0, tag=1)
+            comm.barrier()  # the send is posted before anyone leaves
+            if comm.rank == 0:
+                return held["arrived"].test(), held["never"].test()
+
+        engine = SimEngine(2, backend=backend)
+        assert engine.run(prog)[0] == (True, False)
+        assert held["arrived"].test() is False and held["never"].test() is False
+        assert not held["arrived"].completed
+
 
 class TestOverlapTiming:
     def test_compute_overlaps_message_flight(self):

@@ -1,5 +1,7 @@
 """Tests for the simulated MPI engine and point-to-point semantics."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,22 @@ class TestPayloadBytes:
         assert payload_bytes(obj) == len(
             pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         )
+
+    @pytest.mark.parametrize(
+        "payload", [threading.Lock(), (n for n in range(3)), [np.zeros(2), lambda: 0]],
+        ids=["lock", "generator", "list-with-lambda"],
+    )
+    def test_unpicklable_payload_is_refused_not_sized(self, payload):
+        with pytest.raises(CommunicatorError, match=type(payload).__name__):
+            payload_bytes(payload)
+
+        def prog(comm):
+            comm.send(payload, 1 - comm.rank)
+
+        for backend in ("thread", "event"):
+            with pytest.raises(RankFailedError) as err:
+                SimEngine(2, backend=backend).run(prog)
+            assert isinstance(err.value.failures[0], CommunicatorError)
 
     def test_network_transfer_time(self):
         net = PostalNetwork(MachineParams(alpha=1e-6, beta_per_byte=1e-9))
