@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterable, List, Tuple
+import math
+from typing import Iterable, Tuple
 
 from repro.errors import ConfigurationError, StrategyError
 from repro.nn.network import NetworkSpec
@@ -71,15 +72,15 @@ class ProcessGrid:
     def factorizations(cls, p: int) -> Tuple["ProcessGrid", ...]:
         """All grids with ``pr * pc == p``, ordered by increasing ``pr``.
 
-        This is the x-axis of the paper's Fig. 6-9 subplots.
+        This is the x-axis of the paper's Fig. 6-9 subplots.  Divisors
+        are trial-divided up to ``isqrt(p)`` and mirrored, so the cost
+        is ``O(sqrt(P))`` rather than ``O(P)``.
         """
         if p < 1:
             raise ConfigurationError(f"P must be >= 1, got {p}")
-        grids: List[ProcessGrid] = []
-        for pr in range(1, p + 1):
-            if p % pr == 0:
-                grids.append(cls(pr, p // pr))
-        return tuple(grids)
+        small = [d for d in range(1, math.isqrt(p) + 1) if p % d == 0]
+        large = [p // d for d in reversed(small) if d * d != p]
+        return tuple(cls(pr, p // pr) for pr in small + large)
 
     def __str__(self) -> str:
         return f"{self.pr}x{self.pc}"

@@ -11,14 +11,17 @@ and ``|W_i|`` its parameter count.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Tuple, Union
+import functools
+from typing import Iterable, List, NamedTuple, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.conv import ConvSpec
 from repro.nn.fc import FCSpec
 from repro.nn.layer import FlattenSpec, LayerSpec, Shape3D
 
-__all__ = ["BoundLayer", "WeightedLayer", "NetworkSpec"]
+__all__ = ["BoundLayer", "WeightedLayer", "LayerColumns", "NetworkSpec"]
 
 LayerLike = Union[LayerSpec, Tuple[str, LayerSpec]]
 
@@ -101,6 +104,50 @@ class WeightedLayer:
     @property
     def halo_cols(self) -> int:
         return self.kernel_w // 2
+
+    def __hash__(self) -> int:
+        """The frozen dataclass hash (all fields, in order), computed once.
+
+        Layers key the search engine's memo cache, and re-hashing 13
+        fields per lookup dominated it.  The memo lives outside the
+        fields, so ``==`` is untouched, and it is dropped on pickling:
+        string hashes are per-process.
+        """
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+class LayerColumns(NamedTuple):
+    """The weighted layers' cost-equation inputs as float64 columns.
+
+    One row per weighted layer, shaped to broadcast against a trailing
+    grid axis — what :mod:`repro.search.tables` multiplies by the
+    ``Pr``/``Pc`` lanes.  Every count is far below ``2**53``, so the
+    conversion from ``int`` is exact.
+    """
+
+    #: ``(L, 2, 1)``: ``d_i`` and ``d_{i-1}`` (all-gather / dX all-reduce sizes).
+    activations: np.ndarray
+    #: ``(L, 1)``: ``|W_i|``; ``weight_counts`` keeps the exact ints.
+    weights: np.ndarray
+    weight_counts: Tuple[int, ...]
+    #: ``(L, 2, 1)`` each, forward then backward halo: the boundary's
+    #: width, channels and extent (``X_W, X_C, k_h // 2`` / ``Y_W, Y_C, k_w // 2``).
+    halo_width: np.ndarray
+    halo_channels: np.ndarray
+    halo_extent: np.ndarray
+    #: ``(L,)`` bool: convolutional / first weighted layer (no dX term).
+    conv: np.ndarray
+    first: np.ndarray
 
 
 class NetworkSpec:
@@ -229,6 +276,26 @@ class NetworkSpec:
     @property
     def num_weighted(self) -> int:
         return len(self._weighted)
+
+    @functools.cached_property
+    def cost_columns(self) -> LayerColumns:
+        """The weighted-layer view as :class:`LayerColumns`, built once."""
+        layers = self._weighted
+
+        def column(*fields):
+            rows = [[float(f(w)) for f in fields] for w in layers]
+            return np.array(rows, dtype=np.float64)[:, :, None]
+
+        return LayerColumns(
+            activations=column(lambda w: w.d_out, lambda w: w.d_in),
+            weights=column(lambda w: w.weights)[:, 0],
+            weight_counts=tuple(w.weights for w in layers),
+            halo_width=column(lambda w: w.in_shape.width, lambda w: w.out_shape.width),
+            halo_channels=column(lambda w: w.in_shape.channels, lambda w: w.out_shape.channels),
+            halo_extent=column(lambda w: w.halo_rows, lambda w: w.halo_cols),
+            conv=np.array([w.is_conv for w in layers]),
+            first=np.array([w.index == 1 for w in layers]),
+        )
 
     @property
     def conv_layers(self) -> Tuple[WeightedLayer, ...]:

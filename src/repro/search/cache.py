@@ -16,7 +16,7 @@ can never be served stale costs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.costs import CostTerm, layer_cost_terms
 from repro.core.strategy import Placement, ProcessGrid
@@ -91,19 +91,6 @@ class CostCache:
         self._hits = 0
         self._misses = 0
 
-    # -- key construction ---------------------------------------------------
-
-    @staticmethod
-    def term_key(
-        layer: WeightedLayer,
-        placement: Placement,
-        batch: float,
-        grid: ProcessGrid,
-        machine: MachineParams,
-    ) -> Tuple[Any, ...]:
-        """The full memo key for one per-layer cost kernel evaluation."""
-        return (layer, placement, float(batch), grid, machine_key(machine))
-
     # -- memoized kernels ---------------------------------------------------
 
     def layer_terms(
@@ -120,16 +107,33 @@ class CostCache:
         ``P > B``) raise :class:`~repro.errors.StrategyError` exactly as
         the direct call does and are never cached.
         """
-        key = self.term_key(layer, placement, batch, grid, machine)
-        try:
-            value = self._terms[key]
-        except KeyError:
-            self._record(False, "terms")
-            value = layer_cost_terms(layer, placement, batch, grid, machine)
-            self._terms[key] = value
+        return self.terms_lookup(batch, grid, machine)(layer, placement)
+
+    def terms_lookup(
+        self, batch: float, grid: ProcessGrid, machine: MachineParams
+    ) -> Callable[[WeightedLayer, Placement], Tuple[CostTerm, ...]]:
+        """:meth:`layer_terms` with ``(batch, grid, machine)`` bound.
+
+        A strategy's layers all share that part of the key, so callers
+        walking a whole network take :func:`machine_key` and
+        ``float(batch)`` once instead of once per layer.  The memo key
+        is ``(layer, placement, float(batch), grid, machine_key)``.
+        """
+        batch_key, mkey = float(batch), machine_key(machine)
+        terms, record = self._terms, self._record
+
+        def lookup(layer: WeightedLayer, placement: Placement) -> Tuple[CostTerm, ...]:
+            key = (layer, placement, batch_key, grid, mkey)
+            try:
+                value = terms[key]
+            except KeyError:
+                record(False, "terms")
+                value = terms[key] = layer_cost_terms(layer, placement, batch, grid, machine)
+                return value
+            record(True, "terms")
             return value
-        self._record(True, "terms")
-        return value
+
+        return lookup
 
     def compute_time(self, compute: ComputeModel, batch: float, p: int) -> float:
         """Memoized :meth:`ComputeModel.share_iteration_time`."""

@@ -90,11 +90,10 @@ class SearchEngine:
                 "(fewer than one sample per batch group); use domain or model "
                 "parallelism to scale beyond the batch size (paper Section 2.4)"
             )
+        lookup = self.cache.terms_lookup(batch, strategy.grid, machine)
         terms = []
         for layer, placement in zip(network.weighted_layers, strategy.placements):
-            terms.extend(
-                self.cache.layer_terms(layer, placement, batch, strategy.grid, machine)
-            )
+            terms.extend(lookup(layer, placement))
         return CostBreakdown(tuple(terms))
 
     def simulate_epoch(
@@ -213,6 +212,7 @@ class SearchEngine:
                 f"grid {grid} splits the batch {batch} over Pc={grid.pc} groups "
                 "(fewer than one sample each)"
             )
+        lookup = self.cache.terms_lookup(batch, grid, machine)
         placements: List[Placement] = []
         candidates_base = [Placement.MODEL, Placement.BATCH]
         for w in network.weighted_layers:
@@ -223,7 +223,7 @@ class SearchEngine:
             for pl in candidates:
                 if pl is Placement.BATCH and grid.p > batch:
                     continue  # pure batch infeasible past P = B
-                terms = self.cache.layer_terms(w, pl, batch, grid, machine)
+                terms = lookup(w, pl)
                 # Left-to-right sum matches CostBreakdown.by_layer()'s
                 # accumulation (0.0 when the layer has no terms).
                 cost = 0.0

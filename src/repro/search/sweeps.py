@@ -13,10 +13,15 @@ the serial path.
 ``jobs`` semantics everywhere: ``None``/``1`` evaluates in-process
 through the shared :func:`~repro.search.engine.default_engine` (fast
 for small sweeps, reuses the warm cache), ``0`` means one worker per
-CPU, ``N > 1`` uses ``N`` workers.  Pool infrastructure failures
-(broken pool, pickling) fall back to the serial path; domain errors
+CPU, ``N > 1`` uses ``N`` workers.  Domain errors
 (:class:`~repro.errors.StrategyError`) propagate exactly as they do
-serially.
+serially.  A pool *infrastructure* failure
+(:class:`~concurrent.futures.process.BrokenProcessPool`, ``OSError``,
+:class:`pickle.PicklingError` — a sandbox without ``fork``, a payload
+that does not pickle) does not lose the sweep: the points are
+re-evaluated in-process, with identical results, and one
+:class:`RuntimeWarning` names the exception and the worker count so
+the lost parallelism is never silent.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -75,15 +81,17 @@ def _map_ordered(task: Callable, payloads: Sequence, jobs: Optional[int]) -> Lis
     With more than one worker the tasks run across a process pool;
     results land in their input slot regardless of completion order, so
     the merge is deterministic by construction.  Domain errors raised
-    by a task propagate; pool-infrastructure failures retry serially.
+    by a task propagate; a pool-infrastructure failure is reported as
+    one :class:`RuntimeWarning` and the payloads are evaluated here.
     """
     payloads = list(payloads)
     workers = _resolve_jobs(jobs)
     if workers <= 1 or len(payloads) <= 1:
         return [task(payload) for payload in payloads]
+    workers = min(workers, len(payloads))
     try:
         results: List = [None] * len(payloads)
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(task, payload): index
                 for index, payload in enumerate(payloads)
@@ -91,9 +99,15 @@ def _map_ordered(task: Callable, payloads: Sequence, jobs: Optional[int]) -> Lis
             for future in as_completed(futures):
                 results[futures[future]] = future.result()
         return results
-    except (BrokenProcessPool, OSError, pickle.PicklingError):
+    except (BrokenProcessPool, OSError, pickle.PicklingError) as exc:
         # Pool infrastructure failed (sandbox, fork limits, pickling);
         # the points themselves are fine — evaluate them here instead.
+        warnings.warn(
+            f"process pool with {workers} workers failed ({exc!r}); "
+            f"evaluating {len(payloads)} points serially instead",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return [task(payload) for payload in payloads]
 
 

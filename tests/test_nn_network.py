@@ -1,5 +1,8 @@
 """Tests for NetworkSpec shape threading and the named network factories."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -94,6 +97,59 @@ class TestNetworkSpec:
         text = self.make_tiny().summary()
         for name in ("c1", "r1", "p1", "f1"):
             assert name in text
+
+
+class TestWeightedLayerHash:
+    """The hash is the frozen dataclass's, computed once per instance."""
+
+    def test_value_is_the_all_fields_tuple_hash(self):
+        for layer in alexnet().weighted_layers:
+            fields = tuple(getattr(layer, f.name) for f in dataclasses.fields(layer))
+            assert hash(layer) == hash(fields)
+            assert hash(layer) == hash(layer)
+
+    def test_equal_layers_from_separate_builds_collide(self):
+        a, b = alexnet().weighted_layers, alexnet().weighted_layers
+        assert a == b and a[0] is not b[0]
+        assert [hash(w) for w in a] == [hash(w) for w in b]
+        assert len({*a, *b}) == len(a)
+
+    def test_replace_rehashes_and_memo_stays_out_of_equality(self):
+        layer = alexnet().weighted_layers[0]
+        hash(layer)
+        other = dataclasses.replace(layer, weights=layer.weights + 1)
+        assert other != layer and hash(other) != hash(layer)
+        assert dataclasses.replace(layer) == layer
+        assert "_hash" not in {f.name for f in dataclasses.fields(layer)}
+
+    def test_memo_is_not_pickled(self):
+        """String hashes are per-process: a shipped memo would be wrong."""
+        layer = alexnet().weighted_layers[0]
+        hash(layer)
+        clone = pickle.loads(pickle.dumps(layer))
+        assert "_hash" not in clone.__dict__
+        assert clone == layer and hash(clone) == hash(layer)
+
+
+class TestCostColumns:
+    def test_columns_mirror_the_weighted_layers(self):
+        net = alexnet()
+        cols = net.cost_columns
+        assert cols is net.cost_columns  # built once
+        layers = net.weighted_layers
+        assert cols.activations.shape == (len(layers), 2, 1)
+        assert cols.activations[:, :, 0].tolist() == [[w.d_out, w.d_in] for w in layers]
+        assert cols.weights[:, 0].tolist() == [w.weights for w in layers]
+        assert cols.weight_counts == tuple(w.weights for w in layers)
+        assert cols.halo_width[:, :, 0].tolist() == [
+            [w.in_shape.width, w.out_shape.width] for w in layers
+        ]
+        assert cols.halo_channels[:, :, 0].tolist() == [
+            [w.in_shape.channels, w.out_shape.channels] for w in layers
+        ]
+        assert cols.halo_extent[:, :, 0].tolist() == [[w.halo_rows, w.halo_cols] for w in layers]
+        assert cols.conv.tolist() == [w.is_conv for w in layers]
+        assert cols.first.tolist() == [True] + [False] * (len(layers) - 1)
 
 
 class TestAlexNet:

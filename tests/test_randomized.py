@@ -12,18 +12,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.optimizer import best_strategy, evaluate_grids, optimal_placements
-from repro.core.strategy import ProcessGrid
+from repro.core.costs import integrated_cost
+from repro.core.optimizer import (
+    best_strategy,
+    enumerate_grids,
+    evaluate_grids,
+    optimal_placements,
+)
+from repro.core.simulate import simulate_epoch
+from repro.core.strategy import Placement, ProcessGrid, Strategy
 from repro.data.synthetic import synthetic_classification
 from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.train import MLPParams, distributed_mlp_train, serial_mlp_train
-from repro.errors import StrategyError
+from repro.errors import ConfigurationError, StrategyError
 from repro.machine.compute import ComputeModel
 from repro.machine.params import MachineParams
 from repro.nn.alexnet import alexnet
 from repro.nn.zoo import lenet_like, mlp, resnet_like_stack
 from repro.search import SearchEngine
 from repro.search.cache import machine_key
+from repro.search.engine import _FAMILY_PLACEMENTS
+from repro.search.tables import family_cost_table, per_layer_cost_table
 from repro.simmpi.engine import SimEngine
 
 X, Y = synthetic_classification(9, 40, 4, seed=100)
@@ -196,6 +205,155 @@ def test_search_engine_grid_tables_bit_identical(net, p, batch, machine):
         assert a.total_epoch == b.total_epoch
         assert a.comm_epoch == b.comm_epoch
         assert a.iteration.comm.terms == b.iteration.comm.terms
+
+
+def _outcome(call):
+    """The call's result, or its ``(exception type, message)``."""
+    try:
+        return call()
+    except (StrategyError, ConfigurationError) as exc:
+        return type(exc), str(exc)
+
+
+#: Primes, highly composite, non powers of two, the paper's largest P.
+WIDE_PROCESSES = [1, 2, 7, 13, 60, 96, 97, 500, 1000, 6144, 16381, 16384]
+#: Tiny and fractional batches next to the paper's.
+WIDE_BATCHES = [0.5, 1, 1.5, 3, 7, 100.5, 512, 2048, 65536]
+
+
+@given(
+    net=st.sampled_from(sorted(NETWORKS)),
+    p=st.sampled_from(WIDE_PROCESSES),
+    batch=st.sampled_from(WIDE_BATCHES),
+    machine=machines(),
+    allow_domain=st.booleans(),
+    conv_pure_batch=st.booleans(),
+    overlap=st.booleans(),
+    per_layer=st.booleans(),
+    max_pc=st.sampled_from([None, None, 0, 1, 2, 16, 64]),
+    max_memory_elements=st.sampled_from([None, None, 1e5, 1e7, 1e9]),
+    dataset_size=st.sampled_from([None, 1000, 1281167]),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_engine_best_strategy_every_kwarg_bit_identical(net, p, batch, machine, **kwargs):
+    """Same point, or the same error with the same message — over primes,
+    P > B, fractional batches and every ``best_strategy`` option."""
+    network = NETWORKS[net]
+    serial = _outcome(lambda: best_strategy(network, batch, p, machine, COMPUTE, **kwargs))
+    engine = _outcome(
+        lambda: SearchEngine().best_strategy(network, batch, p, machine, COMPUTE, **kwargs)
+    )
+    if isinstance(serial, tuple):
+        assert engine == serial
+    else:
+        assert engine.point == serial.point  # every term, every float, ==
+
+
+FAMILY_PLACEMENTS = {
+    **_FAMILY_PLACEMENTS,
+    # Not a built-in family: every placement kind interleaved.
+    "mixed": lambda w: (
+        (Placement.DOMAIN, Placement.BATCH, Placement.MODEL)[w.index % 3]
+        if w.is_conv
+        else (Placement.BATCH, Placement.MODEL)[w.index % 2]
+    ),
+}
+
+
+def _assert_columns_equal_serial(table, i, network, batch, strategy, machine, overlap, dataset):
+    """Column entry ``i`` of every table array == the serial evaluation."""
+    point = simulate_epoch(
+        network, batch, strategy, machine, COMPUTE, overlap=overlap, dataset_size=dataset
+    )
+    comm = point.iteration.comm
+    by_category = comm.by_category()
+    assert table.comm_latency[i] == comm.latency
+    assert table.comm_bandwidth[i] == comm.bandwidth
+    assert table.comm_total[i] == comm.total
+    assert table.volume[i] == comm.volume
+    assert table.batch_comm[i] == comm.batch_time
+    assert table.model_comm[i] == (
+        by_category.get("model.allgather_fwd", 0.0) + by_category.get("model.allreduce_dx", 0.0)
+    )
+    assert table.domain_comm[i] == (
+        by_category.get("domain.halo_fwd", 0.0) + by_category.get("domain.halo_bwd", 0.0)
+    )
+    assert table.iter_total[i] == point.iteration.total
+    assert table.epoch_total[i] == point.total_epoch
+    assert table.comm_epoch[i] == point.comm_epoch
+
+
+@given(
+    net=st.sampled_from(sorted(NETWORKS)),
+    p=st.sampled_from(WIDE_PROCESSES),
+    batch=st.sampled_from(WIDE_BATCHES),
+    machine=machines(),
+    family=st.sampled_from(sorted(FAMILY_PLACEMENTS)),
+    overlap=st.booleans(),
+)
+@settings(max_examples=50, deadline=None)
+def test_family_table_columns_equal_serial_breakdowns(net, p, batch, machine, family, overlap):
+    """Every ``GridCostTable`` array, per grid, ``==`` the serial
+    ``CostBreakdown`` — or the table raises what the first grid raises."""
+    network, dataset = NETWORKS[net], 1281167
+    grids = _outcome(lambda: enumerate_grids(p, batch=batch))
+    if isinstance(grids[0], type):
+        return  # no feasible grid at all: nothing to tabulate
+    placements = tuple(FAMILY_PLACEMENTS[family](w) for w in network.weighted_layers)
+    table = _outcome(
+        lambda: family_cost_table(
+            network, batch, grids, machine, placements=placements,
+            compute_time=COMPUTE.share_iteration_time(batch, p),
+            iterations=dataset / batch, overlap=overlap,
+        )
+    )
+    if isinstance(table, tuple):
+        # A fixed placement vector fails on every grid alike (BATCH past
+        # P = B, DOMAIN on an FC layer): same error as the scalar path
+        # (the tables work on, and report, ``float(batch)``).
+        assert table == _outcome(
+            lambda: integrated_cost(
+                network, float(batch), Strategy(grids[0], placements), machine
+            )
+        )
+        return
+    assert table.grids == grids
+    for i, grid in enumerate(grids):
+        _assert_columns_equal_serial(
+            table, i, network, batch, Strategy(grid, placements), machine, overlap, dataset
+        )
+
+
+@given(
+    net=st.sampled_from(sorted(NETWORKS)),
+    p=st.sampled_from(WIDE_PROCESSES),
+    batch=st.sampled_from(WIDE_BATCHES),
+    machine=machines(),
+    allow_domain=st.booleans(),
+    overlap=st.booleans(),
+)
+@settings(max_examples=50, deadline=None)
+def test_per_layer_table_columns_and_placements_equal_serial(
+    net, p, batch, machine, allow_domain, overlap
+):
+    """Each grid's placement vector ``==`` ``optimal_placements`` and each
+    column ``==`` the serial breakdown of that per-grid strategy."""
+    network, dataset = NETWORKS[net], 1281167
+    grids = _outcome(lambda: enumerate_grids(p, batch=batch))
+    if isinstance(grids[0], type):
+        return
+    table, placements = per_layer_cost_table(
+        network, batch, grids, machine, allow_domain=allow_domain,
+        compute_time=COMPUTE.share_iteration_time(batch, p),
+        iterations=dataset / batch, overlap=overlap,
+    )
+    assert len(placements) == len(grids)
+    for i, grid in enumerate(grids):
+        strategy = optimal_placements(network, batch, grid, machine, allow_domain=allow_domain)
+        assert placements[i] == strategy.placements
+        _assert_columns_equal_serial(
+            table, i, network, batch, strategy, machine, overlap, dataset
+        )
 
 
 @given(

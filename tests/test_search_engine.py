@@ -8,6 +8,9 @@ zero-division guards, and the benchmark record/gate.
 """
 
 import dataclasses
+import pickle
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -24,7 +27,7 @@ from repro.core.sweep import strong_scaling_curve as serial_strong
 from repro.errors import ConfigurationError, StrategyError
 from repro.experiments.common import default_setting
 from repro.nn.zoo import mlp
-from repro.search import SearchEngine
+from repro.search import SearchEngine, sweeps
 from repro.search.bench import (
     BenchRecord,
     compare_to_baseline,
@@ -183,6 +186,26 @@ class TestGridCostTable:
                 placements=placements, compute_time=0.0, iterations=1.0,
             )
 
+    def test_first_failing_layer_in_visit_order_raises(self):
+        """Two infeasible layers: the earlier one's error wins, as in the
+        scalar layer-by-layer walk."""
+        fc_net = mlp([256, 128, 64, 10])
+        grids = enumerate_grids(8, batch=4)  # P = 8 > B = 4: BATCH infeasible
+        for placements, message in [
+            ((Placement.BATCH, Placement.DOMAIN, Placement.MODEL), "placed pure batch"),
+            ((Placement.MODEL, Placement.DOMAIN, Placement.BATCH), "fully connected"),
+        ]:
+            with pytest.raises(StrategyError, match=message) as table_error:
+                family_cost_table(
+                    fc_net, 4.0, grids, MACHINE,
+                    placements=placements, compute_time=0.0, iterations=1.0,
+                )
+            with pytest.raises(StrategyError) as scalar_error:
+                SearchEngine().integrated_cost(
+                    fc_net, 4.0, Strategy(grids[0], placements), MACHINE
+                )
+            assert str(table_error.value) == str(scalar_error.value)
+
     def test_per_layer_table_matches_serial_placements(self):
         grids = enumerate_grids(256, batch=2048)
         table, placements = per_layer_cost_table(
@@ -300,6 +323,43 @@ class TestParallelSweeps:
                 NET, 512, (8, 16), MACHINE, COMPUTE, dataset_size=DATASET,
                 jobs=2, max_memory_elements=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "failure", [BrokenProcessPool("worker died"), OSError("no fork"), pickle.PicklingError("x")]
+    )
+    def test_pool_failure_warns_once_and_matches_serial(self, monkeypatch, failure):
+        """A broken pool costs the parallelism, not the sweep — loudly."""
+
+        class FailingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, task, payload):
+                raise failure
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FailingPool)
+        processes = (8, 64, 256)
+        expected, expected_table = strong_scaling_curve(
+            NET, 512, processes, MACHINE, COMPUTE, dataset_size=DATASET, jobs=1
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points, table = strong_scaling_curve(
+                NET, 512, processes, MACHINE, COMPUTE, dataset_size=DATASET, jobs=4
+            )
+        assert points == expected
+        assert table.rows == expected_table.rows
+        assert len(caught) == 1
+        assert caught[0].category is RuntimeWarning
+        message = str(caught[0].message)
+        # The pool is capped at one worker per point: 3, not the 4 requested.
+        assert repr(failure) in message and "3 workers" in message
 
 
 class TestScalingPointGuards:

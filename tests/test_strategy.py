@@ -36,11 +36,31 @@ class TestProcessGrid:
         divisors = [d for d in range(1, p + 1) if p % d == 0]
         assert len(grids) == len(divisors)
 
+    def test_factorizations_equal_the_brute_force_definition(self):
+        """The sqrt(P) enumeration returns the O(P) definition's tuple."""
+        for p in [*range(1, 4097), 16384, 16381, 3600, 30030]:
+            pairs = [(g.pr, g.pc) for g in ProcessGrid.factorizations(p)]
+            assert pairs == [(d, p // d) for d in range(1, p + 1) if p % d == 0], p
+
+    @pytest.mark.parametrize("p", [1, 2, 16381, 3600, 16384, 30030])
+    def test_factorizations_strictly_increasing_pr(self, p):
+        prs = [g.pr for g in ProcessGrid.factorizations(p)]
+        assert all(a < b for a, b in zip(prs, prs[1:]))
+        assert prs[0] == 1 and prs[-1] == p
+
+    def test_factorizations_of_square_has_one_diagonal_grid(self):
+        grids = ProcessGrid.factorizations(3600)
+        assert len(grids) == 45
+        assert sum(g.pr == g.pc for g in grids) == 1
+        assert ProcessGrid(60, 60) in grids
+
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
             ProcessGrid(0, 4)
         with pytest.raises(ConfigurationError):
             ProcessGrid.factorizations(0)
+        with pytest.raises(ConfigurationError, match="P must be >= 1, got -3"):
+            ProcessGrid.factorizations(-3)
 
     def test_str(self):
         assert str(ProcessGrid(16, 32)) == "16x32"
