@@ -12,6 +12,9 @@ Examples::
     repro trace --experiment fig7 --pr 4 --pc 2 --out trace-out --assert-exact
     repro trace --traffic --record run.json          # analysis + RunRecord
     repro diff benchmarks/RECORD_baseline.json run.json   # regression gate
+
+Simulations run on simmpi's discrete-event scheduler (no scheduler flag):
+output is byte-identical run to run and a stall fails at once.
 """
 
 from __future__ import annotations
@@ -25,19 +28,6 @@ from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.report.export import export_results, write_text
 
 __all__ = ["main", "build_parser"]
-
-
-def _add_engine_arg(p) -> None:
-    p.add_argument(
-        "--engine",
-        default="thread",
-        choices=["thread", "event"],
-        help=(
-            "simmpi scheduler backend: 'thread' (one OS thread per rank) or "
-            "'event' (single-threaded discrete-event; identical results, far "
-            "cheaper at scale) (default: thread)"
-        ),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit one machine-readable JSON object instead of tables",
     )
-    _add_engine_arg(faults_p)
 
     sdc_p = sub.add_parser(
         "sdc",
@@ -221,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the last run's versioned RunRecord JSON to this path",
     )
-    _add_engine_arg(sdc_p)
 
     chaos_p = sub.add_parser(
         "chaos",
@@ -261,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos_p.add_argument(
-        "--timeout",
-        type=float,
-        default=10.0,
-        help="supervision timeout per run in real seconds (default 10)",
-    )
-    chaos_p.add_argument(
         "--out",
         default=None,
         help=(
@@ -278,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the chaos_summary payload as JSON on stdout",
     )
-    _add_engine_arg(chaos_p)
 
     trace_p = sub.add_parser(
         "trace",
@@ -327,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
             "explicit abft.* cost-model terms"
         ),
     )
-    _add_engine_arg(trace_p)
 
     watch_p = sub.add_parser(
         "watch",
@@ -378,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit one machine-readable JSON object instead of live lines",
     )
-    _add_engine_arg(watch_p)
 
     history_p = sub.add_parser(
         "history",
@@ -488,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit one machine-readable JSON object instead of tables",
     )
-    _add_engine_arg(profile_p)
 
     diff_p = sub.add_parser(
         "diff",
@@ -759,7 +737,6 @@ def _run_faults(args) -> int:
         result = elastic_mlp_train(
             params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
             checkpoint_every=2, faults=plan, trace=True, sdc=args.sdc,
-            engine=args.engine,
         )
     except ReproError as exc:
         print(f"DEGRADED: run failed under the fault plan: {exc}", file=sys.stderr)
@@ -902,7 +879,7 @@ def _run_sdc(args) -> int:
     from repro.dist.abft import make_guard
     from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
     from repro.errors import RankFailedError, SDCError
-    from repro.simmpi.engine import resolve_engine
+    from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import BitFlipFault, FaultPlan
 
     dims = (12, 10, 8)
@@ -914,8 +891,7 @@ def _run_sdc(args) -> int:
     params0 = MLPParams.init(dims, seed=args.seed)
 
     def run(plan=None, guard=None):
-        engine = resolve_engine(args.engine, pr * pc, None, trace=True,
-                                faults=plan)
+        engine = SimEngine(pr * pc, trace=True, faults=plan)
         weights, _, sim = distributed_mlp_train(
             params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
             engine=engine, sdc=guard,
@@ -1175,7 +1151,6 @@ def _run_chaos(args) -> int:
                     params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
                     checkpoint_every=2, ckpt_mode=mode, parity=parity,
                     faults=plan, sdc=sdc, trace=want_artifacts,
-                    timeout=args.timeout, engine=args.engine,
                 ),
                 None,
             )
@@ -1393,7 +1368,7 @@ def _run_watch(args) -> int:
         evaluate_health,
     )
     from repro.observe.watch import WatchRenderer
-    from repro.simmpi.engine import resolve_engine
+    from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import Crash, FaultPlan, Straggler
 
     cfg_kwargs = {}
@@ -1434,8 +1409,7 @@ def _run_watch(args) -> int:
             pr = pc = 2
             if scenario == "diverge":
                 lr = 40.0  # deliberately unstable: loss blows up past 2x best
-            engine = resolve_engine(args.engine, pr * pc, None, trace=True,
-                                    metrics=sink)
+            engine = SimEngine(pr * pc, trace=True, metrics=sink)
             _, losses, sim = distributed_mlp_train(
                 params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
                 lr=lr, engine=engine,
@@ -1473,7 +1447,7 @@ def _run_watch(args) -> int:
             result = elastic_mlp_train(
                 params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
                 checkpoint_every=2, parity=parity, faults=plan,
-                trace=True, metrics=sink, engine=args.engine,
+                trace=True, metrics=sink,
             )
             engine = result.engine
             config = {"scenario": scenario, "steps": steps, "parity": parity}
@@ -1709,7 +1683,7 @@ def _run_trace(args) -> int:
     from repro.errors import ReproError
     from repro.report.export import export_metrics
     from repro.report.timeline import render_traffic_matrix, traffic_matrix
-    from repro.simmpi.engine import resolve_engine
+    from repro.simmpi.engine import SimEngine
     from repro.telemetry.audit import audit_events
     from repro.telemetry.chrome import validate_chrome_trace, write_chrome_trace
     from repro.telemetry.metrics import MetricsRegistry
@@ -1727,7 +1701,7 @@ def _run_trace(args) -> int:
     x = rng.standard_normal((dims[0], n))
     y = rng.integers(0, dims[-1], n)
     try:
-        engine = resolve_engine(args.engine, args.pr * args.pc, None, trace=True)
+        engine = SimEngine(args.pr * args.pc, trace=True)
         _, _, sim = distributed_mlp_train(
             MLPParams.init(dims, seed=seed), x, y,
             pr=args.pr, pc=args.pc, batch=args.batch, steps=args.steps,
@@ -1840,18 +1814,21 @@ def _run_profile(args) -> int:
         write_flamegraph_html,
         write_pprof_json,
     )
-    from repro.simmpi.engine import resolve_engine
+    from repro.simmpi.engine import SimEngine
 
+    trace = args.record is not None
     try:
         pr, pc = _profile_grid(args)
         session = (
             ProfileSession(hz=args.hz) if args.hz is not None else ProfileSession()
         )
+        engine = SimEngine(
+            pr * pc, trace=trace, supervise=args.trainer == "elastic"
+        )
     except ConfigurationError as exc:
         print(f"profile config error: {exc}", file=sys.stderr)
         return 2
 
-    trace = args.record is not None
     seed = 0
     steps = args.steps
     rng = np.random.default_rng(seed)
@@ -1859,7 +1836,7 @@ def _run_profile(args) -> int:
     if not args.json:
         print(
             f"profile : {args.trainer} on a {pr}x{pc} grid "
-            f"({args.engine} backend), {steps} step(s), "
+            f"({engine.backend} backend), {steps} step(s), "
             f"sampling at {session.hz:g}Hz"
         )
     try:
@@ -1873,7 +1850,6 @@ def _run_profile(args) -> int:
             n = 2 * batch
             x = rng.standard_normal((dims[0], n))
             y = rng.integers(0, dims[-1], n)
-            engine = resolve_engine(args.engine, pr * pc, None, trace=trace)
             _, _, sim = distributed_mlp_train(
                 MLPParams.init(dims, seed=seed), x, y,
                 pr=pr, pc=pc, batch=batch, steps=steps,
@@ -1897,7 +1873,7 @@ def _run_profile(args) -> int:
             result = elastic_mlp_train(
                 MLPParams.init(dims, seed=seed), x, y,
                 pr=pr, pc=pc, batch=batch, steps=steps,
-                trace=trace, engine=args.engine, profile=session,
+                engine=engine, profile=session,
             )
             if trace:
                 record = elastic_run_record(
@@ -1912,9 +1888,8 @@ def _run_profile(args) -> int:
             n_cols = max(64, 4 * pc)
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n_cols))
-            _, sim, engine = summa_train(
-                a, b, pr=pr, pc=pc, trace=trace,
-                engine=args.engine, profile=session,
+            _, sim, _ = summa_train(
+                a, b, pr=pr, pc=pc, engine=engine, profile=session,
             )
             if trace:
                 record = summa_run_record(
@@ -1935,7 +1910,6 @@ def _run_profile(args) -> int:
             )
             batch = 2 * pc
             x, y = synthetic_images(2 * batch, 2, h, h, 5, seed=seed)
-            engine = resolve_engine(args.engine, pr * pc, None, trace=trace)
             _, _, sim = distributed_cnn_train(
                 config, CNNParams.init(config, seed=seed), x, y,
                 pr=pr, pc=pc, batch=batch, steps=steps,
@@ -1967,7 +1941,7 @@ def _run_profile(args) -> int:
         out = args.out.rstrip("/")
         collapsed = session.collapsed
         subtitle = (
-            f"{args.trainer} {pr}x{pc} ({args.engine}), {report.wall_s:.3f}s "
+            f"{args.trainer} {pr}x{pc} ({engine.backend}), {report.wall_s:.3f}s "
             f"wall, {report.ticks} ticks @ {report.hz:g}Hz"
         )
         artifacts["collapsed"] = f"{out}/collapsed.txt"
@@ -1995,7 +1969,7 @@ def _run_profile(args) -> int:
             "schema": "repro.cli.profile/v1",
             "trainer": args.trainer,
             "grid": {"pr": pr, "pc": pc},
-            "engine": args.engine,
+            "engine": engine.backend,
             "steps": steps,
             "report": report.to_dict(),
             "attribution_ok": attribution_ok,

@@ -572,7 +572,6 @@ def elastic_mlp_train(
     machine: Optional[MachineParams] = None,
     trace: bool = False,
     metrics=None,
-    timeout: float = 30.0,
     engine: Optional[Union[SimEngine, str]] = None,
     profile=None,
 ) -> ElasticResult:
@@ -586,9 +585,9 @@ def elastic_mlp_train(
     parity chunks per stripe, i.e. the number of *concurrent* rank
     losses every striped checkpoint survives bit-exactly.
     ``sdc`` enables ABFT guards against injected bit flips.
-    ``engine`` selects the scheduler backend: ``None``/``"thread"``
-    (OS threads) or ``"event"`` (single-threaded discrete-event, same
-    results, far cheaper at scale) — or pass a prebuilt supervised
+    ``engine`` selects the scheduler backend: ``None``/``"event"``
+    (single-threaded discrete-event) or ``"thread"`` (OS threads, same
+    results, the differential oracle) — or pass a prebuilt supervised
     :class:`~repro.simmpi.engine.SimEngine` of the right size.
     ``profile`` optionally runs the simulation under a host-time
     :class:`~repro.profile.ProfileSession` (observability only —
@@ -613,7 +612,6 @@ def elastic_mlp_train(
         trace=trace,
         faults=faults,
         supervise=True,
-        timeout=timeout,
         metrics=metrics,
     )
     with maybe_profile(profile):

@@ -408,7 +408,7 @@ def distributed_cnn_train(
 
     ``pr`` partitions image rows for the convolutions and FC weight rows
     for the dense layers; ``pc`` shards the batch.  ``engine`` selects
-    the scheduler backend (``"thread"``/``"event"``) or supplies a
+    the scheduler backend (``None``/``"event"``, or ``"thread"``) or supplies a
     prebuilt :class:`~repro.simmpi.engine.SimEngine`.  ``profile``
     optionally runs the simulation under a host-time
     :class:`~repro.profile.ProfileSession` (results are bit-identical

@@ -173,7 +173,7 @@ def summa_train(
 
     The 2D baseline counterpart of
     :func:`~repro.dist.train.distributed_mlp_train`: ``engine`` may be a
-    backend name (``"thread"``/``"event"``) or a prebuilt
+    backend name (``None``/``"event"``, or ``"thread"``) or a prebuilt
     :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, and
     ``profile`` optionally runs the multiply under a host-time
     :class:`~repro.profile.ProfileSession` (results are bit-identical

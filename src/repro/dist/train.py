@@ -248,9 +248,9 @@ def distributed_mlp_train(
     every rank); the weights are reassembled from the rank blocks.
     ``metrics`` optionally attaches a
     :class:`~repro.telemetry.metrics.MetricsRegistry` as the engine's
-    streaming event sink.  ``engine`` may be a backend name
-    (``"thread"``/``"event"`` — see ``docs/SIMMPI.md``; results are
-    bit-identical, the event backend simulates large grids far faster)
+    streaming event sink.  ``engine`` may be ``None``/``"event"`` (the
+    discrete-event scheduler), ``"thread"`` (OS threads; bit-identical
+    results, far slower on large grids — see ``docs/SIMMPI.md``)
     or a prebuilt :class:`~repro.simmpi.engine.SimEngine` with
     ``pr * pc`` ranks, which lets callers keep the tracer handle — e.g.
     to build a :class:`~repro.analysis.record.RunRecord` afterwards.

@@ -5,13 +5,13 @@
 clocks under the postal network model.  Two backends execute the rank
 programs (see ``docs/SIMMPI.md``):
 
-* ``backend="thread"`` — one free-running OS thread per rank,
-  serialised by locks and condition variables (the original design);
-* ``backend="event"`` — a single-threaded discrete-event scheduler
-  (:mod:`repro.simmpi.events`) in which exactly one rank tasklet runs
-  at a time over a virtual-time priority queue.  Bit-identical results,
-  clocks, and canonical traces, at ~10x the scheduling throughput —
-  the backend that makes the paper's P=512..16384 grids simulable.
+* ``backend="event"`` (default) — a single-threaded discrete-event
+  scheduler (:mod:`repro.simmpi.events`) in which exactly one rank
+  tasklet runs at a time over a virtual-time priority queue, the
+  backend that makes the paper's P=512..16384 grids simulable;
+* ``backend="thread"`` — one OS thread per rank (the original design),
+  kept as the differential oracle: bit-identical results, clocks, and
+  canonical traces at ~1/10 the scheduling throughput.
 
 By default rank failures abort the whole run (raising
 :class:`~repro.errors.RankFailedError` with every original exception)
@@ -95,8 +95,8 @@ class SimEngine:
     machine:
         Latency/bandwidth parameters (defaults to the paper's Cori-KNL).
     timeout:
-        Wall-clock seconds a blocked receive waits before declaring a
-        deadlock.
+        Threaded backend: wall-clock seconds a blocked receive waits
+        before declaring a deadlock (the event backend only quotes it).
     trace:
         Record every message as a :class:`~repro.simmpi.tracing.TraceEvent`
         (see :attr:`tracer`).
@@ -117,11 +117,11 @@ class SimEngine:
         Optional cap on stored trace events (ring-buffer semantics; see
         :class:`~repro.simmpi.tracing.Tracer`).
     backend:
-        ``"thread"`` (default) or ``"event"`` — how rank programs are
+        ``"event"`` (default) or ``"thread"`` — how rank programs are
         executed.  Both produce bit-identical values, clocks, and
         canonical traces; the event backend is single-threaded (one
         rank tasklet runnable at a time) and roughly an order of
-        magnitude faster to schedule, so prefer it for large grids.
+        magnitude faster to schedule; ``"thread"`` is the oracle.
     """
 
     BACKENDS = ("thread", "event")
@@ -137,7 +137,7 @@ class SimEngine:
         supervise: bool = False,
         metrics: Optional[Any] = None,
         max_trace_events: Optional[int] = None,
-        backend: str = "thread",
+        backend: str = "event",
     ) -> None:
         if size < 1:
             raise ConfigurationError(f"engine size must be >= 1, got {size}")
@@ -490,39 +490,25 @@ def resolve_engine(
     metrics: Optional[Any] = None,
     faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     supervise: bool = False,
-    timeout: float = 30.0,
-    max_trace_events: Optional[int] = None,
 ) -> "SimEngine":
     """Coerce a trainer's ``engine`` argument to a ready :class:`SimEngine`.
 
-    ``engine`` may be ``None`` (build a threaded engine, the historical
-    default), a backend name (``"thread"``/``"event"`` — build an
-    engine with that backend and the supplied configuration), or a
-    prebuilt :class:`SimEngine` (validated against ``size`` and
-    returned as-is).  The caller configured a prebuilt engine already,
-    so also passing ``machine``/``trace``/``metrics``/``faults`` — or
-    requiring ``supervise`` of an unsupervised engine — is a
+    ``engine`` may be ``None`` (build an event-backend engine), a
+    backend name (``"event"``/``"thread"`` — build an engine with that
+    backend and the supplied configuration), or a prebuilt
+    :class:`SimEngine` (validated against ``size`` and returned as-is;
+    the way to set anything else, e.g. a threaded engine's ``timeout``).
+    The caller configured a prebuilt engine already, so also passing
+    ``machine``/``trace``/``metrics``/``faults`` — or requiring
+    ``supervise`` of an unsupervised engine — is a
     :class:`~repro.errors.ConfigurationError` rather than a silently
     dropped argument.  This is how ``engine=`` plumbs through the four
-    trainers and the CLI without each call site re-implementing the
-    coercion.
+    trainers without each re-implementing the coercion.
     """
     if engine is None or isinstance(engine, str):
-        if engine is not None and engine not in SimEngine.BACKENDS:
-            raise ConfigurationError(
-                f"unknown engine backend {engine!r}; valid backends: "
-                + ", ".join(SimEngine.BACKENDS)
-            )
         return SimEngine(
-            size,
-            machine,
-            trace=trace,
-            metrics=metrics,
-            faults=faults,
-            supervise=supervise,
-            timeout=timeout,
-            max_trace_events=max_trace_events,
-            backend=engine or "thread",
+            size, machine, trace=trace, metrics=metrics, faults=faults,
+            supervise=supervise, backend=engine or "event",
         )
     if engine.size != size:
         raise ConfigurationError(

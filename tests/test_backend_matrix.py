@@ -187,7 +187,7 @@ def test_mlp_trainer_differential(pr, pc):
 def test_mlp_trainer_accepts_backend_string():
     params0 = MLPParams.init((10, 9, 5), seed=1)
     wt, lt, _ = distributed_mlp_train(
-        params0, X, Y, pr=2, pc=2, batch=12, steps=2, engine="event"
+        params0, X, Y, pr=2, pc=2, batch=12, steps=2, engine="thread"
     )
     we, le, _ = distributed_mlp_train(
         params0, X, Y, pr=2, pc=2, batch=12, steps=2, engine=None
@@ -275,6 +275,20 @@ def test_fault_plan_differential():
     assert te.tracer.faults()
 
 
+def fail_both(size, prog, plan):
+    """Run an unsupervised faulted ``prog`` on both backends; same failures."""
+    outcomes = {}
+    for backend in BACKENDS:
+        engine = SimEngine(size, backend=backend, faults=plan, timeout=0.5)
+        with pytest.raises(RankFailedError) as exc_info:
+            engine.run(prog)
+        outcomes[backend] = sorted(
+            (r, type(e).__name__) for r, e in exc_info.value.failures.items()
+        )
+    assert outcomes["thread"] == outcomes["event"]
+    return outcomes["event"]
+
+
 def test_message_drop_fails_identically():
     """An unsupervised drop deadlocks the receiver: same diagnosis both ways."""
     plan = FaultPlan(seed=2, drops=(MessageDrop(rank=0, dest=1, send_index=0),))
@@ -283,15 +297,19 @@ def test_message_drop_fails_identically():
         comm.barrier()
         return comm.rank
 
-    outcomes = {}
-    for backend in BACKENDS:
-        engine = SimEngine(2, backend=backend, faults=plan, timeout=0.5)
-        with pytest.raises(RankFailedError) as exc_info:
-            engine.run(prog)
-        outcomes[backend] = sorted(
-            (r, type(e).__name__) for r, e in exc_info.value.failures.items()
-        )
-    assert outcomes["thread"] == outcomes["event"]
+    fail_both(2, prog, plan)
+
+
+def test_unsupervised_crash_aborts_identically():
+    """An injected crash without supervision aborts the run the same way."""
+
+    def prog(comm):
+        for step in range(3):
+            comm.heartbeat(step=step)
+            comm.allreduce(np.full(2, float(comm.rank)))
+
+    plan = FaultPlan(crashes=(Crash(rank=1, at_step=1),))
+    assert (1, "SimulatedCrashError") in fail_both(4, prog, plan)
 
 
 def test_crash_shrink_recover_differential():

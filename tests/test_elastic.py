@@ -178,7 +178,7 @@ class TestElasticRecovery:
             crashes=tuple(Crash(rank=r, at_step=2) for r in range(4))
         )
         with pytest.raises(RankFailedError):
-            _elastic(faults=plan, timeout=5.0)
+            _elastic(faults=plan)
 
 
 class TestElasticDeterminism:

@@ -346,8 +346,9 @@ class TestResolveEngine:
         assert isinstance(engine, SimEngine)
         assert engine.backend == name and engine.size == 4
 
-    def test_none_builds_threaded_default(self):
-        assert resolve_engine(None, 3).backend == "thread"
+    def test_none_builds_event_default(self):
+        assert SimEngine(3).backend == "event"
+        assert resolve_engine(None, 3).backend == "event"
 
     def test_prebuilt_engine_passes_through(self):
         engine = SimEngine(4, backend="event")
