@@ -5,12 +5,12 @@ and ``config``), prints its report lines and declares a list of checks;
 :func:`run_gate` owns everything else — the ``--baseline`` /
 ``--update-baseline`` / ``--tolerance`` flags, reading and validating
 the committed baseline, scaling floors and ceilings by the tolerance,
-and the exit-code convention shared with ``repro bench`` / ``repro diff``:
+and the exit-code convention shared with ``repro diff``:
 
 * ``0`` — every check passes (``gate : PASS (...)`` on stdout).
 * ``1`` — regression (one ``REGRESSION: ...`` line per failure on stderr).
 * ``2`` — configuration error (negative tolerance, unreadable baseline,
-  schema or config mismatch).
+  schema or config mismatch, a baseline without a limit a check needs).
 
 A check is a tuple ``(kind, key, limit_key, message)`` judging
 ``record[key]``; ``message`` is formatted with ``key``, ``value`` and
@@ -95,6 +95,12 @@ def run_gate(
     if baseline.get("config") != record["config"]:
         print("baseline config does not match this benchmark's config; "
               "re-run with --update-baseline", file=sys.stderr)
+        return 2
+
+    missing = {c[2] for c in checks if c[0] in ("floor", "ceiling")} - set(baseline)
+    if missing:
+        print(f"baseline lacks the limit(s) {sorted(missing)}; re-run with "
+              "--update-baseline", file=sys.stderr)
         return 2
 
     limits = {}

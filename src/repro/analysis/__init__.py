@@ -10,7 +10,7 @@ this package explains *why the step took as long as it did*:
 * :mod:`repro.analysis.record` — versioned, schema-validated
   :class:`RunRecord` artifacts every trainer can emit;
 * :mod:`repro.analysis.diff` — regression detection between two
-  records, the observability analogue of the search-bench gate.
+  records, the run-record analogue of the ``benchmarks/`` gates.
 
 Everything here is a pure consumer of
 :class:`~repro.simmpi.tracing.TraceEvent` streams: analysis never

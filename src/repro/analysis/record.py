@@ -7,52 +7,42 @@ digest — everything ``repro diff`` needs to decide whether a later run
 regressed, in one JSON file.  Because all timings are *virtual*, a
 record is bit-stable across hosts: two runs of the same program on the
 same fault plan produce byte-identical payloads (minus the free-form
-``meta`` block), which is what makes the CI trace-diff gate meaningful.
+``meta`` block), which is what lets ``repro diff`` gate a fresh run
+against a committed baseline at zero tolerance.
 
-The schema is versioned (:data:`RUN_RECORD_SCHEMA`); readers reject
-unknown versions instead of misinterpreting them, and
+The schema is versioned (:data:`RUN_RECORD_SCHEMA`, ``v5``); readers
+reject every other version instead of misinterpreting it, and
 :func:`validate_run_record` checks the structural invariants every
 consumer relies on (required keys, types, per-rank decomposition
 consistency).
 
-Version history
+Optional blocks
 ---------------
-``v1``
-    Original schema.  Still readable (:data:`SUPPORTED_SCHEMAS`), so
-    committed baselines keep working under ``repro diff``.
-``v2``
-    Adds the optional ``sdc`` block: silent-data-corruption counters
-    (``injected`` / ``detected`` / ``corrected`` / ``recomputed`` /
-    ``escaped``) plus the total digest-escort bytes of ABFT-guarded
-    runs, derived from the ``fault.*`` trace events.  Absent entirely
-    for runs with no SDC activity, so unguarded records are
-    byte-identical to v1 modulo the schema tag.
-``v3``
-    Adds the optional ``ckpt`` block: checkpoint-subsystem counters
-    (``takes`` / ``restores`` / ``degraded`` / ``stored_bytes`` /
-    ``fetched_bytes``), derived from the zero-duration ``ckpt.*``
-    marker events of :mod:`repro.dist.elastic` summed over all ranks.
-    Absent entirely for runs that never checkpoint, so earlier records
-    stay byte-identical modulo the schema tag.
-``v4``
-    Adds the optional ``health`` block: the deterministic
-    :func:`~repro.observe.health.evaluate_health` verdict over the
-    trace — per-kind counts plus the raised
-    :class:`~repro.observe.health.HealthEvent` rows (stall, straggler,
-    loss NaN/divergence, comm-wait spike, checkpoint degradation).
-    Absent entirely for healthy runs, so earlier records stay
-    byte-identical modulo the schema tag.  ``repro diff`` ignores the
-    block (health is observability, not comparability).
-``v5``
-    Adds the optional ``host`` block: *host-side* wall-clock of the
-    run (``wall_s``) plus, when the run executed under the self
-    profiler (:mod:`repro.profile`), its sampler tick and drop
-    counters (``samples`` / ``samples_dropped``).  Host time is the
-    one deliberately machine-dependent quantity in a record, so the
-    block is opt-in (``build_run_record(..., host=...)``, typically
-    fed by :func:`repro.profile.host_block`) and ``repro diff``
-    ignores it entirely — virtual-time comparability and the
-    byte-stability of unprofiled records are unchanged.
+Each is omitted from the payload when empty, so a clean run's record
+carries none of them.
+
+``sdc``
+    Silent-data-corruption counters (``injected`` / ``detected`` /
+    ``corrected`` / ``recomputed`` / ``escaped``) plus the total
+    digest-escort bytes of ABFT-guarded runs, derived from the
+    ``fault.*`` trace events.
+``ckpt``
+    Checkpoint-subsystem counters (``takes`` / ``restores`` /
+    ``degraded`` / ``stored_bytes`` / ``fetched_bytes``), derived from
+    the zero-duration ``ckpt.*`` marker events of
+    :mod:`repro.dist.elastic` summed over all ranks.
+``health``
+    The deterministic :func:`~repro.observe.health.evaluate_health`
+    verdict over the trace: per-kind counts plus the raised
+    :class:`~repro.observe.health.HealthEvent` rows.  ``repro diff``
+    ignores it (health is observability, not comparability).
+``host``
+    *Host-side* wall-clock of the run (``wall_s``) plus, under the
+    self profiler (:mod:`repro.profile`), its sampler tick and drop
+    counters (``samples`` / ``samples_dropped``).  The one deliberately
+    machine-dependent quantity, so it is opt-in
+    (``build_run_record(..., host=...)``, typically fed by
+    :func:`repro.profile.host_block`) and ``repro diff`` ignores it.
 """
 
 from __future__ import annotations
@@ -67,7 +57,6 @@ from repro.simmpi.tracing import TraceEvent
 
 __all__ = [
     "RUN_RECORD_SCHEMA",
-    "SUPPORTED_SCHEMAS",
     "SDC_COUNTER_KEYS",
     "CKPT_COUNTER_KEYS",
     "HOST_COUNTER_KEYS",
@@ -80,20 +69,10 @@ __all__ = [
 
 RUN_RECORD_SCHEMA = "repro.analysis.record/v5"
 
-#: Schemas this reader accepts; new records are always written at the
-#: current version, old baselines stay loadable.
-SUPPORTED_SCHEMAS = (
-    "repro.analysis.record/v1",
-    "repro.analysis.record/v2",
-    "repro.analysis.record/v3",
-    "repro.analysis.record/v4",
-    RUN_RECORD_SCHEMA,
-)
-
-#: The v2 ``sdc`` block's counter keys (all non-negative integers).
+#: The ``sdc`` block's counter keys (all non-negative integers).
 SDC_COUNTER_KEYS = ("injected", "detected", "corrected", "recomputed", "escaped")
 
-#: The v3 ``ckpt`` block's counter keys (all non-negative integers,
+#: The ``ckpt`` block's counter keys (all non-negative integers,
 #: summed over all ranks): checkpoint takes, census restores, restores
 #: that had to *degrade* to an older step, bytes of checkpoint state
 #: stored, and bytes of shards fetched during recovery.
@@ -125,7 +104,7 @@ _TOP_LEVEL: Dict[str, Tuple[bool, type]] = {
     "meta": (False, dict),
 }
 
-#: The v5 ``host`` block's integer counter keys; ``wall_s`` is the
+#: The ``host`` block's integer counter keys; ``wall_s`` is the
 #: only float-valued member.
 HOST_COUNTER_KEYS = ("samples", "samples_dropped")
 
@@ -137,7 +116,7 @@ _DECOMP_TOL = 1e-9
 
 
 def _validate_health_block(health: Dict[str, Any]) -> None:
-    """Structural checks for the v4 ``health`` block (empty is fine)."""
+    """Structural checks for the ``health`` block (empty is fine)."""
     from repro.observe.health import HEALTH_KINDS
 
     for key in set(health) - {"counts", "events"}:
@@ -189,9 +168,9 @@ def validate_run_record(payload: Any) -> None:
     """
     if not isinstance(payload, dict):
         raise ConfigurationError("run record must be a JSON object")
-    if payload.get("schema") not in SUPPORTED_SCHEMAS:
+    if payload.get("schema") != RUN_RECORD_SCHEMA:
         raise ConfigurationError(
-            f"run record schema must be one of {SUPPORTED_SCHEMAS!r}, "
+            f"run record schema must be {RUN_RECORD_SCHEMA!r}, "
             f"got {payload.get('schema')!r}"
         )
     for key, (required, types) in _TOP_LEVEL.items():
@@ -283,17 +262,17 @@ class RunRecord:
     counters: Dict[str, Any]
     dropped: int = 0
     meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: SDC counters of a fault-injected / ABFT-guarded run (v2);
+    #: SDC counters of a fault-injected / ABFT-guarded run;
     #: empty — and omitted from the payload — when nothing happened.
     sdc: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: Checkpoint counters of an elastic run (v3); empty — and omitted
+    #: Checkpoint counters of an elastic run; empty — and omitted
     #: from the payload — when the run never checkpointed.
     ckpt: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: Deterministic health verdict over the trace (v4): per-kind
+    #: Deterministic health verdict over the trace: per-kind
     #: counts plus the raised HealthEvent rows; empty — and omitted —
     #: for healthy runs.
     health: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: Host-side wall clock and profiler sample counters (v5); empty —
+    #: Host-side wall clock and profiler sample counters; empty —
     #: and omitted — unless the builder was handed a host block
     #: (records stay bit-stable across machines by default).
     host: Dict[str, Any] = dataclasses.field(default_factory=dict)
@@ -412,15 +391,14 @@ def build_run_record(
     free-form block (labels, commit ids) excluded from comparability.
 
     When the trace shows SDC activity (injected bit flips or ABFT
-    digest escorts), the v2 ``sdc`` block is derived from the
+    digest escorts), the ``sdc`` block is derived from the
     ``fault.*`` events; clean unguarded traces produce no block at
-    all, keeping their payloads comparable with v1 baselines.
-    Likewise, ``ckpt.take``/``ckpt.restore``/``ckpt.degraded`` marker
-    events of elastic runs yield the v3 ``ckpt`` counter block, and
-    the deterministic health replay
+    all.  Likewise, ``ckpt.take``/``ckpt.restore``/``ckpt.degraded``
+    marker events of elastic runs yield the ``ckpt`` counter block,
+    and the deterministic health replay
     (:func:`~repro.observe.health.evaluate_health`, tunable via
-    ``health_config``) yields the v4 ``health`` block — omitted when
-    no rule fired.  ``host`` is the opt-in v5 host-time block
+    ``health_config``) yields the ``health`` block — omitted when
+    no rule fired.  ``host`` is the opt-in host-time block
     (typically :func:`repro.profile.host_block` of the engine that
     ran); it is the one machine-dependent field, so builders never
     fill it implicitly.

@@ -8,7 +8,6 @@ Examples::
     repro summary                   # network + machine summary
     repro best --batch 2048 --processes 512        # optimizer front-end
     repro best -B 512 -P 4096 --network vgg16 --max-memory-mb 256
-    repro bench --repeat 3 --out BENCH_search.json   # engine perf gate
     repro trace --experiment fig7 --pr 4 --pc 2 --out trace-out --assert-exact
     repro trace --traffic --record run.json          # analysis + RunRecord
     repro diff benchmarks/RECORD_baseline.json run.json   # regression gate
@@ -20,6 +19,7 @@ output is byte-identical run to run and a stall fails at once.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -28,6 +28,14 @@ from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.report.export import export_results, write_text
 
 __all__ = ["main", "build_parser"]
+
+
+def _option(*names, **kwargs) -> argparse.ArgumentParser:
+    """A one-option parent parser, so an option shared by several
+    commands is declared once."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,14 +48,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
+    def steps(default):
+        return _option(
+            "--steps", type=int, default=default,
+            help=f"training steps (default {default})",
+        )
 
-    run_p = sub.add_parser("run", help="run one experiment (or 'all')")
+    seed = _option("--seed", type=int, default=0, help="data/init seed (default 0)")
+    record = _option(
+        "--record", default=None,
+        help="write the run's versioned RunRecord JSON to this path",
+    )
+    as_json = _option(
+        "--json", action="store_true",
+        help="emit one machine-readable JSON object instead of tables",
+    )
+    out = _option("--out", default=None, help="directory for exported artifacts")
+    registry = _option(
+        "--registry", default="benchmarks/REGISTRY.jsonl",
+        help="JSONL run registry (default: benchmarks/REGISTRY.jsonl)",
+    )
+
+    sub.add_parser("list", help="list available experiments").set_defaults(
+        run=_run_list
+    )
+
+    run_p = sub.add_parser("run", parents=[out], help="run one experiment (or 'all')")
     run_p.add_argument("experiment", help="experiment id from 'repro list', or 'all'")
-    run_p.add_argument("--out", default=None, help="directory for txt/csv/json export")
     run_p.add_argument("--quiet", action="store_true", help="suppress stdout rendering")
+    run_p.set_defaults(run=_run_experiments)
 
-    sub.add_parser("summary", help="print the Table-1 setting summary")
+    sub.add_parser("summary", help="print the Table-1 setting summary").set_defaults(
+        run=_run_summary
+    )
 
     best_p = sub.add_parser(
         "best", help="find the best parallelization strategy for (network, B, P)"
@@ -83,67 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the ordered per-iteration communication schedule",
     )
     best_p.add_argument(
-        "--serial",
-        action="store_true",
-        help="use the serial optimizer instead of the memoized search engine",
-    )
-    best_p.add_argument(
         "--cache-stats",
         action="store_true",
         help="print search-engine cache hit/miss statistics",
     )
-
-    bench_p = sub.add_parser(
-        "bench",
-        help=(
-            "benchmark the memoized search engine against the serial "
-            "optimizer and gate on regressions vs the committed baseline"
-        ),
-    )
-    bench_p.add_argument(
-        "--points",
-        default=None,
-        help="comma-separated process counts (default: 8,64,256,512 — Fig. 7)",
-    )
-    bench_p.add_argument(
-        "-B", "--batch", type=int, default=None,
-        help="global batch size (default: 2048)",
-    )
-    bench_p.add_argument(
-        "--jobs", type=int, default=None,
-        help="sweep worker processes (0 = one per CPU; default: in-process)",
-    )
-    bench_p.add_argument(
-        "--repeat", type=int, default=3,
-        help="timing repetitions, best-of is reported (default: 3)",
-    )
-    bench_p.add_argument(
-        "--baseline", default="benchmarks/BENCH_search.json",
-        help="committed baseline record to gate against",
-    )
-    bench_p.add_argument(
-        "--out", default=None,
-        help="write the measured BENCH_search.json record to this path",
-    )
-    bench_p.add_argument(
-        "--tolerance", type=float, default=None,
-        help="allowed relative speedup regression vs baseline (default: 0.2)",
-    )
-    bench_p.add_argument(
-        "--update-baseline", action="store_true",
-        help="overwrite the baseline with this run's record (skips the gate)",
-    )
-    bench_p.add_argument(
-        "--no-compare", action="store_true",
-        help="measure and report only; skip the baseline gate",
-    )
-    bench_p.add_argument(
-        "--json", action="store_true",
-        help="emit one machine-readable JSON object instead of tables",
-    )
+    best_p.set_defaults(run=_run_best)
 
     faults_p = sub.add_parser(
         "faults",
+        parents=[steps(8), seed, record, as_json],
         help="fault-injection demo: crash a rank mid-training, shrink, recover",
     )
     faults_p.add_argument(
@@ -155,18 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ranks", type=int, default=4, help="world size (default 4)"
     )
     faults_p.add_argument(
-        "--steps", type=int, default=8, help="training steps (default 8)"
-    )
-    faults_p.add_argument(
-        "--seed", type=int, default=0, help="data/init seed (default 0)"
-    )
-    faults_p.add_argument(
         "--width", type=int, default=72, help="timeline width in columns"
-    )
-    faults_p.add_argument(
-        "--record",
-        default=None,
-        help="write the run's versioned RunRecord JSON to this path",
     )
     faults_p.add_argument(
         "--sdc",
@@ -174,13 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["detect", "correct", "recompute"],
         help="ABFT-guard the run against the plan's bit flips",
     )
-    faults_p.add_argument(
-        "--json", action="store_true",
-        help="emit one machine-readable JSON object instead of tables",
-    )
+    faults_p.set_defaults(run=_run_faults)
 
     sdc_p = sub.add_parser(
         "sdc",
+        parents=[steps(3), seed, record],
         help=(
             "silent-data-corruption gauntlet: inject single bit flips into "
             "every GEMM site and payload path, verify the ABFT guards "
@@ -199,26 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the gauntlet unguarded (negative control: flips escape)",
     )
-    sdc_p.add_argument(
-        "--steps", type=int, default=3, help="training steps per run (default 3)"
-    )
-    sdc_p.add_argument(
-        "--seed", type=int, default=0, help="data/init seed (default 0)"
-    )
-    sdc_p.add_argument(
-        "--record",
-        default=None,
-        help="write the last run's versioned RunRecord JSON to this path",
-    )
+    sdc_p.set_defaults(run=_run_sdc)
 
     chaos_p = sub.add_parser(
         "chaos",
+        parents=[steps(8), seed, out, as_json],
         help=(
             "chaos soak: run a gauntlet of crash/cascade/bit-flip/straggler "
             "fault plans against erasure-coded checkpoints and verify every "
             "survivable failure recovers bit-identically to full replication "
             "(exit 0), every unsurvivable one is *declared* (exit 1), and "
-            "nothing ever diverges silently (exit 2)"
+            "nothing ever diverges silently (exit 2); --out gets per-trial "
+            "fault plans, RunRecords and the chaos_summary.json verdict"
         ),
     )
     chaos_p.add_argument(
@@ -228,16 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra randomized single-crash trials after the gauntlet (default 3)",
     )
     chaos_p.add_argument(
-        "--steps", type=int, default=8, help="training steps per run (default 8)"
-    )
-    chaos_p.add_argument(
         "--parity",
         type=int,
         default=1,
         help="parity shards per stripe for the baseline trials (default 1)",
-    )
-    chaos_p.add_argument(
-        "--seed", type=int, default=0, help="data/init/plan seed (default 0)"
     )
     chaos_p.add_argument(
         "--over-parity",
@@ -248,24 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
             "exits 1 by design"
         ),
     )
-    chaos_p.add_argument(
-        "--out",
-        default=None,
-        help=(
-            "directory for per-trial fault plans, RunRecords and the "
-            "chaos_summary.json verdict"
-        ),
-    )
-    chaos_p.add_argument(
-        "--json", action="store_true",
-        help="emit the chaos_summary payload as JSON on stdout",
-    )
+    chaos_p.set_defaults(run=_run_chaos)
 
     trace_p = sub.add_parser(
         "trace",
+        parents=[steps(2), out, record],
         help=(
             "run a traced 1.5D training job, audit measured bytes against "
-            "the Eq. 3/4/8 cost model, export a Chrome trace"
+            "the Eq. 3/4/8 cost model, export a Chrome trace (trace.json) "
+            "and the audit/metrics tables to --out"
         ),
     )
     trace_p.add_argument(
@@ -277,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--pr", type=int, default=2, help="model-parallel rows")
     trace_p.add_argument("--pc", type=int, default=2, help="batch-parallel columns")
     trace_p.add_argument("--batch", type=int, default=16, help="global batch size")
-    trace_p.add_argument("--steps", type=int, default=2, help="training steps")
-    trace_p.add_argument(
-        "--out", default=None, help="directory for trace.json + audit/metrics exports"
-    )
     trace_p.add_argument(
         "--per-rank", action="store_true", help="break the span summary out per rank"
     )
@@ -295,11 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rank-by-rank point-to-point traffic heatmap",
     )
     trace_p.add_argument(
-        "--record",
-        default=None,
-        help="write the run's versioned RunRecord JSON to this path",
-    )
-    trace_p.add_argument(
         "--sdc",
         default=None,
         choices=["detect", "correct", "recompute"],
@@ -308,9 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
             "explicit abft.* cost-model terms"
         ),
     )
+    trace_p.set_defaults(run=_run_trace)
 
     watch_p = sub.add_parser(
         "watch",
+        parents=[steps(8), seed, record, as_json],
         help=(
             "run a training scenario under the live health monitor: "
             "heartbeats and rule firings (stall, straggler, loss NaN/"
@@ -326,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="what to run under the monitor (default: straggler)",
     )
     watch_p.add_argument(
-        "--steps", type=int, default=8, help="training steps (default 8)"
-    )
-    watch_p.add_argument(
-        "--seed", type=int, default=0, help="data/init seed (default 0)"
-    )
-    watch_p.add_argument(
         "--quiet", action="store_true",
         help="suppress per-heartbeat lines; show only health alerts",
     )
@@ -345,32 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
              "straggler (default 1.25)",
     )
     watch_p.add_argument(
-        "--record",
-        default=None,
-        help="write the run's RunRecord JSON (schema v5, health block) here",
-    )
-    watch_p.add_argument(
         "--registry",
         default=None,
         help="append the run's metrics to this JSONL run registry",
     )
-    watch_p.add_argument(
-        "--json", action="store_true",
-        help="emit one machine-readable JSON object instead of live lines",
-    )
+    watch_p.set_defaults(run=_run_watch)
 
     history_p = sub.add_parser(
         "history",
+        parents=[registry, as_json],
         help=(
             "regression observatory over the run registry: per-series "
             "metric trends against rolling median + MAD bands; exit 0 ok / "
             "1 warnings / 2 drift"
         ),
-    )
-    history_p.add_argument(
-        "--registry",
-        default="benchmarks/REGISTRY.jsonl",
-        help="JSONL run registry (default: benchmarks/REGISTRY.jsonl)",
     )
     history_p.add_argument(
         "--min-history", type=int, default=None,
@@ -380,13 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--series", default=None,
         help="only judge series whose key contains this substring",
     )
-    history_p.add_argument(
-        "--json", action="store_true",
-        help="emit the trend verdicts as one JSON object",
-    )
+    history_p.set_defaults(run=_run_history)
 
     ingest_p = sub.add_parser(
         "ingest",
+        parents=[registry],
         help=(
             "append RunRecord / BENCH result JSON files to the run registry "
             "(auto-detected by schema tag)"
@@ -395,24 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_p.add_argument(
         "paths", nargs="+", help="RunRecord or BENCH JSON files to ingest"
     )
-    ingest_p.add_argument(
-        "--registry",
-        default="benchmarks/REGISTRY.jsonl",
-        help="JSONL run registry (default: benchmarks/REGISTRY.jsonl)",
-    )
+    ingest_p.set_defaults(run=_run_ingest)
 
     dash_p = sub.add_parser(
         "dash",
+        parents=[registry],
         help=(
             "render the run registry as a static HTML dashboard: "
             "sparklines, per-cost-term trend heatmap, health-event "
             "timelines; no external assets"
         ),
-    )
-    dash_p.add_argument(
-        "--registry",
-        default="benchmarks/REGISTRY.jsonl",
-        help="JSONL run registry (default: benchmarks/REGISTRY.jsonl)",
     )
     dash_p.add_argument(
         "--out", default="dash.html", help="output HTML path (default dash.html)"
@@ -421,14 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--records", nargs="*", default=(),
         help="RunRecord JSON files whose health events get timelines",
     )
+    dash_p.set_defaults(run=_run_dash)
 
     profile_p = sub.add_parser(
         "profile",
+        parents=[steps(4), out, record, as_json],
         help=(
             "host-time self-profiler: run a trainer under the sampling "
             "profiler, print the per-subsystem attribution table with "
             "µs/msg and µs/switch, export collapsed stacks / flamegraph / "
-            "pprof-style JSON"
+            "pprof-style JSON to --out"
         ),
     )
     profile_p.add_argument(
@@ -446,27 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_p.add_argument("--pr", type=int, default=None, help="model-parallel rows")
     profile_p.add_argument("--pc", type=int, default=None, help="batch-parallel columns")
-    profile_p.add_argument("--steps", type=int, default=4, help="training steps (default 4)")
     profile_p.add_argument(
         "--hz", type=float, default=None,
         help="sampling rate of the profiler thread (default 197)",
     )
-    profile_p.add_argument(
-        "--out", default=None,
-        help=(
-            "directory for profile artifacts: collapsed.txt (flamegraph "
-            "collapsed-stack format), flamegraph.html, pprof.json, "
-            "profile.json (full report)"
-        ),
-    )
-    profile_p.add_argument(
-        "--record", default=None,
-        help="write the run's RunRecord JSON (with host block) to this path",
-    )
-    profile_p.add_argument(
-        "--json", action="store_true",
-        help="emit one machine-readable JSON object instead of tables",
-    )
+    profile_p.set_defaults(run=_run_profile)
 
     diff_p = sub.add_parser(
         "diff",
@@ -495,7 +391,60 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="allowed relative growth of span message counts (default: 0)",
     )
+    diff_p.set_defaults(run=_run_diff)
     return parser
+
+
+# -- the shared run path of the simulated-run commands ---------------------
+
+
+def _toy_mlp(dims, samples: int, seed: int):
+    """Seeded inputs of a toy-MLP run: ``(x, y, initial params)``."""
+    import numpy as np
+
+    from repro.dist.train import MLPParams
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dims[0], samples))
+    y = rng.integers(0, dims[-1], samples)
+    return x, y, MLPParams.init(dims, seed=seed)
+
+
+def _write_record(args, build) -> None:
+    """Write ``build()``'s RunRecord to ``--record``, if given, and say so
+    unless stdout carries ``--json``."""
+    if args.record:
+        from repro.analysis import write_run_record
+
+        write_run_record(build(), args.record)
+        if not getattr(args, "json", False):
+            print(f"record  : wrote {args.record}")
+
+
+def _emit_json(payload, path: Optional[str] = None) -> int:
+    """Write ``payload`` as sorted, indented JSON to ``path`` (stdout when
+    ``None``); returns the exit code the payload carries."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path is None:
+        print(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return payload.get("exit_code", 0)
+
+
+def _warn_dropped(dropped: int, lossy: str) -> None:
+    """One stderr line when the tracer dropped events; ``lossy`` names
+    the output they skew."""
+    if dropped:
+        print(f"WARNING : tracer dropped {dropped} event(s); {lossy} came "
+              "from a lossy trace", file=sys.stderr)
+
+
+def _exit_code(kinds, severity) -> int:
+    """The worst exit code among the outcome ``kinds`` (``severity`` maps
+    a kind to 1 or 2; any other kind is clean)."""
+    return max((severity.get(kind, 0) for kind in kinds), default=0)
 
 
 def _build_network(name: str):
@@ -513,7 +462,6 @@ def _build_network(name: str):
 def _run_best(args) -> int:
     from repro.core.costs import integrated_cost
     from repro.core.memory import memory_footprint
-    from repro.core.optimizer import best_strategy
     from repro.report.tables import format_seconds
     from repro.search import default_engine
 
@@ -525,9 +473,8 @@ def _run_best(args) -> int:
         if args.max_memory_mb is not None
         else None
     )
-    engine = None if args.serial else default_engine()
-    search = best_strategy if engine is None else engine.best_strategy
-    choice = search(
+    engine = default_engine()
+    choice = engine.best_strategy(
         network,
         args.batch,
         args.processes,
@@ -567,125 +514,20 @@ def _run_best(args) -> int:
             f"{format_seconds(plan.blocking_time)} of {format_seconds(plan.total_time)}"
         )
     if args.cache_stats:
-        if engine is None:
-            print("cache   : n/a (serial optimizer, no cache)")
-        else:
-            stats = engine.cache_stats()
-            print(
-                f"cache   : {stats.hits} hits / {stats.misses} misses "
-                f"({stats.hit_rate:.1%} hit rate, {stats.entries} entries)"
-            )
-    return 0
-
-
-def _run_bench(args) -> int:
-    import json
-
-    from repro.errors import ConfigurationError
-    from repro.search.bench import (
-        DEFAULT_BATCH,
-        DEFAULT_PROCESSES,
-        DEFAULT_TOLERANCE,
-        BenchRecord,
-        compare_to_baseline,
-        run_search_bench,
-    )
-
-    if args.points is not None:
-        try:
-            processes = tuple(
-                int(part) for part in args.points.split(",") if part.strip()
-            )
-        except ValueError:
-            print(f"bad --points {args.points!r}: expected comma-separated "
-                  "integers", file=sys.stderr)
-            return 2
-    else:
-        processes = DEFAULT_PROCESSES
-    batch = args.batch if args.batch is not None else DEFAULT_BATCH
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-
-    try:
-        record = run_search_bench(
-            processes=processes, batch=batch, repeat=args.repeat, jobs=args.jobs
+        stats = engine.cache_stats()
+        print(
+            f"cache   : {stats.hits} hits / {stats.misses} misses "
+            f"({stats.hit_rate:.1%} hit rate, {stats.entries} entries)"
         )
-    except ConfigurationError as exc:
-        print(f"bench configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    def emit(code, status, **gate_extra):
-        """One machine-readable object wrapping the record + gate verdict."""
-        if args.json:
-            gate = {"status": status}
-            gate.update(gate_extra)
-            print(json.dumps(
-                {
-                    "schema": "repro.cli.bench/v1",
-                    "record": json.loads(record.to_json()),
-                    "gate": gate,
-                    "exit_code": code,
-                },
-                indent=2,
-                sort_keys=True,
-            ))
-        return code
-
-    if not args.json:
-        print(f"config  : {record.network}, B={record.batch:g}, "
-              f"P={list(record.processes)} (best of {record.repeat})")
-        print(f"serial  : {record.serial_s * 1e3:8.1f} ms")
-        print(f"engine  : {record.engine_s * 1e3:8.1f} ms")
-        print(f"speedup : {record.speedup:.2f}x "
-              f"({'bit-identical' if record.identical else 'RESULTS DIFFER'})")
-        print(f"cache   : {record.cache_hits} hits / {record.cache_misses} "
-              f"misses, {record.cache_entries} entries")
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(record.to_json())
-        if not args.json:
-            print(f"record  : wrote {args.out}")
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            fh.write(record.to_json())
-        if not args.json:
-            print(f"baseline: updated {args.baseline}")
-        return emit(0, "baseline-updated")
-    if args.no_compare:
-        return emit(0, "skipped")
-
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = BenchRecord.from_json(fh.read())
-    except OSError as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
-        print(f"bad baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        failures = compare_to_baseline(record, baseline, tolerance=tolerance)
-    except ConfigurationError as exc:
-        print(f"bench gate error: {exc}", file=sys.stderr)
-        return 2
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return emit(1, "fail", failures=[str(f) for f in failures],
-                    baseline_speedup=baseline.speedup, tolerance=tolerance)
-    if not args.json:
-        print(f"gate    : PASS (baseline {baseline.speedup:.2f}x, "
-              f"tolerance {tolerance:.0%})")
-    return emit(0, "pass", baseline_speedup=baseline.speedup,
-                tolerance=tolerance)
+    return 0
 
 
 def _run_faults(args) -> int:
     import numpy as np
 
-    from repro.dist.elastic import elastic_mlp_train, replan_grid
-    from repro.dist.train import MLPParams, serial_mlp_train
-    from repro.errors import ReproError
+    from repro.dist.elastic import elastic_mlp_train, elastic_run_record, replan_grid
+    from repro.dist.train import serial_mlp_train
+    from repro.errors import ConfigurationError, ReproError
     from repro.machine.params import cori_knl
     from repro.report.timeline import (
         render_fault_log,
@@ -698,8 +540,6 @@ def _run_faults(args) -> int:
         print("faults demo needs at least 2 ranks", file=sys.stderr)
         return 2
     if args.plan is not None:
-        from repro.errors import ConfigurationError
-
         try:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 plan = FaultPlan.from_json(fh.read())
@@ -717,10 +557,7 @@ def _run_faults(args) -> int:
         )
     dims = (8, 10, 6)
     batch = 8
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
-    params0 = MLPParams.init(dims, seed=args.seed)
+    x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
     pr, pc = replan_grid(args.ranks, dims, batch, cori_knl())
     if not args.json:
         print(f"world   : {args.ranks} ranks as a {pr}x{pc} grid, "
@@ -776,16 +613,9 @@ def _run_faults(args) -> int:
                     f"  rank {spec.rank}: factor {spec.factor:g}{jitter} -> "
                     f"injected slack {slack.get(spec.rank, 0.0):.3e}s virtual"
                 )
-    if args.record:
-        from repro.analysis import write_run_record
-        from repro.dist.elastic import elastic_run_record
-
-        record = elastic_run_record(
-            result, batch=batch, steps=args.steps, checkpoint_every=2,
-        )
-        write_run_record(record, args.record)
-        if not args.json:
-            print(f"record  : wrote {args.record}")
+    _write_record(args, lambda: elastic_run_record(
+        result, batch=batch, steps=args.steps, checkpoint_every=2,
+    ))
     ref_params, _ = serial_mlp_train(
         params0, x, y, batch=batch, steps=args.steps
     )
@@ -797,12 +627,7 @@ def _run_faults(args) -> int:
         print(f"failed ranks   : {list(result.sim.failed) or 'none'}")
         print(f"final loss     : {result.losses[-1]:.6f}")
         print(f"max |w - serial|: {dev:.3e}")
-        if dropped:
-            print(
-                f"WARNING : tracer dropped {dropped} event(s) — the fault "
-                "log and timelines above are lossy",
-                file=sys.stderr,
-            )
+    _warn_dropped(dropped, "the fault log and timelines above")
     # Exit granularity: 0 = clean or fully recovered (crashes absorbed by
     # shrink/restore, bit flips detected and repaired); 1 = degraded — an
     # injected flip nobody detected escaped into the weights.
@@ -810,9 +635,7 @@ def _run_faults(args) -> int:
     escaped = ops.count("fault.bitflip") - ops.count("fault.sdc_detected")
     code = 1 if escaped > 0 else 0
     if args.json:
-        import json
-
-        print(json.dumps(
+        return _emit_json(
             {
                 "schema": "repro.cli.faults/v1",
                 "config": {
@@ -843,11 +666,8 @@ def _run_faults(args) -> int:
                 "escaped_flips": escaped,
                 "dropped": dropped,
                 "exit_code": code,
-            },
-            indent=2,
-            sort_keys=True,
-        ))
-        return code
+            }
+        )
     if escaped > 0:
         print(
             f"DEGRADED: {escaped} injected bit flip(s) escaped undetected "
@@ -874,10 +694,8 @@ _SDC_GAUNTLET = (
 
 
 def _run_sdc(args) -> int:
-    import numpy as np
-
     from repro.dist.abft import make_guard
-    from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
+    from repro.dist.train import distributed_mlp_train, mlp_run_record
     from repro.errors import RankFailedError, SDCError
     from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import BitFlipFault, FaultPlan
@@ -885,10 +703,7 @@ def _run_sdc(args) -> int:
     dims = (12, 10, 8)
     pr = pc = 2
     batch = 8
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
-    params0 = MLPParams.init(dims, seed=args.seed)
+    x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
 
     def run(plan=None, guard=None):
         engine = SimEngine(pr * pc, trace=True, faults=plan)
@@ -941,53 +756,34 @@ def _run_sdc(args) -> int:
     width = max(len(n) for n, _ in outcomes)
     for name, outcome in outcomes:
         print(f"  {name:<{width}}  {outcome}")
-    if args.record and last is not None:
-        from repro.analysis import write_run_record
-
+    if last is not None:
         engine, sim, guard = last
-        record = mlp_run_record(
+        _write_record(args, lambda: mlp_run_record(
             engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
             steps=args.steps, sdc=guard, meta={"gauntlet": "sdc"},
-        )
-        write_run_record(record, args.record)
-        print(f"record  : wrote {args.record}")
-    if total_dropped:
-        print(
-            f"WARNING : tracer dropped {total_dropped} event(s) across the "
-            "gauntlet — injected-flip counts from unguarded traces may "
-            "undercount",
-            file=sys.stderr,
-        )
-    kinds = {o for _, o in outcomes}
-    if "escaped" in kinds or "no-fire" in kinds:
-        print(
-            "VERDICT : corruption escaped into the weights "
-            "(or a plan failed to fire)",
-            file=sys.stderr,
-        )
-        return 2
-    if "detected-unrecovered" in kinds:
-        print(
-            "VERDICT : all corruption detected, but some runs could not "
-            "recover",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        "VERDICT : every injected flip was detected and recovered; all "
-        "final weights bit-identical to the clean run"
+        ))
+    _warn_dropped(total_dropped, "the unguarded injected-flip counts")
+    code = _exit_code(
+        (o for _, o in outcomes),
+        {"escaped": 2, "no-fire": 2, "detected-unrecovered": 1},
     )
-    return 0
+    verdict = (
+        "every injected flip was detected and recovered; all final weights "
+        "bit-identical to the clean run",
+        "all corruption detected, but some runs could not recover",
+        "corruption escaped into the weights (or a plan failed to fire)",
+    )[code]
+    print(f"VERDICT : {verdict}", file=sys.stderr if code else sys.stdout)
+    return code
 
 
 def _run_chaos(args) -> int:
-    import json
     import os
 
     import numpy as np
 
+    from repro.analysis import write_run_record
     from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-    from repro.dist.train import MLPParams
     from repro.errors import ReproError
     from repro.simmpi.faults import (
         BitFlipFault,
@@ -1005,10 +801,7 @@ def _run_chaos(args) -> int:
     if steps < 4:
         print("chaos needs at least 4 steps", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
-    params0 = MLPParams.init(dims, seed=args.seed)
+    x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
     mid = max(2, steps // 2)
 
     # The deterministic gauntlet: every failure archetype the checkpoint
@@ -1189,9 +982,8 @@ def _run_chaos(args) -> int:
             return False
         return True
 
-    outcomes = []
     rows = []
-    total_dropped = 0
+    width = max(len(name) for name, _, _, _ in trials)
     for name, plan, parity, sdc in trials:
         e_res, e_err = run_mode("erasure", plan, parity, sdc)
         r_res, r_err = run_mode("replicate", plan, parity, sdc)
@@ -1261,9 +1053,6 @@ def _run_chaos(args) -> int:
                     f"(grids {r_res.grids}); ahead={ahead} "
                     f"oracle-match={first_ok} converged={close}"
                 )
-        outcomes.append((name, outcome))
-        trial_dropped = e_res.engine.tracer.dropped if e_res else 0
-        total_dropped += trial_dropped
         rows.append(
             {
                 "trial": name,
@@ -1273,10 +1062,9 @@ def _run_chaos(args) -> int:
                 "failed_ranks": sorted(e_res.sim.failed) if e_res else None,
                 "restore_steps": e_res.restore_steps if e_res else None,
                 "degraded_steps": e_res.degraded_steps if e_res else None,
-                "dropped": trial_dropped,
+                "dropped": e_res.engine.tracer.dropped if e_res else 0,
             }
         )
-        width = max(len(n) for n, _, _, _ in trials)
         if not args.json:
             print(f"  {name:<{width}}  {outcome}"
                   + (f"  [{detail}]" if detail else ""))
@@ -1285,32 +1073,24 @@ def _run_chaos(args) -> int:
             with open(f"{stem}.plan.json", "w", encoding="utf-8") as fh:
                 fh.write(plan.to_json())
             if e_res is not None:
-                from repro.analysis import write_run_record
-
                 record = elastic_run_record(
                     e_res, batch=batch, steps=steps, checkpoint_every=2,
                     ckpt_mode="erasure", parity=parity, sdc=sdc,
                     meta={"chaos_trial": name},
                 )
                 write_run_record(record, f"{stem}.record.json")
-    kinds = {o for _, o in outcomes}
-    if "SILENT-DIVERGENCE" in kinds:
-        code = 2
-        verdict = (
-            "erasure-coded recovery silently diverged from the replicated "
-            "reference"
-        )
-    elif "declared-failed" in kinds or "declared-degraded" in kinds:
-        code = 1
-        verdict = (
-            "every loss beyond the parity budget was declared; nothing "
-            "diverged silently"
-        )
-    else:
-        code = 0
-        verdict = (
-            "every trial recovered bit-identically to the replicated reference"
-        )
+    code = _exit_code(
+        (row["outcome"] for row in rows),
+        {"SILENT-DIVERGENCE": 2, "declared-failed": 1, "declared-degraded": 1},
+    )
+    verdict = (
+        "every trial recovered bit-identically to the replicated reference",
+        "every loss beyond the parity budget was declared; nothing diverged "
+        "silently",
+        "erasure-coded recovery silently diverged from the replicated "
+        "reference",
+    )[code]
+    total_dropped = sum(row["dropped"] for row in rows)
     payload = {
         "config": {
             "dims": list(dims), "pr": pr, "pc": pc, "batch": batch,
@@ -1323,44 +1103,23 @@ def _run_chaos(args) -> int:
         "exit_code": code,
         "verdict": verdict,
     }
-    if total_dropped and not args.json:
-        print(
-            f"WARNING : tracer dropped {total_dropped} event(s) across the "
-            "soak — per-trial records and timelines are lossy",
-            file=sys.stderr,
-        )
+    _warn_dropped(total_dropped, "the per-trial records")
     if not args.json:
         print(f"VERDICT : {verdict}",
               file=sys.stderr if code == 2 else sys.stdout)
     if want_artifacts:
         summary_path = os.path.join(args.out, "chaos_summary.json")
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit_json(payload, summary_path)
         if not args.json:
             print(f"wrote   : {summary_path}")
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        return _emit_json(payload)
     return code
 
 
-#: ``repro watch`` scenarios: each returns (result-ish, engine, record_fn)
-#: where record_fn() builds the RunRecord.  Small enough to run in
-#: seconds, chosen so the advertised rule actually fires.
-_WATCH_SCENARIOS = ("clean", "straggler", "crash", "degrade", "diverge")
-
-
 def _run_watch(args) -> int:
-    import json
-
-    import numpy as np
-
     from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-    from repro.dist.train import (
-        MLPParams,
-        distributed_mlp_train,
-        mlp_run_record,
-    )
+    from repro.dist.train import distributed_mlp_train, mlp_run_record
     from repro.errors import ReproError
     from repro.observe.health import (
         HealthConfig,
@@ -1393,10 +1152,7 @@ def _run_watch(args) -> int:
     batch = 8
     steps = args.steps
     lr = 0.05
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
-    params0 = MLPParams.init(dims, seed=args.seed)
+    x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
     mid = max(1, steps // 2)
     scenario = args.scenario
 
@@ -1467,18 +1223,20 @@ def _run_watch(args) -> int:
     monitor.finish()
     # The verdict (and everything recorded) comes from the deterministic
     # virtual-time replay, not the live thread interleave.
-    events = engine.tracer.canonical()
-    report = evaluate_health(events, health_config)
+    report = evaluate_health(engine.tracer.canonical(), health_config)
     makespan = max(clocks) if clocks else 0.0
     dropped = engine.tracer.dropped
+    worst = report.worst
+    if not args.json:
+        print()
+        if report.events:
+            print(report.to_table().to_ascii())
+        else:
+            print("health  : no events — run looks healthy")
+    _warn_dropped(dropped, "the health evaluation above")
 
-    record = None
-    if args.record or args.registry:
-        record = record_fn()
-    if args.record:
-        from repro.analysis import write_run_record
-
-        write_run_record(record, args.record)
+    record = record_fn() if args.record or args.registry else None
+    _write_record(args, lambda: record)
     if args.registry:
         from repro.observe.registry import append_entries, entry_from_record
 
@@ -1486,11 +1244,12 @@ def _run_watch(args) -> int:
             record.to_dict(), source=f"repro watch --scenario {scenario}"
         )
         append_entries(args.registry, [entry])
+        if not args.json:
+            print(f"registry: appended 1 entry to {args.registry}")
 
-    worst = report.worst
-    code = {"crit": 2, "warn": 1}.get(worst, 0)
+    code = _exit_code([worst], {"crit": 2, "warn": 1})
     if args.json:
-        payload = {
+        return _emit_json({
             "schema": "repro.cli.watch/v1",
             "scenario": scenario,
             "config": dict(config, grid=f"{pr}x{pc}", seed=args.seed),
@@ -1499,29 +1258,13 @@ def _run_watch(args) -> int:
             "makespan_s": makespan,
             "dropped": dropped,
             "exit_code": code,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return code
-    print()
-    if report.events:
-        print(report.to_table().to_ascii())
-    else:
-        print("health  : no events — run looks healthy")
-    if dropped:
-        print(f"WARNING : tracer dropped {dropped} event(s); the health "
-              "evaluation above ran on a lossy trace", file=sys.stderr)
-    if args.record:
-        print(f"record  : wrote {args.record}")
-    if args.registry:
-        print(f"registry: appended 1 entry to {args.registry}")
+        })
     print(f"verdict : {'healthy' if worst is None else worst.upper()} "
           f"(makespan {makespan:.6f}s virtual)")
     return code
 
 
 def _run_history(args) -> int:
-    import json
-
     from repro.errors import ReproError
     from repro.observe.registry import (
         DriftThresholds,
@@ -1555,9 +1298,9 @@ def _run_history(args) -> int:
                   file=sys.stderr)
             return 2
     status = worst_status(trends)
-    code = {"drift": 2, "warn": 1}.get(status, 0)
+    code = _exit_code([status], {"drift": 2, "warn": 1})
     if args.json:
-        payload = {
+        return _emit_json({
             "schema": "repro.cli.history/v1",
             "registry": args.registry,
             "entries": len(entries),
@@ -1576,9 +1319,7 @@ def _run_history(args) -> int:
             ],
             "worst": status,
             "exit_code": code,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return code
+        })
     print(f"registry: {args.registry} ({len(entries)} entries, "
           f"{len({t.series for t in trends})} judged series)")
     print()
@@ -1597,8 +1338,6 @@ def _run_history(args) -> int:
 
 
 def _run_ingest(args) -> int:
-    import json
-
     from repro.errors import ReproError
     from repro.observe.registry import append_entries, entry_from_payload
 
@@ -1610,11 +1349,6 @@ def _run_ingest(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read {path!r}: {exc}", file=sys.stderr)
             return 2
-        # CLI --json wrappers carry the ingestible record one level down.
-        if isinstance(payload, dict) and "record" in payload and str(
-            payload.get("schema", "")
-        ).startswith("repro.cli."):
-            payload = payload["record"]
         try:
             entry = entry_from_payload(payload, source=path)
         except ReproError as exc:
@@ -1630,8 +1364,6 @@ def _run_ingest(args) -> int:
 
 
 def _run_dash(args) -> int:
-    import json
-
     from repro.errors import ReproError
     from repro.observe.registry import compute_trends, load_registry
     from repro.report.dash import write_dashboard
@@ -1672,14 +1404,12 @@ TRACE_PRESETS = {
 
 
 def _run_trace(args) -> int:
-    import numpy as np
-
     from repro.analysis import (
         critical_path,
         rank_accounting,
         register_analysis_metrics,
     )
-    from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
+    from repro.dist.train import distributed_mlp_train, mlp_run_record
     from repro.errors import ReproError
     from repro.report.export import export_metrics
     from repro.report.timeline import render_traffic_matrix, traffic_matrix
@@ -1687,7 +1417,7 @@ def _run_trace(args) -> int:
     from repro.telemetry.audit import audit_events
     from repro.telemetry.chrome import validate_chrome_trace, write_chrome_trace
     from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.summary import dropped_warning, span_summary
+    from repro.telemetry.summary import span_summary
 
     dims = TRACE_PRESETS[args.experiment]
     print(
@@ -1695,15 +1425,11 @@ def _run_trace(args) -> int:
         f"batch {args.batch}, {args.steps} step(s)"
         + (f", SDC guards on ({args.sdc})" if args.sdc else "")
     )
-    seed = 0
-    n = 4 * args.batch
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dims[0], n))
-    y = rng.integers(0, dims[-1], n)
+    x, y, params0 = _toy_mlp(dims, 4 * args.batch, 0)
     try:
         engine = SimEngine(args.pr * args.pc, trace=True)
         _, _, sim = distributed_mlp_train(
-            MLPParams.init(dims, seed=seed), x, y,
+            params0, x, y,
             pr=args.pr, pc=args.pc, batch=args.batch, steps=args.steps,
             engine=engine, sdc=args.sdc,
         )
@@ -1718,8 +1444,7 @@ def _run_trace(args) -> int:
     except ReproError as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 2
-    if dropped:
-        print(f"WARNING : {dropped_warning(dropped)}", file=sys.stderr)
+    _warn_dropped(dropped, "the totals below")
     registry = MetricsRegistry()
     for event in events:
         registry.observe_event(event)
@@ -1750,16 +1475,11 @@ def _run_trace(args) -> int:
         f"{report.max_latency_rel_error:.3e}"
         f" -> {'EXACT' if report.exact else 'MISMATCH'}"
     )
-    if args.record:
-        from repro.analysis import write_run_record
-
-        record = mlp_run_record(
-            engine, sim, dims=dims, pr=args.pr, pc=args.pc,
-            batch=args.batch, steps=args.steps, sdc=args.sdc,
-            meta={"experiment": args.experiment},
-        )
-        write_run_record(record, args.record)
-        print(f"record  : wrote {args.record}")
+    _write_record(args, lambda: mlp_run_record(
+        engine, sim, dims=dims, pr=args.pr, pc=args.pc,
+        batch=args.batch, steps=args.steps, sdc=args.sdc,
+        meta={"experiment": args.experiment},
+    ))
     if args.out:
         trace_path = f"{args.out.rstrip('/')}/trace.json"
         obj = write_chrome_trace(
@@ -1801,14 +1521,11 @@ def _profile_grid(args):
 
 
 def _run_profile(args) -> int:
-    import json
     import math
     import os
 
-    import numpy as np
-
     from repro.errors import ConfigurationError, ReproError
-    from repro.profile import ProfileSession, host_block
+    from repro.profile import OVERHEAD_BUDGET, ProfileSession, host_block
     from repro.profile.export import (
         write_collapsed,
         write_flamegraph_html,
@@ -1816,14 +1533,14 @@ def _run_profile(args) -> int:
     )
     from repro.simmpi.engine import SimEngine
 
-    trace = args.record is not None
     try:
         pr, pc = _profile_grid(args)
         session = (
             ProfileSession(hz=args.hz) if args.hz is not None else ProfileSession()
         )
         engine = SimEngine(
-            pr * pc, trace=trace, supervise=args.trainer == "elastic"
+            pr * pc, trace=args.record is not None,
+            supervise=args.trainer == "elastic",
         )
     except ConfigurationError as exc:
         print(f"profile config error: {exc}", file=sys.stderr)
@@ -1831,8 +1548,7 @@ def _run_profile(args) -> int:
 
     seed = 0
     steps = args.steps
-    rng = np.random.default_rng(seed)
-    record = None
+    meta = {"profiled": True}
     if not args.json:
         print(
             f"profile : {args.trainer} on a {pr}x{pc} grid "
@@ -1840,49 +1556,38 @@ def _run_profile(args) -> int:
             f"sampling at {session.hz:g}Hz"
         )
     try:
-        if args.trainer == "mlp":
-            from repro.dist.train import (
-                MLPParams, distributed_mlp_train, mlp_run_record,
-            )
-
+        if args.trainer in ("mlp", "elastic"):
             dims = (max(64, pr), max(64, pr), max(32, pr))
             batch = 2 * pc
-            n = 2 * batch
-            x = rng.standard_normal((dims[0], n))
-            y = rng.integers(0, dims[-1], n)
-            _, _, sim = distributed_mlp_train(
-                MLPParams.init(dims, seed=seed), x, y,
-                pr=pr, pc=pc, batch=batch, steps=steps,
-                engine=engine, profile=session,
-            )
-            if trace:
-                record = mlp_run_record(
-                    engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
-                    steps=steps, meta={"profiled": True},
-                    host=host_block(engine),
-                )
-        elif args.trainer == "elastic":
-            from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-            from repro.dist.train import MLPParams
+            x, y, params0 = _toy_mlp(dims, 2 * batch, seed)
+            run = dict(pr=pr, pc=pc, batch=batch, steps=steps,
+                       engine=engine, profile=session)
+            if args.trainer == "mlp":
+                from repro.dist.train import distributed_mlp_train, mlp_run_record
 
-            dims = (max(64, pr), max(64, pr), max(32, pr))
-            batch = 2 * pc
-            n = 2 * batch
-            x = rng.standard_normal((dims[0], n))
-            y = rng.integers(0, dims[-1], n)
-            result = elastic_mlp_train(
-                MLPParams.init(dims, seed=seed), x, y,
-                pr=pr, pc=pc, batch=batch, steps=steps,
-                engine=engine, profile=session,
-            )
-            if trace:
-                record = elastic_run_record(
-                    result, batch=batch, steps=steps, meta={"profiled": True},
-                    host=host_block(result.engine),
-                )
+                _, _, sim = distributed_mlp_train(params0, x, y, **run)
+
+                def record_fn():
+                    return mlp_run_record(
+                        engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
+                        steps=steps, meta=meta, host=host_block(engine),
+                    )
+            else:
+                from repro.dist.elastic import elastic_mlp_train, elastic_run_record
+
+                result = elastic_mlp_train(params0, x, y, **run)
+
+                def record_fn():
+                    return elastic_run_record(
+                        result, batch=batch, steps=steps, meta=meta,
+                        host=host_block(result.engine),
+                    )
         elif args.trainer == "summa":
+            import numpy as np
+
             from repro.dist.summa2d import summa_run_record, summa_train
 
+            rng = np.random.default_rng(seed)
             k = math.lcm(pr, pc) * 8
             m = max(64, 4 * pr)
             n_cols = max(64, 4 * pc)
@@ -1891,10 +1596,11 @@ def _run_profile(args) -> int:
             _, sim, _ = summa_train(
                 a, b, pr=pr, pc=pc, engine=engine, profile=session,
             )
-            if trace:
-                record = summa_run_record(
+
+            def record_fn():
+                return summa_run_record(
                     engine, sim, m=m, k=k, n=n_cols, pr=pr, pc=pc,
-                    meta={"profiled": True}, host=host_block(engine),
+                    meta=meta, host=host_block(engine),
                 )
         else:  # integrated
             from repro.data.synthetic import synthetic_images
@@ -1915,11 +1621,11 @@ def _run_profile(args) -> int:
                 pr=pr, pc=pc, batch=batch, steps=steps,
                 engine=engine, profile=session,
             )
-            if trace:
-                record = cnn_run_record(
+
+            def record_fn():
+                return cnn_run_record(
                     engine, sim, config=config, pr=pr, pc=pc, batch=batch,
-                    steps=steps, meta={"profiled": True},
-                    host=host_block(engine),
+                    steps=steps, meta=meta, host=host_block(engine),
                 )
     except ReproError as exc:
         print(f"profile failed: {exc}", file=sys.stderr)
@@ -1956,16 +1662,42 @@ def _run_profile(args) -> int:
             collapsed, artifacts["pprof"], period_ns=1e9 / report.hz,
         )
         artifacts["report"] = f"{out}/profile.json"
-        with open(artifacts["report"], "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.record and record is not None:
-        from repro.analysis import write_run_record
+        _emit_json(report.to_dict(), artifacts["report"])
 
-        write_run_record(record, args.record)
+    if not args.json:
+        print()
+        print(report.to_table().to_ascii())
+        print()
+        c = report.counters
+        print(
+            f"counters: {c['msgs_sent']} msgs ({c['bytes_sent']} bytes), "
+            f"{c['msgs_delivered']} delivered, {c['postal_calls']} postal, "
+            f"{c['switches']} switches, {c['dispatches']} dispatches, "
+            f"{c['trace_records']} trace records"
+        )
+        if report.us_per_msg is not None:
+            print(
+                f"derived : {report.us_per_msg:.2f} µs/msg sampled on the "
+                f"message path, {report.us_per_msg_allin:.2f} µs/msg all-in "
+                "(wall / msgs)"
+            )
+        if report.us_per_switch is not None:
+            print(
+                f"          {report.us_per_switch:.2f} µs/switch "
+                "(scheduler + handoff over switch count)"
+            )
+        print(
+            f"overhead: sampler busy {report.sampler_busy_s * 1e3:.1f}ms of "
+            f"{wall:.3f}s wall ({report.overhead_frac:.2%}; budget "
+            f"{100 * OVERHEAD_BUDGET:.0f}%), {report.samples} samples kept, "
+            f"{report.samples_dropped} dropped"
+        )
+        for name, path in artifacts.items():
+            print(f"export  : {name} -> {path}")
+    _write_record(args, record_fn)
 
     if args.json:
-        payload = {
+        return _emit_json({
             "schema": "repro.cli.profile/v1",
             "trainer": args.trainer,
             "grid": {"pr": pr, "pc": pc},
@@ -1976,41 +1708,7 @@ def _run_profile(args) -> int:
             "artifacts": artifacts,
             "record": args.record,
             "exit_code": exit_code,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return exit_code
-
-    print()
-    print(report.to_table().to_ascii())
-    print()
-    c = report.counters
-    print(
-        f"counters: {c['msgs_sent']} msgs ({c['bytes_sent']} bytes), "
-        f"{c['msgs_delivered']} delivered, {c['postal_calls']} postal, "
-        f"{c['switches']} switches, {c['dispatches']} dispatches, "
-        f"{c['trace_records']} trace records"
-    )
-    if report.us_per_msg is not None:
-        print(
-            f"derived : {report.us_per_msg:.2f} µs/msg sampled on the "
-            f"message path, {report.us_per_msg_allin:.2f} µs/msg all-in "
-            "(wall / msgs)"
-        )
-    if report.us_per_switch is not None:
-        print(
-            f"          {report.us_per_switch:.2f} µs/switch "
-            "(scheduler + handoff over switch count)"
-        )
-    print(
-        f"overhead: sampler busy {report.sampler_busy_s * 1e3:.1f}ms of "
-        f"{wall:.3f}s wall ({report.overhead_frac:.2%}; budget "
-        f"{100 * _profile_budget():.0f}%), {report.samples} samples kept, "
-        f"{report.samples_dropped} dropped"
-    )
-    for name, path in artifacts.items():
-        print(f"export  : {name} -> {path}")
-    if args.record and record is not None:
-        print(f"record  : wrote {args.record}")
+        })
     if not attribution_ok:
         print(
             f"ATTRIBUTION MISMATCH: rows sum to {report.attribution_total_s:.3f}s "
@@ -2018,12 +1716,6 @@ def _run_profile(args) -> int:
             file=sys.stderr,
         )
     return exit_code
-
-
-def _profile_budget() -> float:
-    from repro.profile import OVERHEAD_BUDGET
-
-    return OVERHEAD_BUDGET
 
 
 def _run_diff(args) -> int:
@@ -2082,70 +1774,51 @@ def _run_diff(args) -> int:
     return 0
 
 
-def _run_one(experiment_id: str, out: Optional[str], quiet: bool) -> None:
-    entry = get_experiment(experiment_id)
-    result = entry.runner()
-    if not quiet:
-        print(result.render())
-        print()
-    if out:
-        for i, table in enumerate(result.tables):
-            stem = result.experiment_id if i == 0 else f"{result.experiment_id}_{i}"
-            export_results(table, out, stem)
-        write_text(f"{out.rstrip('/')}/{result.experiment_id}_report.txt", result.render())
+def _run_list(args) -> int:
+    width = max(len(k) for k in EXPERIMENTS)
+    for entry in EXPERIMENTS.values():
+        print(f"{entry.experiment_id:<{width}}  [{entry.paper_ref:<15}] {entry.title}")
+    return 0
+
+
+def _run_summary(args) -> int:
+    setting = default_setting()
+    print(setting.network.summary())
+    print()
+    m = setting.machine
+    print(
+        f"machine: {m.name} (alpha={m.alpha * 1e6:g}us, "
+        f"1/beta={m.bandwidth / 1e9:g} GB/s)"
+    )
+    print(
+        f"dataset: {setting.dataset.name} "
+        f"({setting.dataset.train_images:,} images, "
+        f"{setting.dataset.num_classes} classes)"
+    )
+    return 0
+
+
+def _run_experiments(args) -> int:
+    ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    for experiment_id in ids:
+        result = get_experiment(experiment_id).runner()
+        if not args.quiet:
+            print(result.render())
+            print()
+        if args.out:
+            for i, table in enumerate(result.tables):
+                stem = result.experiment_id if i == 0 else f"{result.experiment_id}_{i}"
+                export_results(table, args.out, stem)
+            write_text(
+                f"{args.out.rstrip('/')}/{result.experiment_id}_report.txt",
+                result.render(),
+            )
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        width = max(len(k) for k in EXPERIMENTS)
-        for entry in EXPERIMENTS.values():
-            print(f"{entry.experiment_id:<{width}}  [{entry.paper_ref:<15}] {entry.title}")
-        return 0
-    if args.command == "summary":
-        setting = default_setting()
-        print(setting.network.summary())
-        print()
-        m = setting.machine
-        print(
-            f"machine: {m.name} (alpha={m.alpha * 1e6:g}us, "
-            f"1/beta={m.bandwidth / 1e9:g} GB/s)"
-        )
-        print(
-            f"dataset: {setting.dataset.name} "
-            f"({setting.dataset.train_images:,} images, "
-            f"{setting.dataset.num_classes} classes)"
-        )
-        return 0
-    if args.command == "best":
-        return _run_best(args)
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "faults":
-        return _run_faults(args)
-    if args.command == "sdc":
-        return _run_sdc(args)
-    if args.command == "watch":
-        return _run_watch(args)
-    if args.command == "history":
-        return _run_history(args)
-    if args.command == "ingest":
-        return _run_ingest(args)
-    if args.command == "dash":
-        return _run_dash(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "profile":
-        return _run_profile(args)
-    if args.command == "diff":
-        return _run_diff(args)
-    # run
-    ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for experiment_id in ids:
-        _run_one(experiment_id, args.out, args.quiet)
-    return 0
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,8 +3,9 @@
 An append-only JSONL store (one :class:`RegistryEntry` per line,
 ``benchmarks/REGISTRY.jsonl`` by convention) that ingests every
 RunRecord (``repro faults --record``, ``repro trace --record``,
-``repro watch --record``) and every BENCH result (``repro bench
---json``, ``benchmarks/bench_*.py``) the project produces, turning
+``repro watch --record``) and every BENCH result
+(``benchmarks/BENCH_*.json``, written by ``benchmarks/bench_*.py``)
+the project produces, turning
 point-in-time gates into *trajectories*.
 
 Entries are grouped into **series** — one per distinct run
@@ -29,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.results import ResultTable
@@ -52,13 +54,8 @@ __all__ = [
 
 REGISTRY_SCHEMA = "repro.observe.registry/v1"
 
-#: Bench schema tag -> short series name.
-_BENCH_SERIES = {
-    "repro.search.bench": "search",
-    "repro.sdc.bench": "sdc",
-    "repro.checkpoint.bench": "checkpoint",
-    "repro.observe.bench": "observe",
-}
+#: A BENCH result's schema tag; the ``<name>`` names its series.
+_BENCH_SCHEMA = re.compile(r"repro\.(\w+)\.bench/v\d+")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -184,18 +181,17 @@ def entry_from_record(
 def entry_from_bench(payload: Dict[str, Any], source: str = "") -> RegistryEntry:
     """Build the registry entry for one BENCH result dict.
 
-    Recognizes every ``repro.*.bench/v*`` schema; the metrics are the
-    numeric scalar fields of the payload (``overhead``, ``speedup``,
-    ``reduction``, timings, ...), which is exactly what the gates
-    threshold on.
+    Recognizes every ``repro.<name>.bench/v<N>`` schema as series
+    ``bench:<name>``; the metrics are the numeric scalar fields of the
+    payload (``overhead``, ``speedup``, ``reduction``, timings, ...),
+    which is exactly what the gates threshold on.
     """
     schema = payload.get("schema", "")
-    family = str(schema).rsplit("/", 1)[0]
-    series = _BENCH_SERIES.get(family)
-    if series is None:
+    match = _BENCH_SCHEMA.fullmatch(str(schema))
+    if match is None:
         raise ConfigurationError(
-            f"unknown bench schema {schema!r}; expected one of "
-            f"{sorted(_BENCH_SERIES)}"
+            f"cannot ingest payload with schema {schema!r} "
+            "(expected a run record or a repro.<name>.bench/v<N> result)"
         )
     metrics = {
         key: float(value)
@@ -206,7 +202,7 @@ def entry_from_bench(payload: Dict[str, Any], source: str = "") -> RegistryEntry
         raise ConfigurationError(f"bench payload {schema!r} has no numeric metrics")
     return RegistryEntry(
         kind="bench",
-        series=f"bench:{series}",
+        series=f"bench:{match.group(1)}",
         metrics=metrics,
         source=source,
         meta={"schema": schema},
@@ -215,15 +211,11 @@ def entry_from_bench(payload: Dict[str, Any], source: str = "") -> RegistryEntry
 
 def entry_from_payload(payload: Dict[str, Any], source: str = "") -> RegistryEntry:
     """Auto-detect RunRecord vs BENCH result by schema tag."""
-    schema = str(payload.get("schema", "") if isinstance(payload, dict) else "")
-    if schema.startswith("repro.analysis.record/"):
+    if not isinstance(payload, dict):
+        raise ConfigurationError("cannot ingest a payload that is not a JSON object")
+    if str(payload.get("schema", "")).startswith("repro.analysis.record/"):
         return entry_from_record(payload, source)
-    if schema.rsplit("/", 1)[0] in _BENCH_SERIES:
-        return entry_from_bench(payload, source)
-    raise ConfigurationError(
-        f"cannot ingest payload with schema {schema!r} "
-        "(expected a run record or a bench result)"
-    )
+    return entry_from_bench(payload, source)
 
 
 # -- the store ------------------------------------------------------------

@@ -17,12 +17,12 @@ without changing a single answer:
   to the serial :mod:`repro.core.optimizer` path;
 * :mod:`repro.search.sweeps` — multi-point sweeps (strong/weak scaling,
   Pareto frontier, machine sensitivity) over an optional process pool
-  with deterministic, order-independent merging;
-* :mod:`repro.search.bench` — the ``repro bench`` perf record
-  (``BENCH_search.json``) and baseline regression gate.
+  with deterministic, order-independent merging.
+
+``benchmarks/bench_search.py`` gates the engine's cold-cache speedup
+over the serial path against ``benchmarks/BENCH_search.json``.
 """
 
-from repro.search.bench import BenchRecord, compare_to_baseline, run_search_bench
 from repro.search.cache import CacheStats, CostCache
 from repro.search.engine import SearchEngine, default_engine
 from repro.search.sweeps import (
@@ -35,19 +35,16 @@ from repro.search.sweeps import (
 from repro.search.tables import GridCostTable, family_cost_table, per_layer_cost_table
 
 __all__ = [
-    "BenchRecord",
     "CacheStats",
     "CostCache",
     "GridCostTable",
     "SearchEngine",
     "SensitivityPoint",
     "comm_memory_frontier",
-    "compare_to_baseline",
     "default_engine",
     "family_cost_table",
     "machine_sensitivity",
     "per_layer_cost_table",
-    "run_search_bench",
     "strong_scaling_curve",
     "weak_scaling_curve",
 ]

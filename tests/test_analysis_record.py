@@ -244,17 +244,14 @@ class TestCheckpointCounters:
         assert "ckpt" not in payload
 
     def test_older_schemas_still_load(self):
+        # Only v5 loads now: a v1-v4 tag is refused by name, not misread.
         payload = _mlp_record().to_dict()
-        for old in (
-            "repro.analysis.record/v1",
-            "repro.analysis.record/v2",
-            "repro.analysis.record/v3",
-        ):
+        assert RunRecord.from_dict(dict(payload)) == _mlp_record()
+        for old in ("v1", "v2", "v3", "v4"):
             older = dict(payload)
-            older["schema"] = old
-            record = RunRecord.from_dict(older)
-            assert record.ckpt == {}
-            assert record.health == {}
+            older["schema"] = f"repro.analysis.record/{old}"
+            with pytest.raises(ConfigurationError, match=old):
+                RunRecord.from_dict(older)
 
     def test_validator_rejects_bad_ckpt(self):
         payload = self._elastic_record().to_dict()

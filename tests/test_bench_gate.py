@@ -94,8 +94,10 @@ def test_perturbed_baseline_lists_every_regression(tmp_path, capsys):
         ("{not json", "cannot read baseline"),
         (json.dumps(dict(RECORD, schema="other/v1")), "bad baseline schema 'other/v1'"),
         (json.dumps(dict(RECORD, config={"n": 2})), "baseline config does not match"),
+        (json.dumps({k: v for k, v in RECORD.items() if k != "max_overhead"}),
+         "baseline lacks the limit(s) ['max_overhead']"),
     ],
-    ids=["missing", "unparseable", "schema", "config"],
+    ids=["missing", "unparseable", "schema", "config", "limit"],
 )
 def test_unusable_baseline_is_a_configuration_error(tmp_path, capsys, content, message):
     path = tmp_path / "baseline.json"

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+BENCHMARKS = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+
 
 class TestList:
     def test_lists_all_experiments(self, capsys):
@@ -81,126 +83,73 @@ class TestBest:
         assert "allreduce(dW)" in out
         assert "blocking (critical-path) communication" in out
 
-    def test_best_serial_and_engine_agree(self, capsys):
-        assert main(["best", "-B", "2048", "-P", "256"]) == 0
-        engine_out = capsys.readouterr().out
-        assert main(["best", "-B", "2048", "-P", "256", "--serial"]) == 0
-        serial_out = capsys.readouterr().out
-        assert engine_out == serial_out
-
     def test_best_cache_stats_line(self, capsys):
         assert main(["best", "-B", "2048", "-P", "64", "--cache-stats"]) == 0
         out = capsys.readouterr().out
         assert "cache   :" in out and "hit rate" in out
 
-    def test_best_serial_cache_stats_is_na(self, capsys):
-        assert (
-            main(["best", "-B", "2048", "-P", "64", "--serial", "--cache-stats"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "cache   : n/a (serial optimizer, no cache)" in out
-
 
 class TestBench:
-    """``repro bench``: measure, record, and gate the search engine."""
+    """``benchmarks/bench_search.py``: the search engine's speedup gate."""
 
-    FAST = ["bench", "--points", "4,8", "-B", "64", "--repeat", "1"]
+    @pytest.fixture(scope="class")
+    def bench(self):
+        import importlib.util
+        import sys
 
-    def test_bench_no_compare_happy_path(self, capsys):
-        assert main(self.FAST + ["--no-compare"]) == 0
+        sys.path.insert(0, BENCHMARKS)  # the script imports _gate
+        try:
+            spec = importlib.util.spec_from_file_location(
+                "bench_search", os.path.join(BENCHMARKS, "bench_search.py")
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.path.remove(BENCHMARKS)
+        return module
+
+    def test_bench_committed_baseline_config_matches_defaults(self, bench, capsys):
+        assert bench.main([]) == 0
         out = capsys.readouterr().out
-        assert "config  :" in out and "P=[4, 8]" in out
-        assert "speedup :" in out and "bit-identical" in out
-        assert "cache   :" in out
+        assert "P=[8, 64, 256, 512]" in out and "bit-identical" in out
+        assert "cache   : 71 hits / 125 misses" in out
+        assert "gate    : PASS (floor 3.00x" in out
 
-    def test_bench_with_jobs_flag(self, capsys):
-        assert main(self.FAST + ["--jobs", "2", "--no-compare"]) == 0
-        assert "bit-identical" in capsys.readouterr().out
-
-    def test_bench_out_writes_record(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_search.json"
-        assert main(self.FAST + ["--no-compare", "--out", str(out_file)]) == 0
-        from repro.search.bench import BenchRecord
-
-        record = BenchRecord.from_json(out_file.read_text())
-        assert record.processes == (4, 8) and record.identical
-
-    def test_bench_update_baseline_then_gate_passes(self, tmp_path, capsys):
-        # The small FAST config amortizes too little work to clear the 3x
-        # floor, so the gate round-trip uses the default Fig. 7 config.
-        full = ["bench", "--repeat", "1"]
+    def test_bench_update_baseline_then_gate_passes(self, bench, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
-        assert (
-            main(full + ["--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
+        assert bench.main(["--baseline", str(baseline), "--update-baseline"]) == 0
         assert "baseline: updated" in capsys.readouterr().out
-        # Same config, generous tolerance: must pass the gate.
-        assert (
-            main(full + ["--baseline", str(baseline), "--tolerance", "0.9"])
-            == 0
-        )
+        assert bench.main(["--baseline", str(baseline)]) == 0
         assert "gate    : PASS" in capsys.readouterr().out
 
-    def test_bench_regression_exits_1(self, tmp_path, capsys):
-        # Fabricate a baseline claiming an absurd speedup; zero tolerance
-        # means any real measurement is a regression.
+    def test_bench_regression_exits_1(self, bench, tmp_path, capsys):
         import json
 
+        payload = json.loads(open(bench.BASELINE_PATH).read())
         baseline = tmp_path / "baseline.json"
-        assert (
-            main(self.FAST + ["--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
-        capsys.readouterr()
-        payload = json.loads(baseline.read_text())
-        payload["engine_s"] = payload["serial_s"] / 10000.0
+        baseline.write_text(json.dumps(dict(payload, floor_speedup=1000.0)))
+        assert bench.main(["--baseline", str(baseline)]) == 1
+        assert "below the 1000.00x floor" in capsys.readouterr().err
+
+    def test_bench_config_mismatch_exits_2(self, bench, tmp_path, capsys):
+        import json
+
+        payload = json.loads(open(bench.BASELINE_PATH).read())
+        payload["config"] = dict(payload["config"], processes=[4])
+        baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(payload))
-        assert main(self.FAST + ["--baseline", str(baseline)]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
+        assert bench.main(["--baseline", str(baseline)]) == 2
+        assert "config does not match" in capsys.readouterr().err
 
-    def test_bench_config_mismatch_exits_2(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(self.FAST + ["--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
-        capsys.readouterr()
-        other = ["bench", "--points", "4", "-B", "64", "--repeat", "1"]
-        assert main(other + ["--baseline", str(baseline)]) == 2
-        assert "configs differ" in capsys.readouterr().err
-
-    def test_bench_missing_baseline_exits_2(self, tmp_path, capsys):
-        assert main(self.FAST + ["--baseline", str(tmp_path / "nope.json")]) == 2
+    def test_bench_missing_baseline_exits_2(self, bench, tmp_path, capsys):
+        assert bench.main(["--baseline", str(tmp_path / "nope.json")]) == 2
         assert "cannot read baseline" in capsys.readouterr().err
 
-    def test_bench_corrupt_baseline_exits_2(self, tmp_path, capsys):
+    def test_bench_corrupt_baseline_exits_2(self, bench, tmp_path, capsys):
         baseline = tmp_path / "bad.json"
         baseline.write_text("{not json")
-        assert main(self.FAST + ["--baseline", str(baseline)]) == 2
-        assert "bad baseline" in capsys.readouterr().err
-
-    def test_bench_bad_points_exits_2(self, capsys):
-        assert main(["bench", "--points", "4,x", "--repeat", "1"]) == 2
-        assert "bad --points" in capsys.readouterr().err
-
-    def test_bench_committed_baseline_config_matches_defaults(self):
-        """The checked-in baseline gates the default configuration."""
-        from repro.search.bench import (
-            DEFAULT_BATCH,
-            DEFAULT_PROCESSES,
-            BenchRecord,
-        )
-
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "BENCH_search.json"
-        )
-        with open(path, "r", encoding="utf-8") as fh:
-            baseline = BenchRecord.from_json(fh.read())
-        assert baseline.processes == DEFAULT_PROCESSES
-        assert baseline.batch == DEFAULT_BATCH
-        assert baseline.identical
+        assert bench.main(["--baseline", str(baseline)]) == 2
+        assert "cannot read baseline" in capsys.readouterr().err
 
 
 class TestTrace:
@@ -359,6 +308,14 @@ class TestDiff:
         assert main(["diff", str(a), str(bad)]) == 2
         assert "cannot read current" in capsys.readouterr().err
 
+    def test_fresh_faults_record_matches_committed_baseline(self, tmp_path, capsys):
+        current = tmp_path / "run.json"
+        assert main(["faults", "--steps", "6", "--record", str(current)]) == 0
+        baseline = os.path.join(BENCHMARKS, "RECORD_baseline.json")
+        exact = ["--time-tol", "0", "--bytes-tol", "0", "--msgs-tol", "0"]
+        assert main(["diff", baseline, str(current), *exact]) == 0
+        assert "gate    : PASS" in capsys.readouterr().out
+
     def test_perturbed_record_exits_1(self, tmp_path, capsys):
         """The CI failure mode: a hand-perturbed record must fail the gate."""
         import json
@@ -374,6 +331,28 @@ class TestDiff:
         b.write_text(json.dumps(payload))
         assert main(["diff", str(a), str(b)]) == 1
         assert "REGRESSION" in capsys.readouterr().err
+
+
+class TestProfile:
+    def test_profile_json_record_and_flamegraph(self, tmp_path, capsys):
+        import json
+
+        out, record = tmp_path / "artifacts", tmp_path / "run.json"
+        argv = ["profile", "-P", "4", "--steps", "1", "--json",
+                "--out", str(out), "--record", str(record)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["attribution_ok"] and payload["engine"] == "event"
+        assert payload["report"]["counters"]["msgs_sent"] > 0
+        run = json.loads(record.read_text())
+        assert run["schema"] == "repro.analysis.record/v5"
+        assert run["host"]["samples"] >= 0
+        doc = (out / "flamegraph.html").read_text()
+        assert doc.startswith("<!doctype html>") and "<script" not in doc
+
+    def test_profile_bad_grid_exits_2(self, capsys):
+        assert main(["profile", "--pr", "0"]) == 2
+        assert "profile" in capsys.readouterr().err
 
 
 class TestParser:

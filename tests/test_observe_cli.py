@@ -94,6 +94,10 @@ class TestHistory:
         out = capsys.readouterr().out
         assert "verdict : ok" in out
 
+    def test_committed_registry_passes(self, capsys):
+        assert main(["history", "--registry", "benchmarks/REGISTRY.jsonl"]) == 0
+        assert "verdict : ok" in capsys.readouterr().out
+
     def test_missing_registry_exits_two(self, tmp_path, capsys):
         assert main(["history", "--registry",
                      str(tmp_path / "nope.jsonl")]) == 2
@@ -125,13 +129,12 @@ class TestHistory:
 
 class TestIngest:
     def test_bench_files_ingest(self, tmp_path, capsys):
+        names = ("checkpoint", "observe", "profile", "sdc", "search", "simmpi")
         registry = tmp_path / "reg.jsonl"
-        assert main(["ingest", "benchmarks/BENCH_observe.json",
-                     "benchmarks/BENCH_search.json",
+        assert main(["ingest", *(f"benchmarks/BENCH_{n}.json" for n in names),
                      "--registry", str(registry)]) == 0
         entries = load_registry(str(registry))
-        assert {e.series for e in entries} == {"bench:observe",
-                                               "bench:search"}
+        assert [e.series for e in entries] == [f"bench:{n}" for n in names]
 
     def test_unknown_schema_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -139,19 +142,6 @@ class TestIngest:
         registry = tmp_path / "reg.jsonl"
         assert main(["ingest", str(bad), "--registry", str(registry)]) == 2
         assert load_registry(str(registry)) == []
-
-    def test_cli_wrapper_unwrapped(self, tmp_path, capsys):
-        bench = json.load(open("benchmarks/BENCH_observe.json"))
-        wrapped = tmp_path / "wrapped.json"
-        wrapped.write_text(json.dumps({
-            "schema": "repro.cli.bench/v1",
-            "record": bench,
-            "gate": {"status": "pass"},
-        }))
-        registry = tmp_path / "reg.jsonl"
-        assert main(["ingest", str(wrapped),
-                     "--registry", str(registry)]) == 0
-        assert load_registry(str(registry))[0].series == "bench:observe"
 
 
 class TestDash:

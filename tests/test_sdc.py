@@ -442,13 +442,15 @@ class TestRunRecordV2:
         assert record.sdc["guard_bytes"] == 0
 
     def test_v1_baseline_still_reads_and_diffs_clean(self):
+        # A current record re-read from JSON diffs clean; a v1 tag is refused.
         record = self.record()
         payload = json.loads(record.to_json())
         assert payload["schema"] == RUN_RECORD_SCHEMA
-        payload["schema"] = "repro.analysis.record/v1"
-        v1 = RunRecord.from_dict(payload)
-        report = diff_records(v1, record)
+        report = diff_records(RunRecord.from_dict(payload), record)
         assert not report.regressed
+        payload["schema"] = "repro.analysis.record/v1"
+        with pytest.raises(ConfigurationError, match="v1"):
+            RunRecord.from_dict(payload)
 
     def test_unknown_schema_rejected(self):
         record = self.record()

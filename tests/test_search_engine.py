@@ -28,11 +28,6 @@ from repro.errors import ConfigurationError, StrategyError
 from repro.experiments.common import default_setting
 from repro.nn.zoo import mlp
 from repro.search import SearchEngine, sweeps
-from repro.search.bench import (
-    BenchRecord,
-    compare_to_baseline,
-    run_search_bench,
-)
 from repro.search.cache import CostCache, compute_key, machine_key
 from repro.search.sweeps import (
     comm_memory_frontier,
@@ -403,77 +398,3 @@ class TestScalingPointGuards:
         )
         assert points[0].speedup_vs_pure_batch > 0
         assert table.rows[0]["parallel_efficiency"] == 1.0
-
-
-class TestBench:
-    def test_record_roundtrip(self):
-        record = BenchRecord(
-            network="AlexNet", batch=2048.0, processes=(8, 64),
-            dataset_size=1000, repeat=2, serial_s=1.0, engine_s=0.2,
-            identical=True, cache_hits=10, cache_misses=5, cache_entries=5,
-        )
-        assert record.speedup == 5.0
-        parsed = BenchRecord.from_json(record.to_json())
-        assert parsed == record
-
-    def test_malformed_records_rejected(self):
-        with pytest.raises(ConfigurationError, match="invalid bench record"):
-            BenchRecord.from_json("not json")
-        with pytest.raises(ConfigurationError, match="schema"):
-            BenchRecord.from_json('{"schema": "wrong/v0"}')
-        with pytest.raises(ConfigurationError, match="malformed"):
-            BenchRecord.from_json(
-                '{"schema": "repro.search.bench/v1", "config": {}}'
-            )
-
-    def test_run_search_bench_small_config(self):
-        record = run_search_bench(processes=(4, 8), batch=64, repeat=1)
-        assert record.identical
-        assert record.processes == (4, 8)
-        assert record.serial_s > 0 and record.engine_s > 0
-        assert record.cache_entries > 0
-
-    def test_run_search_bench_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_search_bench(repeat=0)
-        with pytest.raises(ConfigurationError):
-            run_search_bench(processes=())
-
-    def _record(self, **overrides):
-        base = dict(
-            network="AlexNet", batch=2048.0, processes=(8, 64, 256, 512),
-            dataset_size=1200000, repeat=3, serial_s=1.0, engine_s=0.2,
-            identical=True, cache_hits=1, cache_misses=1, cache_entries=1,
-        )
-        base.update(overrides)
-        return BenchRecord(**base)
-
-    def test_gate_passes_when_no_regression(self):
-        assert compare_to_baseline(self._record(), self._record()) == []
-
-    def test_gate_fails_below_floor(self):
-        slow = self._record(engine_s=0.5)  # 2x < 3x floor
-        failures = compare_to_baseline(slow, self._record(engine_s=0.5))
-        assert any("floor" in f for f in failures)
-
-    def test_gate_fails_on_regression_vs_baseline(self):
-        baseline = self._record(engine_s=0.1)  # 10x
-        measured = self._record(engine_s=0.25)  # 4x: >20% below 10x
-        failures = compare_to_baseline(measured, baseline)
-        assert any("regressed" in f for f in failures)
-
-    def test_gate_fails_when_not_identical(self):
-        failures = compare_to_baseline(
-            self._record(identical=False), self._record()
-        )
-        assert any("bit-identical" in f for f in failures)
-
-    def test_gate_config_mismatch_raises(self):
-        with pytest.raises(ConfigurationError, match="configs differ"):
-            compare_to_baseline(
-                self._record(), self._record(processes=(4, 8))
-            )
-
-    def test_gate_tolerance_validated(self):
-        with pytest.raises(ConfigurationError, match="tolerance"):
-            compare_to_baseline(self._record(), self._record(), tolerance=1.5)
