@@ -55,6 +55,7 @@ def run_checkpoint_bench() -> dict:
     """Measure stored bytes and makespans; return a gateable record."""
     from repro.dist.elastic import elastic_mlp_train
     from repro.dist.train import MLPParams
+    from repro.simmpi.engine import SimEngine
 
     dims = tuple(CONFIG["dims"])
     rng = np.random.default_rng(CONFIG["seed"])
@@ -67,7 +68,8 @@ def run_checkpoint_bench() -> dict:
             params0, x, y, pr=CONFIG["pr"], pc=CONFIG["pc"],
             batch=CONFIG["batch"], steps=CONFIG["steps"],
             checkpoint_every=every, ckpt_mode=mode,
-            parity=CONFIG["parity"], trace=True,
+            parity=CONFIG["parity"],
+            engine=SimEngine(CONFIG["pr"] * CONFIG["pc"], trace=True, supervise=True),
         )
         takes = [
             e for e in res.engine.tracer.canonical()

@@ -30,6 +30,7 @@ baseline after an intentional change with ``--update-baseline``.
 import os
 import statistics
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -62,8 +63,9 @@ CEILING_OVERHEAD_RATIO = 1.25
 CEILING_US_PER_MSG = 180.0
 
 
-def _workload(profile=None):
-    """One fixed event-backend training run; returns (wall_s, outputs)."""
+def _workload(session=None):
+    """One fixed event-backend training run, inside ``session`` when
+    given; returns (wall_s, outputs)."""
     from repro.dist.train import MLPParams, distributed_mlp_train
     from repro.simmpi.engine import SimEngine
 
@@ -77,10 +79,11 @@ def _workload(profile=None):
     params0 = MLPParams.init(dims, seed=1)
     engine = SimEngine(pr * pc, backend="event")
     t0 = time.monotonic()
-    weights, losses, sim = distributed_mlp_train(
-        params0, x, y, pr=pr, pc=pc, batch=batch, steps=cfg["steps"],
-        engine=engine, profile=profile,
-    )
+    with nullcontext() if session is None else session:
+        weights, losses, sim = distributed_mlp_train(
+            params0, x, y, pr=pr, pc=pc, batch=batch, steps=cfg["steps"],
+            engine=engine,
+        )
     wall = time.monotonic() - t0
     return wall, (weights, losses, sim)
 
@@ -102,7 +105,7 @@ def _overhead_ratios():
     for _ in range(REPS):
         bare_wall, _ = _workload()
         session = ProfileSession(hz=CONFIG["run"]["hz"])
-        profiled_wall, _ = _workload(profile=session)
+        profiled_wall, _ = _workload(session)
         bare_walls.append(bare_wall)
         profiled_walls.append(profiled_wall)
         reports.append(session.report())
@@ -125,11 +128,10 @@ def _bit_identity():
     out = {}
     for profiled in (False, True):
         engine = SimEngine(4, backend="event", trace=True)
-        session = ProfileSession() if profiled else None
-        w, losses, sim = distributed_mlp_train(
-            params0, x, y, pr=2, pc=2, batch=8, steps=2,
-            engine=engine, profile=session,
-        )
+        with ProfileSession() if profiled else nullcontext():
+            w, losses, sim = distributed_mlp_train(
+                params0, x, y, pr=2, pc=2, batch=8, steps=2, engine=engine,
+            )
         out[profiled] = (w, losses, sim, engine.tracer.canonical())
     w0, l0, s0, c0 = out[False]
     w1, l1, s1, c1 = out[True]

@@ -17,6 +17,7 @@ from repro.data.synthetic import separable_blobs
 from repro.dist.train import MLPParams, distributed_mlp_train, serial_mlp_train
 from repro.machine.params import cori_knl
 from repro.report.tables import format_seconds
+from repro.simmpi.engine import SimEngine
 
 
 def main() -> None:
@@ -32,7 +33,7 @@ def main() -> None:
     print(f"{'grid':>6} {'max weight err':>16} {'max loss err':>14} {'sim comm time':>14}")
     for pr, pc in [(1, 4), (4, 1), (2, 2), (2, 3), (4, 2)]:
         weights, losses, run = distributed_mlp_train(
-            params, x, y, pr=pr, pc=pc, machine=cori_knl(), **kw
+            params, x, y, pr=pr, pc=pc, engine=SimEngine(pr * pc, cori_knl()), **kw
         )
         w_err = max(float(np.max(np.abs(a - b))) for a, b in zip(weights, serial_w.weights))
         l_err = float(np.max(np.abs(np.array(losses) - np.array(serial_losses))))

@@ -25,6 +25,7 @@ from repro.dist.integrated import (
 )
 from repro.machine.params import cori_knl
 from repro.report.tables import format_seconds
+from repro.simmpi.engine import SimEngine
 
 
 def main() -> None:
@@ -47,7 +48,8 @@ def main() -> None:
     print(f"{'grid':>6} {'domain parts':>13} {'max weight err':>16} {'sim time':>10}")
     for pr, pc in [(2, 1), (4, 1), (2, 2), (4, 2)]:
         dparams, dlosses, run = distributed_cnn_train(
-            config, params, x, y, pr=pr, pc=pc, machine=cori_knl(), **kw
+            config, params, x, y, pr=pr, pc=pc,
+            engine=SimEngine(pr * pc, cori_knl()), **kw
         )
         err = max(
             float(np.max(np.abs(a - b)))
@@ -58,7 +60,7 @@ def main() -> None:
     # Inspect the halo traffic of one training step on a 4x1 grid.
     _, _, traced = distributed_cnn_train(
         config, params, x, y, pr=4, pc=1, batch=16, steps=1, lr=0.1,
-        machine=cori_knl(), trace=True,
+        engine=SimEngine(4, cori_knl(), trace=True),
     )
     print("\nEach image is split into 4 row blocks; 3x3 convolutions exchange")
     print("floor(3/2) = 1 boundary row per neighbour, overlappable with the")

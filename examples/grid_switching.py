@@ -20,6 +20,7 @@ from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.train import MLPParams, serial_mlp_train
 from repro.machine.params import cori_knl
 from repro.report.tables import format_seconds
+from repro.simmpi.engine import SimEngine
 
 
 def main() -> None:
@@ -42,7 +43,7 @@ def main() -> None:
     for name, placements in mixes:
         weights, losses, run = distributed_switching_mlp_train(
             params, x, y, placements=placements, pr=4, pc=2,
-            machine=cori_knl(), **kw,
+            engine=SimEngine(8, cori_knl()), **kw,
         )
         exact = all(
             np.allclose(a, b, rtol=1e-9, atol=1e-11)

@@ -14,7 +14,7 @@ Run:  python examples/summa_vs_15d.py
 
 import numpy as np
 
-from repro.core.summa import summa_stationary_c_volume, volume_1p5d
+from repro.core.summa import volume_1p5d
 from repro.dist.grid import GridComm
 from repro.dist.matmul15d import forward_15d
 from repro.dist.partition import BlockPartition

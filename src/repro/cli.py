@@ -30,6 +30,14 @@ from repro.report.export import export_results, write_text
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _option(*names, **kwargs) -> argparse.ArgumentParser:
     """A one-option parent parser, so an option shared by several
     commands is declared once."""
@@ -50,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def steps(default):
         return _option(
-            "--steps", type=int, default=default,
-            help=f"training steps (default {default})",
+            "--steps", type=_positive_int, default=default,
+            help=f"training steps, at least 1 (default {default})",
         )
 
     seed = _option("--seed", type=int, default=0, help="data/init seed (default 0)")
@@ -534,6 +542,7 @@ def _run_faults(args) -> int:
         render_span_timeline,
         render_timeline,
     )
+    from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import Crash, FaultPlan, LinkFault, Straggler
 
     if args.ranks < 2:
@@ -573,7 +582,8 @@ def _run_faults(args) -> int:
     try:
         result = elastic_mlp_train(
             params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
-            checkpoint_every=2, faults=plan, trace=True, sdc=args.sdc,
+            checkpoint_every=2, sdc=args.sdc,
+            engine=SimEngine(pr * pc, trace=True, faults=plan, supervise=True),
         )
     except ReproError as exc:
         print(f"DEGRADED: run failed under the fault plan: {exc}", file=sys.stderr)
@@ -785,6 +795,7 @@ def _run_chaos(args) -> int:
     from repro.analysis import write_run_record
     from repro.dist.elastic import elastic_mlp_train, elastic_run_record
     from repro.errors import ReproError
+    from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import (
         BitFlipFault,
         Cascade,
@@ -942,8 +953,11 @@ def _run_chaos(args) -> int:
             return (
                 elastic_mlp_train(
                     params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                    checkpoint_every=2, ckpt_mode=mode, parity=parity,
-                    faults=plan, sdc=sdc, trace=want_artifacts,
+                    checkpoint_every=2, ckpt_mode=mode, parity=parity, sdc=sdc,
+                    engine=SimEngine(
+                        pr * pc, trace=want_artifacts, faults=plan,
+                        supervise=True,
+                    ),
                 ),
                 None,
             )
@@ -1120,7 +1134,6 @@ def _run_chaos(args) -> int:
 def _run_watch(args) -> int:
     from repro.dist.elastic import elastic_mlp_train, elastic_run_record
     from repro.dist.train import distributed_mlp_train, mlp_run_record
-    from repro.errors import ReproError
     from repro.observe.health import (
         HealthConfig,
         HealthMonitor,
@@ -1135,12 +1148,8 @@ def _run_watch(args) -> int:
         cfg_kwargs["stall_steps"] = args.stall_steps
     if args.straggler_factor is not None:
         cfg_kwargs["straggler_factor"] = args.straggler_factor
-    try:
-        health_config = HealthConfig(**cfg_kwargs)
-        health_config.validate()
-    except ReproError as exc:
-        print(f"bad monitor config: {exc}", file=sys.stderr)
-        return 2
+    health_config = HealthConfig(**cfg_kwargs)
+    health_config.validate()
 
     monitor = HealthMonitor(health_config)
     if args.json:
@@ -1160,65 +1169,62 @@ def _run_watch(args) -> int:
         print(f"watch   : scenario {scenario!r}, {steps} steps, "
               f"seed {args.seed}")
 
-    try:
-        if scenario in ("clean", "diverge"):
-            pr = pc = 2
-            if scenario == "diverge":
-                lr = 40.0  # deliberately unstable: loss blows up past 2x best
-            engine = SimEngine(pr * pc, trace=True, metrics=sink)
-            _, losses, sim = distributed_mlp_train(
-                params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                lr=lr, engine=engine,
+    if scenario in ("clean", "diverge"):
+        pr = pc = 2
+        if scenario == "diverge":
+            lr = 40.0  # deliberately unstable: loss blows up past 2x best
+        engine = SimEngine(pr * pc, trace=True, metrics=sink)
+        _, losses, sim = distributed_mlp_train(
+            params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
+            lr=lr, engine=engine,
+        )
+        config = {"scenario": scenario, "steps": steps}
+
+        def record_fn():
+            return mlp_run_record(
+                engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
+                steps=steps, meta={"watch_scenario": scenario},
+                health_config=health_config,
             )
-            config = {"scenario": scenario, "steps": steps}
 
-            def record_fn():
-                return mlp_run_record(
-                    engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
-                    steps=steps, meta={"watch_scenario": scenario},
-                    health_config=health_config,
-                )
-
-            clocks = sim.clocks
-        else:
-            pr, pc = 2, 4
-            parity = 1
-            if scenario == "straggler":
-                plan = FaultPlan(
-                    seed=args.seed,
-                    stragglers=(Straggler(rank=0, factor=2.0),),
-                )
-            elif scenario == "crash":
-                plan = FaultPlan(
-                    seed=args.seed, crashes=(Crash(rank=1, at_step=mid),)
-                )
-            else:  # degrade: two concurrent losses in one stripe, parity 1
-                plan = FaultPlan(
-                    seed=args.seed,
-                    crashes=(
-                        Crash(rank=1, at_step=mid),
-                        Crash(rank=2, at_step=mid),
-                    ),
-                )
-            result = elastic_mlp_train(
-                params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                checkpoint_every=2, parity=parity, faults=plan,
-                trace=True, metrics=sink,
+        clocks = sim.clocks
+    else:
+        pr, pc = 2, 4
+        parity = 1
+        if scenario == "straggler":
+            plan = FaultPlan(
+                seed=args.seed,
+                stragglers=(Straggler(rank=0, factor=2.0),),
             )
-            engine = result.engine
-            config = {"scenario": scenario, "steps": steps, "parity": parity}
+        elif scenario == "crash":
+            plan = FaultPlan(
+                seed=args.seed, crashes=(Crash(rank=1, at_step=mid),)
+            )
+        else:  # degrade: two concurrent losses in one stripe, parity 1
+            plan = FaultPlan(
+                seed=args.seed,
+                crashes=(
+                    Crash(rank=1, at_step=mid),
+                    Crash(rank=2, at_step=mid),
+                ),
+            )
+        engine = SimEngine(
+            pr * pc, trace=True, metrics=sink, faults=plan, supervise=True,
+        )
+        result = elastic_mlp_train(
+            params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
+            checkpoint_every=2, parity=parity, engine=engine,
+        )
+        config = {"scenario": scenario, "steps": steps, "parity": parity}
 
-            def record_fn():
-                return elastic_run_record(
-                    result, batch=batch, steps=steps, checkpoint_every=2,
-                    parity=parity, meta={"watch_scenario": scenario},
-                    health_config=health_config,
-                )
+        def record_fn():
+            return elastic_run_record(
+                result, batch=batch, steps=steps, checkpoint_every=2,
+                parity=parity, meta={"watch_scenario": scenario},
+                health_config=health_config,
+            )
 
-            clocks = result.sim.clocks
-    except ReproError as exc:
-        print(f"watch: run failed: {exc}", file=sys.stderr)
-        return 2
+        clocks = result.sim.clocks
 
     monitor.finish()
     # The verdict (and everything recorded) comes from the deterministic
@@ -1286,11 +1292,7 @@ def _run_history(args) -> int:
     thresholds = DriftThresholds()
     if args.min_history is not None:
         thresholds = DriftThresholds(min_history=args.min_history)
-    try:
-        trends = compute_trends(entries, thresholds)
-    except ReproError as exc:
-        print(f"history error: {exc}", file=sys.stderr)
-        return 2
+    trends = compute_trends(entries, thresholds)
     if args.series:
         trends = [t for t in trends if args.series in t.series]
         if not trends:
@@ -1410,7 +1412,6 @@ def _run_trace(args) -> int:
         register_analysis_metrics,
     )
     from repro.dist.train import distributed_mlp_train, mlp_run_record
-    from repro.errors import ReproError
     from repro.report.export import export_metrics
     from repro.report.timeline import render_traffic_matrix, traffic_matrix
     from repro.simmpi.engine import SimEngine
@@ -1426,24 +1427,20 @@ def _run_trace(args) -> int:
         + (f", SDC guards on ({args.sdc})" if args.sdc else "")
     )
     x, y, params0 = _toy_mlp(dims, 4 * args.batch, 0)
-    try:
-        engine = SimEngine(args.pr * args.pc, trace=True)
-        _, _, sim = distributed_mlp_train(
-            params0, x, y,
-            pr=args.pr, pc=args.pc, batch=args.batch, steps=args.steps,
-            engine=engine, sdc=args.sdc,
-        )
-        events = engine.tracer.canonical()
-        dropped = engine.tracer.dropped
-        report = audit_events(
-            events, dims, pr=args.pr, pc=args.pc, batch=args.batch,
-            steps=args.steps, dropped=dropped, sdc=args.sdc is not None,
-        )
-        accounting = rank_accounting(events, clocks=sim.clocks, dropped=dropped)
-        cp = critical_path(events, clocks=sim.clocks, dropped=dropped)
-    except ReproError as exc:
-        print(f"trace failed: {exc}", file=sys.stderr)
-        return 2
+    engine = SimEngine(args.pr * args.pc, trace=True)
+    _, _, sim = distributed_mlp_train(
+        params0, x, y,
+        pr=args.pr, pc=args.pc, batch=args.batch, steps=args.steps,
+        engine=engine, sdc=args.sdc,
+    )
+    events = engine.tracer.canonical()
+    dropped = engine.tracer.dropped
+    report = audit_events(
+        events, dims, pr=args.pr, pc=args.pc, batch=args.batch,
+        steps=args.steps, dropped=dropped, sdc=args.sdc is not None,
+    )
+    accounting = rank_accounting(events, clocks=sim.clocks, dropped=dropped)
+    cp = critical_path(events, clocks=sim.clocks, dropped=dropped)
     _warn_dropped(dropped, "the totals below")
     registry = MetricsRegistry()
     for event in events:
@@ -1524,7 +1521,6 @@ def _run_profile(args) -> int:
     import math
     import os
 
-    from repro.errors import ConfigurationError, ReproError
     from repro.profile import OVERHEAD_BUDGET, ProfileSession, host_block
     from repro.profile.export import (
         write_collapsed,
@@ -1533,18 +1529,14 @@ def _run_profile(args) -> int:
     )
     from repro.simmpi.engine import SimEngine
 
-    try:
-        pr, pc = _profile_grid(args)
-        session = (
-            ProfileSession(hz=args.hz) if args.hz is not None else ProfileSession()
-        )
-        engine = SimEngine(
-            pr * pc, trace=args.record is not None,
-            supervise=args.trainer == "elastic",
-        )
-    except ConfigurationError as exc:
-        print(f"profile config error: {exc}", file=sys.stderr)
-        return 2
+    pr, pc = _profile_grid(args)
+    session = (
+        ProfileSession(hz=args.hz) if args.hz is not None else ProfileSession()
+    )
+    engine = SimEngine(
+        pr * pc, trace=args.record is not None,
+        supervise=args.trainer == "elastic",
+    )
 
     seed = 0
     steps = args.steps
@@ -1555,81 +1547,78 @@ def _run_profile(args) -> int:
             f"({engine.backend} backend), {steps} step(s), "
             f"sampling at {session.hz:g}Hz"
         )
-    try:
-        if args.trainer in ("mlp", "elastic"):
-            dims = (max(64, pr), max(64, pr), max(32, pr))
-            batch = 2 * pc
-            x, y, params0 = _toy_mlp(dims, 2 * batch, seed)
-            run = dict(pr=pr, pc=pc, batch=batch, steps=steps,
-                       engine=engine, profile=session)
-            if args.trainer == "mlp":
-                from repro.dist.train import distributed_mlp_train, mlp_run_record
+    if args.trainer in ("mlp", "elastic"):
+        dims = (max(64, pr), max(64, pr), max(32, pr))
+        batch = 2 * pc
+        x, y, params0 = _toy_mlp(dims, 2 * batch, seed)
+        run = dict(pr=pr, pc=pc, batch=batch, steps=steps, engine=engine)
+        if args.trainer == "mlp":
+            from repro.dist.train import distributed_mlp_train, mlp_run_record
 
+            with session:
                 _, _, sim = distributed_mlp_train(params0, x, y, **run)
 
-                def record_fn():
-                    return mlp_run_record(
-                        engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
-                        steps=steps, meta=meta, host=host_block(engine),
-                    )
-            else:
-                from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-
-                result = elastic_mlp_train(params0, x, y, **run)
-
-                def record_fn():
-                    return elastic_run_record(
-                        result, batch=batch, steps=steps, meta=meta,
-                        host=host_block(result.engine),
-                    )
-        elif args.trainer == "summa":
-            import numpy as np
-
-            from repro.dist.summa2d import summa_run_record, summa_train
-
-            rng = np.random.default_rng(seed)
-            k = math.lcm(pr, pc) * 8
-            m = max(64, 4 * pr)
-            n_cols = max(64, 4 * pc)
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n_cols))
-            _, sim, _ = summa_train(
-                a, b, pr=pr, pc=pc, engine=engine, profile=session,
-            )
-
             def record_fn():
-                return summa_run_record(
-                    engine, sim, m=m, k=k, n=n_cols, pr=pr, pc=pc,
-                    meta=meta, host=host_block(engine),
-                )
-        else:  # integrated
-            from repro.data.synthetic import synthetic_images
-            from repro.dist.integrated import (
-                CNNParams, IntegratedCNNConfig, cnn_run_record,
-                distributed_cnn_train,
-            )
-
-            h = max(8, 4 * pr)
-            config = IntegratedCNNConfig(
-                in_channels=2, height=h, width=h, conv_channels=(4,),
-                conv_kernels=(3,), pool_after=(True,), fc_dims=(32, 5),
-            )
-            batch = 2 * pc
-            x, y = synthetic_images(2 * batch, 2, h, h, 5, seed=seed)
-            _, _, sim = distributed_cnn_train(
-                config, CNNParams.init(config, seed=seed), x, y,
-                pr=pr, pc=pc, batch=batch, steps=steps,
-                engine=engine, profile=session,
-            )
-
-            def record_fn():
-                return cnn_run_record(
-                    engine, sim, config=config, pr=pr, pc=pc, batch=batch,
+                return mlp_run_record(
+                    engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
                     steps=steps, meta=meta, host=host_block(engine),
                 )
-    except ReproError as exc:
-        print(f"profile failed: {exc}", file=sys.stderr)
-        return 2
+        else:
+            from repro.dist.elastic import elastic_mlp_train, elastic_run_record
+
+            with session:
+                result = elastic_mlp_train(params0, x, y, **run)
+
+            def record_fn():
+                return elastic_run_record(
+                    result, batch=batch, steps=steps, meta=meta,
+                    host=host_block(result.engine),
+                )
+    elif args.trainer == "summa":
+        import numpy as np
+
+        from repro.dist.summa2d import summa_run_record, summa_train
+
+        rng = np.random.default_rng(seed)
+        k = math.lcm(pr, pc) * 8
+        m = max(64, 4 * pr)
+        n_cols = max(64, 4 * pc)
+        a = rng.standard_normal((m, k))
+        b = rng.standard_normal((k, n_cols))
+        with session:
+            _, sim, _ = summa_train(a, b, pr=pr, pc=pc, engine=engine)
+
+        def record_fn():
+            return summa_run_record(
+                engine, sim, m=m, k=k, n=n_cols, pr=pr, pc=pc,
+                meta=meta, host=host_block(engine),
+            )
+    else:  # integrated
+        from repro.data.synthetic import synthetic_images
+        from repro.dist.integrated import (
+            CNNParams, IntegratedCNNConfig, cnn_run_record,
+            distributed_cnn_train,
+        )
+
+        h = max(8, 4 * pr)
+        config = IntegratedCNNConfig(
+            in_channels=2, height=h, width=h, conv_channels=(4,),
+            conv_kernels=(3,), pool_after=(True,), fc_dims=(32, 5),
+        )
+        batch = 2 * pc
+        x, y = synthetic_images(2 * batch, 2, h, h, 5, seed=seed)
+        params0 = CNNParams.init(config, seed=seed)
+        with session:
+            _, _, sim = distributed_cnn_train(
+                config, params0, x, y, pr=pr, pc=pc, batch=batch,
+                steps=steps, engine=engine,
+            )
+
+        def record_fn():
+            return cnn_run_record(
+                engine, sim, config=config, pr=pr, pc=pc, batch=batch,
+                steps=steps, meta=meta, host=host_block(engine),
+            )
 
     report = session.report()
     # Attribution sanity gate (the acceptance bar): per-subsystem host
@@ -1817,8 +1806,18 @@ def _run_experiments(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse ``argv`` and run the command.  Bad input exits 2: argparse
+    rejects malformed options, and a :class:`~repro.errors.ReproError`
+    escaping a command becomes one ``repro <command>: <message>`` line
+    on stderr instead of a traceback."""
+    from repro.errors import ReproError
+
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except ReproError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

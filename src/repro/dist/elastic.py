@@ -69,9 +69,8 @@ from repro.dist.train import (
     trainer_run_record,
 )
 from repro.errors import ConfigurationError, PeerFailedError, StrategyError
-from repro.machine.params import MachineParams, cori_knl
+from repro.machine.params import MachineParams
 from repro.nn.zoo import mlp
-from repro.profile.session import maybe_profile
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
 from repro.simmpi.sdc import payload_guard
 from repro.telemetry.heartbeat import emit_heartbeat
@@ -388,7 +387,6 @@ def elastic_mlp_program(
     parity: int = 1,
     schedule=None,
     lr_schedule=None,
-    machine: Optional[MachineParams] = None,
     sdc=None,
 ):
     """The SPMD rank program for elastic 1.5D MLP training.
@@ -409,10 +407,9 @@ def elastic_mlp_program(
     budget is exhausted raises
     :class:`~repro.errors.SDCUnrecoverableError`, which the supervisor
     treats exactly like a crash — the survivors shrink, re-plan and
-    restore from the newest recoverable checkpoint.
+    restore from the newest recoverable checkpoint.  Re-planning and
+    the per-step GEMM charge use the engine's machine.
     """
-    if machine is None:
-        machine = cori_knl()
     guard = make_guard(sdc)
     dims = params0.dims
     n = x.shape[1]
@@ -435,8 +432,9 @@ def elastic_mlp_program(
             batch=batch, steps=steps, lr=lr, momentum=momentum,
             weight_decay=weight_decay, checkpoint_every=checkpoint_every,
             ckpt_mode=ckpt_mode, parity=parity,
-            schedule=schedule, lr_schedule=lr_schedule, machine=machine,
-            guard=guard, dims=dims, n=n, num_layers=num_layers,
+            schedule=schedule, lr_schedule=lr_schedule,
+            machine=world.engine.network.machine, guard=guard, dims=dims,
+            n=n, num_layers=num_layers,
         )
 
 
@@ -569,11 +567,7 @@ def elastic_mlp_train(
     lr_schedule=None,
     faults=None,
     sdc=None,
-    machine: Optional[MachineParams] = None,
-    trace: bool = False,
-    metrics=None,
     engine: Optional[Union[SimEngine, str]] = None,
-    profile=None,
 ) -> ElasticResult:
     """Train elastically on a supervised ``pr x pc`` simulation.
 
@@ -587,11 +581,10 @@ def elastic_mlp_train(
     ``sdc`` enables ABFT guards against injected bit flips.
     ``engine`` selects the scheduler backend: ``None``/``"event"``
     (single-threaded discrete-event) or ``"thread"`` (OS threads, same
-    results, the differential oracle) — or pass a prebuilt supervised
-    :class:`~repro.simmpi.engine.SimEngine` of the right size.
-    ``profile`` optionally runs the simulation under a host-time
-    :class:`~repro.profile.ProfileSession` (observability only —
-    results are bit-identical with or without it).
+    results, the differential oracle) — or pass a prebuilt
+    ``SimEngine(pr * pc, machine, trace=..., metrics=..., faults=...,
+    supervise=True)``, which then carries the faults too (``faults=``
+    beside it is an error).
     Raises :class:`~repro.errors.RankFailedError` if every rank dies.
     """
     check_mlp_inputs(x, y, batch)
@@ -605,36 +598,26 @@ def elastic_mlp_train(
         )
     if parity < 1:
         raise ConfigurationError(f"parity must be >= 1, got {parity}")
-    engine = resolve_engine(
-        engine,
-        pr * pc,
-        machine,
-        trace=trace,
-        faults=faults,
-        supervise=True,
-        metrics=metrics,
+    engine = resolve_engine(engine, pr * pc, faults=faults, supervise=True)
+    result = engine.run(
+        elastic_mlp_program,
+        params0,
+        x,
+        y,
+        pr=pr,
+        pc=pc,
+        batch=batch,
+        steps=steps,
+        lr=lr,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        checkpoint_every=checkpoint_every,
+        ckpt_mode=ckpt_mode,
+        parity=parity,
+        schedule=schedule,
+        lr_schedule=lr_schedule,
+        sdc=make_guard(sdc, single_thread=engine.backend == "event"),
     )
-    with maybe_profile(profile):
-        result = engine.run(
-            elastic_mlp_program,
-            params0,
-            x,
-            y,
-            pr=pr,
-            pc=pc,
-            batch=batch,
-            steps=steps,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            checkpoint_every=checkpoint_every,
-            ckpt_mode=ckpt_mode,
-            parity=parity,
-            schedule=schedule,
-            lr_schedule=lr_schedule,
-            machine=engine.network.machine,
-            sdc=make_guard(sdc, single_thread=engine.backend == "event"),
-        )
     losses, weights, grids, restores, degraded, restored, store = result.values[
         result.survivors[0]
     ]

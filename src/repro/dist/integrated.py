@@ -39,7 +39,6 @@ from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
 from repro.dist.train import _batch_columns, assemble_weights, trainer_run_record
 from repro.errors import ConfigurationError, ShapeError
-from repro.profile.session import maybe_profile
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
 from repro.simmpi.sdc import payload_guard
 from repro.telemetry.heartbeat import emit_heartbeat
@@ -397,49 +396,43 @@ def distributed_cnn_train(
     weight_decay: float = 0.0,
     schedule=None,
     lr_schedule=None,
-    machine=None,
-    trace: bool = False,
-    metrics=None,
     engine: Optional[Union[SimEngine, str]] = None,
     sdc=None,
-    profile=None,
 ) -> Tuple[CNNParams, List[float], SimResult]:
     """Integrated training on a ``pr x pc`` grid; returns full params.
 
     ``pr`` partitions image rows for the convolutions and FC weight rows
     for the dense layers; ``pc`` shards the batch.  ``engine`` selects
-    the scheduler backend (``None``/``"event"``, or ``"thread"``) or supplies a
-    prebuilt :class:`~repro.simmpi.engine.SimEngine`.  ``profile``
-    optionally runs the simulation under a host-time
-    :class:`~repro.profile.ProfileSession` (results are bit-identical
-    with or without it).
+    the scheduler backend (``None``/``"event"``, or ``"thread"``) or
+    supplies a prebuilt :class:`~repro.simmpi.engine.SimEngine`, which
+    carries the run's machine, tracer and metrics sink (see
+    :func:`~repro.dist.train.distributed_mlp_train`).
     """
     config.validate_for_domain(pr)
     if batch % pc:
         raise ConfigurationError(
             f"batch {batch} must divide evenly over Pc={pc} for this trainer"
         )
-    engine = resolve_engine(engine, pr * pc, machine, trace=trace, metrics=metrics)
+    engine = resolve_engine(engine, pr * pc)
     # One shared guard object so all ranks aggregate into the same
     # sdc.* counters (and the caller can inspect them afterwards).
-    with maybe_profile(profile):
-        result = engine.run(
-            _cnn_train_program,
-            config,
-            params0,
-            x,
-            y,
-            pr=pr,
-            pc=pc,
-            batch=batch,
-            steps=steps,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            schedule=schedule,
-            lr_schedule=lr_schedule,
-            sdc=make_guard(sdc, single_thread=engine.backend == "event"),
-        )
+    result = engine.run(
+        _cnn_train_program,
+        config,
+        params0,
+        x,
+        y,
+        pr=pr,
+        pc=pc,
+        batch=batch,
+        steps=steps,
+        lr=lr,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        schedule=schedule,
+        lr_schedule=lr_schedule,
+        sdc=make_guard(sdc, single_thread=engine.backend == "event"),
+    )
     # Conv weights are replicated (take rank 0's); FC weights reassemble
     # from their row blocks.
     conv_ws = [w.copy() for w in result.values[0][0]]

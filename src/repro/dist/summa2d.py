@@ -32,7 +32,6 @@ from repro.dist.grid import GridComm
 from repro.dist.partition import BlockPartition
 from repro.dist.train import trainer_run_record
 from repro.errors import PartitionError, ShapeError
-from repro.profile.session import maybe_profile
 from repro.simmpi.engine import resolve_engine
 from repro.simmpi.sdc import payload_guard
 from repro.telemetry.heartbeat import emit_heartbeat
@@ -163,28 +162,22 @@ def summa_train(
     pr: int,
     pc: int,
     sdc=None,
-    machine=None,
-    trace: bool = False,
-    metrics=None,
     engine=None,
-    profile=None,
 ):
     """Engine-level SUMMA driver: resolve, run, reassemble full ``C``.
 
     The 2D baseline counterpart of
     :func:`~repro.dist.train.distributed_mlp_train`: ``engine`` may be a
     backend name (``None``/``"event"``, or ``"thread"``) or a prebuilt
-    :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, and
-    ``profile`` optionally runs the multiply under a host-time
-    :class:`~repro.profile.ProfileSession` (results are bit-identical
-    with or without it).  Returns ``(c_full, sim_result, engine)`` so
-    callers can keep the tracer handle for :func:`summa_run_record`.
+    :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks,
+    which carries the run's machine, tracer and metrics sink.  Returns
+    ``(c_full, sim_result, engine)`` so callers can keep the tracer
+    handle for :func:`summa_run_record`.
     """
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"A {a.shape} and B {b.shape} do not conform")
-    engine = resolve_engine(engine, pr * pc, machine, trace=trace, metrics=metrics)
-    with maybe_profile(profile):
-        result = engine.run(summa_matmul, a, b, pr, pc, sdc=sdc)
+    engine = resolve_engine(engine, pr * pc)
+    result = engine.run(summa_matmul, a, b, pr, pc, sdc=sdc)
     rows = []
     for r in range(pr):
         rows.append(np.hstack([result.values[r * pc + c] for c in range(pc)]))

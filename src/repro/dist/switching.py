@@ -27,7 +27,7 @@ serial SGD.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
 from repro.dist.train import MLPParams, _batch_columns, check_mlp_inputs
 from repro.errors import StrategyError
-from repro.simmpi.engine import SimEngine, SimResult
+from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
 
 __all__ = ["switching_mlp_train_program", "distributed_switching_mlp_train"]
 
@@ -192,13 +192,18 @@ def distributed_switching_mlp_train(
     momentum: float = 0.0,
     schedule=None,
     lr_schedule=None,
-    machine=None,
-    trace: bool = False,
+    engine: Optional[Union[SimEngine, str]] = None,
 ) -> Tuple[List[np.ndarray], List[float], SimResult]:
-    """Run the switching trainer on a simulated grid; reassemble weights."""
+    """Run the switching trainer on a simulated grid; reassemble weights.
+
+    ``engine`` is a backend name or a prebuilt
+    :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, as
+    for :func:`~repro.dist.train.distributed_mlp_train`; a traced one
+    exposes the redistribution collectives on its tracer.
+    """
     placements = _check_placements(placements, len(params0.weights))
     check_mlp_inputs(x, y, batch)
-    engine = SimEngine(pr * pc, machine, trace=trace)
+    engine = resolve_engine(engine, pr * pc)
     result = engine.run(
         switching_mlp_train_program,
         params0,

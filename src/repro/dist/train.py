@@ -25,7 +25,6 @@ from repro.simmpi.sdc import payload_guard
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
 from repro.errors import ConfigurationError, ShapeError
-from repro.profile.session import maybe_profile
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
 from repro.telemetry.heartbeat import emit_heartbeat
 from repro.telemetry.spans import span
@@ -236,50 +235,42 @@ def distributed_mlp_train(
     schedule=None,
     lr_schedule=None,
     sdc=None,
-    machine=None,
-    trace: bool = False,
-    metrics=None,
     engine: Optional[Union[SimEngine, str]] = None,
-    profile=None,
 ) -> Tuple[List[np.ndarray], List[float], SimResult]:
     """Train on a simulated ``pr x pc`` grid; returns full weights, losses, run.
 
     The returned losses are the per-step global losses (identical on
     every rank); the weights are reassembled from the rank blocks.
-    ``metrics`` optionally attaches a
-    :class:`~repro.telemetry.metrics.MetricsRegistry` as the engine's
-    streaming event sink.  ``engine`` may be ``None``/``"event"`` (the
-    discrete-event scheduler), ``"thread"`` (OS threads; bit-identical
-    results, far slower on large grids — see ``docs/SIMMPI.md``)
-    or a prebuilt :class:`~repro.simmpi.engine.SimEngine` with
-    ``pr * pc`` ranks, which lets callers keep the tracer handle — e.g.
-    to build a :class:`~repro.analysis.record.RunRecord` afterwards.
+    ``engine`` may be ``None``/``"event"`` (a default discrete-event
+    engine), ``"thread"`` (OS threads; bit-identical results, far slower
+    on large grids — see ``docs/SIMMPI.md``) or a prebuilt
+    :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks.  The
+    prebuilt engine carries the run's machine, tracer and metrics sink,
+    and keeps the tracer handle for a
+    :class:`~repro.analysis.record.RunRecord` afterwards; to profile the
+    run, call the trainer inside ``with ProfileSession():``.
     ``sdc`` turns on the ABFT guards (see :func:`mlp_train_program`).
-    ``profile`` optionally runs the training under a host-time
-    :class:`~repro.profile.ProfileSession` (observability only: values,
-    clocks, and traces are bit-identical with or without it).
     """
     check_mlp_inputs(x, y, batch)
-    engine = resolve_engine(engine, pr * pc, machine, trace=trace, metrics=metrics)
+    engine = resolve_engine(engine, pr * pc)
     # One shared guard so all ranks aggregate into the same sdc.* counters.
     guard = make_guard(sdc, single_thread=engine.backend == "event")
-    with maybe_profile(profile):
-        result = engine.run(
-            mlp_train_program,
-            params0,
-            x,
-            y,
-            pr=pr,
-            pc=pc,
-            batch=batch,
-            steps=steps,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            schedule=schedule,
-            lr_schedule=lr_schedule,
-            sdc=guard,
-        )
+    result = engine.run(
+        mlp_train_program,
+        params0,
+        x,
+        y,
+        pr=pr,
+        pc=pc,
+        batch=batch,
+        steps=steps,
+        lr=lr,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        schedule=schedule,
+        lr_schedule=lr_schedule,
+        sdc=guard,
+    )
     weights = assemble_weights(result, pr, pc, 0)
     losses = list(result.values[0][1])
     return weights, losses, result

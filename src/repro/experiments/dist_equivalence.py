@@ -26,6 +26,7 @@ from repro.dist.integrated import (
 from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.train import MLPParams, distributed_mlp_train, serial_mlp_train
 from repro.experiments.common import ExperimentResult, Setting, default_setting
+from repro.simmpi.engine import SimEngine
 
 __all__ = ["run"]
 
@@ -59,7 +60,7 @@ def run(setting: Setting | None = None) -> ExperimentResult:
     for pr, pc in MLP_GRIDS:
         weights, losses, res = distributed_mlp_train(
             params, x, y, pr=pr, pc=pc, batch=24, steps=8, lr=0.1, momentum=0.9,
-            machine=setting.machine,
+            engine=SimEngine(pr * pc, setting.machine),
         )
         max_w_err = max(
             float(np.max(np.abs(a - b))) for a, b in zip(serial_w.weights, weights)
@@ -87,7 +88,7 @@ def run(setting: Setting | None = None) -> ExperimentResult:
     for pr, pc in CNN_GRIDS:
         dp, dl, res = distributed_cnn_train(
             cfg, cparams, xi, yi, pr=pr, pc=pc, batch=8, steps=5, lr=0.1,
-            machine=setting.machine,
+            engine=SimEngine(pr * pc, setting.machine),
         )
         errs = [
             float(np.max(np.abs(a - b)))
@@ -107,7 +108,8 @@ def run(setting: Setting | None = None) -> ExperimentResult:
     for placements, pr, pc in SWITCHING_CASES:
         weights, losses, res = distributed_switching_mlp_train(
             params, x, y, placements=placements, pr=pr, pc=pc,
-            batch=24, steps=8, lr=0.1, momentum=0.9, machine=setting.machine,
+            batch=24, steps=8, lr=0.1, momentum=0.9,
+            engine=SimEngine(pr * pc, setting.machine),
         )
         max_w_err = max(
             float(np.max(np.abs(a - b))) for a, b in zip(serial_w.weights, weights)

@@ -27,6 +27,7 @@ from repro.dist.train import MLPParams, distributed_mlp_train
 from repro.experiments.common import ExperimentResult, Setting, default_setting
 from repro.machine.params import MachineParams
 from repro.nn import mlp
+from repro.simmpi.engine import SimEngine
 
 __all__ = ["run"]
 
@@ -79,7 +80,7 @@ def run(
         x, y = synthetic_classification(dims[0], max(batch, 2 * batch), dims[-1], seed=1)
         _, _, sim = distributed_mlp_train(
             params, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-            lr=0.05, machine=machine,
+            lr=0.05, engine=SimEngine(pr * pc, machine),
         )
         simulated = sim.time / steps
         ratio = simulated / predicted if predicted > 0 else float("nan")
@@ -188,7 +189,7 @@ def _switching_check(machine: MachineParams, steps: int):
         x, y = synthetic_classification(dims[0], 2 * batch, dims[-1], seed=1)
         _, _, sim = distributed_switching_mlp_train(
             params, x, y, placements=placements, pr=pr, pc=pc,
-            batch=batch, steps=steps, lr=0.05, machine=machine,
+            batch=batch, steps=steps, lr=0.05, engine=SimEngine(pr * pc, machine),
         )
         simulated = sim.time / steps
         ratio = simulated / predicted
@@ -306,7 +307,7 @@ def _integrated_cnn_check(machine, steps: int):
         params = CNNParams.init(config, seed=0)
         _, _, sim = distributed_cnn_train(
             config, params, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-            lr=0.05, machine=machine,
+            lr=0.05, engine=SimEngine(pr * pc, machine),
         )
         simulated = sim.time / steps
         ratio = simulated / predicted

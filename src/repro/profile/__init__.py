@@ -36,7 +36,6 @@ _EXPORTS = {
     "ProfileSession": "session",
     "active_session": "session",
     "host_block": "session",
-    "maybe_profile": "session",
 }
 
 
@@ -62,7 +61,6 @@ __all__ = [
     "classify_frame",
     "collapsed_lines",
     "host_block",
-    "maybe_profile",
     "stack_frames",
     "write_collapsed",
     "write_flamegraph_html",

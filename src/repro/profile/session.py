@@ -9,12 +9,6 @@ Usage::
     report = prof.report()
     print(report.to_table().to_ascii())
 
-or, through any trainer's ``profile=`` argument (the trainer wraps its
-``engine.run`` call in :func:`maybe_profile`)::
-
-    session = ProfileSession()
-    distributed_mlp_train(..., engine=engine, profile=session)
-
 Entering the session installs the hook counter block
 (:mod:`repro.profile.hooks`), enables the span sampling registry
 (:mod:`repro.telemetry.spans`), and starts the sampler thread; exiting
@@ -25,9 +19,8 @@ active per process, and a session is single-use.
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from time import perf_counter
-from typing import Any, ContextManager, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..telemetry import spans as _spans
@@ -256,17 +249,6 @@ class ProfileSession:
             samples=len(sampler.samples),
             samples_dropped=sampler.samples_dropped,
         )
-
-
-def maybe_profile(profile: Optional[ProfileSession]) -> ContextManager:
-    """``with maybe_profile(profile):`` — enter the session, or no-op.
-
-    The trainers wrap their ``engine.run`` call with this so a
-    ``profile=`` keyword costs nothing when unused.
-    """
-    if profile is None:
-        return nullcontext()
-    return profile
 
 
 def host_block(engine: Any) -> Dict[str, Any]:

@@ -484,45 +484,36 @@ class SimEngine:
 def resolve_engine(
     engine: Optional[Union["SimEngine", str]],
     size: int,
-    machine: Optional[MachineParams] = None,
     *,
-    trace: bool = False,
-    metrics: Optional[Any] = None,
     faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     supervise: bool = False,
 ) -> "SimEngine":
     """Coerce a trainer's ``engine`` argument to a ready :class:`SimEngine`.
 
-    ``engine`` may be ``None`` (build an event-backend engine), a
-    backend name (``"event"``/``"thread"`` — build an engine with that
-    backend and the supplied configuration), or a prebuilt
-    :class:`SimEngine` (validated against ``size`` and returned as-is;
-    the way to set anything else, e.g. a threaded engine's ``timeout``).
-    The caller configured a prebuilt engine already, so also passing
-    ``machine``/``trace``/``metrics``/``faults`` — or requiring
-    ``supervise`` of an unsupervised engine — is a
+    ``engine`` may be ``None`` (build a default event-backend engine), a
+    backend name (``"event"``/``"thread"`` — build a default engine with
+    that backend), or a prebuilt :class:`SimEngine` (validated against
+    ``size`` and returned as-is).  A prebuilt engine is the one carrier
+    of a run's configuration: machine, tracing, metrics sink, faults and
+    supervision.  ``faults``/``supervise`` serve the elastic trainer
+    only; passing ``faults`` beside a prebuilt engine, or requiring
+    ``supervise`` of an unsupervised one, is a
     :class:`~repro.errors.ConfigurationError` rather than a silently
-    dropped argument.  This is how ``engine=`` plumbs through the four
-    trainers without each re-implementing the coercion.
+    dropped argument.
     """
     if engine is None or isinstance(engine, str):
         return SimEngine(
-            size, machine, trace=trace, metrics=metrics, faults=faults,
-            supervise=supervise, backend=engine or "event",
+            size, faults=faults, supervise=supervise, backend=engine or "event",
         )
     if engine.size != size:
         raise ConfigurationError(
             f"engine has {engine.size} ranks, grid needs {size}"
         )
-    for name, value in (
-        ("machine", machine), ("trace", trace or None),
-        ("metrics", metrics), ("faults", faults),
-    ):
-        if value is not None:
-            raise ConfigurationError(
-                f"{name}= conflicts with a prebuilt engine; configure "
-                f"SimEngine({name}=...) instead"
-            )
+    if faults is not None:
+        raise ConfigurationError(
+            "faults= conflicts with a prebuilt engine; configure "
+            "SimEngine(faults=...) instead"
+        )
     if supervise and not engine.supervise:
         raise ConfigurationError(
             "supervise=True needs a supervised engine; build it with "

@@ -88,8 +88,8 @@ def test_random_fault_plan_invariants(
     )
     result = elastic_mlp_train(
         MLPParams.init(dims, seed=seed), x, y, pr=2, pc=2,
-        batch=batch, steps=steps, checkpoint_every=2, faults=plan,
-        trace=True,
+        batch=batch, steps=steps, checkpoint_every=2,
+        engine=SimEngine(4, trace=True, faults=plan, supervise=True),
     )
     events = result.engine.tracer.canonical()
     clocks = result.sim.clocks

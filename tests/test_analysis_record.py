@@ -165,7 +165,8 @@ class TestEveryTrainerEmits:
         plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=3),))
         result = elastic_mlp_train(
             MLPParams.init(dims, seed=3), x, y, pr=2, pc=2, batch=8,
-            steps=6, checkpoint_every=2, faults=plan, trace=True,
+            steps=6, checkpoint_every=2,
+            engine=SimEngine(4, trace=True, faults=plan, supervise=True),
         )
         record = elastic_run_record(result, batch=8, steps=6)
         validate_run_record(record.to_dict())
@@ -217,7 +218,9 @@ class TestCheckpointCounters:
         plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=3),))
         result = elastic_mlp_train(
             MLPParams.init(dims, seed=3), x, y, pr=2, pc=2, batch=8,
-            steps=6, checkpoint_every=2, faults=plan, trace=True, **train_kw,
+            steps=6, checkpoint_every=2,
+            engine=SimEngine(4, trace=True, faults=plan, supervise=True),
+            **train_kw,
         )
         return elastic_run_record(result, batch=8, steps=6)
 
@@ -279,7 +282,8 @@ class TestHealthBlock:
         )
         result = elastic_mlp_train(
             MLPParams.init(dims, seed=5), x, y, pr=2, pc=4, batch=8,
-            steps=6, checkpoint_every=2, faults=plan, trace=True,
+            steps=6, checkpoint_every=2,
+            engine=SimEngine(8, trace=True, faults=plan, supervise=True),
         )
         return elastic_run_record(
             result, batch=8, steps=6, health_config=HealthConfig()

@@ -221,7 +221,8 @@ def test_elastic_trainer_differential_clean():
     for backend in BACKENDS:
         res = elastic_mlp_train(
             params0, X, Y, pr=2, pc=2, batch=12, steps=4,
-            checkpoint_every=2, trace=True, engine=backend,
+            checkpoint_every=2,
+            engine=SimEngine(4, backend=backend, trace=True, supervise=True),
         )
         rt[backend] = res
     a, b = rt["thread"], rt["event"]
@@ -325,8 +326,10 @@ def test_crash_shrink_recover_differential():
         for backend in BACKENDS:
             res[backend] = elastic_mlp_train(
                 params0, X, Y, pr=2, pc=2, batch=12, steps=6,
-                checkpoint_every=2, ckpt_mode=mode, faults=plan,
-                trace=True, engine=backend,
+                checkpoint_every=2, ckpt_mode=mode,
+                engine=SimEngine(
+                    4, backend=backend, trace=True, faults=plan, supervise=True
+                ),
             )
         a, b = res["thread"], res["event"]
         assert a.losses == b.losses, mode

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -41,9 +43,13 @@ class TestRun:
         assert "eq5.csv" in files and "eq5.json" in files
         assert "eq5_report.txt" in files
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(Exception):
-            main(["run", "fig99"])
+    def test_unknown_experiment_raises(self, capsys):
+        """The lookup raises ConfigurationError; main() turns it into
+        exit 2 with a one-line message."""
+        assert main(["run", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: unknown experiment 'fig99'")
+        assert err.count("\n") == 1
 
 
 class TestBest:
@@ -185,9 +191,11 @@ class TestTrace:
         assert "rank" in capsys.readouterr().out
 
     def test_trace_bad_config_fails_cleanly(self, capsys):
-        # steps = 0 gives the audit nothing to compare; exits 2, no traceback.
-        assert main(["trace", "--steps", "0"]) == 2
-        assert "trace failed" in capsys.readouterr().err
+        # steps = 0 gives the audit nothing to compare; argparse exits 2.
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--steps", "0"])
+        assert exc.value.code == 2
+        assert "argument --steps: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_trace_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
@@ -353,6 +361,30 @@ class TestProfile:
     def test_profile_bad_grid_exits_2(self, capsys):
         assert main(["profile", "--pr", "0"]) == 2
         assert "profile" in capsys.readouterr().err
+
+
+#: Bad input the commands reject: errors raised inside a command, and
+#: ``--steps`` below 1 on the commands that train.
+BAD_INPUT = [
+    ["best", "-B", "0", "-P", "4"],
+    ["best", "-B", "16", "-P", "0"],
+    ["best", "-B", "16", "-P", "4", "--max-pc", "0"],
+    ["run", "bogus"],
+    ["faults", "--width", "0", "--steps", "2"],
+    ["faults", "--steps", "0"],
+    ["sdc", "--steps", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_2_without_traceback(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.strip()
+    assert "Traceback" not in proc.stderr
 
 
 class TestParser:

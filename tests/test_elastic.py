@@ -47,10 +47,15 @@ def _serial(momentum=0.0):
     )
 
 
-def _elastic(faults=None, momentum=0.0, **kw):
+def _elastic(faults=None, momentum=0.0, trace=False, **kw):
     kw.setdefault("checkpoint_every", 2)
     kw.setdefault("pr", 2)
     kw.setdefault("pc", 2)
+    if trace:
+        kw["engine"] = SimEngine(
+            kw["pr"] * kw["pc"], trace=True, faults=faults, supervise=True
+        )
+        faults = None
     return elastic_mlp_train(
         PARAMS0,
         X,

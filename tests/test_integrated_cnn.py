@@ -157,9 +157,10 @@ class TestDistributedValidation:
 
     def test_halo_traffic_present_for_3x3_convs(self):
         from repro.machine.params import cori_knl
+        from repro.simmpi.engine import SimEngine
 
         _, _, res = distributed_cnn_train(
             CFG, PARAMS, X, Y, pr=2, pc=1, batch=8, steps=1, lr=0.1,
-            machine=cori_knl(), trace=True,
+            engine=SimEngine(2, cori_knl(), trace=True),
         )
         assert res.time > 0

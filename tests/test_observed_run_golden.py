@@ -78,7 +78,10 @@ def _observed_elastic(backend, tmp_path):
     result = elastic_mlp_train(
         MLPParams.init(DIMS, seed=2), X, Y,
         pr=2, pc=4, batch=16, steps=6, checkpoint_every=2,
-        faults=plan, trace=True, metrics=registry, engine=backend,
+        engine=SimEngine(
+            8, backend=backend, trace=True, metrics=registry, faults=plan,
+            supervise=True,
+        ),
     )
     assert result.restore_steps == [2] and result.sim.failed == (1,)
     record = elastic_run_record(result, batch=16, steps=6, checkpoint_every=2)

@@ -29,7 +29,6 @@ from repro.profile import (
     active_session,
     collapsed_lines,
     host_block,
-    maybe_profile,
     write_collapsed,
     write_flamegraph_html,
     write_pprof_json,
@@ -37,23 +36,20 @@ from repro.profile import (
 from repro.profile import hooks as profile_hooks
 from repro.profile.export import PPROF_SCHEMA
 from repro.profile.sampler import Sampler
-from repro.machine.params import cori_knl
 from repro.simmpi.engine import SimEngine, resolve_engine
 from repro.simmpi.faults import FaultPlan
-from repro.telemetry.metrics import MetricsRegistry
 
 DIMS = (12, 10, 6)
 
 
-def _train(backend, profile=None, trace=False, steps=2):
+def _train(backend, trace=False, steps=2):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((DIMS[0], 16))
     y = rng.integers(0, DIMS[-1], 16)
     params0 = MLPParams.init(DIMS, seed=1)
     engine = SimEngine(4, backend=backend, trace=trace)
     weights, losses, sim = distributed_mlp_train(
-        params0, x, y, pr=2, pc=2, batch=8, steps=steps,
-        engine=engine, profile=profile,
+        params0, x, y, pr=2, pc=2, batch=8, steps=steps, engine=engine,
     )
     return weights, losses, sim, engine
 
@@ -64,7 +60,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("backend", ["thread", "event"])
     def test_profiled_equals_unprofiled(self, backend):
         w0, l0, s0, e0 = _train(backend, trace=True)
-        w1, l1, s1, e1 = _train(backend, profile=ProfileSession(), trace=True)
+        with ProfileSession():
+            w1, l1, s1, e1 = _train(backend, trace=True)
         assert l0 == l1
         assert s0.clocks == s1.clocks
         assert all(a.tobytes() == b.tobytes() for a, b in zip(w0, w1))
@@ -105,16 +102,6 @@ class TestSessionLifecycle:
         with ProfileSession() as session:
             assert active_session() is session
         assert active_session() is None
-
-    def test_maybe_profile_none_is_noop(self):
-        with maybe_profile(None):
-            assert active_session() is None
-
-    def test_maybe_profile_enters_the_session(self):
-        session = ProfileSession()
-        with maybe_profile(session):
-            assert active_session() is session
-        assert session.closed
 
 
 @pytest.fixture(scope="module")
@@ -358,15 +345,7 @@ class TestResolveEngine:
         with pytest.raises(ConfigurationError):
             resolve_engine(SimEngine(4), 6)
 
-    @pytest.mark.parametrize(
-        "name,value",
-        [
-            ("trace", True),
-            ("metrics", MetricsRegistry()),
-            ("machine", cori_knl()),
-            ("faults", FaultPlan(seed=0)),
-        ],
-    )
+    @pytest.mark.parametrize("name,value", [("faults", FaultPlan(seed=0))])
     def test_prebuilt_engine_rejects_configuration_it_would_drop(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name}= conflicts"):
             resolve_engine(SimEngine(4), 4, **{name: value})
@@ -392,9 +371,11 @@ class TestSummaTrain:
 
     def test_profiled_bit_identical(self):
         a, b = self._ab()
-        c0, s0, e0 = summa_train(a, b, pr=2, pc=2, engine="event", trace=True)
-        c1, s1, e1 = summa_train(a, b, pr=2, pc=2, engine="event", trace=True,
-                                 profile=ProfileSession())
+        c0, s0, e0 = summa_train(a, b, pr=2, pc=2, engine=SimEngine(4, trace=True))
+        with ProfileSession():
+            c1, s1, e1 = summa_train(
+                a, b, pr=2, pc=2, engine=SimEngine(4, trace=True)
+            )
         assert c0.tobytes() == c1.tobytes()
         assert s0.clocks == s1.clocks
         assert e0.tracer.canonical() == e1.tracer.canonical()

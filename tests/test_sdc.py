@@ -334,7 +334,8 @@ class TestEscalation:
         ))
         result = elastic_mlp_train(
             PARAMS0, X, Y, pr=2, pc=2, batch=BATCH, steps=6,
-            checkpoint_every=2, faults=plan, trace=True,
+            checkpoint_every=2,
+            engine=SimEngine(4, trace=True, faults=plan, supervise=True),
             sdc=SDCPolicy(mode="recompute", max_retries=2),
         )
         assert result.recovered

@@ -5,12 +5,15 @@ redistribution traffic matching the Eq. 6 volume."""
 import numpy as np
 import pytest
 
+from repro.core.redistribution import redistribution_cost
 from repro.data.synthetic import synthetic_classification
 from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.train import MLPParams, serial_mlp_train
 from repro.errors import StrategyError
-from repro.machine.params import cori_knl
+from repro.machine.params import MachineParams, cori_knl
+from repro.nn import mlp
 from repro.simmpi.engine import SimEngine
+from repro.telemetry.spans import base_name
 
 X, Y = synthetic_classification(12, 64, 5, seed=42)
 PARAMS = MLPParams.init([12, 16, 10, 5], seed=1)
@@ -62,14 +65,29 @@ class TestValidation:
 class TestRedistributionTraffic:
     def test_allgather_volume_matches_eq6(self):
         """The batch->model switch moves (Pr-1)/Pr of the B/Pc x d panel
-        through each rank per iteration — Eq. 6's all-gather volume."""
-        pr, pc = 4, 1
-        placements = ["batch", "model", "model"]
-        _, _, res = distributed_switching_mlp_train(
-            PARAMS, X, Y, placements=placements, pr=pr, pc=pc,
-            batch=16, steps=1, lr=0.1, machine=cori_knl(), trace=False,
+        through each rank per iteration — Eq. 6's all-gather volume,
+        at zero relative error."""
+        pr, pc, batch = 4, 2, 16
+        engine = SimEngine(pr * pc, cori_knl(), trace=True)
+        distributed_switching_mlp_train(
+            PARAMS, X, Y, placements=["batch", "model", "model"], pr=pr, pc=pc,
+            batch=batch, steps=1, lr=0.1, engine=engine,
         )
-        assert res.time > 0
+        recvs = [e for e in engine.tracer.canonical() if e.op == "recv"]
+        # Layer 0 is batch-placed, so the first all-gather each rank runs
+        # is the Eq. 6 redistribution into layer 1; the Fig. 5 forward
+        # all-gathers of the model layers come after it.
+        redist = next(e.span for e in recvs if base_name(e.span[-1]) == "allgather")
+        received = [0] * (pr * pc)
+        for e in recvs:
+            if e.span == redist:
+                received[e.rank] += e.data_bytes
+        # float64 elements at 1 s/byte: the bandwidth term is the byte count.
+        per_byte = MachineParams(alpha=0.0, beta_per_byte=1.0, element_bytes=8)
+        layer = mlp(PARAMS.dims).weighted_layers[1]
+        eq6 = redistribution_cost(layer, batch / pc, pr, per_byte).bandwidth
+        assert eq6 == 8 * (batch / pc) * layer.d_in * (pr - 1) / pr
+        assert received == [eq6] * (pr * pc)
 
     def test_pr1_has_no_redistribution_messages(self):
         """With Pr = 1 the layout switch is the identity: tracing a 1x4

@@ -108,6 +108,7 @@ class TestCheckpointAudit:
 
         from repro.dist.elastic import elastic_mlp_train
         from repro.dist.train import MLPParams
+        from repro.simmpi.engine import SimEngine
         from repro.simmpi.faults import Crash, FaultPlan
 
         dims = (8, 10, 6)
@@ -117,8 +118,8 @@ class TestCheckpointAudit:
         plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=3),))
         res = elastic_mlp_train(
             MLPParams.init(dims, seed=3), x, y, pr=2, pc=4, batch=8,
-            steps=6, checkpoint_every=2, ckpt_mode=mode,
-            momentum=momentum, faults=plan, trace=True,
+            steps=6, checkpoint_every=2, ckpt_mode=mode, momentum=momentum,
+            engine=SimEngine(8, trace=True, faults=plan, supervise=True),
         )
         return res.engine.tracer.canonical(), dims
 

@@ -110,7 +110,8 @@ class TestEngineIntegration:
         params0 = MLPParams.init(dims, seed=0)
         runs = [
             distributed_mlp_train(
-                params0, x, y, pr=2, pc=2, batch=8, steps=3, trace=traced
+                params0, x, y, pr=2, pc=2, batch=8, steps=3,
+                engine=SimEngine(4, trace=traced),
             )
             for traced in (False, True)
         ]

@@ -60,10 +60,13 @@ def _run_mlp(pr, pc, backend, sdc):
 
 def _run_elastic(pr, pc, backend, sdc):
     plan = FaultPlan(seed=9, crashes=(Crash(rank=1, at_step=3),))
+    engine = SimEngine(
+        pr * pc, backend=backend, trace=True, faults=plan, supervise=True
+    )
     res = elastic_mlp_train(
         MLPParams.init((10, 8, 5), seed=2), X, Y,
         pr=pr, pc=pc, batch=12, steps=6, checkpoint_every=2,
-        faults=plan, trace=True, engine=backend, sdc=sdc,
+        engine=engine, sdc=sdc,
     )
     assert res.restore_steps == [2] and res.sim.failed == (1,)
     return _digest(res.engine.tracer.canonical(), res.sim.clocks, res.losses)
