@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parity",
         type=int,
         default=1,
-        help="parity shards per stripe for the baseline trials (default 1)",
+        help="parity shards per stripe for the baseline trials, 1 to 3 (default 1)",
     )
     chaos_p.add_argument(
         "--over-parity",
@@ -710,6 +710,12 @@ def _run_sdc(args) -> int:
     from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import BitFlipFault, FaultPlan
 
+    # A plan for a step the run never reaches cannot fire, which would
+    # read as an escape rather than the misconfiguration it is.
+    min_steps = 1 + max(spec.get("step", 0) for _, spec in _SDC_GAUNTLET)
+    if args.steps < min_steps:
+        print(f"sdc needs at least {min_steps} steps", file=sys.stderr)
+        return 2
     dims = (12, 10, 8)
     pr = pc = 2
     batch = 8
@@ -809,9 +815,16 @@ def _run_chaos(args) -> int:
     pr, pc = 2, 4
     batch = 8
     steps = args.steps
-    if steps < 4:
-        print("chaos needs at least 4 steps", file=sys.stderr)
-        return 2
+    # A stripe has Pc chunks: parity >= Pc leaves no data chunk, and every
+    # "erasure" trial would silently fall back to replication.
+    for bad, message in (
+        (steps < 4, "chaos needs at least 4 steps"),
+        (args.trials < 0, "chaos --trials must be >= 0"),
+        (not 1 <= args.parity < pc, f"chaos --parity must be in [1, {pc - 1}]"),
+    ):
+        if bad:
+            print(message, file=sys.stderr)
+            return 2
     x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
     mid = max(2, steps // 2)
 

@@ -19,17 +19,18 @@ training products then need exactly the collectives of Fig. 5:
 
 Degenerate grids recover the pure algorithms: ``Pr = 1`` is Fig. 2
 (pure batch: no forward communication, one dW all-reduce), ``Pc = 1``
-is Fig. 1 (pure model).
+is Fig. 1 (pure model), so a batch-placed layer is the ``1 x P`` grid.
 
 :func:`fc_stack_step_15d` chains the three products over a stack of
 fully connected layers — forward, loss, backward — and is the one place
-the Fig. 5 / Eq. 8 training step is spelled out; the MLP, elastic and
-integrated-CNN trainers all call it.
+the Fig. 5 / Eq. 8 training step is spelled out; the MLP, elastic,
+integrated-CNN and grid-switching trainers all call it.  Layers may run
+on different grids, joined by the Eq. 6 :func:`redistribute_15d`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,10 +39,12 @@ from repro.dist.grid import GridComm
 from repro.dist.layers import relu, relu_grad
 from repro.dist.loss import softmax_cross_entropy
 from repro.dist.partition import BlockPartition
-from repro.errors import ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.telemetry.spans import span
 
-__all__ = ["forward_15d", "backward_dx_15d", "backward_dw_15d", "fc_stack_step_15d"]
+__all__ = [
+    "forward_15d", "backward_dx_15d", "backward_dw_15d", "redistribute_15d", "fc_stack_step_15d",
+]
 
 
 def _local_gemm(
@@ -158,8 +161,31 @@ def backward_dw_15d(
     return grid.row_comm.allreduce(dw_partial, algorithm="ring")
 
 
+def redistribute_15d(
+    src: GridComm, dst: GridComm, a: np.ndarray, *, layer: int, direction: str = "fwd"
+) -> np.ndarray:
+    """Eq. 6: move a ``(d, b)`` shard from ``src``'s layout to ``dst``'s.
+
+    One grid is the ``1 x P`` batch grid, whose rank ``r * Pc + c``
+    holds sub-shard ``r`` of the ``Pr x Pc`` grid's batch column ``c``.
+    Batch -> model Bruck all-gathers the sub-shards over the ``Pr``
+    column group; model -> batch keeps this rank's own, a local slice.
+    Runs under a ``redist`` span: ``direction`` is ``"fwd"`` for the
+    activation entering ``layer``, ``"bwd"`` for the gradient leaving it.
+    """
+    if src.pr > 1 and dst.pr > 1:
+        raise ConfigurationError(
+            f"no redistribution from a {src.pr}x{src.pc} to a {dst.pr}x{dst.pc} "
+            "grid: one side must be the 1 x P batch grid"
+        )
+    with span("redist", comm=dst.comm, layer=layer, direction=direction):
+        if src.pr == 1:
+            return dst.col_comm.allgather(a, axis=1, algorithm="bruck")
+        return BlockPartition(a.shape[1], src.pr).take(a, src.row, axis=1)
+
+
 def fc_stack_step_15d(
-    grid: GridComm,
+    grid: Union[GridComm, Sequence[GridComm]],
     weights: Sequence[np.ndarray],
     row_parts: Sequence[BlockPartition],
     a_local: np.ndarray,
@@ -173,8 +199,8 @@ def fc_stack_step_15d(
     """One Fig. 5 / Eq. 8 training step of a ReLU fully connected stack.
 
     Forward through every layer (caching the full ``(d_i, b_c)``
-    activations), softmax cross-entropy against ``labels`` with the
-    shard losses summed over the ``Pc`` batch groups, then backward:
+    activations), softmax cross-entropy against ``labels`` with the shard
+    losses summed over the last grid's ``Pc`` batch groups, then backward:
     ``dW`` for every layer, ``dX`` between layers.  Each product runs
     under its ``fwd`` / ``bwd_dw`` / ``bwd_dx`` span (``loss`` for the
     loss all-reduce) and carries the ``(layer, step)`` identity and
@@ -182,12 +208,15 @@ def fc_stack_step_15d(
 
     Parameters
     ----------
+    grid:
+        One grid for the whole stack, or one per layer; consecutive
+        layers on different grids are joined by :func:`redistribute_15d`.
     weights, row_parts:
         Per layer, this rank's weight rows and the ``Pr`` row partition
         they were cut with.
     a_local, labels:
-        The stack input ``(d_0, b_c)`` and the class ids of this rank's
-        batch shard.
+        The stack input in layer 0's layout ``(d_0, b)`` and the class
+        ids of this rank's batch shard in the last layer's layout.
     batch:
         The global batch size (the ``1/B`` loss scaling).
     input_grad:
@@ -197,36 +226,44 @@ def fc_stack_step_15d(
 
     Returns ``(global_loss, weight_row_gradients, dX or None)``.
     """
-    comm = grid.comm
     num_layers = len(weights)
-    acts = [a_local]
+    grids = [grid] * num_layers if isinstance(grid, GridComm) else list(grid)
+    if len(grids) != num_layers:
+        raise ConfigurationError(f"{len(grids)} grids for {num_layers} layers")
+    comm = grids[0].comm
+    a = a_local
+    acts = []  # input of layer i, in layer i's layout
     zs = []
-    for i in range(num_layers):
+    for i, g in enumerate(grids):
+        if i > 0 and g is not grids[i - 1]:
+            a = redistribute_15d(grids[i - 1], g, a, layer=i)
+        acts.append(a)
         with span("fwd", comm=comm, layer=i):
-            z = forward_15d(
-                grid, weights[i], acts[-1], layer=i, step=step, guard=guard
-            )
+            z = forward_15d(g, weights[i], a, layer=i, step=step, guard=guard)
         zs.append(z)
-        acts.append(relu(z) if i < num_layers - 1 else z)
+        a = relu(z) if i < num_layers - 1 else z
     with span("loss", comm=comm):
         loss_local, dz = softmax_cross_entropy(zs[-1], labels, global_batch=batch)
-        # Global loss: shard losses add over the Pc batch groups.
+        # Global loss: shard losses add over the last grid's batch groups.
         loss = float(
-            grid.row_comm.allreduce(np.array([loss_local]), algorithm="ring")[0]
+            grids[-1].row_comm.allreduce(np.array([loss_local]), algorithm="ring")[0]
         )
     grads: List[np.ndarray] = [None] * num_layers  # type: ignore[list-item]
     da = None
     for i in range(num_layers - 1, -1, -1):
-        dy_rows = row_parts[i].take(dz, grid.row, axis=0)
+        g = grids[i]
+        dy_rows = row_parts[i].take(dz, g.row, axis=0)
         with span("bwd_dw", comm=comm, layer=i):
             grads[i] = backward_dw_15d(
-                grid, dy_rows, acts[i], layer=i, step=step, guard=guard
+                g, dy_rows, acts[i], layer=i, step=step, guard=guard
             )
         if i > 0 or input_grad:
             with span("bwd_dx", comm=comm, layer=i):
                 da = backward_dx_15d(
-                    grid, weights[i], dy_rows, layer=i, step=step, guard=guard
+                    g, weights[i], dy_rows, layer=i, step=step, guard=guard
                 )
         if i > 0:
+            if grids[i - 1] is not g:
+                da = redistribute_15d(g, grids[i - 1], da, layer=i, direction="bwd")
             dz = relu_grad(zs[i - 1], da)
     return loss, grads, da if input_grad else None

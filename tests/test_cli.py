@@ -373,6 +373,10 @@ BAD_INPUT = [
     ["faults", "--width", "0", "--steps", "2"],
     ["faults", "--steps", "0"],
     ["sdc", "--steps", "0"],
+    ["sdc", "--steps", "2"],  # the gauntlet's last plan fires at step 2
+    ["chaos", "--trials", "-1"],
+    ["chaos", "--parity", "0"],
+    ["chaos", "--parity", "4"],  # Pc = 4 leaves no data chunk
 ]
 
 

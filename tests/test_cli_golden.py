@@ -1,4 +1,5 @@
-"""Golden output of the gauntlet commands: exit code, sha256 of stdout, no stderr.
+"""Golden output of the gauntlet commands and of the experiments that run
+the switching trainer: exit code, sha256 of stdout, no stderr.
 
 Run with no scheduler flag, so a CLI change that moves one byte a user
 sees fails here.  After an *intended* change of output, copy the digest
@@ -23,6 +24,9 @@ GOLDEN = {  # argv -> (exit code, sha256(stdout)[:24])
     "watch --scenario crash": (1, "4ea4d45466430b065f698d4c"),
     "watch --scenario degrade": (2, "ef3cf04ae4b663d1ecdc5173"),
     "watch --scenario diverge": (1, "71ea9045296750bcdaea137a"),
+    # The two experiments that print the switching trainer's virtual time.
+    "run dist": (0, "a8e47c81e4e65474a3218053"),
+    "run modelcheck": (0, "a4a6c065eb927700898cc10d"),
 }
 
 

@@ -12,6 +12,7 @@ from repro.dist.matmul15d import (
     backward_dx_15d,
     fc_stack_step_15d,
     forward_15d,
+    redistribute_15d,
 )
 from repro.dist.partition import BlockPartition
 from repro.errors import RankFailedError
@@ -200,3 +201,24 @@ class TestShapeValidation:
 
         with pytest.raises(RankFailedError):
             SimEngine(1).run(prog)
+
+    def test_one_grid_per_layer(self):
+        def prog(comm):
+            grid = GridComm(comm, 1, 1)
+            fc_stack_step_15d(
+                [grid, grid], [np.zeros((2, 3))], [BlockPartition(2, 1)],
+                np.zeros((3, 1)), np.zeros(1, dtype=int),
+                batch=1, step=0, guard=None,
+            )
+
+        with pytest.raises(RankFailedError, match="2 grids for 1 layers"):
+            SimEngine(1).run(prog)
+
+    def test_redistribution_goes_through_the_batch_grid(self):
+        def prog(comm):
+            redistribute_15d(
+                GridComm(comm, 2, 2), GridComm(comm, 4, 1), np.zeros((3, 2)), layer=1
+            )
+
+        with pytest.raises(RankFailedError, match="1 x P batch grid"):
+            SimEngine(4).run(prog)

@@ -13,7 +13,7 @@ from repro.errors import StrategyError
 from repro.machine.params import MachineParams, cori_knl
 from repro.nn import mlp
 from repro.simmpi.engine import SimEngine
-from repro.telemetry.spans import base_name
+from repro.telemetry.spans import base_name, format_label
 
 X, Y = synthetic_classification(12, 64, 5, seed=42)
 PARAMS = MLPParams.init([12, 16, 10, 5], seed=1)
@@ -62,32 +62,72 @@ class TestValidation:
             )
 
 
+def _redist_traffic(placements, expected, pr=4, pc=2, batch=16):
+    """Per-rank bytes received under each ``redist`` span of one step,
+    and the same map built from ``expected``: ``(direction, layer)`` of
+    each span -> the layer whose Eq. 6 volume it moves, or None for a
+    local slice (0 bytes)."""
+    engine = SimEngine(pr * pc, cori_knl(), trace=True)
+    distributed_switching_mlp_train(
+        PARAMS, X, Y, placements=placements, pr=pr, pc=pc,
+        batch=batch, steps=1, lr=0.1, engine=engine,
+    )
+    events = engine.tracer.canonical()
+    measured = {
+        e.span[-1]: [0] * (pr * pc) for e in events
+        if e.op == "span" and base_name(e.span[-1]) == "redist"
+    }
+    for e in (e for e in events if e.op == "recv"):
+        for label in e.span:
+            if label in measured:
+                measured[label][e.rank] += e.data_bytes
+    # float64 elements at 1 s/byte: the bandwidth term is the byte count.
+    per_byte = MachineParams(alpha=0.0, beta_per_byte=1.0, element_bytes=8)
+    layers = mlp(PARAMS.dims).weighted_layers
+    want = {}
+    for (direction, i), eq6_layer in expected.items():
+        label = format_label("redist", {"direction": direction, "layer": i})
+        eq6 = 0.0
+        if eq6_layer is not None:
+            layer = layers[eq6_layer]
+            eq6 = redistribution_cost(layer, batch / pc, pr, per_byte).bandwidth
+            assert eq6 == 8 * (batch / pc) * layer.d_in * (pr - 1) / pr
+        want[label] = [eq6] * (pr * pc)
+    return measured, want
+
+
 class TestRedistributionTraffic:
     def test_allgather_volume_matches_eq6(self):
         """The batch->model switch moves (Pr-1)/Pr of the B/Pc x d panel
         through each rank per iteration — Eq. 6's all-gather volume,
-        at zero relative error."""
-        pr, pc, batch = 4, 2, 16
-        engine = SimEngine(pr * pc, cori_knl(), trace=True)
-        distributed_switching_mlp_train(
-            PARAMS, X, Y, placements=["batch", "model", "model"], pr=pr, pc=pc,
-            batch=batch, steps=1, lr=0.1, engine=engine,
+        at zero relative error; the mirrored backward slice moves
+        nothing."""
+        measured, want = _redist_traffic(
+            ["batch", "model", "model"], {("fwd", 1): 1, ("bwd", 1): None}
         )
-        recvs = [e for e in engine.tracer.canonical() if e.op == "recv"]
-        # Layer 0 is batch-placed, so the first all-gather each rank runs
-        # is the Eq. 6 redistribution into layer 1; the Fig. 5 forward
-        # all-gathers of the model layers come after it.
-        redist = next(e.span for e in recvs if base_name(e.span[-1]) == "allgather")
-        received = [0] * (pr * pc)
-        for e in recvs:
-            if e.span == redist:
-                received[e.rank] += e.data_bytes
-        # float64 elements at 1 s/byte: the bandwidth term is the byte count.
-        per_byte = MachineParams(alpha=0.0, beta_per_byte=1.0, element_bytes=8)
-        layer = mlp(PARAMS.dims).weighted_layers[1]
-        eq6 = redistribution_cost(layer, batch / pc, pr, per_byte).bandwidth
-        assert eq6 == 8 * (batch / pc) * layer.d_in * (pr - 1) / pr
-        assert received == [eq6] * (pr * pc)
+        assert measured == want
+
+    @pytest.mark.parametrize(
+        "placements,expected",
+        [
+            (
+                ["batch", "model", "batch"],
+                {("fwd", 1): 1, ("fwd", 2): None, ("bwd", 2): 2, ("bwd", 1): None},
+            ),
+            (  # the batch-layout input is redistributed into layer 0 too
+                ["model", "batch", "model"],
+                {("fwd", 0): 0, ("fwd", 1): None, ("fwd", 2): 2,
+                 ("bwd", 2): None, ("bwd", 1): 1},
+            ),
+        ],
+        ids=["batch-model-batch", "model-batch-model"],
+    )
+    def test_backward_regather_matches_eq6(self, placements, expected):
+        """A gradient flowing back out of a batch layer into a model one
+        is re-gathered over Pr: Eq. 6's volume again, at zero relative
+        error.  Model->batch crossings, either way, are local slices."""
+        measured, want = _redist_traffic(placements, expected)
+        assert measured == want
 
     def test_pr1_has_no_redistribution_messages(self):
         """With Pr = 1 the layout switch is the identity: tracing a 1x4

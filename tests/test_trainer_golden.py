@@ -25,6 +25,7 @@ from repro.dist.integrated import (
     distributed_cnn_train,
 )
 from repro.dist.summa2d import summa_train
+from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.train import MLPParams, distributed_mlp_train
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import Crash, FaultPlan
@@ -37,12 +38,12 @@ CNN_CONFIG = IntegratedCNNConfig(
 XC, YC = synthetic_images(16, 2, 8, 8, 5, seed=5)
 
 
-def _digest(events, clocks, values):
+def _digest(events, clocks, values, *, spans=True):
     h = hashlib.sha256()
     for e in events:
         h.update(repr((
             e.rank, e.op, e.peer, e.nbytes, e.t_start, e.t_end, e.tag,
-            e.data_bytes, e.span, e.guard_bytes,
+            e.data_bytes, e.span if spans else (), e.guard_bytes,
         )).encode())
     h.update(np.asarray(clocks, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
@@ -125,3 +126,31 @@ GOLDEN = {
 def test_trainer_digest_is_pinned(trainer, pr, pc, sdc, backend):
     key = f"{trainer}-{pr}x{pc}-{'guarded' if sdc else 'plain'}"
     assert RUNNERS[trainer](pr, pc, backend, sdc) == GOLDEN[key], key
+
+
+#: ``placements-PrxPc`` -> digest of the switching trainer's wire traffic.
+#: Only ``send``/``recv`` events are hashed, without their span paths, so
+#: the digest pins every message (tags included) but not the phase spans.
+SWITCHING_GOLDEN = {
+    "batch/model/model-2x2": "e770ba7adae9858e39ee8485",
+    "model/batch/model-2x2": "1f4c3462286a6b63c4fc83b8",
+    "batch/model/batch-4x2": "930d0f78049bb9e1d56b1415",
+    "model/batch/batch-3x1": "dde26ce1f4b8bb6730243dab",
+}
+
+
+@pytest.mark.parametrize("backend", ["thread", "event"])
+@pytest.mark.parametrize("key", sorted(SWITCHING_GOLDEN))
+def test_switching_wire_digest_is_pinned(key, backend):
+    mix, _, grid = key.rpartition("-")
+    pr, pc = map(int, grid.split("x"))
+    params = MLPParams.init((10, 9, 7, 5), seed=4)
+    engine = SimEngine(pr * pc, backend=backend, trace=True)
+    weights, losses, sim = distributed_switching_mlp_train(
+        params, X, Y, placements=mix.split("/"), pr=pr, pc=pc,
+        batch=12, steps=2, lr=0.1, momentum=0.9, engine=engine,
+    )
+    wire = [e for e in engine.tracer.canonical() if e.op in ("send", "recv")]
+    values = np.concatenate([losses] + [w.ravel() for w in weights])
+    digest = _digest(wire, sim.clocks, values, spans=False)
+    assert digest == SWITCHING_GOLDEN[key], key
