@@ -4,15 +4,16 @@ Two classification problems are solved here, both keyed on code
 objects (cached, so each code object is inspected once per process):
 
 **Idle detection.**  The simulator keeps every rank's stack alive —
-the event backend parks P tasklet threads on closed gates, the
-threaded backend blocks ranks in condition waits.  A naive sampler
-would attribute P parked stacks the same weight as the one stack doing
-work.  A thread is *idle* when its innermost Python frame is a known
-blocking site: any frame in the stdlib ``threading.py`` (condition
-waits, joins, lock acquires routed through Python), or the tasklet
-park points in ``simmpi/events.py`` (``_suspend`` / ``_task_main`` /
-``run``, whose innermost line is a gate wait — the gate itself is a
-raw ``lock.acquire``, a C call that leaves no frame).
+the event backend parks P tasklet threads on closed gates (and keeps
+spare worker threads parked between runs), the threaded backend blocks
+ranks in condition waits.  A naive sampler would attribute P parked
+stacks the same weight as the one stack doing work.  A thread is *idle*
+when its innermost Python frame is a known blocking site: any frame in
+the stdlib ``threading.py`` (condition waits, joins, lock acquires
+routed through Python), or the tasklet park points in
+``simmpi/events.py`` (``_suspend`` / ``_worker_main`` / ``run``, whose
+innermost line is a gate wait — the gate itself is a raw
+``lock.acquire``, a C call that leaves no frame).
 
 **Subsystem mapping.**  Busy stacks are attributed by walking from the
 innermost frame outward and taking the first frame that lives in this
@@ -79,8 +80,9 @@ _FILE_SUBSYSTEM: Tuple[Tuple[str, str], ...] = (
 )
 
 # Tasklet park points: the innermost line of these frames is a gate
-# wait whenever the thread is not actively scheduling.
-_EVENT_PARK_FUNCS = frozenset({"_suspend", "_task_main", "run"})
+# wait whenever the thread is not actively scheduling.  A worker parked
+# between runs (or spare in this one) waits in ``_worker_main``.
+_EVENT_PARK_FUNCS = frozenset({"_suspend", "_worker_main", "run"})
 
 #: Max stack depth retained for collapsed stacks/flamegraphs.
 MAX_DEPTH = 64

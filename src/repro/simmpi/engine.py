@@ -29,6 +29,7 @@ over the survivors and continue the run.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -139,8 +140,13 @@ class SimEngine:
         max_trace_events: Optional[int] = None,
         backend: str = "event",
     ) -> None:
-        if size < 1:
-            raise ConfigurationError(f"engine size must be >= 1, got {size}")
+        try:
+            n = operator.index(size)  # NumPy integers too, never floats
+        except TypeError:
+            n = 0
+        if n < 1 or isinstance(size, bool):
+            raise ConfigurationError(f"engine size must be an integer >= 1, got {size!r}")
+        size = n
         if timeout <= 0:
             raise ConfigurationError(f"timeout must be positive, got {timeout}")
         if backend not in self.BACKENDS:
@@ -424,8 +430,8 @@ class SimEngine:
                 finally:
                     self._event_core = None
                     # The core's mailbox points back at the core, and the
-                    # core at this engine and (through its tasks) at every
-                    # rank's Thread: drop it rather than keep that cycle.
+                    # core at this engine: drop it rather than keep that
+                    # cycle.
                     core.mailbox = None
                     if profile_hooks is not None:
                         profile_hooks.note_switches(core.switches)

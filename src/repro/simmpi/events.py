@@ -14,8 +14,16 @@ still executes its unmodified, synchronous program (including
 which identifies ranks by thread), but it only runs while the scheduler
 has handed it the baton.  A blocking receive or split coordination does
 not sleep on a condition variable; it registers the tasklet as a waiter
-and switches directly to the next runnable tasklet (~3us), so scheduling
-cost is independent of the rank count.
+and switches directly to the next runnable tasklet (one lock handoff,
+3-6us), so no rank ever polls.
+
+The threads outlive the run.  A tasklet runs on a pooled *worker* that
+parks on its own gate between runs; a run hands each rank to the worker
+that hosted that rank last (spawning only the shortfall), so back-to-back
+runs keep every rank on the same thread and the same per-thread
+allocator state — fresh threads each run grew a CNN process by ~20 MiB
+per run.  At most :data:`_MAX_PARKED` workers stay parked, and a forked
+child starts with none.
 
 Determinism contract
 --------------------
@@ -36,6 +44,8 @@ receives the same timeout exception the threaded backend would raise.
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 from collections import deque
 from heapq import heappop, heappush
@@ -62,6 +72,11 @@ _DONE = 3
 #: and pickle internals while letting P=1024+ tasklets coexist.
 _STACK_BYTES = 512 * 1024
 
+#: Most workers kept parked between runs: glibc's default malloc-arena
+#: count on 64-bit Linux.  Past it threads share arenas anyway, and each
+#: parked thread keeps its own allocator cache (~25 KiB).
+_MAX_PARKED = 8 * (os.cpu_count() or 1)
+
 
 class _Gate:
     """A parking spot for exactly one tasklet.
@@ -81,6 +96,79 @@ class _Gate:
         self.open = lock.release
 
 
+class _Worker:
+    """A pooled tasklet thread: hosts one rank per run, parks in between.
+
+    Its gate doubles as the hosted task's gate, so handing a rank to a
+    parked worker costs no wake-up: ``job`` is read when the run first
+    schedules the rank, and dropped at once.
+    """
+
+    __slots__ = ("gate", "job", "rank")
+
+    def __init__(self) -> None:
+        self.gate = _Gate()
+        self.job: Optional[Tuple["EventCore", "_Task"]] = None
+        self.rank = -1
+
+
+# Parked workers, keyed by the rank each hosted last.  Every take and
+# return is one atomic dict call (pop, popitem, setdefault), so runs
+# driven from several threads at once never share or lose a worker;
+# they may overshoot the cap by a few.
+_parked: Dict[int, _Worker] = {}
+_names = itertools.count()
+
+if hasattr(os, "register_at_fork"):
+    # Threads do not survive fork(): a child's pool starts empty.
+    os.register_at_fork(after_in_child=_parked.clear)
+
+
+def _park(worker: _Worker) -> bool:
+    """Return ``worker`` to the pool; ``False`` if it must retire instead."""
+    return len(_parked) < _MAX_PARKED and _parked.setdefault(worker.rank, worker) is worker
+
+
+def _worker_main(worker: _Worker) -> None:
+    """A worker thread's life: wait parked, run the assigned rank, repeat."""
+    while True:
+        worker.gate.wait()  # until a run first schedules the assigned rank
+        core, task = worker.job
+        worker.job = None
+        parked = False
+        try:
+            core._task_main(task)
+            # Park before the final handoff: the run may end as soon as
+            # the baton moves on, and the next one must find this worker.
+            parked = _park(worker)
+            if not parked:
+                core._retired.append(threading.current_thread())
+            gate = core._next_gate()
+        except BaseException:
+            # A scheduler invariant failed and this thread ends here: it
+            # must not be handed another rank.
+            if parked:
+                _parked.pop(worker.rank, None)
+            raise
+        # Hold nothing of the run while handing the baton on: the run may
+        # end, and its engine be freed, the moment the gate opens.
+        del core, task
+        gate.open()
+        if not parked:
+            return
+
+
+def _spawn() -> _Worker:
+    worker = _Worker()
+    threading.Thread(
+        target=_worker_main,
+        args=(worker,),
+        name=f"simmpi-ev-{next(_names)}",
+        daemon=True,
+    ).start()
+    return worker
+
+
 class _Task:
     """Scheduler state for one rank's tasklet."""
 
@@ -97,12 +185,11 @@ class _Task:
         "wait_participants",
         "wait_gen",
         "block_clock",
-        "thread",
     )
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
-        self.gate = _Gate()
+        self.gate: Optional[_Gate] = None  # the hosting worker's
         self.status = _READY
         self.wake_value: Any = None
         self.wake_exc: Optional[BaseException] = None
@@ -113,7 +200,6 @@ class _Task:
         self.wait_participants: Optional[Sequence[int]] = None
         self.wait_gen = 0
         self.block_clock = 0.0
-        self.thread: Optional[threading.Thread] = None
 
 
 class EventMailbox:
@@ -187,6 +273,10 @@ class EventCore:
         self._coord_waiters: Dict[Tuple, List[_Task]] = {}
         self._done = 0
         self._main_gate = _Gate()
+        self._program: Optional[Tuple[Callable[..., Any], Tuple, Dict[str, Any]]] = None
+        self._results: List[Any] = [None] * self.size
+        self._failures: Dict[int, BaseException] = {}
+        self._retired: List[threading.Thread] = []  # workers past the cap
         self.switches = 0  # context switches, for benchmarks/tests
 
     # -- run driver --------------------------------------------------------
@@ -200,91 +290,109 @@ class EventCore:
     ) -> Tuple[List[Any], Dict[int, BaseException]]:
         """Execute ``fn(comm, *args, **kwargs)`` on every rank tasklet.
 
-        ``spawn_order`` permutes thread creation order (a determinism
-        test hook); scheduling is driven purely by the seeded heap, so
-        results must not depend on it.  Every tasklet is guaranteed to
-        terminate — blocked ones are eventually woken with an interrupt
-        or deadlock exception — so no threads outlive the run.
+        ``spawn_order`` permutes the order in which ranks are assigned
+        to workers (a determinism test hook); scheduling is driven
+        purely by the seeded heap, so results must not depend on it.
+        Every tasklet is guaranteed to terminate — blocked ones are
+        eventually woken with an interrupt or deadlock exception.  The
+        threads do outlive the run: up to :data:`_MAX_PARKED` of them
+        park for the next one, holding no reference to this one, and
+        the rest have ended by the time this returns.
         """
         # Seed the run queue: every rank ready at virtual time zero, in
         # rank order (seq = rank for the initial entries).
         for task in self.tasks:
             heappush(self._heap, (0.0, self._seq, task.rank))
             self._seq += 1
-        results: List[Any] = [None] * self.size
-        failures: Dict[int, BaseException] = {}
-        order = range(self.size) if spawn_order is None else spawn_order
+        self._program = (fn, args, kwargs)
+        self._assign(range(self.size) if spawn_order is None else spawn_order)
+        self._next_gate().open()  # hand the baton to the first tasklet
+        self._main_gate.wait()  # until every tasklet is done
+        for thread in self._retired:
+            thread.join()
+        return self._results, self._failures
+
+    def _assign(self, order: Sequence[int]) -> None:
+        """Hand every rank, in ``order``, to a worker.
+
+        A rank first gets back the worker that hosted it last, then any
+        other parked worker, and only then a new thread.
+        """
+        tasks = self.tasks
+        unhosted = []
+        for rank in order:
+            worker = _parked.pop(rank, None)
+            if worker is None:
+                unhosted.append(rank)
+            else:
+                self._host(worker, tasks[rank])
+        for i, rank in enumerate(unhosted):
+            try:
+                worker = _parked.popitem()[1]
+            except KeyError:  # pool empty: spawn the shortfall
+                spare = unhosted[i:]
+                break
+            self._host(worker, tasks[rank])
+        else:
+            return
         old_stack = threading.stack_size()
         try:
             try:
                 threading.stack_size(_STACK_BYTES)
             except (ValueError, RuntimeError):  # pragma: no cover - platform
                 pass
-            for rank in order:
-                task = self.tasks[rank]
-                task.thread = threading.Thread(
-                    target=self._task_main,
-                    args=(task, fn, args, kwargs, results, failures),
-                    name=f"simmpi-ev-{rank}",
-                    daemon=True,
-                )
-                task.thread.start()
+            for rank in spare:
+                self._host(_spawn(), tasks[rank])
         finally:
             try:
                 threading.stack_size(old_stack)
             except (ValueError, RuntimeError):  # pragma: no cover - platform
                 pass
-        self._dispatch()  # hand the baton to the first tasklet
-        self._main_gate.wait()  # until every tasklet is done
-        for task in self.tasks:
-            task.thread.join()
-        return results, failures
 
-    def _task_main(
-        self,
-        task: _Task,
-        fn: Callable[..., Any],
-        args: Tuple,
-        kwargs: Dict[str, Any],
-        results: List[Any],
-        failures: Dict[int, BaseException],
-    ) -> None:
+    def _host(self, worker: _Worker, task: _Task) -> None:
+        worker.rank = task.rank
+        worker.job = (self, task)
+        task.gate = worker.gate
+
+    def _task_main(self, task: _Task) -> None:
+        """Run one rank's program, from its first scheduling to its end."""
         engine = self.engine
-        task.gate.wait()  # scheduled for the first time
+        fn, args, kwargs = self._program
         comm = engine.world_comm(task.rank)
         try:
-            results[task.rank] = fn(comm, *args, **kwargs)
+            self._results[task.rank] = fn(comm, *args, **kwargs)
         except SimulatedCrashError as exc:
             if engine.supervise:
                 engine._register_crash(task.rank, exc)
             else:
-                failures[task.rank] = exc
+                self._failures[task.rank] = exc
                 engine._abort.set()
                 self.note_state_change()
         except BaseException as exc:  # noqa: BLE001 - reported to caller
-            failures[task.rank] = exc
+            self._failures[task.rank] = exc
             engine._abort.set()
             self.note_state_change()
-        finally:
-            task.status = _DONE
-            self._done += 1
-            self._dispatch()
+        task.status = _DONE
+        self._done += 1
 
     # -- scheduling --------------------------------------------------------
 
-    def _dispatch(self) -> None:
-        """Hand the baton to the next runnable tasklet (or end the run)."""
+    def _next_gate(self) -> _Gate:
+        """Pass the baton to the next runnable tasklet, or end the run.
+
+        Returns the gate the caller must open: the tasklet's, or the
+        gate ``run`` waits on once every tasklet is done.
+        """
         h = _profile_hooks.ACTIVE
         if h is not None:
             h.dispatches += 1
         nxt = self._next_ready()
         if nxt is None:
-            self._main_gate.open()
-            return
+            return self._main_gate
         self._current = nxt
         nxt.status = _RUNNING
         self.switches += 1
-        nxt.gate.open()
+        return nxt.gate
 
     def _next_ready(self) -> Optional[_Task]:
         heap = self._heap

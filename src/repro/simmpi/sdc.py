@@ -172,6 +172,16 @@ def flippable_arrays(payload) -> List[np.ndarray]:
     return []
 
 
+def _xor_fold(arrays: List[np.ndarray]) -> int:
+    # XOR is associative and commutative, so one reduction over the
+    # arrays' elements in any order equals the per-array folds combined.
+    if len(arrays) == 1:
+        flat = arrays[0].ravel("K")  # a view unless the array is strided
+    else:
+        flat = np.concatenate(arrays, axis=None)
+    return int(np.bitwise_xor.reduce(flat.view(np.uint64)))
+
+
 def payload_digest(payload) -> int:
     """64-bit XOR fold over the raw bits of a flippable payload.
 
@@ -179,11 +189,8 @@ def payload_digest(payload) -> int:
     corresponding digest bit, so detection has zero false negatives and
     zero false positives on clean data.
     """
-    acc = np.uint64(0)
-    for a in flippable_arrays(payload):
-        bits = np.ascontiguousarray(a).reshape(-1).view(np.uint64)
-        acc = acc ^ np.bitwise_xor.reduce(bits)
-    return int(acc)
+    arrays = flippable_arrays(payload)
+    return _xor_fold(arrays) if arrays else 0
 
 
 def flip_bit(arr: np.ndarray, element: int, bit: int) -> None:
@@ -220,9 +227,10 @@ def wrap_payload(payload, flip: Optional[BitFlipFault]) -> Optional[GuardedPaylo
     The digest is computed over the *clean* bits; an injected ``flip``
     rides along as a specification and is applied on arrival.
     """
-    if not flippable_arrays(payload):
+    arrays = flippable_arrays(payload)
+    if not arrays:
         return None
-    return GuardedPayload(payload, payload_digest(payload), flip)
+    return GuardedPayload(payload, _xor_fold(arrays), flip)
 
 
 # -- per-rank guard activation ------------------------------------------------

@@ -4,13 +4,19 @@ Hypothesis drives the scheduler through randomized communication
 patterns and checks the invariants the backend's determinism contract
 rests on: per-rank virtual time never runs backwards, deadlock
 detection still fires on any unmatched receive, and results are
-independent of both tasklet spawn order and repetition.  The lock
+independent of both tasklet spawn order and repetition.  The pooled
+worker threads that host tasklets are checked for reuse, the parking
+cap, fork safety and clean thread-local state between runs.  The lock
 elision used in single-thread mode (``Tracer(threadsafe=False)``,
 ``SDCMonitor(single_thread=True)``) is regression-tested for identical
 observable output.
 """
 
 import gc
+import os
+import signal
+import subprocess
+import sys
 import threading
 import weakref
 
@@ -18,10 +24,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dist.abft import make_guard
 from repro.errors import DeadlockError, RankFailedError
+from repro.simmpi import events
 from repro.simmpi.engine import SimEngine
-from repro.simmpi.sdc import SDCMonitor
+from repro.simmpi.sdc import SDCMonitor, current_guard, payload_guard
 from repro.simmpi.tracing import NullLock, TraceEvent, Tracer
+from repro.telemetry.spans import current_path, span
 
 
 def _ring_program(comm, rounds, payload):
@@ -126,22 +135,77 @@ def test_deadlock_detection_fires(size, stuck):
     assert isinstance(failures[victim], DeadlockError)
 
 
-def test_event_backend_leaves_no_threads_behind():
-    before = threading.active_count()
+def _worker_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("simmpi-ev-")]
+
+
+def test_event_backend_leaves_only_parked_workers():
     engine = SimEngine(6, backend="event")
     engine.run(_ring_program, 3, 4)
-    assert threading.active_count() == before
+    assert len(_worker_threads()) == len(events._parked) <= events._MAX_PARKED
+    assert all(worker.job is None for worker in events._parked.values())
+
+
+def _host(comm):
+    return threading.get_ident()
+
+
+def test_rerun_puts_every_rank_back_on_its_thread(monkeypatch):
+    size = min(16, events._MAX_PARKED)
+    engine = SimEngine(size)
+    first = engine.run(_host).values
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda thread: (started.append(thread), start(thread))
+    )
+    second = engine.run(_host).values
+    assert started == []
+    assert len(set(first)) == size and second == first
+
+
+def test_parked_workers_stay_under_the_cap():
+    cap = 8 * (os.cpu_count() or 1)  # glibc's default malloc-arena count
+    for size in (64, 4):
+        SimEngine(size).run(_ring_program, 1, 2)
+        assert len(_worker_threads()) == len(events._parked) <= cap
+
+
+def test_concurrent_runs_share_the_pool_safely():
+    """Runs driven from several threads at once never share or lose a
+    worker: each finishes, with the values a lone run returns."""
+    expected = {size: SimEngine(size).run(_ring_program, 2, 3).values for size in (3, 5)}
+    errors = []
+
+    def runner(size):
+        try:
+            for _ in range(15):
+                assert SimEngine(size).run(_ring_program, 2, 3).values == expected[size]
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runners = [threading.Thread(target=runner, args=(3 + 2 * (i % 2),)) for i in range(4)]
+        for thread in runners:
+            thread.start()
+        for thread in runners:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in runners), "a run waited forever"
+    assert errors == []
 
 
 def test_finished_engine_is_freed_without_the_cycle_collector():
-    """No reference cycle keeps a finished engine (or its rank threads) alive."""
+    """No reference cycle keeps a finished engine alive, nor does a parked worker."""
     engine = SimEngine(64, backend="event")
     held = {}
 
     def program(comm):
         if comm.rank == 0:
             held["request"] = comm.irecv(1, tag=9)  # never matched
-            held["thread"] = weakref.ref(threading.current_thread())
         comm.barrier()
 
     gc.collect()
@@ -152,10 +216,84 @@ def test_finished_engine_is_freed_without_the_cycle_collector():
         assert held["request"].test() is False
         alive = weakref.ref(engine)
         del engine, held["request"]
-        assert alive() is None and held["thread"]() is None
+        assert alive() is None
+        assert all(worker.job is None for worker in events._parked.values())
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _spanned_program(comm, stuck):
+    entered = (current_path(), current_guard())
+    with span("step", comm=comm), payload_guard(make_guard("correct")):
+        total = comm.allreduce(np.arange(4.0) + comm.rank)
+        if stuck and comm.rank == 1:
+            comm.recv(0, tag=99)  # never sent: rank 1 is the deadlock victim
+    return entered, float(total.sum())
+
+
+def test_failed_run_leaves_clean_workers_behind():
+    """Thread-local span stacks and guard scopes are empty again when a
+    worker parks, even after its rank raised inside both."""
+    engine = SimEngine(4, trace=True)
+    with pytest.raises(RankFailedError) as err:
+        engine.run(_spanned_program, True)
+    assert list(err.value.failures) == [1]
+    assert isinstance(err.value.failures[1], DeadlockError)
+    engine.tracer.clear()
+    reused = engine.run(_spanned_program, False)
+    fresh_engine = SimEngine(4, trace=True)
+    fresh = fresh_engine.run(_spanned_program, False)
+    assert reused.values == fresh.values == ((((), None), 48.0),) * 4
+    assert reused.clocks == fresh.clocks
+    assert engine.tracer.canonical() == fresh_engine.tracer.canonical()
+
+
+_AFTER_FORK = """
+import os
+import numpy as np
+from repro.experiments.common import default_setting
+from repro.search import sweeps
+from repro.simmpi import SimEngine
+
+def program(comm):
+    return float(comm.allreduce(np.arange(3.0) + comm.rank).sum())
+
+def run4(_=None):
+    return SimEngine(4).run(program).values
+
+expected = run4()  # leaves parked workers in this process
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if run4() == expected else 3)
+assert os.waitpid(pid, 0)[1] == 0, "the forked child's run failed"
+s = default_setting()
+points, _ = sweeps.strong_scaling_curve(s.network, 512, [8, 64], s.machine, s.compute, jobs=2)
+assert len(points) == 2
+assert sweeps._map_ordered(run4, [0, 1], 2) == [expected, expected]
+assert run4() == expected
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_runs_finish_after_fork():
+    """After engine runs, a forked child, a sweep's process pool and the
+    parent each finish a 4-rank run: none waits on a thread it lacks."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _AFTER_FORK],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        out, errs = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a run after fork() waited on a worker thread that is gone")
+    assert proc.returncode == 0, errs
+    assert out.strip() == "ok"
 
 
 def test_scheduler_switch_counter_advances():

@@ -36,6 +36,7 @@ from repro.simmpi.sdc import (
     flip_bit,
     flippable_arrays,
     payload_digest,
+    wrap_payload,
 )
 
 DIMS = (12, 10, 8)
@@ -205,6 +206,37 @@ class TestPayloadGuardPrimitives:
         assert flippable_arrays([np.zeros(2), "x"]) == []
         assert flippable_arrays(np.zeros(3, dtype=np.int64)) == []
         assert flippable_arrays([]) == []
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        as_list=st.booleans(),
+        flip=st.one_of(st.none(), st.tuples(st.integers(0, 10**6), st.integers(0, 63))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_fold_equals_the_per_array_fold(self, seeds, layout, as_list, flip):
+        arrays = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            rows, cols = (int(n) for n in rng.integers(1, 6, size=2))
+            raw = np.frombuffer(rng.bytes(rows * 2 * cols * 8), dtype=np.float64)
+            base = raw.reshape(rows, 2 * cols).copy()  # arbitrary bits, NaNs included
+            arrays.append(
+                base[:, ::2] if layout == "strided"
+                else np.asfortranarray(base) if layout == "F" else base
+            )
+        payload = arrays if as_list or len(arrays) > 1 else arrays[0]
+        if flip is not None:
+            fault = BitFlipFault(
+                rank=0, target="payload", send_index=0, element=flip[0], bit=flip[1]
+            )
+            assert apply_payload_flip(payload, fault)
+        expected = 0
+        for a in arrays:
+            bits = np.ascontiguousarray(a).reshape(-1).view(np.uint64)
+            expected ^= int(np.bitwise_xor.reduce(bits))
+        assert payload_digest(payload) == expected
+        assert wrap_payload(payload, None).digest == expected
 
     def test_payload_flip_indexes_concatenated_space(self):
         blocks = [np.zeros(2), np.zeros(3)]

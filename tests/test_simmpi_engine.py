@@ -28,6 +28,17 @@ class TestEngineBasics:
         with pytest.raises(ConfigurationError):
             SimEngine(2, timeout=0)
 
+    @pytest.mark.parametrize("size", [True, 4.0, "4", 0, -1, np.int64(4)])
+    def test_size_must_be_a_positive_integer(self, size):
+        if isinstance(size, np.integer):
+            engine = SimEngine(size)
+            assert type(engine.size) is int and engine.size == 4
+            assert engine.run(lambda comm: comm.size).values == (4,) * 4
+            return
+        with pytest.raises(ConfigurationError, match="engine size") as err:
+            SimEngine(size)
+        assert repr(size) in str(err.value)
+
     def test_rank_failure_propagates_with_rank(self):
         def prog(comm):
             if comm.rank == 1:
