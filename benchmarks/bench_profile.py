@@ -3,7 +3,7 @@
 Three claims are gated against the committed baseline in
 ``benchmarks/BENCH_profile.json``:
 
-1. **Overhead budget.**  A fixed event-backend 1.5D training run is
+1. **Overhead budget.**  A fixed 1.5D training run is
    timed bare and under a :class:`~repro.profile.ProfileSession`
    (interleaved, medians over ``REPS`` pairs).  The profiled/bare wall
    ratio must stay under the committed ceiling — the documented <5%
@@ -64,7 +64,7 @@ CEILING_US_PER_MSG = 180.0
 
 
 def _workload(session=None):
-    """One fixed event-backend training run, inside ``session`` when
+    """One fixed training run, inside ``session`` when
     given; returns (wall_s, outputs)."""
     from repro.dist.train import MLPParams, distributed_mlp_train
     from repro.simmpi.engine import SimEngine
@@ -77,7 +77,7 @@ def _workload(session=None):
     x = rng.standard_normal((dims[0], 2 * batch))
     y = rng.integers(0, dims[-1], 2 * batch)
     params0 = MLPParams.init(dims, seed=1)
-    engine = SimEngine(pr * pc, backend="event")
+    engine = SimEngine(pr * pc)
     t0 = time.monotonic()
     with nullcontext() if session is None else session:
         weights, losses, sim = distributed_mlp_train(
@@ -127,7 +127,7 @@ def _bit_identity():
     params0 = MLPParams.init(dims, seed=2)
     out = {}
     for profiled in (False, True):
-        engine = SimEngine(4, backend="event", trace=True)
+        engine = SimEngine(4, trace=True)
         with ProfileSession() if profiled else nullcontext():
             w, losses, sim = distributed_mlp_train(
                 params0, x, y, pr=2, pc=2, batch=8, steps=2, engine=engine,

@@ -1,30 +1,14 @@
-"""Scheduler-speedup gate for the discrete-event simmpi backend.
+"""Scale and determinism gate for the discrete-event simmpi scheduler.
 
-Three claims are gated against the committed baseline in
+Two claims are gated against the committed baseline in
 ``benchmarks/BENCH_simmpi.json``:
 
-1. **Scheduler speedup.**  A barrier storm (pure blocking/wakeup
-   traffic, no numerics) is timed under both backends at P=64 and
-   P=512.  The event backend must beat one-OS-thread-per-rank by the
-   committed floors.  The gap grows with rank count — at P=64 the
-   per-message Python shared by both backends dominates and the honest
-   ratio is ~2x; at P=512 the threaded scheduler collapses under
-   context-switch pressure and the event backend wins by ~7-14x.
-   Ratios are medians over ``REPS`` runs, and the committed floors sit
-   well below quiet-machine measurements because the *threaded* wall
-   time swings ~2x with OS scheduling noise on a shared single-core CI
-   runner; the measured ratios are recorded in the baseline for eyes,
-   the floors are what CI enforces.
-
-2. **Scale ceiling.**  A full-telemetry, fault-injected 1.5D training
-   step at P=1024 (event backend only — the threaded equivalent takes
-   minutes) must finish within the committed wall-clock ceiling:
+1. **Scale ceiling.**  A full-telemetry, fault-injected 1.5D training
+   step at P=1024 must finish within the committed wall-clock ceiling:
    the "10k+ ranks are routine" claim, kept honest in seconds.
 
-3. **Bit-identity.**  A differential run re-asserts the backend
-   contract inside the gate: values, final clocks, and canonical trace
-   identical across backends (the full matrix lives in
-   ``tests/test_backend_matrix.py``).
+2. **Rerun identity.**  A second run on one engine must equal a fresh
+   engine's run: values, final clocks, and canonical trace, bit for bit.
 
 Flags, baseline handling and exit codes (0 pass, 1 ``REGRESSION:``,
 2 unusable baseline) are those of ``_gate.run_gate``; refresh the
@@ -32,7 +16,6 @@ baseline after an intentional change with ``--update-baseline``.
 """
 
 import os
-import statistics
 import time
 
 import numpy as np
@@ -42,50 +25,15 @@ import _gate
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_simmpi.json")
 BENCH_SCHEMA = "repro.simmpi.bench/v1"
 
-REPS = 3
-
 CONFIG = {
-    "storm_small": {"ranks": 64, "rounds": 40},
-    "storm_large": {"ranks": 512, "rounds": 8},
     "scale": {"pr": 32, "pc": 32, "steps": 1, "dims": [64, 64, 32]},
-    "reps": REPS,
 }
 
-# Committed gates.  Quiet-machine medians are ~2.3x (P=64) and ~12x
-# (P=512); the floors sit below them because the threaded wall time
-# swings ~2x with OS scheduling noise on shared single-core CI runners.
-FLOOR_P64 = 1.4
-FLOOR_P512 = 6.0
 CEILING_P1024_S = 60.0
 
 
-def _storm(comm, rounds):
-    for _ in range(rounds):
-        comm.barrier()
-    return comm.clock
-
-
-def _time_storm(backend, ranks, rounds):
-    from repro.simmpi.engine import SimEngine
-
-    engine = SimEngine(ranks, backend=backend)
-    t0 = time.monotonic()
-    engine.run(_storm, rounds)
-    return time.monotonic() - t0
-
-
-def _storm_ratio(ranks, rounds):
-    """Median thread/event wall ratio over REPS interleaved runs."""
-    ratios = []
-    for _ in range(REPS):
-        event_wall = _time_storm("event", ranks, rounds)
-        thread_wall = _time_storm("thread", ranks, rounds)
-        ratios.append(thread_wall / event_wall)
-    return statistics.median(ratios), ratios
-
-
 def _scale_run():
-    """Full-telemetry fault-injected P=1024 training step, event backend."""
+    """Full-telemetry fault-injected P=1024 training step."""
     from repro.dist.train import MLPParams, distributed_mlp_train
     from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import FaultPlan, LinkFault, Straggler
@@ -108,7 +56,7 @@ def _scale_run():
             ),
         ),
     )
-    engine = SimEngine(pr * pc, backend="event", trace=True, faults=plan)
+    engine = SimEngine(pr * pc, trace=True, faults=plan)
     t0 = time.monotonic()
     _, losses, sim = distributed_mlp_train(
         params0, x, y, pr=pr, pc=pc, batch=batch, steps=cfg["steps"],
@@ -123,8 +71,8 @@ def _scale_run():
     return wall, ok
 
 
-def _bit_identity():
-    """Small differential run: values, clocks, canonical trace equal."""
+def _rerun_identity():
+    """A rerun on one engine equals a fresh engine's run, bit for bit."""
     from repro.dist.train import MLPParams, distributed_mlp_train
     from repro.simmpi.engine import SimEngine
 
@@ -133,71 +81,45 @@ def _bit_identity():
     x = rng.standard_normal((dims[0], 32))
     y = rng.integers(0, dims[-1], 32)
     params0 = MLPParams.init(dims, seed=2)
-    out = {}
-    for backend in ("thread", "event"):
-        engine = SimEngine(4, backend=backend, trace=True)
+
+    def train(engine):
+        engine.tracer.clear()
         w, losses, sim = distributed_mlp_train(
             params0, x, y, pr=2, pc=2, batch=8, steps=2, engine=engine
         )
-        out[backend] = (w, losses, sim, engine.tracer.canonical())
-    wt, lt, st, ct = out["thread"]
-    we, le, se, ce = out["event"]
-    return (
-        all(a.tobytes() == b.tobytes() for a, b in zip(wt, we))
-        and lt == le
-        and st.clocks == se.clocks
-        and ct == ce
-    )
+        return [a.tobytes() for a in w], losses, sim.clocks, engine.tracer.canonical()
+
+    reused = SimEngine(4, trace=True)
+    train(reused)
+    return train(reused) == train(SimEngine(4, trace=True))
 
 
 def run_simmpi_bench() -> dict:
-    small = CONFIG["storm_small"]
-    large = CONFIG["storm_large"]
-    ratio_small, reps_small = _storm_ratio(small["ranks"], small["rounds"])
-    ratio_large, reps_large = _storm_ratio(large["ranks"], large["rounds"])
     scale_wall, scale_ok = _scale_run()
     return {
         "schema": BENCH_SCHEMA,
         "config": CONFIG,
-        "ratio_p64": ratio_small,
-        "ratio_p64_reps": reps_small,
-        "ratio_p512": ratio_large,
-        "ratio_p512_reps": reps_large,
         "scale_wall_s": scale_wall,
         "scale_ok": scale_ok,
-        "identical": _bit_identity(),
-        "floor_p64": FLOOR_P64,
-        "floor_p512": FLOOR_P512,
+        "identical": _rerun_identity(),
         "ceiling_s": CEILING_P1024_S,
     }
 
 
 def _report(record) -> None:
-    print(f"storm P={CONFIG['storm_small']['ranks']:>4}: "
-          f"event beats thread by {record['ratio_p64']:.1f}x "
-          f"(reps {[f'{r:.1f}' for r in record['ratio_p64_reps']]})")
-    print(f"storm P={CONFIG['storm_large']['ranks']:>4}: "
-          f"event beats thread by {record['ratio_p512']:.1f}x "
-          f"(reps {[f'{r:.1f}' for r in record['ratio_p512_reps']]})")
     print(f"scale P=1024: full-telemetry faulted step in "
-          f"{record['scale_wall_s']:.1f}s (event backend)")
+          f"{record['scale_wall_s']:.1f}s")
     print(f"identity    : {'PASS' if record['identical'] else 'FAIL'}")
 
 
 CHECKS = [
-    ("floor", "ratio_p64", "floor_p64",
-     "P=64 scheduler speedup {value:.2f}x fell below the committed floor "
-     "{limit:.2f}x"),
-    ("floor", "ratio_p512", "floor_p512",
-     "P=512 scheduler speedup {value:.2f}x fell below the committed floor "
-     "{limit:.2f}x"),
     ("ceiling", "scale_wall_s", "ceiling_s",
      "P=1024 full-telemetry step took {value:.1f}s, over the committed "
      "ceiling {limit:.1f}s"),
     ("true", "scale_ok", None,
      "P=1024 run lost its telemetry or clocks (scale sanity failed)"),
     ("true", "identical", None,
-     "event backend diverged bitwise from the threaded backend "
+     "a rerun on one engine diverged bitwise from a fresh engine "
      "(values, clocks, or canonical trace)"),
 ]
 
@@ -210,13 +132,12 @@ def main(argv=None) -> int:
         measure=run_simmpi_bench,
         report=_report,
         checks=CHECKS,
-        passed="floors {floor_p64:.1f}x / {floor_p512:.1f}x, "
-               "ceiling {ceiling_s:.0f}s",
+        passed="ceiling {ceiling_s:.0f}s",
         width=12,
     )
 
 
-test_simmpi_backend_gate = _gate.tier2_hook(main)
+test_simmpi_scale_gate = _gate.tier2_hook(main)
 
 
 if __name__ == "__main__":

@@ -1556,8 +1556,7 @@ def _run_profile(args) -> int:
     meta = {"profiled": True}
     if not args.json:
         print(
-            f"profile : {args.trainer} on a {pr}x{pc} grid "
-            f"({engine.backend} backend), {steps} step(s), "
+            f"profile : {args.trainer} on a {pr}x{pc} grid, {steps} step(s), "
             f"sampling at {session.hz:g}Hz"
         )
     if args.trainer in ("mlp", "elastic"):
@@ -1649,7 +1648,7 @@ def _run_profile(args) -> int:
         out = args.out.rstrip("/")
         collapsed = session.collapsed
         subtitle = (
-            f"{args.trainer} {pr}x{pc} ({engine.backend}), {report.wall_s:.3f}s "
+            f"{args.trainer} {pr}x{pc}, {report.wall_s:.3f}s "
             f"wall, {report.ticks} ticks @ {report.hz:g}Hz"
         )
         artifacts["collapsed"] = f"{out}/collapsed.txt"
@@ -1703,7 +1702,6 @@ def _run_profile(args) -> int:
             "schema": "repro.cli.profile/v1",
             "trainer": args.trainer,
             "grid": {"pr": pr, "pc": pc},
-            "engine": engine.backend,
             "steps": steps,
             "report": report.to_dict(),
             "attribution_ok": attribution_ok,

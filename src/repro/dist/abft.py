@@ -217,16 +217,12 @@ def make_guard(
     ``"correct"`` / ``"recompute"``), an :class:`~repro.simmpi.sdc.SDCPolicy`,
     or a ready-made :class:`SDCGuard` (shared across ranks).
 
-    ``single_thread=True`` (used under the event engine backend, where
-    only one rank tasklet runs at a time) builds the shared monitor in
-    its lock-free mode; counts are identical either way.
+    ``single_thread`` is deprecated and ignored.
     """
     if sdc is None or sdc is False:
         return None
     if isinstance(sdc, SDCGuard):
         return sdc
-    if monitor is None and single_thread:
-        monitor = SDCMonitor(single_thread=True)
     return SDCGuard(as_policy(sdc), monitor=monitor)
 
 

@@ -579,9 +579,7 @@ def elastic_mlp_train(
     parity chunks per stripe, i.e. the number of *concurrent* rank
     losses every striped checkpoint survives bit-exactly.
     ``sdc`` enables ABFT guards against injected bit flips.
-    ``engine`` selects the scheduler backend: ``None``/``"event"``
-    (single-threaded discrete-event) or ``"thread"`` (OS threads, same
-    results, the differential oracle) — or pass a prebuilt
+    ``engine`` is ``None`` (a default supervised engine) or a prebuilt
     ``SimEngine(pr * pc, machine, trace=..., metrics=..., faults=...,
     supervise=True)``, which then carries the faults too (``faults=``
     beside it is an error).
@@ -616,7 +614,7 @@ def elastic_mlp_train(
         parity=parity,
         schedule=schedule,
         lr_schedule=lr_schedule,
-        sdc=make_guard(sdc, single_thread=engine.backend == "event"),
+        sdc=make_guard(sdc),
     )
     losses, weights, grids, restores, degraded, restored, store = result.values[
         result.survivors[0]

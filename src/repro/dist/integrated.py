@@ -402,9 +402,9 @@ def distributed_cnn_train(
     """Integrated training on a ``pr x pc`` grid; returns full params.
 
     ``pr`` partitions image rows for the convolutions and FC weight rows
-    for the dense layers; ``pc`` shards the batch.  ``engine`` selects
-    the scheduler backend (``None``/``"event"``, or ``"thread"``) or
-    supplies a prebuilt :class:`~repro.simmpi.engine.SimEngine`, which
+    for the dense layers; ``pc`` shards the batch.  ``engine`` is
+    ``None`` (a default engine) or a prebuilt
+    :class:`~repro.simmpi.engine.SimEngine`, which
     carries the run's machine, tracer and metrics sink (see
     :func:`~repro.dist.train.distributed_mlp_train`).
     """
@@ -431,7 +431,7 @@ def distributed_cnn_train(
         weight_decay=weight_decay,
         schedule=schedule,
         lr_schedule=lr_schedule,
-        sdc=make_guard(sdc, single_thread=engine.backend == "event"),
+        sdc=make_guard(sdc),
     )
     # Conv weights are replicated (take rank 0's); FC weights reassemble
     # from their row blocks.

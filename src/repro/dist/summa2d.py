@@ -95,7 +95,7 @@ def summa_stationary_c(
     panels = BlockPartition(k, steps)
     m_i = a_rows.size(grid.row)
     n_j = b_local.shape[1]
-    guard = make_guard(sdc, single_thread=grid.comm.engine.backend == "event")
+    guard = make_guard(sdc)
     c_local = np.zeros((m_i, n_j), dtype=np.result_type(a_local, b_local))
     with span("summa", comm=grid.comm, pr=pr, pc=pc), payload_guard(guard):
         for t in range(steps):
@@ -167,8 +167,8 @@ def summa_train(
     """Engine-level SUMMA driver: resolve, run, reassemble full ``C``.
 
     The 2D baseline counterpart of
-    :func:`~repro.dist.train.distributed_mlp_train`: ``engine`` may be a
-    backend name (``None``/``"event"``, or ``"thread"``) or a prebuilt
+    :func:`~repro.dist.train.distributed_mlp_train`: ``engine`` may be
+    ``None`` (a default engine) or a prebuilt
     :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks,
     which carries the run's machine, tracer and metrics sink.  Returns
     ``(c_full, sim_result, engine)`` so callers can keep the tracer

@@ -121,7 +121,7 @@ def distributed_switching_mlp_train(
 ) -> Tuple[List[np.ndarray], List[float], SimResult]:
     """Run the switching trainer on a simulated grid; reassemble weights.
 
-    ``engine`` is a backend name or a prebuilt
+    ``engine`` is ``None`` (a default engine) or a prebuilt
     :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, as
     for :func:`~repro.dist.train.distributed_mlp_train`; a traced one
     exposes the redistribution collectives on its tracer, each under a

@@ -241,9 +241,7 @@ def distributed_mlp_train(
 
     The returned losses are the per-step global losses (identical on
     every rank); the weights are reassembled from the rank blocks.
-    ``engine`` may be ``None``/``"event"`` (a default discrete-event
-    engine), ``"thread"`` (OS threads; bit-identical results, far slower
-    on large grids — see ``docs/SIMMPI.md``) or a prebuilt
+    ``engine`` may be ``None`` (a default engine) or a prebuilt
     :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks.  The
     prebuilt engine carries the run's machine, tracer and metrics sink,
     and keeps the tracer handle for a
@@ -254,7 +252,7 @@ def distributed_mlp_train(
     check_mlp_inputs(x, y, batch)
     engine = resolve_engine(engine, pr * pc)
     # One shared guard so all ranks aggregate into the same sdc.* counters.
-    guard = make_guard(sdc, single_thread=engine.backend == "event")
+    guard = make_guard(sdc)
     result = engine.run(
         mlp_train_program,
         params0,

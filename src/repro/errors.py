@@ -48,12 +48,11 @@ class SimMPIError(ReproError, RuntimeError):
 
 
 class DeadlockError(SimMPIError):
-    """A simulated rank waited longer than the watchdog allows.
+    """A simulated rank waits on a receive that can never complete.
 
-    The simulated runtime executes SPMD rank programs on real threads;
-    a blocking receive that is never matched would hang the host
-    process, so receives carry a generous timeout and raise this error
-    instead.
+    Raised in the rank the scheduler proves deadlocked (no rank can
+    run, so no send will ever match its receive), and in every other
+    blocked rank once another rank's failure aborts the run.
     """
 
 

@@ -28,10 +28,9 @@ Two consumption modes share the same rules:
 
 * **streaming** — ``HealthMonitor`` as a tracer sink, for the live
   ``repro watch`` renderer.  Cross-rank rules see events in scheduler
-  order; on the threaded backend that is a wall-clock interleave, so
-  *which instant* a rule trips at can vary run to run; the dedupe (one
-  event per ``(kind, rank)`` per fault epoch) keeps the set of raised
-  events stable.
+  order, which is fixed run to run; the dedupe (one event per
+  ``(kind, rank)`` per fault epoch) keeps the set of raised events
+  stable whatever the order.
 * **deterministic** — :func:`evaluate_health` replays a recorded trace
   in virtual-time order.  Same rules, bit-stable output; this is what
   RunRecord schema v4 embeds.

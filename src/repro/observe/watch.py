@@ -4,9 +4,8 @@ Sits in the tracer sink chain: every trace event flows through
 :meth:`WatchRenderer.observe_event`, heartbeats become progress lines,
 and rule firings (delivered via the monitor's ``on_event`` hook) become
 highlighted alert lines, all while the run executes.  Output order
-across ranks follows the scheduler: fixed run to run on the default
-event backend, the host thread interleave on ``backend="thread"`` —
-either way a *live* view; the verdict is the RunRecord's health block.
+across ranks follows the scheduler and is fixed run to run, but it is
+a *live* view; the verdict is the RunRecord's health block.
 
 Writes are serialized under one lock so lines never shear, and the
 renderer never touches virtual time, preserving the bit-identity

@@ -4,10 +4,9 @@ Two classification problems are solved here, both keyed on code
 objects (cached, so each code object is inspected once per process):
 
 **Idle detection.**  The simulator keeps every rank's stack alive —
-the event backend parks P tasklet threads on closed gates (and keeps
-spare worker threads parked between runs), the threaded backend blocks
-ranks in condition waits.  A naive sampler would attribute P parked
-stacks the same weight as the one stack doing work.  A thread is *idle*
+the scheduler parks P tasklet threads on closed gates (and keeps
+spare worker threads parked between runs).  A naive sampler would
+attribute P parked stacks the same weight as the one stack doing work.  A thread is *idle*
 when its innermost Python frame is a known blocking site: any frame in
 the stdlib ``threading.py`` (condition waits, joins, lock acquires
 routed through Python), or the tasklet park points in
@@ -31,9 +30,8 @@ from typing import Dict, Optional, Tuple
 
 #: Attribution buckets, in report order.  ``handoff`` is wall time
 #: during an active run in which *no* thread had a busy Python frame —
-#: the OS futex wake + GIL handoff cost of a scheduler switch (or, on
-#: the threaded backend, of a condition-variable wakeup); it is real
-#: scheduler spend and feeds the µs/switch metric.  ``idle`` is the
+#: the OS futex wake + GIL handoff cost of a scheduler switch; it is
+#: real scheduler spend and feeds the µs/switch metric.  ``idle`` is the
 #: same no-busy-stack state observed while no engine run is in
 #: progress.  ``profiler`` covers sampled profiler frames (the
 #: sampler's own thread is excluded and measured directly as

@@ -14,16 +14,13 @@ alias each other's buffers; arrival times follow the postal model of
 from __future__ import annotations
 
 import copy
-import threading
-from collections import deque
 from functools import partial
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import (
     CommunicatorError,
-    DeadlockError,
     PeerFailedError,
     SDCDetectedError,
     TransientCommError,
@@ -40,67 +37,7 @@ from repro.simmpi.sdc import (
 )
 from repro.simmpi.tracing import TraceEvent
 
-__all__ = ["Comm", "Mailbox", "Request"]
-
-# How often blocked receives poll the engine's abort flag (wall seconds).
-_POLL_INTERVAL = 0.05
-
-
-class Mailbox:
-    """Matching buffers for in-flight messages, keyed by (ctx, src, dst, tag)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._queues: Dict[Tuple, Deque[Tuple[Any, float]]] = {}
-
-    def post(self, key: Tuple, payload: Any, arrival: float) -> None:
-        with self._cond:
-            self._queues.setdefault(key, deque()).append((payload, arrival))
-            self._cond.notify_all()
-
-    def kick(self) -> None:
-        """Wake every blocked receiver (so interrupts surface promptly)."""
-        with self._cond:
-            self._cond.notify_all()
-
-    def peek(self, key: Tuple) -> bool:
-        """Non-destructive match probe (used by ``Request.test``).
-
-        Both mailbox implementations (this one and the event backend's
-        :class:`~repro.simmpi.events.EventMailbox`) expose the same
-        probe so non-blocking requests work identically under either
-        engine backend.
-        """
-        with self._cond:
-            return bool(self._queues.get(key))
-
-    def take(self, key: Tuple, timeout: float, interrupt) -> Tuple[Any, float]:
-        """Block until a message matches ``key``; honour interrupts and timeouts.
-
-        ``interrupt()`` returns ``None`` to keep waiting or the exception
-        to raise instead (peer failure, run abort).
-        """
-        deadline = timeout
-        waited = 0.0
-        with self._cond:
-            while True:
-                queue = self._queues.get(key)
-                if queue:
-                    payload, arrival = queue.popleft()
-                    if not queue:
-                        del self._queues[key]
-                    return payload, arrival
-                exc = interrupt()
-                if exc is not None:
-                    raise exc
-                if waited >= deadline:
-                    raise DeadlockError(
-                        f"receive on {key} timed out after {timeout:.1f}s "
-                        "(likely an unmatched send/recv pair)"
-                    )
-                self._cond.wait(_POLL_INTERVAL)
-                waited += _POLL_INTERVAL
+__all__ = ["Comm", "Request"]
 
 
 def _size_and_copy(obj: Any) -> Tuple[int, Any]:
@@ -282,8 +219,7 @@ class Comm:
 
         The receive fails only when the source provably cannot satisfy
         it (dead, or moved past this communicator's generation), which
-        keeps supervised interruption points deterministic — independent
-        of wall-clock thread scheduling.  One predicate per source is
+        keeps supervised interruption points deterministic.  One predicate per source is
         built on first use and kept for the communicator's lifetime.
         """
         interrupt = self._interrupts.get(src_world)
@@ -470,7 +406,7 @@ class Comm:
         clocks = engine._clocks
         t0 = clocks[me]
         payload, arrival = engine.mailbox.take(
-            key, engine.timeout, self._interrupts.get(src_world) or self._interrupt_for(src_world)
+            key, self._interrupts.get(src_world) or self._interrupt_for(src_world)
         )
         h = _profile_hooks.ACTIVE
         if h is not None:
@@ -651,19 +587,17 @@ class Comm:
         )
         # The first reader groups everyone by colour and leaves that on
         # the shared store under "groups" (its other keys are ranks);
-        # each member then picks up its own group's tuple.  Under the
-        # coordination lock, so threaded ranks group once too.
-        with self._engine._coord_lock:
-            groups = values.get("groups")
-            if groups is None:
-                by_color: Dict[Any, List[Tuple]] = {}
-                for old_rank, w in enumerate(self._world_ranks):
-                    c, k = values[w]
-                    by_color.setdefault(c, []).append((k, old_rank, w))
-                groups = values["groups"] = {
-                    c: tuple(w for _, _, w in sorted(members))
-                    for c, members in by_color.items()
-                }
+        # each member then picks up its own group's tuple.
+        groups = values.get("groups")
+        if groups is None:
+            by_color: Dict[Any, List[Tuple]] = {}
+            for old_rank, w in enumerate(self._world_ranks):
+                c, k = values[w]
+                by_color.setdefault(c, []).append((k, old_rank, w))
+            groups = values["groups"] = {
+                c: tuple(w for _, _, w in sorted(members))
+                for c, members in by_color.items()
+            }
         new_world_ranks = groups[color]
         new_ctx = (self._ctx, "split", seq, color)
         return Comm(self._engine, new_world_ranks, self._world_rank, new_ctx, gen=self._gen)

@@ -2,16 +2,11 @@
 
 :class:`SimEngine` runs one rank program per world rank, hands each a
 :class:`~repro.simmpi.communicator.Comm`, and tracks per-rank virtual
-clocks under the postal network model.  Two backends execute the rank
-programs (see ``docs/SIMMPI.md``):
-
-* ``backend="event"`` (default) — a single-threaded discrete-event
-  scheduler (:mod:`repro.simmpi.events`) in which exactly one rank
-  tasklet runs at a time over a virtual-time priority queue, the
-  backend that makes the paper's P=512..16384 grids simulable;
-* ``backend="thread"`` — one OS thread per rank (the original design),
-  kept as the differential oracle: bit-identical results, clocks, and
-  canonical traces at ~1/10 the scheduling throughput.
+clocks under the postal network model.  The rank programs run as
+tasklets of a discrete-event scheduler (:mod:`repro.simmpi.events`):
+exactly one rank runs at a time over a virtual-time priority queue,
+which is what makes the paper's P=512..16384 grids simulable (see
+``docs/SIMMPI.md``).
 
 By default rank failures abort the whole run (raising
 :class:`~repro.errors.RankFailedError` with every original exception)
@@ -30,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -44,7 +38,8 @@ from repro.errors import (
     SimulatedCrashError,
 )
 from repro.machine.params import MachineParams
-from repro.simmpi.communicator import Comm, Mailbox
+from repro.simmpi.communicator import Comm
+from repro.simmpi.events import EventCore, EventMailbox
 from repro.simmpi.faults import FaultInjector, FaultPlan
 from repro.simmpi.network import PostalNetwork
 from repro.simmpi.tracing import TraceEvent, Tracer
@@ -95,9 +90,6 @@ class SimEngine:
         Number of world ranks.
     machine:
         Latency/bandwidth parameters (defaults to the paper's Cori-KNL).
-    timeout:
-        Threaded backend: wall-clock seconds a blocked receive waits
-        before declaring a deadlock (the event backend only quotes it).
     trace:
         Record every message as a :class:`~repro.simmpi.tracing.TraceEvent`
         (see :attr:`tracer`).
@@ -118,13 +110,13 @@ class SimEngine:
         Optional cap on stored trace events (ring-buffer semantics; see
         :class:`~repro.simmpi.tracing.Tracer`).
     backend:
-        ``"event"`` (default) or ``"thread"`` — how rank programs are
-        executed.  Both produce bit-identical values, clocks, and
-        canonical traces; the event backend is single-threaded (one
-        rank tasklet runnable at a time) and roughly an order of
-        magnitude faster to schedule; ``"thread"`` is the oracle.
+        Deprecated and inert.  Any name in :attr:`BACKENDS` is accepted
+        and runs the one discrete-event scheduler; any other value is a
+        :class:`~repro.errors.ConfigurationError`.
     """
 
+    #: Deprecated names ``backend=`` still accepts ("thread" was the
+    #: removed one-OS-thread-per-rank scheduler); both select nothing.
     BACKENDS = ("thread", "event")
 
     def __init__(
@@ -132,7 +124,6 @@ class SimEngine:
         size: int,
         machine: Optional[MachineParams] = None,
         *,
-        timeout: float = 30.0,
         trace: bool = False,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         supervise: bool = False,
@@ -147,21 +138,18 @@ class SimEngine:
         if n < 1 or isinstance(size, bool):
             raise ConfigurationError(f"engine size must be an integer >= 1, got {size!r}")
         size = n
-        if timeout <= 0:
-            raise ConfigurationError(f"timeout must be positive, got {timeout}")
         if backend not in self.BACKENDS:
             raise ConfigurationError(
                 f"unknown engine backend {backend!r}; expected one of {self.BACKENDS}"
             )
         self.size = size
-        self.backend = backend
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults)
         self.injector: Optional[FaultInjector] = faults
         self.network = PostalNetwork(machine, injector=self.injector)
-        self.timeout = timeout
         self.supervise = supervise
-        self.mailbox = Mailbox()
+        # Outside a run the mailbox is empty: a pending request probes False.
+        self.mailbox = EventMailbox(None)
         self.metrics = metrics
         sink = metrics.observe_event if metrics is not None else None
         self.tracer = Tracer(
@@ -169,36 +157,26 @@ class SimEngine:
             max_events=max_trace_events,
             sink=sink,
             store=trace,
-            # Single-threaded backend: exactly one tasklet runs at a
-            # time, so per-event locking is pure overhead (satellite:
-            # lock-free single-thread mode).
-            threadsafe=(backend != "event"),
         )
-        if self.injector is not None and backend == "event":
-            self.injector.set_single_thread(True)
         self._clocks = [0.0] * size
-        self._abort = threading.Event()
-        self._coord_lock = threading.Lock()
-        self._coord_cond = threading.Condition(self._coord_lock)
+        self._aborted = False
         self._coord_store: Dict[Tuple, Dict[int, Any]] = {}
         self._coord_reads: Dict[Tuple, int] = {}
-        self._fault_lock = threading.Lock()
         self._dead: Set[int] = set()
         self._fail_gen = 0
         self._crash_failures: Dict[int, BaseException] = {}
         # Per-rank communicator generation state.  A rank's entry is only
-        # ever written by its own thread; readers tolerate (monotone)
-        # staleness.  ``_rank_gen[r]`` is the generation r currently
-        # operates in; while r is inside ``shrink`` its ``_rank_target[r]``
-        # names the generation it is moving to and ``_rank_recovering[r]``
-        # is True.
+        # ever written by its own tasklet.  ``_rank_gen[r]`` is the
+        # generation r currently operates in; while r is inside
+        # ``shrink`` its ``_rank_target[r]`` names the generation it is
+        # moving to and ``_rank_recovering[r]`` is True.
         self._rank_gen = [0] * size
         self._rank_target = [0] * size
         self._rank_recovering = [False] * size
-        # Event backend: the per-run scheduler core (None outside runs
-        # and for the threaded backend), plus a test hook permuting
-        # tasklet spawn order (results must be independent of it).
-        self._event_core = None
+        # The per-run scheduler core (None outside runs), plus a test
+        # hook permuting tasklet spawn order (results must be
+        # independent of it).
+        self._event_core: Optional[EventCore] = None
         self._spawn_order: Optional[Sequence[int]] = None
         # Host-side observability of the last run(): wall-clock seconds
         # (always measured — two perf_counter calls per run) and the
@@ -213,23 +191,16 @@ class SimEngine:
         return self._clocks[world_rank]
 
     def advance_clock(self, world_rank: int, seconds: float) -> None:
-        # Each rank only ever writes its own clock, so no lock is needed
-        # for the update itself; reads by other ranks happen only at
-        # coordination points.
         self._clocks[world_rank] += seconds
 
     def sync_clock(self, world_rank: int, at_least: float) -> None:
         if at_least > self._clocks[world_rank]:
             self._clocks[world_rank] = at_least
 
-    def aborted(self) -> bool:
-        return self._abort.is_set()
-
     # -- fault supervision ---------------------------------------------------
 
     def dead_ranks(self) -> Tuple[int, ...]:
-        with self._fault_lock:
-            return tuple(sorted(self._dead))
+        return tuple(sorted(self._dead))
 
     def peer_generation(self, rank: int) -> int:
         """The communicator generation ``rank`` has (or is moving to).
@@ -246,9 +217,7 @@ class SimEngine:
         """``rank`` declares it is abandoning generations below ``target_gen``."""
         self._rank_target[rank] = target_gen
         self._rank_recovering[rank] = True
-        self.mailbox.kick()
-        with self._coord_cond:
-            self._coord_cond.notify_all()
+        self._event_core.note_state_change()
 
     def mark_recovered(self, rank: int, new_gen: int) -> None:
         """``rank`` finished its shrink and now operates in ``new_gen``."""
@@ -266,12 +235,11 @@ class SimEngine:
         :class:`~repro.errors.PeerFailedError` exactly when ``src`` can
         provably never satisfy it: ``src`` is dead, or has moved (or is
         moving) to a newer generation.  Because that condition depends
-        only on ``src``'s own deterministic execution — never on
-        wall-clock races — every rank's interruption point is a pure
-        function of the program and the fault plan, which is what makes
-        supervised runs replayable.
+        only on ``src``'s own deterministic execution, every rank's
+        interruption point is a pure function of the program and the
+        fault plan, which is what makes supervised runs replayable.
         """
-        if self._abort.is_set():
+        if self._aborted:
             return DeadlockError(
                 f"rank {world_rank} interrupted: another rank failed"
             )
@@ -295,27 +263,23 @@ class SimEngine:
             self.injector.check_crash(
                 world_rank, step=step, time=self._clocks[world_rank]
             )
-        if self._abort.is_set():
+        if self._aborted:
             raise DeadlockError(
                 f"rank {world_rank} interrupted: another rank failed"
             )
 
     def _register_crash(self, world_rank: int, exc: SimulatedCrashError) -> None:
-        with self._fault_lock:
-            self._dead.add(world_rank)
-            self._fail_gen += 1
-            self._crash_failures[world_rank] = exc
+        self._dead.add(world_rank)
+        self._fail_gen += 1
+        self._crash_failures[world_rank] = exc
         t = self._clocks[world_rank]
         self.tracer.record(TraceEvent(world_rank, "fault.crash", -1, 0, t, t))
-        self.mailbox.kick()
-        with self._coord_cond:
-            self._coord_cond.notify_all()
+        self._event_core.note_state_change()
 
     def begin_shrink(self) -> Tuple[int, Tuple[int, ...]]:
         """Snapshot (failure generation, survivor set) for a shrink attempt."""
-        with self._fault_lock:
-            survivors = tuple(r for r in range(self.size) if r not in self._dead)
-            return self._fail_gen, survivors
+        survivors = tuple(r for r in range(self.size) if r not in self._dead)
+        return self._fail_gen, survivors
 
     # -- metadata coordination (Comm.split / Comm.shrink) --------------------
 
@@ -335,48 +299,50 @@ class SimEngine:
         participant gets the one shared ``{world rank: value}`` store,
         not a copy of it — P copies of P entries is what made ``split``
         quadratic — so readers leave the rank entries alone.  They may
-        share a derived result on it under a non-rank key while holding
-        ``_coord_lock`` (``split`` keeps its grouping under
-        ``"groups"``).  The engine forgets the store once every
-        participant has read it; the readers' references keep it alive
-        until they are done.  In a
-        supervised run the exchange fails with
-        :class:`~repro.errors.PeerFailedError` if a participant dies or
-        moves past generation ``gen`` (it will then never deposit here),
-        using the same deterministic peer-state rule as blocked
-        receives.
+        share a derived result on it under a non-rank key (``split``
+        keeps its grouping under ``"groups"``).  The engine forgets the
+        store once every participant has read it; the readers'
+        references keep it alive until they are done.  A waiting
+        participant suspends on the scheduler and is woken when the
+        exchange completes, or with :meth:`_coord_failure`'s exception:
+        in a supervised run, :class:`~repro.errors.PeerFailedError` if
+        a participant dies or moves past generation ``gen`` (it will
+        then never deposit here), the same deterministic peer-state
+        rule as blocked receives.
         """
-        if self._event_core is not None:
-            return self._event_core.coordinate(ctx, world_rank, value, participants, gen)
+        core = self._event_core
         n = len(participants)
-        with self._coord_cond:
-            store = self._coord_store.setdefault(ctx, {})
-            store[world_rank] = value
-            self._coord_cond.notify_all()
-            waited = 0.0
-            while len(self._coord_store.get(ctx, ())) < n:
-                if self._abort.is_set():
-                    raise RankFailedError({world_rank: RuntimeError("aborted during split")})
-                if self.supervise:
-                    present = self._coord_store.get(ctx, {})
-                    for p in participants:
-                        if p == world_rank or p in present:
-                            continue
-                        if p in self._dead or self.peer_generation(p) > gen:
-                            raise PeerFailedError(self.dead_ranks() or (p,))
-                if waited >= self.timeout:
-                    missing = set(participants) - set(self._coord_store.get(ctx, {}))
-                    raise ConfigurationError(
-                        f"split coordination on {ctx} timed out; missing ranks {sorted(missing)}"
-                    )
-                self._coord_cond.wait(0.05)
-                waited += 0.05
-            result = self._coord_store[ctx]
-            self._coord_reads[ctx] = self._coord_reads.get(ctx, 0) + 1
-            if self._coord_reads[ctx] == n:
-                del self._coord_store[ctx]
-                del self._coord_reads[ctx]
+        store = self._coord_store.setdefault(ctx, {})
+        store[world_rank] = value
+        if len(store) >= n:
+            core._complete_coord(ctx)
+        while len(self._coord_store.get(ctx, ())) < n:
+            exc = self._coord_failure(ctx, world_rank, participants, gen)
+            if exc is not None:
+                raise exc
+            core._suspend_coord(core.tasks[world_rank], ctx, participants, gen)
+        result = self._coord_store[ctx]
+        reads = self._coord_reads.get(ctx, 0) + 1
+        self._coord_reads[ctx] = reads
+        if reads == n:
+            del self._coord_store[ctx]
+            del self._coord_reads[ctx]
         return result
+
+    def _coord_failure(
+        self, ctx: Tuple, world_rank: int, participants: Sequence[int], gen: int
+    ) -> Optional[BaseException]:
+        """The exception a waiting coordination should raise now, if any."""
+        if self._aborted:
+            return RankFailedError({world_rank: RuntimeError("aborted during split")})
+        if self.supervise:
+            present = self._coord_store.get(ctx, {})
+            for p in participants:
+                if p == world_rank or p in present:
+                    continue
+                if p in self._dead or self.peer_generation(p) > gen:
+                    return PeerFailedError(self.dead_ranks() or (p,))
+        return None
 
     # -- running -------------------------------------------------------------
 
@@ -395,16 +361,15 @@ class SimEngine:
         cleared), so a rerun replays the same fault plan identically.
         """
         self._clocks = [0.0] * self.size
-        self._abort.clear()
+        self._aborted = False
         self._dead = set()
         self._fail_gen = 0
-        self._crash_failures: Dict[int, BaseException] = {}
+        self._crash_failures = {}
         self._rank_gen = [0] * self.size
         self._rank_target = [0] * self.size
         self._rank_recovering = [False] * self.size
-        # A fresh coordination store (the mailbox was emptied when the
-        # previous run returned): nothing left in flight by an interrupted
-        # run may leak into this one.
+        # A fresh coordination store: nothing left in flight by an
+        # interrupted run may leak into this one.
         self._coord_store = {}
         self._coord_reads = {}
         if self.injector is not None:
@@ -416,64 +381,29 @@ class SimEngine:
         if profile_hooks is not None:
             profile_hooks.note_run_start(self)
         t_host_start = perf_counter()
+        core = self._event_core = EventCore(self)
+        self.mailbox = core.mailbox
         try:
-            if self.backend == "event":
-                from repro.simmpi.events import EventCore
-
-                core = EventCore(self)
-                self._event_core = core
-                self.mailbox = core.mailbox
-                try:
-                    results, failures = core.run(
-                        fn, args, kwargs, spawn_order=self._spawn_order
-                    )
-                finally:
-                    self._event_core = None
-                    # The core's mailbox points back at the core, and the
-                    # core at this engine: drop it rather than keep that
-                    # cycle.
-                    core.mailbox = None
-                    if profile_hooks is not None:
-                        profile_hooks.note_switches(core.switches)
-                return self._finish(results, failures)
-            results: List[Any] = [None] * self.size
-            failures: Dict[int, BaseException] = {}
-
-            def worker(rank: int) -> None:
-                comm = self.world_comm(rank)
-                try:
-                    results[rank] = fn(comm, *args, **kwargs)
-                except SimulatedCrashError as exc:
-                    if self.supervise:
-                        self._register_crash(rank, exc)
-                    else:
-                        failures[rank] = exc
-                        self._abort.set()
-                except BaseException as exc:  # noqa: BLE001 - reported to caller
-                    failures[rank] = exc
-                    self._abort.set()
-
-            threads = [
-                threading.Thread(target=worker, args=(rank,), name=f"simmpi-rank-{rank}", daemon=True)
-                for rank in range(self.size)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            results, failures = core.run(
+                fn, args, kwargs, spawn_order=self._spawn_order
+            )
             return self._finish(results, failures)
         finally:
-            # Messages nobody received die with the run, on either backend:
-            # a request left pending probes an empty mailbox afterwards.
-            self.mailbox = Mailbox()
+            self._event_core = None
+            # The core's mailbox points back at the core, and the core at
+            # this engine: drop it rather than keep that cycle.  Messages
+            # nobody received die with the run.
+            core.mailbox = None
+            self.mailbox = EventMailbox(None)
             self.last_host_wall_s = perf_counter() - t_host_start
             if profile_hooks is not None:
+                profile_hooks.note_switches(core.switches)
                 profile_hooks.note_run_end(self)
 
     def _finish(
         self, results: List[Any], failures: Dict[int, BaseException]
     ) -> SimResult:
-        """Shared run epilogue: fold in crashes, build the result."""
+        """Run epilogue: fold in crashes, build the result."""
         if failures:
             failures.update(self._crash_failures)
             raise RankFailedError(failures)
@@ -496,11 +426,11 @@ def resolve_engine(
 ) -> "SimEngine":
     """Coerce a trainer's ``engine`` argument to a ready :class:`SimEngine`.
 
-    ``engine`` may be ``None`` (build a default event-backend engine), a
-    backend name (``"event"``/``"thread"`` — build a default engine with
-    that backend), or a prebuilt :class:`SimEngine` (validated against
-    ``size`` and returned as-is).  A prebuilt engine is the one carrier
-    of a run's configuration: machine, tracing, metrics sink, faults and
+    ``engine`` may be ``None`` (build a default engine) or a prebuilt
+    :class:`SimEngine` (validated against ``size`` and returned as-is).
+    A name from :attr:`SimEngine.BACKENDS` is deprecated and means the
+    same as ``None``.  A prebuilt engine is the one carrier of a run's
+    configuration: machine, tracing, metrics sink, faults and
     supervision.  ``faults``/``supervise`` serve the elastic trainer
     only; passing ``faults`` beside a prebuilt engine, or requiring
     ``supervise`` of an unsupervised one, is a

@@ -1,12 +1,11 @@
-"""Discrete-event backend for the simulated MPI runtime.
+"""The discrete-event scheduler behind :class:`~repro.simmpi.engine.SimEngine`.
 
-The threaded backend of :class:`~repro.simmpi.engine.SimEngine` gives
-every rank a free-running OS thread and serialises them with locks and
-condition-variable polls; the scheduler cost (~20-50us per message on
-one core) caps simulated grids at tens of ranks.  This module provides
-the ``backend="event"`` alternative: rank programs become *tasklets*
-driven by a single-threaded discrete-event scheduler over a virtual-time
-priority queue, with exactly one tasklet runnable at any instant.
+Rank programs run as *tasklets* driven by a single-threaded
+discrete-event scheduler over a virtual-time priority queue, with
+exactly one tasklet runnable at any instant.  One OS thread per rank,
+free-running and serialised by locks, cost ~20-50us per message and
+capped simulated grids at tens of ranks; here the paper's P=512..16384
+grids are routine.
 
 Tasklets are parked OS threads, not generators or greenlets: each rank
 still executes its unmodified, synchronous program (including
@@ -33,13 +32,11 @@ wake order and then never reach the rank field (``seq`` is unique).
 Combined with the Kahn-network discipline of the mailbox — sends are
 eager and deep-copied, receives FIFO-match per ``(ctx, src, dst, tag)``
 key — every run of the same program and fault plan yields bit-identical
-values, clocks, and canonical traces, independent of rank spawn order
-and identical to the threaded backend (which is deterministic for the
-same reason, just slower).  Deadlocks cannot wait on wall-clock
-timeouts here; instead, when no tasklet is runnable and no interrupt
-predicate fires, the blocked tasklet with the smallest
+values, clocks, and canonical traces, independent of rank spawn order.
+A deadlock is proven, not timed out: when no tasklet is runnable and no
+interrupt predicate fires, the blocked tasklet with the smallest
 ``(virtual clock, rank)`` is chosen as the deterministic victim and
-receives the same timeout exception the threaded backend would raise.
+receives an exception naming what it waits on.
 """
 
 from __future__ import annotations
@@ -54,8 +51,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import (
     ConfigurationError,
     DeadlockError,
-    PeerFailedError,
-    RankFailedError,
     SimulatedCrashError,
 )
 from repro.profile import hooks as _profile_hooks
@@ -203,17 +198,17 @@ class _Task:
 
 
 class EventMailbox:
-    """Single-threaded mailbox: plain dicts, waiters woken by the scheduler.
+    """Matching buffers for in-flight messages, keyed by (ctx, src, dst, tag).
 
-    Mirrors :class:`~repro.simmpi.communicator.Mailbox` semantics (same
-    ``post``/``take``/``kick``/``peek`` surface, same queue-first /
-    interrupt-second check order in ``take``) without any locks: only
-    one tasklet runs at a time, so the structures are never contended.
+    Plain dicts, no locks: only one tasklet runs at a time.  A receive
+    that finds no message suspends its tasklet on the scheduler until a
+    matching ``post`` wakes it.  Outside a run the engine holds one
+    without a core, which only answers ``peek``.
     """
 
     __slots__ = ("_core", "_queues")
 
-    def __init__(self, core: "EventCore") -> None:
+    def __init__(self, core: Optional["EventCore"]) -> None:
         self._core = core
         self._queues: Dict[Tuple, deque] = {}
 
@@ -231,15 +226,16 @@ class EventMailbox:
             q = self._queues[key] = deque()
         q.append((payload, arrival))
 
-    def kick(self) -> None:
-        """Re-evaluate every blocked tasklet's interrupt predicate."""
-        self._core.note_state_change()
-
     def peek(self, key: Tuple) -> bool:
         """Non-destructive match probe (used by ``Request.test``)."""
         return bool(self._queues.get(key))
 
-    def take(self, key: Tuple, timeout: float, interrupt) -> Tuple[Any, float]:
+    def take(self, key: Tuple, interrupt) -> Tuple[Any, float]:
+        """The first message matching ``key``, waiting for it if need be.
+
+        ``interrupt()`` returns ``None`` to keep waiting or the exception
+        to raise instead (peer failure, run abort).
+        """
         q = self._queues.get(key)
         if q:
             item = q.popleft()
@@ -255,10 +251,9 @@ class EventMailbox:
 class EventCore:
     """One discrete-event run: scheduler, run queue, and waiter tables.
 
-    Built fresh by :meth:`SimEngine.run` for each ``backend="event"``
-    execution; reads and writes the engine's shared state (clocks, fault
-    supervision, coordination stores) exactly like the threaded workers
-    do, so both backends share one semantic substrate.
+    Built fresh by :meth:`SimEngine.run` for each run; the engine keeps
+    the run's shared state (clocks, fault supervision, coordination
+    stores), the core decides which tasklet runs when.
     """
 
     def __init__(self, engine) -> None:
@@ -366,11 +361,11 @@ class EventCore:
                 engine._register_crash(task.rank, exc)
             else:
                 self._failures[task.rank] = exc
-                engine._abort.set()
+                engine._aborted = True
                 self.note_state_change()
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             self._failures[task.rank] = exc
-            engine._abort.set()
+            engine._aborted = True
             self.note_state_change()
         task.status = _DONE
         self._done += 1
@@ -459,13 +454,11 @@ class EventCore:
     def note_state_change(self) -> None:
         """Crash, recovery declaration, or abort: re-check all waiters.
 
-        The event-backend analogue of ``Mailbox.kick`` plus the
-        coordination condition broadcast: every blocked receive
-        re-evaluates its interruption predicate and every blocked
-        coordination re-checks its failure conditions, waking exactly
-        those whose exception is now due.  Runs synchronously in the
-        current tasklet (no control transfer), so it is safe to call
-        from any engine state mutation.
+        Every blocked receive re-evaluates its interruption predicate
+        and every blocked coordination re-checks its failure conditions,
+        waking exactly those whose exception is now due.  Runs
+        synchronously in the current tasklet (no control transfer), so
+        it is safe to call from any engine state mutation.
         """
         for key, task in list(self._recv_waiters.items()):
             exc = task.wait_interrupt()
@@ -486,38 +479,22 @@ class EventCore:
                 del self._coord_waiters[ctx]
 
     def _coord_failure(self, task: _Task) -> Optional[BaseException]:
-        """The exception a blocked coordination should raise now, if any.
-
-        Mirrors the in-loop checks of the threaded
-        :meth:`SimEngine.coordinate` exactly (same conditions, same
-        exception values).
-        """
-        engine = self.engine
-        if engine._abort.is_set():
-            return RankFailedError({task.rank: RuntimeError("aborted during split")})
-        if engine.supervise:
-            present = engine._coord_store.get(task.wait_ctx, {})
-            for p in task.wait_participants:
-                if p == task.rank or p in present:
-                    continue
-                if p in engine._dead or engine.peer_generation(p) > task.wait_gen:
-                    return PeerFailedError(engine.dead_ranks() or (p,))
-        return None
+        return self.engine._coord_failure(
+            task.wait_ctx, task.rank, task.wait_participants, task.wait_gen
+        )
 
     def _resolve_stall(self) -> None:
         """No runnable tasklet: fire due interrupts, else pick a victim.
 
-        Replaces the threaded backend's wall-clock timeouts.  First
-        every blocked tasklet's interrupt/failure predicate is
+        First every blocked tasklet's interrupt/failure predicate is
         re-evaluated (a crash may have been registered by the last
         tasklet to run without an intervening state-change note).  If
-        nothing fires, the stall is a genuine deadlock: the blocked
-        tasklet with the smallest ``(virtual clock, rank)`` receives the
-        same timeout exception its threaded counterpart would raise; its
-        failure then aborts the run, which interrupts the remaining
-        blocked tasklets on the next pass.
+        nothing fires, the stall is a proven deadlock: the blocked
+        tasklet with the smallest ``(virtual clock, rank)`` is woken
+        with an exception naming what it waits on; its failure then
+        aborts the run, which interrupts the remaining blocked tasklets
+        on the next pass.
         """
-        engine = self.engine
         blocked = [t for t in self.tasks if t.status == _BLOCKED]
         if not blocked:  # pragma: no cover - scheduler invariant
             raise AssertionError("event scheduler stalled with no blocked tasks")
@@ -541,16 +518,19 @@ class EventCore:
         if victim.wait_kind == "recv":
             del self._recv_waiters[victim.wait_key]
             exc = DeadlockError(
-                f"receive on {victim.wait_key} timed out after "
-                f"{engine.timeout:.1f}s (likely an unmatched send/recv pair)"
+                f"deadlock: rank {victim.rank} waits to receive on "
+                f"{victim.wait_key} and no rank can run to send it "
+                "(likely an unmatched send/recv pair)"
             )
         else:
             self._unregister_coord(victim)
-            store = engine._coord_store.get(victim.wait_ctx, {})
+            ctx = victim.wait_ctx
+            kind = "shrink" if ctx[0] == "shrink" else "split"
+            store = self.engine._coord_store.get(ctx, {})
             missing = set(victim.wait_participants) - set(store)
             exc = ConfigurationError(
-                f"split coordination on {victim.wait_ctx} timed out; "
-                f"missing ranks {sorted(missing)}"
+                f"deadlock: {kind} coordination on {ctx} cannot complete, "
+                f"no rank can run; missing ranks {sorted(missing)}"
             )
         self._wake(victim, exc=exc, time=victim.block_clock)
 
@@ -571,49 +551,6 @@ class EventCore:
         if waiters:
             for task in waiters:
                 self._wake(task, time=task.block_clock)
-
-    def coordinate(
-        self,
-        ctx: Tuple,
-        world_rank: int,
-        value: Any,
-        participants: Sequence[int],
-        gen: int = 0,
-    ) -> Dict[int, Any]:
-        """Event-backend :meth:`SimEngine.coordinate`.
-
-        Same deposit/read/garbage-collection protocol, shared (not
-        copied) result store and failure conditions as the threaded
-        version, but waiters suspend on the scheduler and are woken only
-        when the exchange completes or a relevant state change lands —
-        O(participants) tasklet switches per exchange instead of a herd
-        wakeup per deposit.
-        """
-        engine = self.engine
-        task = self.tasks[world_rank]
-        n = len(participants)
-        store = engine._coord_store.setdefault(ctx, {})
-        store[world_rank] = value
-        if len(store) >= n:
-            self._complete_coord(ctx)
-        while len(engine._coord_store.get(ctx, ())) < n:
-            if engine._abort.is_set():
-                raise RankFailedError({world_rank: RuntimeError("aborted during split")})
-            if engine.supervise:
-                present = engine._coord_store.get(ctx, {})
-                for p in participants:
-                    if p == world_rank or p in present:
-                        continue
-                    if p in engine._dead or engine.peer_generation(p) > gen:
-                        raise PeerFailedError(engine.dead_ranks() or (p,))
-            self._suspend_coord(task, ctx, participants, gen)
-        result = engine._coord_store[ctx]
-        reads = engine._coord_reads.get(ctx, 0) + 1
-        engine._coord_reads[ctx] = reads
-        if reads == n:
-            del engine._coord_store[ctx]
-            del engine._coord_reads[ctx]
-        return result
 
     def _suspend_coord(
         self, task: _Task, ctx: Tuple, participants: Sequence[int], gen: int

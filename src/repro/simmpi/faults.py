@@ -3,7 +3,7 @@
 The paper's postal network is perfect: conflict-free links, ranks that
 never fail.  Production clusters are not — stragglers, flaky links and
 outright rank crashes are the common case at scale.  Because
-:mod:`repro.simmpi` runs *real* SPMD threads under *virtual* clocks, we
+:mod:`repro.simmpi` runs *real* SPMD programs under *virtual* clocks, we
 can simulate those faults deterministically and replay them exactly.
 
 A :class:`FaultPlan` is a declarative description of every fault to
@@ -19,7 +19,7 @@ inject into one run:
   transiently ``attempts`` times (the communicator retries with
   exponential backoff), or every send fails with probability ``p``;
 * :class:`MessageDrop` — the ``n``-th send of a rank vanishes on the
-  wire (the receiver eventually trips the deadlock watchdog);
+  wire (the starved receiver fails with a diagnosed deadlock);
 * :class:`LinkFault` — a directed link runs degraded (latency multiplied,
   bandwidth divided) during a virtual-time window;
 * :class:`Straggler` — a rank's local compute is dilated by a constant
@@ -31,7 +31,7 @@ inject into one run:
   corruption; ABFT guards (:mod:`repro.dist.abft`) detect it.
 
 Everything is deterministic given ``FaultPlan.seed``: random draws use
-per-rank counter-keyed streams, so thread scheduling can never change
+per-rank counter-keyed streams, so scheduling order can never change
 which faults fire.  An *empty* plan injects nothing and leaves every
 virtual timing bit-identical to a run without an injector.
 """
@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -430,15 +429,14 @@ class FaultInjector:
     """Engine-side oracle answering "does a fault fire here?".
 
     All per-rank mutable state (send counters, RNG streams, fired-crash
-    markers) is keyed by rank and only ever touched from that rank's own
-    thread, so no draw can be perturbed by scheduling.  ``reset()``
+    markers) is keyed by rank and only ever touched by that rank's own
+    program, so no draw can be perturbed by scheduling.  ``reset()``
     restores the injector to its initial state so the same plan replays
     identically across engine runs.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._lock = threading.Lock()
         self._crashes_by_rank: Dict[int, List[Crash]] = {}
         for c in plan.crashes:
             self._crashes_by_rank.setdefault(c.rank, []).append(c)
@@ -466,18 +464,6 @@ class FaultInjector:
             by_rank.setdefault(bf.rank, []).append(bf)
         self._link_machines: Dict[Tuple[float, float], MachineParams] = {}
         self.reset()
-
-    def set_single_thread(self, single_thread: bool = True) -> None:
-        """Elide the link-machine memo lock (single-threaded event backend).
-
-        The only injector state shared across ranks is the derated
-        link-machine cache; with one rank tasklet runnable at a time
-        its lock is pure overhead.  Idempotent; answers are identical
-        either way.
-        """
-        from repro.simmpi.tracing import NullLock
-
-        self._lock = NullLock() if single_thread else threading.Lock()
 
     def reset(self) -> None:
         """Rewind all per-run state (send counters, RNGs, fired crashes)."""
@@ -636,11 +622,10 @@ class FaultInjector:
                 bw *= lf.bandwidth_factor
         if lat == 1.0 and bw == 1.0:
             return None
-        with self._lock:
-            machine = self._link_machines.get((lat, bw))
-            if machine is None:
-                machine = base.derated(latency_factor=lat, bandwidth_factor=bw)
-                self._link_machines[(lat, bw)] = machine
+        machine = self._link_machines.get((lat, bw))
+        if machine is None:
+            machine = base.derated(latency_factor=lat, bandwidth_factor=bw)
+            self._link_machines[(lat, bw)] = machine
         return machine
 
     # -- stragglers ----------------------------------------------------------

@@ -100,18 +100,14 @@ def as_policy(spec) -> Optional[SDCPolicy]:
 class SDCMonitor:
     """``sdc.*`` counters, shared by all ranks of one run.
 
-    Thread-safe by default; pass ``single_thread=True`` under the
-    single-threaded event backend to elide the per-increment lock
-    (counts are identical either way — a lock-free regression test
-    pins this down).
+    Thread-safe: a guard is built by its caller, who may share it
+    between runs on several threads.
     """
 
     COUNTERS = ("injected", "detected", "corrected", "recomputed", "escaped")
 
-    def __init__(self, *, single_thread: bool = False) -> None:
-        from repro.simmpi.tracing import NullLock
-
-        self._lock = NullLock() if single_thread else threading.Lock()
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._counts: Dict[str, int] = {name: 0 for name in self.COUNTERS}
 
     def inc(self, name: str, n: int = 1) -> None:

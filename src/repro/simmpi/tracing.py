@@ -14,40 +14,16 @@ Scalability: for long runs the in-memory event list can be bounded with
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.profile import hooks as _profile_hooks
 
-__all__ = ["NullLock", "TraceEvent", "Tracer"]
+__all__ = ["TraceEvent", "Tracer"]
 
 # Lazily bound repro.telemetry.spans.current_path (import cycle guard);
 # resolved once, on the first annotated record.
 _current_path = None
-
-
-class NullLock:
-    """A context manager with lock shape and zero cost.
-
-    Swapped in for real locks by the single-threaded event backend
-    (:mod:`repro.simmpi.events`), where exactly one rank tasklet runs
-    at a time and per-event locking is pure overhead.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "NullLock":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-    def acquire(self, *args: object, **kwargs: object) -> bool:
-        return True
-
-    def release(self) -> None:
-        return None
 
 
 class TraceEvent:
@@ -137,7 +113,10 @@ class TraceEvent:
 
 
 class Tracer:
-    """Thread-safe, append-only event log (no-op when disabled).
+    """Append-only event log (no-op when disabled).
+
+    One tracer belongs to one engine, whose scheduler runs one rank at
+    a time, so recording takes no lock.
 
     Parameters
     ----------
@@ -156,10 +135,6 @@ class Tracer:
     store:
         Set ``False`` to skip the in-memory list entirely and only feed
         the sink — constant-memory telemetry for arbitrarily long runs.
-    threadsafe:
-        Set ``False`` to elide the per-record lock (single-thread mode,
-        used by the event backend where only one rank tasklet runs at a
-        time).  Recorded output is identical either way.
     """
 
     def __init__(
@@ -169,18 +144,15 @@ class Tracer:
         max_events: Optional[int] = None,
         sink: Optional[Callable[[TraceEvent], None]] = None,
         store: bool = True,
-        threadsafe: bool = True,
     ) -> None:
         self.enabled = enabled
         self.max_events = max_events
         self.sink = sink
         self.store = store
-        self.threadsafe = threadsafe
         self.dropped = 0
         self._events: "deque[TraceEvent] | List[TraceEvent]" = (
             deque(maxlen=max_events) if max_events is not None else []
         )
-        self._lock = threading.Lock() if threadsafe else NullLock()
 
     def record(self, event: TraceEvent) -> None:
         if not self.enabled:
@@ -204,23 +176,17 @@ class Tracer:
             sink(event)
         if not self.store:
             return
-        with self._lock:
-            if (
-                self.max_events is not None
-                and len(self._events) == self.max_events
-            ):
-                self.dropped += 1
-            self._events.append(event)
+        if self.max_events is not None and len(self._events) == self.max_events:
+            self.dropped += 1
+        self._events.append(event)
 
     @property
     def events(self) -> Tuple[TraceEvent, ...]:
-        with self._lock:
-            return tuple(self._events)
+        return tuple(self._events)
 
     def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self.dropped = 0
+        self._events.clear()
+        self.dropped = 0
 
     # -- aggregate views used by tests ------------------------------------
 
@@ -249,9 +215,9 @@ class Tracer:
     def canonical(self) -> Tuple[TraceEvent, ...]:
         """Events in a scheduling-independent order.
 
-        The append order of :attr:`events` interleaves rank threads by
-        wall-clock accident; within one rank the order is the program
-        order and hence deterministic.  A stable sort by rank therefore
+        The append order of :attr:`events` interleaves ranks in
+        scheduler order; within one rank the order is the program order
+        and hence deterministic.  A stable sort by rank therefore
         yields a replay-comparable view: two runs of the same program
         under the same :class:`~repro.simmpi.faults.FaultPlan` produce
         identical ``canonical()`` tuples.

@@ -350,7 +350,7 @@ class TestProfile:
                 "--out", str(out), "--record", str(record)]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["attribution_ok"] and payload["engine"] == "event"
+        assert payload["attribution_ok"] and "engine" not in payload
         assert payload["report"]["counters"]["msgs_sent"] > 0
         run = json.loads(record.read_text())
         assert run["schema"] == "repro.analysis.record/v5"

@@ -1,15 +1,13 @@
-"""Property tests for the discrete-event simmpi backend.
+"""Property tests for the discrete-event simmpi scheduler.
 
 Hypothesis drives the scheduler through randomized communication
-patterns and checks the invariants the backend's determinism contract
-rests on: per-rank virtual time never runs backwards, deadlock
-detection still fires on any unmatched receive, and results are
-independent of both tasklet spawn order and repetition.  The pooled
-worker threads that host tasklets are checked for reuse, the parking
-cap, fork safety and clean thread-local state between runs.  The lock
-elision used in single-thread mode (``Tracer(threadsafe=False)``,
-``SDCMonitor(single_thread=True)``) is regression-tested for identical
-observable output.
+patterns and checks the invariants its determinism contract rests on:
+per-rank virtual time never runs backwards, deadlock detection still
+fires on any unmatched receive, and results are independent of both
+tasklet spawn order and repetition.  The pooled worker threads that
+host tasklets are checked for reuse, the parking cap, fork safety and
+clean thread-local state between runs.  The deprecated compatibility
+names (``backend=``, ``make_guard(single_thread=)``) are pinned inert.
 """
 
 import gc
@@ -28,8 +26,8 @@ from repro.dist.abft import make_guard
 from repro.errors import DeadlockError, RankFailedError
 from repro.simmpi import events
 from repro.simmpi.engine import SimEngine
-from repro.simmpi.sdc import SDCMonitor, current_guard, payload_guard
-from repro.simmpi.tracing import NullLock, TraceEvent, Tracer
+from repro.simmpi.faults import BitFlipFault, FaultPlan
+from repro.simmpi.sdc import current_guard, payload_guard
 from repro.telemetry.spans import current_path, span
 
 
@@ -64,7 +62,7 @@ def test_virtual_time_monotone_per_rank(size, rounds, payload):
     *send* is the future delivery time at the receiver, so it is not
     monotone and is only checked to bound its own ``t_start``.)
     """
-    engine = SimEngine(size, backend="event", trace=True)
+    engine = SimEngine(size, trace=True)
     result = engine.run(_ring_program, rounds, payload)
     last = [0.0] * size
     for ev in engine.tracer.canonical():
@@ -89,9 +87,9 @@ def test_virtual_time_monotone_per_rank(size, rounds, payload):
 def test_deterministic_under_shuffled_spawn_order(size, rounds, data):
     """Tasklet creation order must not leak into any observable output."""
     order = data.draw(st.permutations(range(size)))
-    baseline_engine = SimEngine(size, backend="event", trace=True)
+    baseline_engine = SimEngine(size, trace=True)
     baseline = baseline_engine.run(_ring_program, rounds, 4)
-    shuffled_engine = SimEngine(size, backend="event", trace=True)
+    shuffled_engine = SimEngine(size, trace=True)
     shuffled_engine._spawn_order = order
     shuffled = shuffled_engine.run(_ring_program, rounds, 4)
     assert baseline.values == shuffled.values
@@ -105,7 +103,7 @@ def test_deterministic_under_repetition(size, rounds):
     """Same engine, same program, rerun: bit-identical results and trace."""
     runs, traces = [], []
     for _ in range(2):
-        engine = SimEngine(size, backend="event", trace=True)
+        engine = SimEngine(size, trace=True)
         runs.append(engine.run(_ring_program, rounds, 4))
         traces.append(engine.tracer.canonical())
     assert runs[0].values == runs[1].values
@@ -127,7 +125,7 @@ def test_deadlock_detection_fires(size, stuck):
             comm.recv(source=(victim + 1) % comm.size, tag=12345)
         return comm.rank
 
-    engine = SimEngine(size, backend="event", timeout=0.5)
+    engine = SimEngine(size)
     with pytest.raises(RankFailedError) as exc_info:
         engine.run(prog)
     failures = exc_info.value.failures
@@ -140,7 +138,7 @@ def _worker_threads():
 
 
 def test_event_backend_leaves_only_parked_workers():
-    engine = SimEngine(6, backend="event")
+    engine = SimEngine(6)
     engine.run(_ring_program, 3, 4)
     assert len(_worker_threads()) == len(events._parked) <= events._MAX_PARKED
     assert all(worker.job is None for worker in events._parked.values())
@@ -200,7 +198,7 @@ def test_concurrent_runs_share_the_pool_safely():
 
 def test_finished_engine_is_freed_without_the_cycle_collector():
     """No reference cycle keeps a finished engine alive, nor does a parked worker."""
-    engine = SimEngine(64, backend="event")
+    engine = SimEngine(64)
     held = {}
 
     def program(comm):
@@ -297,76 +295,32 @@ def test_runs_finish_after_fork():
 
 
 def test_scheduler_switch_counter_advances():
-    engine = SimEngine(4, backend="event")
+    engine = SimEngine(4)
     engine.run(_ring_program, 2, 4)
 
 
-def test_rejects_unknown_backend():
+def test_compat_names_are_inert():
+    """``backend=`` and ``make_guard(single_thread=)`` are accepted and
+    select nothing; an unknown backend name is still refused."""
     from repro.errors import ConfigurationError
 
+    before = {t.ident for t in threading.enumerate()}
+    compat = SimEngine(4, backend="thread", trace=True)
+    plain = SimEngine(4, trace=True)
+    assert compat.run(_ring_program, 2, 4) == plain.run(_ring_program, 2, 4)
+    assert compat.tracer.canonical() == plain.tracer.canonical()
+    started = [t for t in threading.enumerate() if t.ident not in before]
+    assert not any(t.name.startswith("simmpi-rank-") for t in started)
     with pytest.raises(ConfigurationError):
         SimEngine(2, backend="fibers")
 
+    guard = make_guard("correct", single_thread=True)
+    flip = BitFlipFault(rank=0, target="payload", send_index=0, element=1, bit=52)
 
-# ---------------------------------------------------------------------------
-# lock elision regression: identical observable output
-# ---------------------------------------------------------------------------
+    def guarded(comm):
+        with payload_guard(guard):
+            return comm.sendrecv(np.arange(4.0), 1 - comm.rank)
 
-
-def _sample_events(n=50):
-    return [
-        TraceEvent(rank=i % 3, op="send", peer=(i + 1) % 3, nbytes=8 * i,
-                   t_start=float(i), t_end=float(i) + 0.5, tag=("t", i))
-        for i in range(n)
-    ]
-
-
-def test_tracer_lock_elision_output_unchanged():
-    locked = Tracer(enabled=True)
-    lockfree = Tracer(enabled=True, threadsafe=False)
-    assert isinstance(lockfree._lock, NullLock)
-    for ev in _sample_events():
-        locked.record(ev)
-        lockfree.record(ev)
-    assert locked.events == lockfree.events
-    assert locked.canonical() == lockfree.canonical()
-    assert locked.by_rank() == lockfree.by_rank()
-    assert locked.dropped == lockfree.dropped == 0
-
-
-def test_tracer_lock_elision_with_cap_and_sink():
-    seen = []
-    locked = Tracer(enabled=True, max_events=10)
-    lockfree = Tracer(enabled=True, max_events=10, threadsafe=False,
-                      sink=seen.append)
-    events = _sample_events(25)
-    for ev in events:
-        locked.record(ev)
-        lockfree.record(ev)
-    assert locked.events == lockfree.events
-    assert locked.dropped == lockfree.dropped == 15
-    assert seen == events  # the sink sees everything, cap or not
-
-
-def test_sdc_monitor_lock_elision_counts_unchanged():
-    locked = SDCMonitor()
-    lockfree = SDCMonitor(single_thread=True)
-    assert isinstance(lockfree._lock, NullLock)
-    for name, times in (("injected", 4), ("detected", 3), ("corrected", 2)):
-        for _ in range(times):
-            locked.inc(name)
-            lockfree.inc(name)
-    assert locked.snapshot() == lockfree.snapshot()
-
-
-def test_traced_run_identical_with_and_without_locks():
-    """End-to-end: an event-backend run (lock-free tracer) produces the
-    same canonical trace as a threaded run (locked tracer)."""
-    results, traces = {}, {}
-    for backend in ("thread", "event"):
-        engine = SimEngine(3, backend=backend, trace=True)
-        results[backend] = engine.run(_ring_program, 2, 4)
-        assert engine.tracer.threadsafe == (backend != "event")
-        traces[backend] = engine.tracer.canonical()
-    assert results["thread"].values == results["event"].values
-    assert traces["thread"] == traces["event"]
+    values = SimEngine(2, faults=FaultPlan(bitflips=(flip,))).run(guarded).values
+    assert values[1].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert guard.monitor["detected"] == guard.monitor["recomputed"] == 1

@@ -3,7 +3,7 @@
 Host time at P = 512 is messages, and what a message costs is mostly how
 many Python frames it enters.  This gate counts ``call`` profile events
 (Python functions entered; C functions do not raise one) on every rank
-thread of a P = 16 event-backend run, tracing off, and divides by the
+thread of a P = 16 run, tracing off, and divides by the
 hook counters' exact message count.  The figure is the *marginal* cost:
 two runs that differ only in how many collectives they issue, difference
 over difference, so thread start-up and the rank program's own frames
@@ -47,7 +47,7 @@ def _calls_and_messages(program, reps):
         if event == "call":
             calls[0] += 1
 
-    engine = SimEngine(P, backend="event")
+    engine = SimEngine(P)
     hooks = profile_hooks.activate(None)
     threading.setprofile(on_event)  # inherited by the rank threads run() starts
     try:

@@ -9,9 +9,9 @@ arrays, an ndarray subclass, NumPy and Python scalars, ``bytes``,
 (traced or not, ``sdc="correct"`` guard or not, inert ``FaultPlan`` or
 none) pins the sha256 of ``repr(Tracer.canonical())``, every final clock
 as ``float.hex``, the hook counters, and what the receivers got: type,
-dtype, shape, flags, aliasing and bytes.  Both backends must hit the
-same digests, so a host-cost change to the path that moves one bit of
-virtual time, one counter or one flag of a delivered array fails here.
+dtype, shape, flags, aliasing and bytes, so a host-cost change to the
+path that moves one bit of virtual time, one counter or one flag of a
+delivered array fails here.
 
 After an *intended* change, copy what the failing assertion prints into
 ``GOLDEN``.
@@ -160,10 +160,9 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
-def _run(backend, traced, guarded, planned):
+def _run(traced, guarded, planned):
     engine = SimEngine(
-        P, backend=backend, trace=traced,
-        faults=FaultPlan(seed=3) if planned else None,
+        P, trace=traced, faults=FaultPlan(seed=3) if planned else None,
     )
     hooks = profile_hooks.activate(None)
     try:
@@ -171,7 +170,6 @@ def _run(backend, traced, guarded, planned):
     finally:
         profile_hooks.deactivate()
     counters = hooks.counters()
-    # Scheduler counts belong to the event backend alone.
     switches = (counters.pop("dispatches"), counters.pop("switches"))
     observed = {
         "canonical": _sha(repr(engine.tracer.canonical())),
@@ -182,7 +180,7 @@ def _run(backend, traced, guarded, planned):
     return observed, switches
 
 
-#: What the receivers got: the same in every case and on both backends.
+#: What the receivers got: the same in every case.
 VALUES = "cb0c439eb149625aeb3f004f"
 
 #: Final clocks by ``guarded`` (the 8-byte digest escort is wire time);
@@ -193,7 +191,7 @@ CLOCKS = {False: "781731c26d5f699d76e54a9e", True: "2b7c48a688825a7d937b5453"}
 CANONICAL = {False: "11057fd2ded4fea58ae0cfe8", True: "f5166d8db94ea352d0bae6de"}
 CANONICAL_EMPTY = "2e38e77b22c314a449e91faf"
 
-#: (dispatches, switches) of the event scheduler, identical in every case.
+#: (dispatches, switches) of the scheduler, identical in every case.
 EVENT_SWITCHES = (7, 124)
 
 
@@ -215,19 +213,18 @@ def _golden(traced, guarded, planned):
     }
 
 
-@pytest.mark.parametrize("backend", ["thread", "event"])
 @pytest.mark.parametrize("planned", [False, True], ids=["faultfree", "planned"])
 @pytest.mark.parametrize("guarded", [False, True], ids=["bare", "guarded"])
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-def test_message_path_is_pinned(backend, traced, guarded, planned):
-    observed, switches = _run(backend, traced, guarded, planned)
+def test_message_path_is_pinned(traced, guarded, planned):
+    observed, switches = _run(traced, guarded, planned)
     assert observed == _golden(traced, guarded, planned), observed
-    assert switches == (EVENT_SWITCHES if backend == "event" else (0, 0)), switches
+    assert switches == EVENT_SWITCHES, switches
 
 
 def test_subclass_and_container_semantics_survive_the_wire():
     """Spot checks in the clear, so a digest mismatch has a readable twin."""
-    result = SimEngine(P, backend="event").run(_program, False)
+    result = SimEngine(P).run(_program, False)
     got = dict(result.values[1])  # rank 1 receives from rank 0
     assert got["subclass"][0] == "recarray" and got["list-subclass"][2][0][0] == "recarray"
     for name in ("c-order", "f-order", "transposed", "strided-view", "read-only"):
@@ -297,7 +294,7 @@ def _build(spec, seed):
 
 def _assert_sized_by_pickle_and_copied_like_deepcopy(objs):
     """Send ``objs`` rank 0 -> rank 1 in order; check each size and arrival."""
-    engine = SimEngine(2, backend="event", trace=True)
+    engine = SimEngine(2, trace=True)
 
     def program(comm):
         if comm.rank == 0:

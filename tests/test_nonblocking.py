@@ -67,12 +67,11 @@ class TestBasics:
                 comm.irecv(0).wait()
 
         with pytest.raises(RankFailedError):
-            SimEngine(2, timeout=0.3).run(prog)
+            SimEngine(2).run(prog)
 
-    @pytest.mark.parametrize("backend", ["thread", "event"])
-    def test_pending_request_probes_empty_once_the_run_is_over(self, backend):
+    def test_pending_request_probes_empty_once_the_run_is_over(self):
         """Arrived-but-unwaited or never sent: after ``run()`` both answer
-        ``False``, on either backend — the run's messages are gone."""
+        ``False`` — the run's messages are gone."""
         held = {}
 
         def prog(comm):
@@ -85,7 +84,7 @@ class TestBasics:
             if comm.rank == 0:
                 return held["arrived"].test(), held["never"].test()
 
-        engine = SimEngine(2, backend=backend)
+        engine = SimEngine(2)
         assert engine.run(prog)[0] == (True, False)
         assert held["arrived"].test() is False and held["never"].test() is False
         assert not held["arrived"].completed

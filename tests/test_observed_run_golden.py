@@ -5,8 +5,7 @@ An observed run passes each trace event through four stages — the
 behind the ``RunRecord`` and the Perfetto export.  Each case here runs
 one trainer traced with a registry attached and pins the sha256 of the
 four artifacts, so a host-cost optimisation of any stage that changes
-one byte of output fails here; both scheduler backends must hit the
-same digests.
+one byte of output fails here.
 
 After an *intended* change of trace content, copy the digests the
 failing assertion prints into ``GOLDEN``.
@@ -60,9 +59,9 @@ def _digests(engine, registry, record, tmp_path):
     }
 
 
-def _observed_mlp(backend, tmp_path):
+def _observed_mlp(tmp_path):
     registry = MetricsRegistry()
-    engine = SimEngine(16, backend=backend, trace=True, metrics=registry)
+    engine = SimEngine(16, trace=True, metrics=registry)
     _, _, sim = distributed_mlp_train(
         MLPParams.init(DIMS, seed=1), X, Y,
         pr=4, pc=4, batch=32, steps=2, engine=engine,
@@ -71,17 +70,14 @@ def _observed_mlp(backend, tmp_path):
     return engine, registry, _digests(engine, registry, record, tmp_path)
 
 
-def _observed_elastic(backend, tmp_path):
+def _observed_elastic(tmp_path):
     """A crash at step 3: the fault, span and ``hb`` branches of the sink."""
     registry = MetricsRegistry()
     plan = FaultPlan(seed=9, crashes=(Crash(rank=1, at_step=3),))
     result = elastic_mlp_train(
         MLPParams.init(DIMS, seed=2), X, Y,
         pr=2, pc=4, batch=16, steps=6, checkpoint_every=2,
-        engine=SimEngine(
-            8, backend=backend, trace=True, metrics=registry, faults=plan,
-            supervise=True,
-        ),
+        engine=SimEngine(8, trace=True, metrics=registry, faults=plan, supervise=True),
     )
     assert result.restore_steps == [2] and result.sim.failed == (1,)
     record = elastic_run_record(result, batch=16, steps=6, checkpoint_every=2)
@@ -90,7 +86,7 @@ def _observed_elastic(backend, tmp_path):
 
 RUNNERS = {"mlp-4x4": _observed_mlp, "elastic-2x4": _observed_elastic}
 
-#: case -> artifact -> digest, identical under both backends.
+#: case -> artifact -> digest.
 GOLDEN = {
     "mlp-4x4": {
         "chrome": "d7daff3ef80b22de0bd00496",
@@ -109,34 +105,19 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["thread", "event"])
 @pytest.mark.parametrize("case", sorted(RUNNERS))
-def test_observed_run_digests_are_pinned(case, backend, tmp_path):
-    _, _, digests = RUNNERS[case](backend, tmp_path)
+def test_observed_run_digests_are_pinned(case, tmp_path):
+    _, _, digests = RUNNERS[case](tmp_path)
     assert digests == GOLDEN[case], (case, digests)
 
 
 def test_elastic_case_reaches_every_sink_branch(tmp_path):
-    _, registry, _ = _observed_elastic("event", tmp_path)
+    _, registry, _ = _observed_elastic(tmp_path)
     names = {m.name for m in registry.metrics()}
     assert {
         "comm.messages", "comm.recv_seconds", "span.seconds", "faults.events",
         "hb.count", "hb.step", "hb.loss", "coll.calls", "clock.seconds",
     } <= names
-
-
-def test_thread_backend_sink_totals_equal_event_backend(tmp_path):
-    """The registry lock is the threaded backend's: no update may be lost."""
-    series = {}
-    for backend in ("thread", "event"):
-        engine, registry, _ = _observed_mlp(backend, tmp_path)
-        sends = engine.tracer.messages("send")
-        assert registry.counter("comm.messages").total() == 2 * len(sends)
-        assert registry.counter("comm.bytes").total() == 2 * sum(e.nbytes for e in sends)
-        # Per labelled series, not per metric: a float total would depend
-        # on the order in which the rank threads first touched the series.
-        series[backend] = {m.name: m.series() for m in registry.metrics()}
-    assert series["thread"] == series["event"]
 
 
 class TestTraceEventContract:

@@ -1,7 +1,7 @@
 """Tests for the host-time self-profiler (``repro.profile``).
 
 The headline invariant — profiling never changes the run — is checked
-bitwise on both engine backends; the rest covers session lifecycle,
+bitwise; the rest covers session lifecycle,
 attribution arithmetic (rows sum to wall by construction), the hook
 counters, the exporters, the v5 RunRecord host block, and the
 ``resolve_engine`` coercion the CLI and trainers share.
@@ -42,12 +42,12 @@ from repro.simmpi.faults import FaultPlan
 DIMS = (12, 10, 6)
 
 
-def _train(backend, trace=False, steps=2):
+def _train(trace=False, steps=2):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((DIMS[0], 16))
     y = rng.integers(0, DIMS[-1], 16)
     params0 = MLPParams.init(DIMS, seed=1)
-    engine = SimEngine(4, backend=backend, trace=trace)
+    engine = SimEngine(4, trace=trace)
     weights, losses, sim = distributed_mlp_train(
         params0, x, y, pr=2, pc=2, batch=8, steps=steps, engine=engine,
     )
@@ -57,11 +57,10 @@ def _train(backend, trace=False, steps=2):
 class TestBitIdentity:
     """Profiling is observability-only: outputs are bit-identical."""
 
-    @pytest.mark.parametrize("backend", ["thread", "event"])
-    def test_profiled_equals_unprofiled(self, backend):
-        w0, l0, s0, e0 = _train(backend, trace=True)
+    def test_profiled_equals_unprofiled(self):
+        w0, l0, s0, e0 = _train(trace=True)
         with ProfileSession():
-            w1, l1, s1, e1 = _train(backend, trace=True)
+            w1, l1, s1, e1 = _train(trace=True)
         assert l0 == l1
         assert s0.clocks == s1.clocks
         assert all(a.tobytes() == b.tobytes() for a, b in zip(w0, w1))
@@ -106,7 +105,7 @@ class TestSessionLifecycle:
 
 @pytest.fixture(scope="module")
 def profiled():
-    """One profiled traced event-backend run, shared across report tests.
+    """One profiled traced run, shared across report tests.
 
     The trailing sleep is idle host time *inside* the profiled window:
     it guarantees the sampler lands ticks even when the training run
@@ -114,7 +113,7 @@ def profiled():
     """
     session = ProfileSession(hz=499)
     with session:
-        out = _train("event", trace=True, steps=3)
+        out = _train(trace=True, steps=3)
         time.sleep(0.08)
     return session, out
 
@@ -191,7 +190,7 @@ class TestHostBlock:
         assert host_block(SimEngine(2)) == {}
 
     def test_wall_only_for_unprofiled_run(self):
-        _, _, _, engine = _train("event")
+        _, _, _, engine = _train()
         block = host_block(engine)
         assert set(block) == {"wall_s"}
         assert block["wall_s"] > 0
@@ -330,15 +329,14 @@ class TestResolveEngine:
     @pytest.mark.parametrize("name", ["thread", "event"])
     def test_backend_names_coerce(self, name):
         engine = resolve_engine(name, 4)
-        assert isinstance(engine, SimEngine)
-        assert engine.backend == name and engine.size == 4
+        assert isinstance(engine, SimEngine) and engine.size == 4
 
     def test_none_builds_event_default(self):
-        assert SimEngine(3).backend == "event"
-        assert resolve_engine(None, 3).backend == "event"
+        engine = resolve_engine(None, 3)
+        assert isinstance(engine, SimEngine) and engine.size == 3
 
     def test_prebuilt_engine_passes_through(self):
-        engine = SimEngine(4, backend="event")
+        engine = SimEngine(4)
         assert resolve_engine(engine, 4) is engine
 
     def test_prebuilt_size_mismatch_rejected(self):
@@ -362,11 +360,10 @@ class TestSummaTrain:
         rng = np.random.default_rng(0)
         return rng.standard_normal((8, 12)), rng.standard_normal((12, 6))
 
-    @pytest.mark.parametrize("backend", ["thread", "event"])
-    def test_matches_numpy(self, backend):
+    def test_matches_numpy(self):
         a, b = self._ab()
-        c, sim, engine = summa_train(a, b, pr=2, pc=2, engine=backend)
-        assert engine.backend == backend
+        c, sim, engine = summa_train(a, b, pr=2, pc=2)
+        assert isinstance(engine, SimEngine)
         np.testing.assert_allclose(c, a @ b, rtol=1e-12, atol=1e-12)
 
     def test_profiled_bit_identical(self):

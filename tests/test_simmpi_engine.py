@@ -9,10 +9,13 @@ from repro.errors import (
     CommunicatorError,
     ConfigurationError,
     DeadlockError,
+    PeerFailedError,
     RankFailedError,
+    SimulatedCrashError,
 )
 from repro.machine.params import MachineParams, cori_knl
 from repro.simmpi.engine import SimEngine
+from repro.simmpi.faults import Crash, FaultPlan
 from repro.simmpi.network import PostalNetwork, payload_bytes
 
 
@@ -25,8 +28,6 @@ class TestEngineBasics:
     def test_size_validation(self):
         with pytest.raises(ConfigurationError):
             SimEngine(0)
-        with pytest.raises(ConfigurationError):
-            SimEngine(2, timeout=0)
 
     @pytest.mark.parametrize("size", [True, 4.0, "4", 0, -1, np.int64(4)])
     def test_size_must_be_a_positive_integer(self, size):
@@ -51,20 +52,27 @@ class TestEngineBasics:
         assert isinstance(err.value.failures[1], ValueError)
 
     def test_engine_reusable_and_clocks_reset(self):
-        eng = SimEngine(2)
+        """A rerun on one engine equals a fresh engine's run, bit for bit."""
+        eng = SimEngine(3, trace=True)
 
-        def prog(comm):
-            comm.send(np.ones(10), 1 - comm.rank)
-            comm.recv(1 - comm.rank)
-            return comm.clock
+        def prog(comm, shift):
+            comm.send(np.ones(10), (comm.rank + 1) % comm.size)
+            comm.recv((comm.rank - 1) % comm.size)
+            total = comm.allreduce(np.arange(5, dtype=np.float64) + comm.rank + shift)
+            return comm.clock, total.tobytes()
 
-        first = eng.run(prog)
-        second = eng.run(prog)
-        assert first.clocks == second.clocks
+        first = eng.run(prog, 1)
         assert first.time > 0
+        eng.tracer.clear()
+        second = eng.run(prog, 1)
+        fresh = SimEngine(3, trace=True)
+        expected = fresh.run(prog, 1)
+        assert first.clocks == second.clocks == expected.clocks
+        assert first.values == second.values == expected.values
+        assert eng.tracer.canonical() == fresh.tracer.canonical()
 
     def test_deadlock_detection(self):
-        eng = SimEngine(2, timeout=0.3)
+        eng = SimEngine(2)
 
         def prog(comm):
             if comm.rank == 0:
@@ -82,7 +90,7 @@ class TestEngineBasics:
             comm.recv((comm.rank + 1) % 4)  # blocks until the abort unblocks it
 
         with pytest.raises(RankFailedError) as err:
-            SimEngine(4, timeout=10.0).run(prog)
+            SimEngine(4).run(prog)
         failures = err.value.failures
         assert isinstance(failures[1], ValueError)
         assert isinstance(failures[3], ValueError)
@@ -94,7 +102,7 @@ class TestEngineBasics:
                 assert isinstance(exc, DeadlockError)
 
     def test_watchdog_names_the_unmatched_receive(self):
-        eng = SimEngine(2, timeout=0.3)
+        eng = SimEngine(2)
 
         def prog(comm):
             if comm.rank == 1:
@@ -104,15 +112,53 @@ class TestEngineBasics:
             eng.run(prog)
         exc = err.value.failures[1]
         assert isinstance(exc, DeadlockError)
-        assert "timed out" in str(exc)
+        assert str(exc) == (
+            "deadlock: rank 1 waits to receive on (('world',), 0, 1, 9) and no "
+            "rank can run to send it (likely an unmatched send/recv pair)"
+        )
+
+    def test_split_stall_names_the_split(self):
+        def prog(comm):
+            if comm.rank == 0:
+                comm.split(0)  # rank 1 never joins
+
+        with pytest.raises(RankFailedError) as err:
+            SimEngine(2).run(prog)
+        exc = err.value.failures[0]
+        assert isinstance(exc, ConfigurationError)
+        assert str(exc) == (
+            "deadlock: split coordination on (('world',), 'split', 0) cannot "
+            "complete, no rank can run; missing ranks [1]"
+        )
+
+    def test_shrink_stall_names_the_shrink(self):
+        plan = FaultPlan(crashes=(Crash(2, at_step=0),))
+
+        def prog(comm):
+            comm.heartbeat(step=0)  # rank 2 dies here
+            if comm.rank == 0:
+                try:
+                    comm.recv(2)
+                except PeerFailedError:
+                    comm.shrink()  # rank 1 has already returned
+
+        with pytest.raises(RankFailedError) as err:
+            SimEngine(3, faults=plan, supervise=True).run(prog)
+        failures = err.value.failures
+        assert isinstance(failures[2], SimulatedCrashError)
+        assert isinstance(failures[0], ConfigurationError)
+        assert str(failures[0]) == (
+            "deadlock: shrink coordination on ('shrink', ('world',), 1, (0, 1)) "
+            "cannot complete, no rank can run; missing ranks [1]"
+        )
 
     def test_peer_failure_unblocks_waiting_rank(self):
-        eng = SimEngine(2, timeout=30.0)
+        eng = SimEngine(2)
 
         def prog(comm):
             if comm.rank == 0:
                 raise RuntimeError("early death")
-            comm.recv(0)  # must abort quickly, not wait 30s
+            comm.recv(0)  # the abort interrupts it at once
 
         import time
 
@@ -263,10 +309,9 @@ class TestPayloadBytes:
         def prog(comm):
             comm.send(payload, 1 - comm.rank)
 
-        for backend in ("thread", "event"):
-            with pytest.raises(RankFailedError) as err:
-                SimEngine(2, backend=backend).run(prog)
-            assert isinstance(err.value.failures[0], CommunicatorError)
+        with pytest.raises(RankFailedError) as err:
+            SimEngine(2).run(prog)
+        assert isinstance(err.value.failures[0], CommunicatorError)
 
     def test_network_transfer_time(self):
         net = PostalNetwork(MachineParams(alpha=1e-6, beta_per_byte=1e-9))

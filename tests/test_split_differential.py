@@ -3,8 +3,8 @@
 MPI_Comm_split: ranks of one colour form a communicator, ordered by
 ``(key, rank in the parent)``.  The reference below is that sentence,
 computed serially; the differential drives random group sizes, colours
-(negative and repeated) and keys (ties included) through ``split`` on
-both backends — nested once, and on the communicator ``shrink`` leaves
+(negative and repeated) and keys (ties included) through ``split`` —
+nested once, and on the communicator ``shrink`` leaves
 after a crash — and requires the same membership and local-rank order,
 plus a working message namespace (an all-gather inside every group).
 
@@ -23,9 +23,6 @@ from repro.dist.grid import GridComm
 from repro.errors import PeerFailedError
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import Crash, FaultPlan
-
-BACKENDS = ("thread", "event")
-
 
 def reference_split(members, colors, keys):
     """``{colour: members in new local-rank order}`` for one parent.
@@ -66,12 +63,11 @@ per_rank = st.integers(1, 24).flatmap(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=20, deadline=None)
 @given(per_rank)
-def test_split_matches_reference(backend, lists):
+def test_split_matches_reference(lists):
     colors, keys, colors2, keys2 = lists
-    result = SimEngine(len(colors), backend=backend).run(
+    result = SimEngine(len(colors)).run(
         _nested_split_program, colors, keys, colors2, keys2
     )
     # Members of a group agree on it, and the groups partition the world.
@@ -92,15 +88,14 @@ def _split_after_shrink_program(world, colors, keys):
     return world.world_ranks
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=10, deadline=None)
 @given(per_rank.filter(lambda lists: len(lists[0]) >= 2), st.data())
-def test_split_after_shrink_matches_reference(backend, lists, data):
+def test_split_after_shrink_matches_reference(lists, data):
     colors, keys, _, _ = lists
     p = len(colors)
     victim = data.draw(st.integers(0, p - 1))
     plan = FaultPlan(crashes=(Crash(victim, at_step=0),))
-    engine = SimEngine(p, backend=backend, faults=plan, supervise=True, timeout=10.0)
+    engine = SimEngine(p, faults=plan, supervise=True)
     result = engine.run(_split_after_shrink_program, colors, keys)
     survivors = tuple(r for r in range(p) if r != victim)
     assert result.failed == (victim,)
@@ -125,10 +120,10 @@ class _CountingStore:
         self._store[key] = value
 
 
-@pytest.mark.parametrize("backend,pr,pc", [("event", 16, 32), ("thread", 8, 8)])
-def test_grid_costs_each_rank_its_row_and_column_not_the_world(backend, pr, pc):
+@pytest.mark.parametrize("pr,pc", [(16, 32), (8, 8)])
+def test_grid_costs_each_rank_its_row_and_column_not_the_world(pr, pc):
     p = pr * pc
-    engine = SimEngine(p, backend=backend)
+    engine = SimEngine(p)
     reads = Counter()
     coordinate = engine.coordinate
 
@@ -146,9 +141,8 @@ def test_grid_costs_each_rank_its_row_and_column_not_the_world(backend, pr, pc):
     for rank, (col, row) in enumerate(result.values):
         r, c = divmod(rank, pc)
         assert col == tuple(range(c, p, pc)) and row == tuple(range(r * pc, (r + 1) * pc))
-    # Each of the two exchanges is grouped by its first reader (threaded
-    # ranks too: they group under the coordination lock), who looks at all
-    # P deposits; everyone else reads the store exactly once.
+    # Each of the two exchanges is grouped by its first reader, who looks
+    # at all P deposits; everyone else reads the store exactly once.
     groupers = [rank for rank in range(p) if reads[rank] > 2]
     assert 1 <= len(groupers) <= 2
     assert sum(reads.values()) == 2 * ((p + 1) + (p - 1))

@@ -6,7 +6,7 @@ the bit-identity contract covers — every field of every event of
 byte counts), the final per-rank clocks, and the losses (for SUMMA, the
 product matrix).  The digests are pinned, so a refactor of the training
 layer that moves a span, reorders a collective or changes one byte on
-the wire fails here; both scheduler backends must hit the same digest.
+the wire fails here.
 
 After an *intended* change of trace content, copy the digest the
 failing assertion prints into ``GOLDEN``.
@@ -50,8 +50,8 @@ def _digest(events, clocks, values, *, spans=True):
     return h.hexdigest()[:24]
 
 
-def _run_mlp(pr, pc, backend, sdc):
-    engine = SimEngine(pr * pc, backend=backend, trace=True)
+def _run_mlp(pr, pc, sdc):
+    engine = SimEngine(pr * pc, trace=True)
     _, losses, sim = distributed_mlp_train(
         MLPParams.init((10, 9, 5), seed=1), X, Y,
         pr=pr, pc=pc, batch=12, steps=3, engine=engine, sdc=sdc,
@@ -59,11 +59,9 @@ def _run_mlp(pr, pc, backend, sdc):
     return _digest(engine.tracer.canonical(), sim.clocks, losses)
 
 
-def _run_elastic(pr, pc, backend, sdc):
+def _run_elastic(pr, pc, sdc):
     plan = FaultPlan(seed=9, crashes=(Crash(rank=1, at_step=3),))
-    engine = SimEngine(
-        pr * pc, backend=backend, trace=True, faults=plan, supervise=True
-    )
+    engine = SimEngine(pr * pc, trace=True, faults=plan, supervise=True)
     res = elastic_mlp_train(
         MLPParams.init((10, 8, 5), seed=2), X, Y,
         pr=pr, pc=pc, batch=12, steps=6, checkpoint_every=2,
@@ -73,8 +71,8 @@ def _run_elastic(pr, pc, backend, sdc):
     return _digest(res.engine.tracer.canonical(), res.sim.clocks, res.losses)
 
 
-def _run_cnn(pr, pc, backend, sdc):
-    engine = SimEngine(pr * pc, backend=backend, trace=True)
+def _run_cnn(pr, pc, sdc):
+    engine = SimEngine(pr * pc, trace=True)
     _, losses, sim = distributed_cnn_train(
         CNN_CONFIG, CNNParams.init(CNN_CONFIG, seed=3), XC, YC,
         pr=pr, pc=pc, batch=8, steps=2, engine=engine, sdc=sdc,
@@ -82,11 +80,11 @@ def _run_cnn(pr, pc, backend, sdc):
     return _digest(engine.tracer.canonical(), sim.clocks, losses)
 
 
-def _run_summa(pr, pc, backend, sdc):
+def _run_summa(pr, pc, sdc):
     rng = np.random.default_rng(13)
     a = rng.standard_normal((8, 8))
     b = rng.standard_normal((8, 6))
-    engine = SimEngine(pr * pc, backend=backend, trace=True)
+    engine = SimEngine(pr * pc, trace=True)
     c_full, sim, _ = summa_train(a, b, pr=pr, pc=pc, engine=engine, sdc=sdc)
     return _digest(engine.tracer.canonical(), sim.clocks, c_full)
 
@@ -98,7 +96,7 @@ RUNNERS = {
     "summa": _run_summa,
 }
 
-#: ``trainer-PrxPc-guard`` -> digest, identical under both backends.
+#: ``trainer-PrxPc-guard`` -> digest.
 GOLDEN = {
     "cnn-2x2-plain": "dc3a0e3d6115c36b7e0b07a6",
     "cnn-2x2-guarded": "78f9d2b38c781581a51e75b9",
@@ -119,13 +117,12 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["thread", "event"])
 @pytest.mark.parametrize("sdc", [None, "correct"], ids=["plain", "guarded"])
 @pytest.mark.parametrize("pr,pc", [(2, 2), (2, 4)])
 @pytest.mark.parametrize("trainer", sorted(RUNNERS))
-def test_trainer_digest_is_pinned(trainer, pr, pc, sdc, backend):
+def test_trainer_digest_is_pinned(trainer, pr, pc, sdc):
     key = f"{trainer}-{pr}x{pc}-{'guarded' if sdc else 'plain'}"
-    assert RUNNERS[trainer](pr, pc, backend, sdc) == GOLDEN[key], key
+    assert RUNNERS[trainer](pr, pc, sdc) == GOLDEN[key], key
 
 
 #: ``placements-PrxPc`` -> digest of the switching trainer's wire traffic.
@@ -139,13 +136,12 @@ SWITCHING_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["thread", "event"])
 @pytest.mark.parametrize("key", sorted(SWITCHING_GOLDEN))
-def test_switching_wire_digest_is_pinned(key, backend):
+def test_switching_wire_digest_is_pinned(key):
     mix, _, grid = key.rpartition("-")
     pr, pc = map(int, grid.split("x"))
     params = MLPParams.init((10, 9, 7, 5), seed=4)
-    engine = SimEngine(pr * pc, backend=backend, trace=True)
+    engine = SimEngine(pr * pc, trace=True)
     weights, losses, sim = distributed_switching_mlp_train(
         params, X, Y, placements=mix.split("/"), pr=pr, pc=pc,
         batch=12, steps=2, lr=0.1, momentum=0.9, engine=engine,
