@@ -78,16 +78,10 @@ class RankAccount:
 
 @dataclasses.dataclass(frozen=True)
 class AccountingReport:
-    """Per-rank accounts plus the derived grid-level health figures.
-
-    ``dropped`` carries :attr:`~repro.simmpi.tracing.Tracer.dropped`
-    through to rendering: when events fell out of a capped ring buffer
-    every total here is a lower bound, and the tables say so.
-    """
+    """Per-rank accounts plus the derived grid-level health figures."""
 
     accounts: Tuple[RankAccount, ...]
     makespan_s: float
-    dropped: int = 0
 
     @property
     def ranks(self) -> Tuple[int, ...]:
@@ -126,14 +120,8 @@ class AccountingReport:
         raise ConfigurationError(f"no account for rank {rank}")
 
     def to_table(self) -> ResultTable:
-        title = "per-rank virtual-time accounting"
-        if self.dropped:
-            title += (
-                f"  [WARNING: {self.dropped} events dropped; "
-                "totals are lower bounds]"
-            )
         table = ResultTable(
-            title,
+            "per-rank virtual-time accounting",
             columns=[
                 "rank", "wall", "compute", "comm", "wait",
                 "wait_frac", "sends", "recvs",
@@ -192,7 +180,6 @@ def rank_accounting(
     events: Sequence[TraceEvent],
     *,
     clocks: Optional[Sequence[float]] = None,
-    dropped: int = 0,
 ) -> AccountingReport:
     """Build the per-rank decomposition of a trace.
 
@@ -242,12 +229,10 @@ def rank_accounting(
             "cannot account an empty trace: no p2p events and no clocks"
         )
     makespan = max(a.wall_s for a in accounts)
-    return AccountingReport(tuple(accounts), makespan, dropped=dropped)
+    return AccountingReport(tuple(accounts), makespan)
 
 
-def span_accounting(
-    events: Sequence[TraceEvent], *, dropped: int = 0
-) -> ResultTable:
+def span_accounting(events: Sequence[TraceEvent]) -> ResultTable:
     """Compute/comm/wait decomposition per span name (innermost attribution).
 
     Span time comes from the ``"span"`` bracket events; ``send``/``recv``
@@ -268,11 +253,9 @@ def span_accounting(
             comm[name] = comm.get(name, 0.0) + (e.t_end - e.t_start)
         elif e.op == "recv":
             wait[name] = wait.get(name, 0.0) + (e.t_end - e.t_start)
-    title = "per-span compute/comm/wait decomposition"
-    if dropped:
-        title += f"  [WARNING: {dropped} events dropped; totals are lower bounds]"
     table = ResultTable(
-        title, columns=["span", "virtual_time", "compute", "comm", "wait"]
+        "per-span compute/comm/wait decomposition",
+        columns=["span", "virtual_time", "compute", "comm", "wait"],
     )
     for name in sorted(time, key=lambda n: -time[n]):
         total = time[name]

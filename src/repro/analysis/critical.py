@@ -171,7 +171,6 @@ class CriticalPathReport:
     makespan_s: float
     slack: Tuple[float, ...]
     graph: DependencyGraph
-    dropped: int = 0
 
     @property
     def length_s(self) -> float:
@@ -228,11 +227,6 @@ class CriticalPathReport:
             f"{format_seconds(self.length_s)} of "
             f"{format_seconds(self.makespan_s)} makespan"
         )
-        if self.dropped:
-            title += (
-                f"  [WARNING: {self.dropped} events dropped; "
-                "the path may be incomplete]"
-            )
         table = ResultTable(
             title,
             columns=[
@@ -260,7 +254,6 @@ def critical_path(
     events: Sequence[TraceEvent],
     *,
     clocks: Optional[Sequence[float]] = None,
-    dropped: int = 0,
 ) -> CriticalPathReport:
     """Extract the critical path and per-event slack of a trace.
 
@@ -349,5 +342,4 @@ def critical_path(
         makespan_s=makespan,
         slack=tuple(slack),
         graph=graph,
-        dropped=dropped,
     )

@@ -260,6 +260,10 @@ class RunRecord:
     ranks: Tuple[Dict[str, Any], ...]
     critical: Dict[str, Any]
     counters: Dict[str, Any]
+    #: Trace events lost while recording.  Always ``0`` for records
+    #: built here (the tracer stores every event); kept in the file
+    #: format, and a read record with a non-zero count is refused as a
+    #: :mod:`repro.analysis.diff` baseline.
     dropped: int = 0
     meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
     #: SDC counters of a fault-injected / ABFT-guarded run;
@@ -378,7 +382,6 @@ def build_run_record(
     pc: int,
     clocks: Optional[Sequence[float]] = None,
     machine: Optional[MachineParams] = None,
-    dropped: int = 0,
     meta: Optional[Dict[str, Any]] = None,
     health_config: Optional[Any] = None,
     host: Optional[Dict[str, Any]] = None,
@@ -407,8 +410,8 @@ def build_run_record(
     from repro.analysis.critical import critical_path
     from repro.telemetry.summary import span_totals
 
-    accounting = rank_accounting(events, clocks=clocks, dropped=dropped)
-    cp = critical_path(events, clocks=clocks, dropped=dropped)
+    accounting = rank_accounting(events, clocks=clocks)
+    cp = critical_path(events, clocks=clocks)
     counters = {
         "dag_nodes": cp.graph.n_nodes,
         "dag_edges": cp.graph.n_edges,
@@ -471,7 +474,6 @@ def build_run_record(
         ranks=tuple(a.to_dict() for a in accounting.accounts),
         critical=cp.summary(),
         counters=counters,
-        dropped=int(dropped),
         meta=dict(meta or {}),
         sdc=sdc,
         ckpt=ckpt,

@@ -38,6 +38,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse ``type=`` for seeds: NumPy rejects negative ones."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _option(*names, **kwargs) -> argparse.ArgumentParser:
     """A one-option parent parser, so an option shared by several
     commands is declared once."""
@@ -62,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"training steps, at least 1 (default {default})",
         )
 
-    seed = _option("--seed", type=int, default=0, help="data/init seed (default 0)")
+    seed = _option(
+        "--seed", type=_nonnegative_int, default=0, help="data/init seed (default 0)"
+    )
     record = _option(
         "--record", default=None,
         help="write the run's versioned RunRecord JSON to this path",
@@ -227,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["mlp", "fig7"],
         help="network preset: 'mlp' (tiny) or 'fig7' (scaled-down AlexNet FC stack)",
     )
-    trace_p.add_argument("--pr", type=int, default=2, help="model-parallel rows")
-    trace_p.add_argument("--pc", type=int, default=2, help="batch-parallel columns")
-    trace_p.add_argument("--batch", type=int, default=16, help="global batch size")
+    trace_p.add_argument("--pr", type=_positive_int, default=2, help="model-parallel rows")
+    trace_p.add_argument("--pc", type=_positive_int, default=2, help="batch-parallel columns")
+    trace_p.add_argument("--batch", type=_positive_int, default=16, help="global batch size")
     trace_p.add_argument(
         "--per-rank", action="store_true", help="break the span summary out per rank"
     )
@@ -364,8 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
             "<= sqrt(P)).  Mutually exclusive with --pr/--pc."
         ),
     )
-    profile_p.add_argument("--pr", type=int, default=None, help="model-parallel rows")
-    profile_p.add_argument("--pc", type=int, default=None, help="batch-parallel columns")
+    profile_p.add_argument(
+        "--pr", type=_positive_int, default=None, help="model-parallel rows"
+    )
+    profile_p.add_argument(
+        "--pc", type=_positive_int, default=None, help="batch-parallel columns"
+    )
     profile_p.add_argument(
         "--hz", type=float, default=None,
         help="sampling rate of the profiler thread (default 197)",
@@ -439,14 +453,6 @@ def _emit_json(payload, path: Optional[str] = None) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return payload.get("exit_code", 0)
-
-
-def _warn_dropped(dropped: int, lossy: str) -> None:
-    """One stderr line when the tracer dropped events; ``lossy`` names
-    the output they skew."""
-    if dropped:
-        print(f"WARNING : tracer dropped {dropped} event(s); {lossy} came "
-              "from a lossy trace", file=sys.stderr)
 
 
 def _exit_code(kinds, severity) -> int:
@@ -589,7 +595,6 @@ def _run_faults(args) -> int:
         print(f"DEGRADED: run failed under the fault plan: {exc}", file=sys.stderr)
         return 1
     events = result.engine.tracer.canonical()
-    dropped = result.engine.tracer.dropped
     if not args.json:
         print()
         print("fault log:")
@@ -637,7 +642,6 @@ def _run_faults(args) -> int:
         print(f"failed ranks   : {list(result.sim.failed) or 'none'}")
         print(f"final loss     : {result.losses[-1]:.6f}")
         print(f"max |w - serial|: {dev:.3e}")
-    _warn_dropped(dropped, "the fault log and timelines above")
     # Exit granularity: 0 = clean or fully recovered (crashes absorbed by
     # shrink/restore, bit flips detected and repaired); 1 = degraded — an
     # injected flip nobody detected escaped into the weights.
@@ -674,7 +678,7 @@ def _run_faults(args) -> int:
                 "final_loss": float(result.losses[-1]),
                 "max_weight_dev": dev,
                 "escaped_flips": escaped,
-                "dropped": dropped,
+                "dropped": 0,  # format field: the tracer keeps every event
                 "exit_code": code,
             }
         )
@@ -729,9 +733,8 @@ def _run_sdc(args) -> int:
         )
         return weights, engine, sim
 
-    clean, clean_engine, _ = run()
+    clean, _, _ = run()
     clean_bits = [w.tobytes() for w in clean]
-    total_dropped = clean_engine.tracer.dropped
     guarded = not args.no_guard
     print(
         f"gauntlet: {len(_SDC_GAUNTLET)} single-bit-flip plans on a "
@@ -751,7 +754,6 @@ def _run_sdc(args) -> int:
             # run did not complete either.
             outcomes.append((name, "detected-unrecovered"))
             continue
-        total_dropped += engine.tracer.dropped
         injected = guard.monitor["injected"] if guard is not None else sum(
             1 for e in engine.tracer.canonical() if e.op == "fault.bitflip"
         )
@@ -778,7 +780,6 @@ def _run_sdc(args) -> int:
             engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
             steps=args.steps, sdc=guard, meta={"gauntlet": "sdc"},
         ))
-    _warn_dropped(total_dropped, "the unguarded injected-flip counts")
     code = _exit_code(
         (o for _, o in outcomes),
         {"escaped": 2, "no-fire": 2, "detected-unrecovered": 1},
@@ -1089,7 +1090,7 @@ def _run_chaos(args) -> int:
                 "failed_ranks": sorted(e_res.sim.failed) if e_res else None,
                 "restore_steps": e_res.restore_steps if e_res else None,
                 "degraded_steps": e_res.degraded_steps if e_res else None,
-                "dropped": e_res.engine.tracer.dropped if e_res else 0,
+                "dropped": 0,  # format field: the tracer keeps every event
             }
         )
         if not args.json:
@@ -1117,7 +1118,6 @@ def _run_chaos(args) -> int:
         "erasure-coded recovery silently diverged from the replicated "
         "reference",
     )[code]
-    total_dropped = sum(row["dropped"] for row in rows)
     payload = {
         "config": {
             "dims": list(dims), "pr": pr, "pc": pc, "batch": batch,
@@ -1126,11 +1126,10 @@ def _run_chaos(args) -> int:
             "over_parity": bool(args.over_parity),
         },
         "trials": rows,
-        "dropped": total_dropped,
+        "dropped": 0,  # format field: the tracer keeps every event
         "exit_code": code,
         "verdict": verdict,
     }
-    _warn_dropped(total_dropped, "the per-trial records")
     if not args.json:
         print(f"VERDICT : {verdict}",
               file=sys.stderr if code == 2 else sys.stdout)
@@ -1244,7 +1243,6 @@ def _run_watch(args) -> int:
     # virtual-time replay, not the live thread interleave.
     report = evaluate_health(engine.tracer.canonical(), health_config)
     makespan = max(clocks) if clocks else 0.0
-    dropped = engine.tracer.dropped
     worst = report.worst
     if not args.json:
         print()
@@ -1252,7 +1250,6 @@ def _run_watch(args) -> int:
             print(report.to_table().to_ascii())
         else:
             print("health  : no events — run looks healthy")
-    _warn_dropped(dropped, "the health evaluation above")
 
     record = record_fn() if args.record or args.registry else None
     _write_record(args, lambda: record)
@@ -1275,7 +1272,7 @@ def _run_watch(args) -> int:
             "health": report.to_dict(),
             "worst": worst,
             "makespan_s": makespan,
-            "dropped": dropped,
+            "dropped": 0,  # format field: the tracer keeps every event
             "exit_code": code,
         })
     print(f"verdict : {'healthy' if worst is None else worst.upper()} "
@@ -1447,20 +1444,18 @@ def _run_trace(args) -> int:
         engine=engine, sdc=args.sdc,
     )
     events = engine.tracer.canonical()
-    dropped = engine.tracer.dropped
     report = audit_events(
         events, dims, pr=args.pr, pc=args.pc, batch=args.batch,
-        steps=args.steps, dropped=dropped, sdc=args.sdc is not None,
+        steps=args.steps, sdc=args.sdc is not None,
     )
-    accounting = rank_accounting(events, clocks=sim.clocks, dropped=dropped)
-    cp = critical_path(events, clocks=sim.clocks, dropped=dropped)
-    _warn_dropped(dropped, "the totals below")
+    accounting = rank_accounting(events, clocks=sim.clocks)
+    cp = critical_path(events, clocks=sim.clocks)
     registry = MetricsRegistry()
     for event in events:
         registry.observe_event(event)
     register_analysis_metrics(registry, cp, accounting)
     print()
-    print(span_summary(events, per_rank=args.per_rank, dropped=dropped).to_ascii())
+    print(span_summary(events, per_rank=args.per_rank).to_ascii())
     print()
     print(report.to_table().to_ascii())
     print()

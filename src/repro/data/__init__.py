@@ -2,16 +2,11 @@
 
 The cost analysis needs only the training-set cardinality and input
 shape (Table 1); the executable trainers need deterministic sample
-data.  Real ImageNet is neither available nor needed — see DESIGN.md's
-substitution table.
+data, which they read in cyclic batch windows (plain minibatch SGD at
+a fixed global batch, as in the paper).  Real ImageNet is neither
+available nor needed — see DESIGN.md's substitution table.
 """
 
-from repro.data.batches import (
-    BatchSchedule,
-    CyclicSchedule,
-    ShuffledSchedule,
-    WithReplacementSchedule,
-)
 from repro.data.imagenet import ImageNetMeta, IMAGENET_LSVRC_2012
 from repro.data.synthetic import (
     synthetic_classification,
@@ -20,10 +15,6 @@ from repro.data.synthetic import (
 )
 
 __all__ = [
-    "BatchSchedule",
-    "CyclicSchedule",
-    "ShuffledSchedule",
-    "WithReplacementSchedule",
     "ImageNetMeta",
     "IMAGENET_LSVRC_2012",
     "synthetic_classification",

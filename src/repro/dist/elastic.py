@@ -97,8 +97,8 @@ class Checkpoint:
     Captures everything needed to resume step ``step`` on *any* process
     grid: the full (unpartitioned) weights, the full momentum buffers
     (``None`` when momentum is off), and the global losses of the steps
-    already taken.  The batch cursor needs no storage — batch schedules
-    are pure functions of the step index.
+    already taken.  The batch cursor needs no storage — the cyclic batch
+    window is a pure function of the step index.
     """
 
     step: int
@@ -251,13 +251,12 @@ def _restore(
     row_parts: Sequence[BlockPartition],
     lr: float,
     momentum: float,
-    weight_decay: float,
 ) -> Tuple[List[np.ndarray], SGD, List[float]]:
     w_locals = [
         part.take(w, grid.row, axis=0).copy()
         for part, w in zip(row_parts, ckpt.weights)
     ]
-    opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
+    opt = SGD(lr=lr, momentum=momentum)
     if ckpt.velocity is not None:
         opt.set_state(
             {
@@ -381,12 +380,9 @@ def elastic_mlp_program(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    weight_decay: float = 0.0,
     checkpoint_every: int = 2,
     ckpt_mode: str = "erasure",
     parity: int = 1,
-    schedule=None,
-    lr_schedule=None,
     sdc=None,
 ):
     """The SPMD rank program for elastic 1.5D MLP training.
@@ -430,20 +426,17 @@ def elastic_mlp_program(
             world, params0, x, y, store, grids, restores, degraded,
             restored, pr, pc,
             batch=batch, steps=steps, lr=lr, momentum=momentum,
-            weight_decay=weight_decay, checkpoint_every=checkpoint_every,
-            ckpt_mode=ckpt_mode, parity=parity,
-            schedule=schedule, lr_schedule=lr_schedule,
-            machine=world.engine.network.machine, guard=guard, dims=dims,
-            n=n, num_layers=num_layers,
+            checkpoint_every=checkpoint_every, ckpt_mode=ckpt_mode,
+            parity=parity, machine=world.engine.network.machine, guard=guard,
+            dims=dims, n=n, num_layers=num_layers,
         )
 
 
 def _elastic_loop(
     world, params0, x, y, store, grids, restores, degraded, restored,
     cur_pr, cur_pc,
-    *, batch, steps, lr, momentum, weight_decay, checkpoint_every,
-    ckpt_mode, parity, schedule, lr_schedule, machine, guard, dims, n,
-    num_layers,
+    *, batch, steps, lr, momentum, checkpoint_every, ckpt_mode, parity,
+    machine, guard, dims, n, num_layers,
 ):
     start = 0
     restore_ckpt = store.get(0).checkpoint
@@ -476,9 +469,7 @@ def _elastic_loop(
             grid = GridComm(world, cur_pr, cur_pc)
             row_parts = [BlockPartition(d, grid.pr) for d in dims[1:]]
             col_part = BlockPartition(batch, grid.pc)
-            w_locals, opt, losses = _restore(
-                restore_ckpt, grid, row_parts, lr, momentum, weight_decay
-            )
+            w_locals, opt, losses = _restore(restore_ckpt, grid, row_parts, lr, momentum)
             # Local GEMM work per step (fwd + dX + dW ~ 3 GEMMs at
             # 2*m*k*n flops each), charged to the virtual clock so
             # compute-level faults — stragglers above all — actually
@@ -527,9 +518,7 @@ def _elastic_loop(
                                 stored = store.get(step).stored_bytes()
                                 mode_code = MODE_REPLICATE
                         _ckpt_event(world, "ckpt.take", step, mode_code, stored)
-                    if lr_schedule is not None:
-                        opt.lr = float(lr_schedule(step))
-                    cols = _batch_columns(step, batch, n, schedule)
+                    cols = _batch_columns(step, batch, n)
                     my_cols = col_part.take(cols, grid.col)
                     a_local = x[:, my_cols]
                     yb_local = y[my_cols]
@@ -559,12 +548,9 @@ def elastic_mlp_train(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    weight_decay: float = 0.0,
     checkpoint_every: int = 2,
     ckpt_mode: str = "erasure",
     parity: int = 1,
-    schedule=None,
-    lr_schedule=None,
     faults=None,
     sdc=None,
     engine: Optional[Union[SimEngine, str]] = None,
@@ -608,12 +594,9 @@ def elastic_mlp_train(
         steps=steps,
         lr=lr,
         momentum=momentum,
-        weight_decay=weight_decay,
         checkpoint_every=checkpoint_every,
         ckpt_mode=ckpt_mode,
         parity=parity,
-        schedule=schedule,
-        lr_schedule=lr_schedule,
         sdc=make_guard(sdc),
     )
     losses, weights, grids, restores, degraded, restored, store = result.values[

@@ -33,8 +33,8 @@ newest step whose every stripe still has ``>= k`` distinct surviving
 chunks (:func:`census_choose`), degrade to an older step when shards are
 short, and fetch + decode (:mod:`repro.dist.elastic`).
 
-There is deliberately no RNG state in a checkpoint: batch schedules are
-pure functions of the absolute step index, so ``(weights, velocity,
+There is deliberately no RNG state in a checkpoint: the cyclic batch
+window is a pure function of the absolute step index, so ``(weights, velocity,
 losses, step)`` is the complete trajectory state.
 """
 

@@ -252,21 +252,16 @@ def serial_cnn_train(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    weight_decay: float = 0.0,
-    schedule=None,
-    lr_schedule=None,
 ) -> Tuple[CNNParams, List[float]]:
     """Single-process reference CNN SGD. ``x`` is ``(N, C, H, W)``."""
     if x.ndim != 4:
         raise ShapeError(f"x must be (N, C, H, W), got {x.shape}")
     n = x.shape[0]
     params = params.copy()
-    opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
+    opt = SGD(lr=lr, momentum=momentum)
     losses: List[float] = []
     for step in range(steps):
-        if lr_schedule is not None:
-            opt.lr = float(lr_schedule(step))
-        cols = _batch_columns(step, batch, n, schedule)
+        cols = _batch_columns(step, batch, n)
         xb, yb = x[cols], y[cols]
         loss, conv_grads, fc_grads = _serial_cnn_step(config, params, xb, yb, batch)
         losses.append(loss)
@@ -292,9 +287,6 @@ def _cnn_train_program(
     steps: int,
     lr: float,
     momentum: float,
-    weight_decay: float = 0.0,
-    schedule=None,
-    lr_schedule=None,
     sdc=None,
 ):
     grid = GridComm(comm, pr, pc)
@@ -315,14 +307,12 @@ def _cnn_train_program(
         for part, w in zip(fc_row_parts, params0.fc_weights)
     ]
     col_part = BlockPartition(batch, grid.pc)
-    opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
+    opt = SGD(lr=lr, momentum=momentum)
     losses: List[float] = []
 
     for step in range(steps):
         with span("step", comm=comm, step=step), payload_guard(guard):
-            if lr_schedule is not None:
-                opt.lr = float(lr_schedule(step))
-            cols = _batch_columns(step, batch, n, schedule)
+            cols = _batch_columns(step, batch, n)
             my_cols = col_part.take(cols, grid.col)
             yb_local = y[my_cols]
             b_local = len(my_cols)
@@ -393,9 +383,6 @@ def distributed_cnn_train(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    weight_decay: float = 0.0,
-    schedule=None,
-    lr_schedule=None,
     engine: Optional[Union[SimEngine, str]] = None,
     sdc=None,
 ) -> Tuple[CNNParams, List[float], SimResult]:
@@ -428,9 +415,6 @@ def distributed_cnn_train(
         steps=steps,
         lr=lr,
         momentum=momentum,
-        weight_decay=weight_decay,
-        schedule=schedule,
-        lr_schedule=lr_schedule,
         sdc=make_guard(sdc),
     )
     # Conv weights are replicated (take rank 0's); FC weights reassemble

@@ -1,4 +1,4 @@
-"""Mini-batch SGD (paper Eq. 1) with optional momentum and weight decay.
+"""Mini-batch SGD (paper Eq. 1) with optional momentum.
 
 ``w_{n+1} = w_n - eta * (1/B) * sum_i grad f_i`` — the ``1/B`` scaling
 is applied by the loss functions, so the optimizer consumes
@@ -22,21 +22,13 @@ __all__ = ["SGD"]
 class SGD:
     """Stateful SGD over a list of parameter arrays (updated in place)."""
 
-    def __init__(
-        self,
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must lie in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ConfigurationError(f"weight decay must be >= 0, got {weight_decay}")
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
@@ -50,17 +42,13 @@ class SGD:
                 raise ShapeError(
                     f"param {i} shape {w.shape} != gradient shape {g.shape}"
                 )
-            update = g
-            if self.weight_decay:
-                update = update + self.weight_decay * w
             if self.momentum:
                 v = self._velocity.get(i)
                 if v is None or v.shape != w.shape:
                     v = np.zeros_like(w)
-                v = self.momentum * v + update
-                self._velocity[i] = v
-                update = v
-            w -= self.lr * update
+                g = self.momentum * v + g
+                self._velocity[i] = g
+            w -= self.lr * g
 
     def reset(self) -> None:
         """Drop momentum state (e.g. between independent training runs)."""

@@ -66,8 +66,6 @@ def switching_mlp_train_program(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    schedule=None,
-    lr_schedule=None,
 ):
     """SPMD rank program for per-layer grid switching (see module docs)."""
     placements = _check_placements(placements, len(params0.weights))
@@ -85,9 +83,7 @@ def switching_mlp_train_program(
     losses: List[float] = []
 
     for step in range(steps):
-        if lr_schedule is not None:
-            opt.lr = float(lr_schedule(step))
-        cols = _batch_columns(step, batch, x.shape[1], schedule)
+        cols = _batch_columns(step, batch, x.shape[1])
         # Hierarchical batch partitions: cols_c over Pc, then sub-shard r over Pr.
         group_cols = col_part.take(cols, model_grid.col)
         sub_cols = BlockPartition(len(group_cols), pr).take(group_cols, model_grid.row)
@@ -115,8 +111,6 @@ def distributed_switching_mlp_train(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    schedule=None,
-    lr_schedule=None,
     engine: Optional[Union[SimEngine, str]] = None,
 ) -> Tuple[List[np.ndarray], List[float], SimResult]:
     """Run the switching trainer on a simulated grid; reassemble weights.
@@ -142,8 +136,6 @@ def distributed_switching_mlp_train(
         steps=steps,
         lr=lr,
         momentum=momentum,
-        schedule=schedule,
-        lr_schedule=lr_schedule,
     )
     weights: List[np.ndarray] = []
     for i in range(len(params0.weights)):

@@ -80,11 +80,8 @@ def check_mlp_inputs(x: np.ndarray, y: np.ndarray, batch: int) -> None:
         raise ConfigurationError(f"batch {batch} must lie in [1, {n}]")
 
 
-def _batch_columns(step: int, batch: int, n: int, schedule=None) -> np.ndarray:
-    """Batch indices for ``step``: a :class:`~repro.data.batches.BatchSchedule`
-    when given, else the default deterministic cyclic window."""
-    if schedule is not None:
-        return schedule.columns(step)
+def _batch_columns(step: int, batch: int, n: int) -> np.ndarray:
+    """Batch indices for ``step``: the deterministic cyclic window."""
     return (step * batch + np.arange(batch)) % n
 
 
@@ -108,26 +105,16 @@ def serial_mlp_train(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    weight_decay: float = 0.0,
-    schedule=None,
-    lr_schedule=None,
 ) -> Tuple[MLPParams, List[float]]:
-    """Single-process reference SGD; mutates and returns a copy of ``params``.
-
-    ``schedule`` is an optional :class:`~repro.data.batches.BatchSchedule`
-    (default: cyclic windows); ``lr_schedule`` an optional
-    ``step -> learning rate`` callable applied before each update.
-    """
+    """Single-process reference SGD; mutates and returns a copy of ``params``."""
     check_mlp_inputs(x, y, batch)
     n = x.shape[1]
     params = params.copy()
     weights = params.weights
-    opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
+    opt = SGD(lr=lr, momentum=momentum)
     losses: List[float] = []
     for step in range(steps):
-        if lr_schedule is not None:
-            opt.lr = float(lr_schedule(step))
-        cols = _batch_columns(step, batch, n, schedule)
+        cols = _batch_columns(step, batch, n)
         xb, yb = x[:, cols], y[cols]
         acts, zs = _mlp_forward(weights, xb)
         loss, dz = softmax_cross_entropy(zs[-1], yb, global_batch=batch)
@@ -154,9 +141,6 @@ def mlp_train_program(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    weight_decay: float = 0.0,
-    schedule=None,
-    lr_schedule=None,
     sdc=None,
 ):
     """The SPMD rank program for 1.5D MLP training.
@@ -184,14 +168,12 @@ def mlp_train_program(
         for part, w in zip(row_parts, params0.weights)
     ]
     col_part = BlockPartition(batch, grid.pc)
-    opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
+    opt = SGD(lr=lr, momentum=momentum)
     losses: List[float] = []
     with payload_guard(guard):
         for step in range(steps):
             with span("step", comm=comm, step=step):
-                if lr_schedule is not None:
-                    opt.lr = float(lr_schedule(step))
-                cols = _batch_columns(step, batch, n, schedule)
+                cols = _batch_columns(step, batch, n)
                 my_cols = col_part.take(cols, grid.col)
                 a_local = x[:, my_cols]
                 yb_local = y[my_cols]
@@ -231,9 +213,6 @@ def distributed_mlp_train(
     steps: int,
     lr: float = 0.05,
     momentum: float = 0.0,
-    weight_decay: float = 0.0,
-    schedule=None,
-    lr_schedule=None,
     sdc=None,
     engine: Optional[Union[SimEngine, str]] = None,
 ) -> Tuple[List[np.ndarray], List[float], SimResult]:
@@ -264,9 +243,6 @@ def distributed_mlp_train(
         steps=steps,
         lr=lr,
         momentum=momentum,
-        weight_decay=weight_decay,
-        schedule=schedule,
-        lr_schedule=lr_schedule,
         sdc=guard,
     )
     weights = assemble_weights(result, pr, pc, 0)
@@ -311,7 +287,6 @@ def trainer_run_record(
         pc=pc,
         clocks=sim.clocks,
         machine=engine.network.machine,
-        dropped=engine.tracer.dropped,
         meta=meta,
         health_config=health_config,
         host=host,

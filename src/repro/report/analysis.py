@@ -81,12 +81,6 @@ def critical_path_markdown(cp, *, limit: Optional[int] = 20) -> str:
         f"{format_seconds(cp.max_slack_s)}).",
         "",
     ]
-    if cp.dropped:
-        lines += [
-            f"> **Warning:** {cp.dropped} events were dropped from the "
-            "trace ring buffer; the path may be incomplete.",
-            "",
-        ]
     by_cat = cp.by_category()
     if by_cat:
         lines.append("Critical time per cost-model term:")

@@ -105,10 +105,7 @@ class SimEngine:
         Optional :class:`~repro.telemetry.metrics.MetricsRegistry`.
         When given, it is attached as the tracer's streaming sink so
         every event updates the registry's aggregates — even when event
-        *storage* is capped or (with ``trace=False``) off entirely.
-    max_trace_events:
-        Optional cap on stored trace events (ring-buffer semantics; see
-        :class:`~repro.simmpi.tracing.Tracer`).
+        *storage* is off (``trace=False``).
     backend:
         Deprecated and inert.  Any name in :attr:`BACKENDS` is accepted
         and runs the one discrete-event scheduler; any other value is a
@@ -128,7 +125,6 @@ class SimEngine:
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         supervise: bool = False,
         metrics: Optional[Any] = None,
-        max_trace_events: Optional[int] = None,
         backend: str = "event",
     ) -> None:
         try:
@@ -152,12 +148,7 @@ class SimEngine:
         self.mailbox = EventMailbox(None)
         self.metrics = metrics
         sink = metrics.observe_event if metrics is not None else None
-        self.tracer = Tracer(
-            enabled=trace or sink is not None,
-            max_events=max_trace_events,
-            sink=sink,
-            store=trace,
-        )
+        self.tracer = Tracer(enabled=trace or sink is not None, sink=sink, store=trace)
         self._clocks = [0.0] * size
         self._aborted = False
         self._coord_store: Dict[Tuple, Dict[int, Any]] = {}

@@ -5,16 +5,14 @@ entry is recorded as a :class:`TraceEvent`, giving tests and examples a
 way to assert on *what was communicated* (message counts, volumes,
 round structure of the Bruck/ring algorithms), not just on results.
 
-Scalability: for long runs the in-memory event list can be bounded with
-``Tracer(max_events=...)`` (oldest events are dropped and counted in
-:attr:`Tracer.dropped`) or bypassed entirely by attaching a streaming
-``sink`` callback — e.g. a :class:`~repro.telemetry.metrics.MetricsRegistry`
-— which observes every event even when storage is capped or off.
+Scalability: for long runs the in-memory event list can be bypassed
+entirely by attaching a streaming ``sink`` callback — e.g. a
+:class:`~repro.telemetry.metrics.MetricsRegistry` — which observes every
+event even when storage is off.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.profile import hooks as _profile_hooks
@@ -123,36 +121,30 @@ class Tracer:
     enabled:
         Master switch; when ``False``, :meth:`record` returns
         immediately and :attr:`events` stays empty.
-    max_events:
-        Optional cap on the stored event list.  When exceeded, the
-        *oldest* events are dropped (ring-buffer semantics) and counted
-        in :attr:`dropped`.  ``None`` (the default) keeps everything,
-        matching the original unbounded behavior.
     sink:
         Optional callback invoked with every event as it is recorded —
-        a streaming consumer that sees events regardless of the storage
-        cap.  Exceptions from the sink propagate to the recording rank.
+        a streaming consumer that sees events whether or not they are
+        stored.  Exceptions from the sink propagate to the recording rank.
     store:
         Set ``False`` to skip the in-memory list entirely and only feed
         the sink — constant-memory telemetry for arbitrarily long runs.
     """
 
+    #: Always ``0``: the tracer stores every event it records.  Kept
+    #: only because the benchmark harness (``bench/adapters.py``) reads it.
+    dropped = 0
+
     def __init__(
         self,
         enabled: bool = False,
         *,
-        max_events: Optional[int] = None,
         sink: Optional[Callable[[TraceEvent], None]] = None,
         store: bool = True,
     ) -> None:
         self.enabled = enabled
-        self.max_events = max_events
         self.sink = sink
         self.store = store
-        self.dropped = 0
-        self._events: "deque[TraceEvent] | List[TraceEvent]" = (
-            deque(maxlen=max_events) if max_events is not None else []
-        )
+        self._events: List[TraceEvent] = []
 
     def record(self, event: TraceEvent) -> None:
         if not self.enabled:
@@ -174,11 +166,8 @@ class Tracer:
         sink = self.sink
         if sink is not None:
             sink(event)
-        if not self.store:
-            return
-        if self.max_events is not None and len(self._events) == self.max_events:
-            self.dropped += 1
-        self._events.append(event)
+        if self.store:
+            self._events.append(event)
 
     @property
     def events(self) -> Tuple[TraceEvent, ...]:
@@ -186,7 +175,6 @@ class Tracer:
 
     def clear(self) -> None:
         self._events.clear()
-        self.dropped = 0
 
     # -- aggregate views used by tests ------------------------------------
 

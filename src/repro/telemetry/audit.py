@@ -120,9 +120,6 @@ class AuditReport:
     pc: int
     batch: int
     steps: int
-    #: Events dropped from the tracer's ring buffer while recording;
-    #: non-zero means every measured figure is a lower bound.
-    dropped: int = 0
 
     @property
     def max_bandwidth_rel_error(self) -> float:
@@ -138,14 +135,10 @@ class AuditReport:
         return self.max_bandwidth_rel_error == 0.0
 
     def to_table(self) -> ResultTable:
-        from repro.telemetry.summary import dropped_warning
-
         title = (
             f"communication audit: measured vs Eq. 8 "
             f"({self.pr}x{self.pc} grid, B={self.batch}, per step, all ranks)"
         )
-        if self.dropped:
-            title += f"  [{dropped_warning(self.dropped)}]"
         table = ResultTable(
             title,
             columns=[
@@ -226,7 +219,6 @@ def audit_events(
     batch: int,
     steps: int,
     machine: Optional[MachineParams] = None,
-    dropped: int = 0,
     sdc: bool = False,
 ) -> AuditReport:
     """Audit an existing trace of :func:`repro.dist.train.mlp_train_program`.
@@ -234,9 +226,7 @@ def audit_events(
     ``dims`` are the MLP layer sizes the trace was produced with;
     measured totals are averaged over ``steps`` (they are identical
     every step) and compared against Eq. 8 for the same configuration.
-    ``dropped`` (the tracer's ring-buffer drop count) marks the report
-    as a lower bound — see :attr:`AuditReport.dropped`.  ``sdc=True``
-    audits the ABFT digest escorts of a guarded run against
+    ``sdc=True`` audits the ABFT digest escorts of a guarded run against
     :func:`repro.core.costs.sdc_guard_cost_terms` as separate
     ``abft.digest_*`` terms.
     """
@@ -304,9 +294,7 @@ def audit_events(
                     measured_messages=meas_guard / SIM_ELEMENT_BYTES / steps,
                 )
             )
-    return AuditReport(
-        tuple(terms), pr=pr, pc=pc, batch=batch, steps=steps, dropped=dropped
-    )
+    return AuditReport(tuple(terms), pr=pr, pc=pc, batch=batch, steps=steps)
 
 
 def _ckpt_span_instances(
@@ -363,7 +351,6 @@ def audit_checkpoint_events(
     pr: int = 0,
     pc: int = 0,
     batch: int = 0,
-    dropped: int = 0,
 ) -> AuditReport:
     """Audit checkpoint/recovery traffic of an elastic trace.
 
@@ -479,9 +466,7 @@ def audit_checkpoint_events(
                 measured_messages=sum(i["msgs"] for i in insts),
             )
         )
-    return AuditReport(
-        tuple(terms), pr=pr, pc=pc, batch=batch, steps=1, dropped=dropped
-    )
+    return AuditReport(tuple(terms), pr=pr, pc=pc, batch=batch, steps=1)
 
 
 def audit_mlp_15d(
@@ -519,6 +504,6 @@ def audit_mlp_15d(
     events = engine.tracer.events
     report = audit_events(
         events, dims, pr=pr, pc=pc, batch=batch, steps=steps, machine=machine,
-        dropped=engine.tracer.dropped, sdc=sdc is not None,
+        sdc=sdc is not None,
     )
     return report, events

@@ -6,7 +6,7 @@ sent, message counts, fault/retry totals, virtual seconds per span kind
 — that stay O(label cardinality) no matter how long a run is.  Wired as
 the tracer's streaming sink (``SimEngine(..., metrics=registry)``) it
 observes every :class:`~repro.simmpi.tracing.TraceEvent` as it happens,
-including events dropped from a capped event store.
+including events the tracer does not store (``trace=False``).
 
 Disabled registries (``MetricsRegistry(enabled=False)``, or the shared
 :data:`NULL_REGISTRY`) turn every mutation into an immediate no-op so

@@ -16,15 +16,7 @@ from repro.report.tables import format_seconds
 from repro.simmpi.tracing import TraceEvent
 from repro.telemetry.spans import base_name
 
-__all__ = ["span_summary", "span_totals", "dropped_warning"]
-
-
-def dropped_warning(dropped: int) -> str:
-    """The standard lower-bound warning for traces with dropped events."""
-    return (
-        f"WARNING: {dropped} events dropped from the trace ring buffer; "
-        "totals are lower bounds"
-    )
+__all__ = ["span_summary", "span_totals"]
 
 
 def span_totals(
@@ -73,9 +65,7 @@ def span_totals(
     return rows
 
 
-def span_summary(
-    events: Sequence[TraceEvent], *, per_rank: bool = False, dropped: int = 0
-) -> ResultTable:
+def span_summary(events: Sequence[TraceEvent], *, per_rank: bool = False) -> ResultTable:
     """Summarize spans: count, virtual time, messages and bytes sent.
 
     Span *time* comes from the ``"span"`` bracket events (innermost
@@ -83,18 +73,11 @@ def span_summary(
     parent rows include child time just as a profiler's inclusive view
     does).  Message/byte columns attribute each ``send`` to its
     innermost enclosing span.
-
-    ``dropped`` is the tracer's dropped-event count; a non-zero value
-    stamps the table title with a visible lower-bound warning so capped
-    ring-buffer traces are never mistaken for complete ones.
     """
     columns = ["span", "count", "virtual_time", "sends", "bytes"]
     if per_rank:
         columns.insert(1, "rank")
-    title = "per-span summary"
-    if dropped:
-        title += f"  [{dropped_warning(dropped)}]"
-    table = ResultTable(title, columns=columns)
+    table = ResultTable("per-span summary", columns=columns)
     for raw in span_totals(events, per_rank=per_rank):
         row = dict(raw)
         row["virtual_time"] = format_seconds(row.pop("virtual_time_s"))

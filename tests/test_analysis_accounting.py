@@ -66,13 +66,6 @@ class TestHandTrace:
         with pytest.raises(ConfigurationError):
             rank_accounting([])
 
-    def test_dropped_warning_in_title(self):
-        report = rank_accounting(HAND_EVENTS, dropped=7)
-        assert "7 events dropped" in report.to_table().title
-        assert "lower bounds" in report.to_table().title
-        clean = rank_accounting(HAND_EVENTS)
-        assert "dropped" not in clean.to_table().title
-
 
 class TestTracedRun:
     def test_decomposition_identity_every_rank(self):
@@ -122,11 +115,6 @@ class TestSpanAccounting:
         names = [r["span"] for r in table.rows]
         assert "step" in names
         assert "fwd" in names
-
-    def test_dropped_stamps_title(self):
-        engine, _ = _traced_mlp()
-        table = span_accounting(engine.tracer.canonical(), dropped=3)
-        assert "3 events dropped" in table.title
 
 
 class TestReportShape:

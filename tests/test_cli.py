@@ -359,7 +359,9 @@ class TestProfile:
         assert doc.startswith("<!doctype html>") and "<script" not in doc
 
     def test_profile_bad_grid_exits_2(self, capsys):
-        assert main(["profile", "--pr", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--pr", "0"])
+        assert exc.value.code == 2
         assert "profile" in capsys.readouterr().err
 
 
@@ -377,6 +379,12 @@ BAD_INPUT = [
     ["chaos", "--trials", "-1"],
     ["chaos", "--parity", "0"],
     ["chaos", "--parity", "4"],  # Pc = 4 leaves no data chunk
+    ["chaos", "--seed", "-1"],
+    ["faults", "--seed", "-1"],
+    ["trace", "--batch", "-1"],
+    ["trace", "--batch", "0"],
+    ["trace", "--pr", "-1", "--pc", "-2"],
+    ["profile", "--pr", "-2", "--pc", "-1"],
 ]
 
 

@@ -103,11 +103,6 @@ class TestSGD:
         opt.step([w], [g])  # v=1.5, w=-2.5
         assert w[0] == pytest.approx(-2.5)
 
-    def test_weight_decay(self):
-        w = np.array([2.0])
-        SGD(lr=0.1, weight_decay=0.5).step([w], [np.array([0.0])])
-        assert w[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
-
     def test_reset_clears_momentum(self):
         w = np.zeros(1)
         opt = SGD(lr=1.0, momentum=0.9)
@@ -125,9 +120,7 @@ class TestSGD:
         SGD(lr=0.05).step([w], [g])
         np.testing.assert_allclose(w, expected, rtol=1e-15)
 
-    @pytest.mark.parametrize(
-        "kwargs", [dict(lr=0), dict(lr=0.1, momentum=1.0), dict(lr=0.1, weight_decay=-1)]
-    )
+    @pytest.mark.parametrize("kwargs", [dict(lr=0), dict(lr=0.1, momentum=1.0)])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             SGD(**kwargs)

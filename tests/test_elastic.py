@@ -125,7 +125,7 @@ class TestElasticRecovery:
         from repro.dist.layers import relu_grad
 
         for step in range(s, STEPS):
-            cols = _batch_columns(step, BATCH, X.shape[1], None)
+            cols = _batch_columns(step, BATCH, X.shape[1])
             xb, yb = X[:, cols], Y[cols]
             acts, zs = _mlp_forward(params.weights, xb)
             _, dz = softmax_cross_entropy(zs[-1], yb, global_batch=BATCH)

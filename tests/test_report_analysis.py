@@ -71,13 +71,6 @@ class TestCriticalPathMarkdown:
         full = critical_path_markdown(CP, limit=None)
         assert "more hops" not in full
 
-    def test_dropped_warning(self):
-        import dataclasses
-
-        lossy = dataclasses.replace(CP, dropped=9)
-        assert "9 events were dropped" in critical_path_markdown(lossy)
-        assert "dropped" not in critical_path_markdown(CP)
-
 
 class TestFullDocuments:
     def test_markdown_sections(self):

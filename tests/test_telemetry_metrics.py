@@ -111,36 +111,12 @@ class TestEngineSink:
 
 
 class TestTracerScalability:
-    def test_max_events_ring_buffer_counts_drops(self):
-        tr = Tracer(enabled=True, max_events=2)
-        for i in range(5):
-            tr.record(TraceEvent(0, "send", 1, i, 0.0, 0.0))
-        assert len(tr.events) == 2
-        assert tr.dropped == 3
-        assert [e.nbytes for e in tr.events] == [3, 4]  # oldest dropped
-        tr.clear()
-        assert tr.events == () and tr.dropped == 0
-
-    def test_sink_sees_dropped_events(self):
-        seen = []
-        tr = Tracer(enabled=True, max_events=1, sink=seen.append)
-        for i in range(4):
-            tr.record(TraceEvent(0, "send", 1, i, 0.0, 0.0))
-        assert len(seen) == 4  # the sink streams everything
-        assert len(tr.events) == 1
-
     def test_store_false_keeps_nothing(self):
         seen = []
         tr = Tracer(enabled=True, sink=seen.append, store=False)
         tr.record(TraceEvent(0, "send", 1, 8, 0.0, 0.0))
         assert tr.events == ()
         assert len(seen) == 1
-
-    def test_engine_cap_passthrough(self):
-        eng = SimEngine(2, trace=True, max_trace_events=4)
-        eng.run(_chatter)
-        assert len(eng.tracer.events) == 4
-        assert eng.tracer.dropped > 0
 
 
 class TestHistogramQuantiles:
