@@ -22,7 +22,6 @@ from repro.analysis.accounting import (
     AccountingReport,
     RankAccount,
     rank_accounting,
-    span_accounting,
 )
 from repro.analysis.critical import (
     CriticalEvent,
@@ -51,7 +50,6 @@ __all__ = [
     "AccountingReport",
     "RankAccount",
     "rank_accounting",
-    "span_accounting",
     "CriticalEvent",
     "CriticalPathReport",
     "DependencyGraph",

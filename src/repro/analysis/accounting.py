@@ -27,19 +27,17 @@ and the idle fraction (wait time plus early-finisher tail relative to
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.results import ResultTable
 from repro.errors import ConfigurationError
 from repro.report.tables import format_seconds
 from repro.simmpi.tracing import TraceEvent
-from repro.telemetry.spans import base_name
 
 __all__ = [
     "RankAccount",
     "AccountingReport",
     "rank_accounting",
-    "span_accounting",
 ]
 
 
@@ -54,11 +52,6 @@ class RankAccount:
     wait_s: float
     sends: int
     recvs: int
-
-    @property
-    def busy_fraction(self) -> float:
-        """Share of wall time spent computing (1.0 for an idle-free rank)."""
-        return self.compute_s / self.wall_s if self.wall_s > 0 else 1.0
 
     @property
     def wait_fraction(self) -> float:
@@ -140,41 +133,6 @@ class AccountingReport:
             )
         return table
 
-    def group_table(self, pr: int, pc: int, *, axis: str = "row") -> ResultTable:
-        """Aggregate accounts over grid rows or columns.
-
-        Ranks map to coordinates as ``(row, col) = divmod(rank, pc)``,
-        matching :class:`~repro.dist.grid.GridComm`; ``axis`` selects
-        which coordinate to group by.
-        """
-        if axis not in ("row", "col"):
-            raise ConfigurationError(f"axis must be 'row' or 'col', got {axis!r}")
-        if pr < 1 or pc < 1:
-            raise ConfigurationError(f"grid dims must be >= 1, got {pr}x{pc}")
-        groups: Dict[int, List[RankAccount]] = {}
-        for a in self.accounts:
-            row, col = divmod(a.rank, pc)
-            if row >= pr:
-                raise ConfigurationError(
-                    f"rank {a.rank} does not fit a {pr}x{pc} grid"
-                )
-            groups.setdefault(row if axis == "row" else col, []).append(a)
-        table = ResultTable(
-            f"virtual-time accounting by grid {axis} ({pr}x{pc} grid)",
-            columns=[axis, "ranks", "wall", "compute", "comm", "wait"],
-        )
-        for coord in sorted(groups):
-            members = groups[coord]
-            table.add_row(
-                **{axis: coord},
-                ranks=len(members),
-                wall=format_seconds(max(a.wall_s for a in members)),
-                compute=format_seconds(sum(a.compute_s for a in members)),
-                comm=format_seconds(sum(a.comm_s for a in members)),
-                wait=format_seconds(sum(a.wait_s for a in members)),
-            )
-        return table
-
 
 def rank_accounting(
     events: Sequence[TraceEvent],
@@ -230,41 +188,3 @@ def rank_accounting(
         )
     makespan = max(a.wall_s for a in accounts)
     return AccountingReport(tuple(accounts), makespan)
-
-
-def span_accounting(events: Sequence[TraceEvent]) -> ResultTable:
-    """Compute/comm/wait decomposition per span name (innermost attribution).
-
-    Span time comes from the ``"span"`` bracket events; ``send``/``recv``
-    durations attribute to their innermost enclosing span, and compute
-    is the bracket-time residual.  Nested spans attribute inclusively,
-    like :func:`~repro.telemetry.summary.span_summary`.
-    """
-    time: Dict[str, float] = {}
-    comm: Dict[str, float] = {}
-    wait: Dict[str, float] = {}
-    for e in events:
-        if not e.span:
-            continue
-        name = base_name(e.span[-1])
-        if e.op == "span":
-            time[name] = time.get(name, 0.0) + (e.t_end - e.t_start)
-        elif e.op == "send":
-            comm[name] = comm.get(name, 0.0) + (e.t_end - e.t_start)
-        elif e.op == "recv":
-            wait[name] = wait.get(name, 0.0) + (e.t_end - e.t_start)
-    table = ResultTable(
-        "per-span compute/comm/wait decomposition",
-        columns=["span", "virtual_time", "compute", "comm", "wait"],
-    )
-    for name in sorted(time, key=lambda n: -time[n]):
-        total = time[name]
-        c, w = comm.get(name, 0.0), wait.get(name, 0.0)
-        table.add_row(
-            span=name,
-            virtual_time=format_seconds(total),
-            compute=format_seconds(max(0.0, total - c - w)),
-            comm=format_seconds(c),
-            wait=format_seconds(w),
-        )
-    return table

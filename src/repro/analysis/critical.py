@@ -191,17 +191,6 @@ class CriticalPathReport:
             out[c.category] = out.get(c.category, 0.0) + c.duration_s
         return out
 
-    def off_path_slack(self) -> List[Tuple[TraceEvent, float]]:
-        """Non-critical events with their slack, largest first."""
-        on_path = {id(c.event) for c in self.path}
-        pairs = [
-            (e, s)
-            for e, s in zip(self.graph.nodes, self.slack)
-            if id(e) not in on_path
-        ]
-        pairs.sort(key=lambda p: -p[1])
-        return pairs
-
     @property
     def max_slack_s(self) -> float:
         return max(self.slack, default=0.0)

@@ -291,12 +291,6 @@ class RunRecord:
             self.grid["pc"],
         )
 
-    def span_row(self, name: str) -> Optional[Dict[str, Any]]:
-        for row in self.spans:
-            if row["span"] == name:
-                return row
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "schema": RUN_RECORD_SCHEMA,

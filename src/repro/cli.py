@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.experiments.common import default_setting
 from repro.experiments.registry import EXPERIMENTS, get_experiment
@@ -54,8 +55,59 @@ def _option(*names, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose commands can take option defaults from
+    the config object they configure.
+
+    ``config_defaults`` returns ``{dest: default}``.  It is called when
+    the command is parsed (``--help`` included), so no other command pays
+    for importing the config's module.
+    """
+
+    def __init__(self, *args, config_defaults: Optional[Callable[[], dict]] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._config_defaults = config_defaults
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._config_defaults is not None:
+            self.set_defaults(**self._config_defaults())
+            self._config_defaults = None
+        return super().parse_known_args(args, namespace)
+
+
+def _watch_defaults() -> dict:
+    from repro.observe.health import HealthConfig
+
+    return {
+        "stall_steps": HealthConfig.stall_steps,
+        "straggler_factor": HealthConfig.straggler_factor,
+    }
+
+
+def _history_defaults() -> dict:
+    from repro.observe.registry import DriftThresholds
+
+    return {"min_history": DriftThresholds.min_history}
+
+
+def _profile_defaults() -> dict:
+    from repro.profile.session import DEFAULT_HZ
+
+    return {"hz": DEFAULT_HZ}
+
+
+def _diff_defaults() -> dict:
+    from repro.analysis.diff import DiffThresholds
+
+    return {
+        "time_tol": DiffThresholds.time_rel,
+        "bytes_tol": DiffThresholds.bytes_rel,
+        "msgs_tol": DiffThresholds.msgs_rel,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description=(
             "Reproduction of 'Integrated Model, Batch, and Domain Parallelism "
@@ -267,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch_p = sub.add_parser(
         "watch",
         parents=[steps(8), seed, record, as_json],
+        config_defaults=_watch_defaults,
         help=(
             "run a training scenario under the live health monitor: "
             "heartbeats and rule firings (stall, straggler, loss NaN/"
@@ -286,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress per-heartbeat lines; show only health alerts",
     )
     watch_p.add_argument(
-        "--stall-steps", type=int, default=None,
-        help="heartbeat lag that counts as a stall (default 2)",
+        "--stall-steps", type=int,
+        help="heartbeat lag that counts as a stall (default %(default)s)",
     )
     watch_p.add_argument(
-        "--straggler-factor", type=float, default=None,
+        "--straggler-factor", type=float,
         help="per-step duration ratio over the median that flags a "
-             "straggler (default 1.25)",
+             "straggler (default %(default)s)",
     )
     watch_p.add_argument(
         "--registry",
@@ -304,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     history_p = sub.add_parser(
         "history",
         parents=[registry, as_json],
+        config_defaults=_history_defaults,
         help=(
             "regression observatory over the run registry: per-series "
             "metric trends against rolling median + MAD bands; exit 0 ok / "
@@ -311,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     history_p.add_argument(
-        "--min-history", type=int, default=None,
-        help="baseline entries required before a series gates (default 4)",
+        "--min-history", type=int,
+        help="baseline entries required before a series gates (default %(default)s)",
     )
     history_p.add_argument(
         "--series", default=None,
@@ -354,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_p = sub.add_parser(
         "profile",
         parents=[steps(4), out, record, as_json],
+        config_defaults=_profile_defaults,
         help=(
             "host-time self-profiler: run a trainer under the sampling "
             "profiler, print the per-subsystem attribution table with "
@@ -381,13 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--pc", type=_positive_int, default=None, help="batch-parallel columns"
     )
     profile_p.add_argument(
-        "--hz", type=float, default=None,
-        help="sampling rate of the profiler thread (default 197)",
+        "--hz", type=float,
+        help="sampling rate of the profiler thread (default %(default)s)",
     )
     profile_p.set_defaults(run=_run_profile)
 
     diff_p = sub.add_parser(
         "diff",
+        config_defaults=_diff_defaults,
         help=(
             "compare two RunRecord JSON files span by span and exit "
             "non-zero on timing/traffic regressions"
@@ -398,20 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p.add_argument(
         "--time-tol",
         type=float,
-        default=None,
-        help="allowed relative growth of any virtual time (default: 0.02)",
+        help="allowed relative growth of any virtual time (default: %(default)s)",
     )
     diff_p.add_argument(
         "--bytes-tol",
         type=float,
-        default=None,
-        help="allowed relative growth of span bytes (default: 0 — exact)",
+        help="allowed relative growth of span bytes (default: %(default)s — exact)",
     )
     diff_p.add_argument(
         "--msgs-tol",
         type=float,
-        default=None,
-        help="allowed relative growth of span message counts (default: 0)",
+        help="allowed relative growth of span message counts (default: %(default)s)",
     )
     diff_p.set_defaults(run=_run_diff)
     return parser
@@ -795,8 +848,6 @@ def _run_sdc(args) -> int:
 
 
 def _run_chaos(args) -> int:
-    import os
-
     import numpy as np
 
     from repro.analysis import write_run_record
@@ -1155,12 +1206,9 @@ def _run_watch(args) -> int:
     from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import Crash, FaultPlan, Straggler
 
-    cfg_kwargs = {}
-    if args.stall_steps is not None:
-        cfg_kwargs["stall_steps"] = args.stall_steps
-    if args.straggler_factor is not None:
-        cfg_kwargs["straggler_factor"] = args.straggler_factor
-    health_config = HealthConfig(**cfg_kwargs)
+    health_config = HealthConfig(
+        stall_steps=args.stall_steps, straggler_factor=args.straggler_factor
+    )
     health_config.validate()
 
     monitor = HealthMonitor(health_config)
@@ -1299,9 +1347,7 @@ def _run_history(args) -> int:
         print(f"registry {args.registry!r} is missing or empty",
               file=sys.stderr)
         return 2
-    thresholds = DriftThresholds()
-    if args.min_history is not None:
-        thresholds = DriftThresholds(min_history=args.min_history)
+    thresholds = DriftThresholds(min_history=args.min_history)
     trends = compute_trends(entries, thresholds)
     if args.series:
         trends = [t for t in trends if args.series in t.series]
@@ -1380,6 +1426,9 @@ def _run_dash(args) -> int:
     from repro.observe.registry import compute_trends, load_registry
     from repro.report.dash import write_dashboard
 
+    if not os.path.exists(args.registry):
+        print(f"registry {args.registry!r} is missing", file=sys.stderr)
+        return 2
     try:
         entries = load_registry(args.registry)
         trends = compute_trends(entries) if entries else []
@@ -1527,7 +1576,6 @@ def _profile_grid(args):
 
 def _run_profile(args) -> int:
     import math
-    import os
 
     from repro.profile import OVERHEAD_BUDGET, ProfileSession, host_block
     from repro.profile.export import (
@@ -1538,9 +1586,7 @@ def _run_profile(args) -> int:
     from repro.simmpi.engine import SimEngine
 
     pr, pc = _profile_grid(args)
-    session = (
-        ProfileSession(hz=args.hz) if args.hz is not None else ProfileSession()
-    )
+    session = ProfileSession(hz=args.hz)
     engine = SimEngine(
         pr * pc, trace=args.record is not None,
         supervise=args.trainer == "elastic",
@@ -1727,13 +1773,8 @@ def _run_diff(args) -> int:
     except (OSError, ValueError, ConfigurationError) as exc:
         print(f"cannot read current {args.current!r}: {exc}", file=sys.stderr)
         return 2
-    defaults = DiffThresholds()
     thresholds = DiffThresholds(
-        time_rel=args.time_tol if args.time_tol is not None else defaults.time_rel,
-        bytes_rel=(
-            args.bytes_tol if args.bytes_tol is not None else defaults.bytes_rel
-        ),
-        msgs_rel=args.msgs_tol if args.msgs_tol is not None else defaults.msgs_rel,
+        time_rel=args.time_tol, bytes_rel=args.bytes_tol, msgs_rel=args.msgs_tol
     )
     try:
         report = diff_records(baseline, current, thresholds=thresholds)

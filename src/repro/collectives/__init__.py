@@ -20,7 +20,6 @@ from repro.collectives.cost import (
     point_to_point,
     reduce_binomial,
     reduce_scatter_ring,
-    scatter_linear,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "allreduce_recursive_doubling",
     "allreduce_rabenseifner",
     "reduce_scatter_ring",
-    "scatter_linear",
     "reduce_binomial",
     "broadcast_binomial",
     "halo_exchange",

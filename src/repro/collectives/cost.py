@@ -44,7 +44,6 @@ __all__ = [
     "allreduce_recursive_doubling",
     "allreduce_rabenseifner",
     "reduce_scatter_ring",
-    "scatter_linear",
     "reduce_binomial",
     "broadcast_binomial",
     "halo_exchange",
@@ -156,15 +155,6 @@ def allreduce_rabenseifner(p: int, n: float, machine: MachineParams) -> Collecti
         machine.alpha * (2 * _log2ceil(p) + extra),
         2 * machine.beta * n * (p - 1) / p,
     )
-
-
-def scatter_linear(p: int, n: float, machine: MachineParams) -> CollectiveCost:
-    """Linear scatter of a length-``n`` buffer from one root: the root
-    sends ``n/p`` to each of the other ``p - 1`` ranks."""
-    _check(p, n)
-    if p == 1:
-        return CollectiveCost.zero()
-    return CollectiveCost(machine.alpha * (p - 1), machine.beta * n * (p - 1) / p)
 
 
 def reduce_binomial(p: int, n: float, machine: MachineParams) -> CollectiveCost:

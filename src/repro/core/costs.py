@@ -73,8 +73,6 @@ __all__ = [
     "checkpoint_cost_terms",
     "checkpoint_recovery_cost_terms",
     "BATCH_CATEGORIES",
-    "MODEL_CATEGORIES",
-    "DOMAIN_CATEGORIES",
     "ABFT_CATEGORIES",
     "ABFT_DIGEST_CATEGORY",
     "CKPT_CATEGORIES",
@@ -82,8 +80,6 @@ __all__ = [
 ]
 
 BATCH_CATEGORIES = ("batch.allreduce_dw",)
-MODEL_CATEGORIES = ("model.allgather_fwd", "model.allreduce_dx")
-DOMAIN_CATEGORIES = ("domain.halo_fwd", "domain.halo_bwd")
 ABFT_CATEGORIES = (
     "abft.digest_fwd",
     "abft.digest_dx",
@@ -179,16 +175,6 @@ class CostBreakdown:
     def batch_time(self) -> float:
         """Time in weight-gradient all-reduces (the cross-hatched bars)."""
         return self.filter(*BATCH_CATEGORIES).total
-
-    @property
-    def model_time(self) -> float:
-        """Time in model-parallel all-gathers/all-reduces."""
-        return self.filter(*MODEL_CATEGORIES).total
-
-    @property
-    def domain_time(self) -> float:
-        """Time in domain-parallel halo exchanges."""
-        return self.filter(*DOMAIN_CATEGORIES).total
 
     def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
         return CostBreakdown(self.terms + other.terms)
@@ -448,7 +434,7 @@ def model_parallel_cost(
     network: NetworkSpec, batch: float, p: int, machine: MachineParams
 ) -> CostBreakdown:
     """Eq. 3: pure model parallelism (``P x 1`` grid, all layers in LM)."""
-    return integrated_mb_cost(network, batch, ProcessGrid.pure_model(p), machine)
+    return integrated_mb_cost(network, batch, ProcessGrid(p, 1), machine)
 
 
 def batch_parallel_cost(
@@ -460,9 +446,8 @@ def batch_parallel_cost(
     bandwidth term is just ``2 beta |W|``); ``batch`` is accepted only
     to validate that the configuration is feasible (``B >= P``).
     """
-    grid = ProcessGrid.pure_batch(p)
     b = float(batch) if batch is not None else float(p)
-    return integrated_mb_cost(network, b, grid, machine)
+    return integrated_mb_cost(network, b, ProcessGrid(1, p), machine)
 
 
 def domain_parallel_cost(

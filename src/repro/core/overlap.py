@@ -18,7 +18,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "overlapped_time",
-    "overlapped_breakdown_time",
     "overlapped_time_from_breakdown",
     "BACKPROP_COMM_FRACTION",
     "BACKPROP_COMPUTE_FRACTION",
@@ -63,13 +62,6 @@ def overlapped_time(
     overlappable = overlappable_fraction * comm_time
     exposed = comm_time - min(overlappable, hidden_capacity)
     return compute_time + exposed
-
-
-def overlapped_breakdown_time(
-    breakdown: CostBreakdown, compute_time: float, **kwargs: float
-) -> float:
-    """Convenience wrapper taking a :class:`~repro.core.costs.CostBreakdown`."""
-    return overlapped_time(breakdown.total, compute_time, **kwargs)
 
 
 #: Categories that sit on the forward critical path and cannot overlap:

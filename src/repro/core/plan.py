@@ -66,9 +66,6 @@ class IterationPlan:
         """Time in steps that sit on the forward critical path."""
         return sum(s.time for s in self.steps if not s.overlappable)
 
-    def phase_steps(self, phase: str) -> Tuple[PlanStep, ...]:
-        return tuple(s for s in self.steps if s.phase == phase)
-
     def to_table(self) -> ResultTable:
         table = ResultTable(
             f"Iteration plan: grid {self.strategy.grid}, B = {self.batch:g}"

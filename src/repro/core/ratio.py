@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.nn.network import WeightedLayer
 
-__all__ = ["batch_model_volume_ratio", "crossover_batch_size", "favors_batch"]
+__all__ = ["batch_model_volume_ratio", "crossover_batch_size"]
 
 
 def batch_model_volume_ratio(layer: WeightedLayer, batch: float) -> float:
@@ -45,8 +45,3 @@ def crossover_batch_size(layer: WeightedLayer) -> float:
     ``2 k_h k_w X_C / (3 Y_H Y_W)``.
     """
     return 2.0 * layer.weights / (3.0 * layer.d_out)
-
-
-def favors_batch(layer: WeightedLayer, batch: float) -> bool:
-    """True when pure batch parallelism moves strictly less data (Eq. 5)."""
-    return batch_model_volume_ratio(layer, batch) < 1.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError, StrategyError
 from repro.nn.network import NetworkSpec
@@ -51,22 +51,6 @@ class ProcessGrid:
     def p(self) -> int:
         """Total process count ``P = Pr * Pc``."""
         return self.pr * self.pc
-
-    @property
-    def is_pure_batch(self) -> bool:
-        return self.pr == 1
-
-    @property
-    def is_pure_model(self) -> bool:
-        return self.pc == 1
-
-    @classmethod
-    def pure_batch(cls, p: int) -> "ProcessGrid":
-        return cls(1, p)
-
-    @classmethod
-    def pure_model(cls, p: int) -> "ProcessGrid":
-        return cls(p, 1)
 
     @classmethod
     def factorizations(cls, p: int) -> Tuple["ProcessGrid", ...]:
@@ -150,32 +134,6 @@ class Strategy:
         )
         return cls(grid, placements)
 
-    @classmethod
-    def from_layer_sets(
-        cls,
-        network: NetworkSpec,
-        grid: ProcessGrid,
-        *,
-        model_layers: Iterable[str] = (),
-        domain_layers: Iterable[str] = (),
-        default: Placement = Placement.BATCH,
-    ) -> "Strategy":
-        """Build from explicit ``LM`` / ``LD`` layer-name sets (Eq. 9)."""
-        lm = set(model_layers)
-        ld = set(domain_layers)
-        overlap = lm & ld
-        if overlap:
-            raise StrategyError(f"layers in both LM and LD: {sorted(overlap)}")
-        known = {w.name for w in network.weighted_layers}
-        unknown = (lm | ld) - known
-        if unknown:
-            raise StrategyError(f"unknown weighted layers: {sorted(unknown)}")
-        placements = tuple(
-            Placement.MODEL if w.name in lm else Placement.DOMAIN if w.name in ld else default
-            for w in network.weighted_layers
-        )
-        return cls(grid, placements)
-
     # -- views ---------------------------------------------------------------
 
     def check_matches(self, network: NetworkSpec) -> None:
@@ -185,24 +143,6 @@ class Strategy:
                 f"strategy has {len(self.placements)} placements but network "
                 f"{network.name!r} has {network.num_weighted} weighted layers"
             )
-
-    @property
-    def model_layer_indices(self) -> Tuple[int, ...]:
-        """0-based indices of the ``LM`` layers."""
-        return tuple(i for i, pl in enumerate(self.placements) if pl is Placement.MODEL)
-
-    @property
-    def domain_layer_indices(self) -> Tuple[int, ...]:
-        """0-based indices of the ``LD`` layers."""
-        return tuple(i for i, pl in enumerate(self.placements) if pl is Placement.DOMAIN)
-
-    @property
-    def batch_layer_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, pl in enumerate(self.placements) if pl is Placement.BATCH)
-
-    @property
-    def uses_domain(self) -> bool:
-        return any(pl is Placement.DOMAIN for pl in self.placements)
 
     def describe(self) -> str:
         """Compact description such as ``16x32 [conv:batch fc:model]``."""

@@ -28,7 +28,7 @@ from repro.dist.layers import (
     relu,
     relu_grad,
 )
-from repro.dist.loss import mse_loss_grad, softmax_cross_entropy
+from repro.dist.loss import softmax_cross_entropy
 from repro.dist.sgd import SGD
 from repro.dist.matmul15d import (
     backward_dw_15d,
@@ -57,7 +57,6 @@ from repro.dist.elastic import (
     elastic_mlp_train,
     replan_grid,
 )
-from repro.dist.evaluate import distributed_mlp_accuracy, mlp_accuracy, mlp_predict
 from repro.dist.summa2d import distribute_2d, summa_matmul, summa_stationary_c
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "maxpool2d_forward",
     "maxpool2d_backward",
     "softmax_cross_entropy",
-    "mse_loss_grad",
     "SGD",
     "forward_15d",
     "backward_dx_15d",
@@ -89,9 +87,6 @@ __all__ = [
     "distributed_cnn_train",
     "distributed_switching_mlp_train",
     "switching_mlp_train_program",
-    "mlp_predict",
-    "mlp_accuracy",
-    "distributed_mlp_accuracy",
     "distribute_2d",
     "summa_stationary_c",
     "summa_matmul",

@@ -120,10 +120,6 @@ class DomainConv2D:
         self._x_ext: Optional[np.ndarray] = None
 
     @property
-    def is_pointwise(self) -> bool:
-        return self.kernel_h == 1 and self.kernel_w == 1
-
-    @property
     def needs_halo(self) -> bool:
         return (self.top_halo > 0 or self.bottom_halo > 0) and self.comm.size > 1
 

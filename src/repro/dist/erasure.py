@@ -58,7 +58,6 @@ __all__ = [
     "decode_stripe",
     "block_state_bytes",
     "chunk_bytes",
-    "state_bytes",
     "pack_block_state",
     "unpack_block_state",
     "ShardMeta",
@@ -256,12 +255,6 @@ def block_state_bytes(
     for i in range(len(dims) - 1):
         rows = BlockPartition(dims[i + 1], pr).size(row)
         total += rows * dims[i] * ELEMENT_BYTES
-    return total * (2 if momentum else 1)
-
-
-def state_bytes(dims: Sequence[int], momentum: bool = False) -> int:
-    """Serialized bytes of the full optimizer state."""
-    total = sum(dims[i + 1] * dims[i] for i in range(len(dims) - 1)) * ELEMENT_BYTES
     return total * (2 if momentum else 1)
 
 

@@ -1,7 +1,7 @@
-"""Loss functions in the paper's column-per-sample matrix convention.
+"""The loss function in the paper's column-per-sample matrix convention.
 
 Activations are ``(features, batch)`` matrices — each column one sample
-— matching ``Y_i = W_i X_i`` throughout the paper.  Both losses return
+— matching ``Y_i = W_i X_i`` throughout the paper.  The loss returns
 ``(loss, dZ)`` where ``dZ`` is the gradient w.r.t. the pre-activation
 logits, already scaled by ``1/B_global`` so that distributed partial
 sums over batch shards add up to the exact serial gradient.
@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["softmax_cross_entropy", "mse_loss_grad"]
+__all__ = ["softmax_cross_entropy"]
 
 
 def softmax_cross_entropy(
@@ -59,20 +59,3 @@ def softmax_cross_entropy(
     dz[idx] -= 1.0
     dz /= b
     return loss, dz
-
-
-def mse_loss_grad(
-    predictions: np.ndarray, targets: np.ndarray, global_batch: int | None = None
-) -> Tuple[float, np.ndarray]:
-    """Mean squared error ``sum((p - t)^2) / (2B)`` over columns."""
-    if predictions.shape != targets.shape:
-        raise ShapeError(
-            f"prediction shape {predictions.shape} != target shape {targets.shape}"
-        )
-    local_b = predictions.shape[1]
-    b = int(global_batch) if global_batch is not None else local_b
-    if b <= 0:
-        raise ShapeError(f"global batch must be positive, got {b}")
-    diff = predictions - targets
-    loss = float((diff * diff).sum() / (2.0 * b))
-    return loss, diff / b

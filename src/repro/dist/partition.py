@@ -45,9 +45,6 @@ class BlockPartition:
         start, stop = self.bounds(part)
         return stop - start
 
-    def all_bounds(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(self.bounds(i) for i in range(self.parts))
-
     def owner(self, index: int) -> int:
         """The part owning global ``index``."""
         if not 0 <= index < self.n:
@@ -76,9 +73,3 @@ class BlockPartition:
         index: List[slice] = [slice(None)] * array.ndim
         index[axis] = self.local_slice(part)
         return array[tuple(index)]
-
-    @property
-    def is_balanced(self) -> bool:
-        """True when all parts are within one element of each other."""
-        sizes = {self.size(i) for i in range(self.parts)}
-        return max(sizes) - min(sizes) <= 1

@@ -7,7 +7,7 @@ network latency ``alpha = 2 us`` and an inverse bandwidth
 times (their Fig. 4).  This package provides:
 
 * :class:`~repro.machine.params.MachineParams` — the ``(alpha, beta)``
-  pair (and a few node-level constants) with presets such as
+  pair (and a few node-level constants) with the paper's preset
   :func:`~repro.machine.params.cori_knl`.
 * :class:`~repro.machine.compute.ComputeModel` — per-iteration compute
   time derived from an epoch-time table, reproducing how the paper
@@ -16,21 +16,15 @@ times (their Fig. 4).  This package provides:
   (a documented synthetic substitution for the paper's measured data).
 """
 
-from repro.machine.params import MachineParams, cori_knl, generic_cluster, zero_latency
+from repro.machine.params import MachineParams, cori_knl
 from repro.machine.compute import ComputeModel, EpochTimeTable
 from repro.machine.knl_data import KNL_ALEXNET_EPOCH_TABLE, knl_alexnet_table
-from repro.machine.topology import dragonfly, fat_tree, torus3d
 
 __all__ = [
     "MachineParams",
     "cori_knl",
-    "generic_cluster",
-    "zero_latency",
     "ComputeModel",
     "EpochTimeTable",
     "KNL_ALEXNET_EPOCH_TABLE",
     "knl_alexnet_table",
-    "fat_tree",
-    "dragonfly",
-    "torus3d",
 ]

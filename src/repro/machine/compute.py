@@ -4,7 +4,7 @@ The paper treats compute empirically: it measures single-KNL AlexNet
 iteration time as a function of batch size (Fig. 4) and combines that
 with the analytic communication costs to obtain total run times
 (Section 3, "we also consider the computational time by empirically
-measuring the time needed for an SGD iteration").  Two models live here:
+measuring the time needed for an SGD iteration").  Two classes live here:
 
 :class:`EpochTimeTable`
     Interpolates an ``epoch-time(batch)`` table (log-log linear) and
@@ -19,11 +19,6 @@ measuring the time needed for an SGD iteration").  Two models live here:
     captures the hardware-efficiency effect the paper highlights (small
     local batches under-utilise the node, Fig. 4); dividing by ``Pr``
     assumes the model/domain split is load balanced, as the paper does.
-
-:class:`FlopsComputeModel`
-    An alternative first-principles model (``3 * flops / (peak * eff)``)
-    for networks without a measured table; its efficiency curve can be
-    calibrated against an :class:`EpochTimeTable`.
 """
 
 from __future__ import annotations
@@ -31,12 +26,12 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-from typing import Callable, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.machine.knl_data import IMAGENET_TRAIN_IMAGES, knl_alexnet_table
 
-__all__ = ["EpochTimeTable", "ComputeModel", "FlopsComputeModel"]
+__all__ = ["EpochTimeTable", "ComputeModel"]
 
 
 class EpochTimeTable:
@@ -83,10 +78,6 @@ class EpochTimeTable:
     def knl_alexnet(cls) -> "EpochTimeTable":
         """The embedded Fig.-4-shaped AlexNet-on-KNL table."""
         return cls(knl_alexnet_table(), dataset_size=IMAGENET_TRAIN_IMAGES)
-
-    @property
-    def batch_sizes(self) -> Tuple[int, ...]:
-        return tuple(b for b, _ in self._pairs)
 
     @property
     def entries(self) -> Tuple[Tuple[int, float], ...]:
@@ -174,89 +165,3 @@ class ComputeModel:
     @classmethod
     def knl_alexnet(cls) -> "ComputeModel":
         return cls(EpochTimeTable.knl_alexnet())
-
-
-class FlopsComputeModel:
-    """First-principles compute model: ``t = 3 * flops_fwd / (peak * eff(b))``.
-
-    The factor 3 reflects the paper's observation that training performs
-    three matrix products per layer (forward, activation gradient,
-    weight gradient) of comparable cost.
-
-    Parameters
-    ----------
-    flops_per_sample:
-        Forward-pass flops for one sample through the whole network.
-    flops_peak:
-        Peak flop rate of one process.
-    efficiency:
-        ``eff(local_batch) -> (0, 1]``; defaults to a saturating curve
-        ``e_max * b / (b + b_half)`` with ``e_max=0.55``, ``b_half=64``,
-        which is in the ballpark of dense-GEMM efficiency on manycore
-        CPUs for AlexNet-sized layers.
-    """
-
-    def __init__(
-        self,
-        flops_per_sample: float,
-        flops_peak: float,
-        efficiency: Callable[[float], float] | None = None,
-    ) -> None:
-        if flops_per_sample <= 0:
-            raise ConfigurationError("flops_per_sample must be positive")
-        if flops_peak <= 0:
-            raise ConfigurationError("flops_peak must be positive")
-        self.flops_per_sample = float(flops_per_sample)
-        self.flops_peak = float(flops_peak)
-        self._efficiency = efficiency or (lambda b: 0.55 * b / (b + 64.0))
-
-    def efficiency(self, local_batch: float) -> float:
-        eff = self._efficiency(max(local_batch, 1e-12))
-        if not 0.0 < eff <= 1.0:
-            raise ConfigurationError(
-                f"efficiency model returned {eff!r}; must lie in (0, 1]"
-            )
-        return eff
-
-    def iteration_time(self, global_batch: float, pr: int = 1, pc: int = 1) -> float:
-        """Per-process compute seconds for one training iteration."""
-        if global_batch <= 0 or pr <= 0 or pc <= 0:
-            raise ConfigurationError("global_batch, pr and pc must be positive")
-        b_local = max(global_batch / pc, 1.0)
-        work = 3.0 * self.flops_per_sample * b_local / pr
-        return work / (self.flops_peak * self.efficiency(b_local))
-
-    @classmethod
-    def calibrated(
-        cls,
-        table: EpochTimeTable,
-        flops_per_sample: float,
-        flops_peak: float,
-    ) -> "FlopsComputeModel":
-        """Fit the efficiency curve so the model reproduces ``table`` exactly.
-
-        Efficiency at each tabulated batch is solved from
-        ``t_iter(b) = 3 * flops * b / (peak * eff)`` and interpolated
-        log-linearly in ``b`` between table points (clamped outside).
-        """
-        points: Sequence[Tuple[float, float]] = [
-            (
-                math.log(b),
-                min(1.0, 3.0 * flops_per_sample * b / (flops_peak * table.iteration_time(b))),
-            )
-            for b in table.batch_sizes
-        ]
-
-        def eff(b: float) -> float:
-            lb = math.log(max(b, 1e-12))
-            if lb <= points[0][0]:
-                return points[0][1]
-            if lb >= points[-1][0]:
-                return points[-1][1]
-            for (x0, y0), (x1, y1) in zip(points, points[1:]):
-                if x0 <= lb <= x1:
-                    frac = (lb - x0) / (x1 - x0)
-                    return y0 + frac * (y1 - y0)
-            return points[-1][1]  # pragma: no cover - unreachable
-
-        return cls(flops_per_sample, flops_peak, eff)

@@ -21,7 +21,7 @@ import math
 
 from repro.errors import ConfigurationError
 
-__all__ = ["MachineParams", "cori_knl", "generic_cluster", "zero_latency"]
+__all__ = ["MachineParams", "cori_knl"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,12 +82,6 @@ class MachineParams:
             return math.inf
         return 1.0 / self.beta_per_byte
 
-    def message_time(self, n_elements: float) -> float:
-        """Time to move one message of ``n_elements`` words: ``alpha + beta*n``."""
-        if n_elements < 0:
-            raise ConfigurationError(f"message size must be >= 0, got {n_elements}")
-        return self.alpha + self.beta * n_elements
-
     def derated(self, *, latency_factor: float = 1.0, bandwidth_factor: float = 1.0) -> "MachineParams":
         """Return a copy with adjusted effective latency/bandwidth.
 
@@ -117,26 +111,4 @@ def cori_knl() -> MachineParams:
         element_bytes=4,
         name="Cori (Intel KNL)",
         flops_peak=6.0e12,
-    )
-
-
-def generic_cluster(
-    *, latency_us: float = 5.0, bandwidth_gbps: float = 10.0, flops_peak: float = 1.0e13
-) -> MachineParams:
-    """A configurable generic cluster preset for what-if studies."""
-    if latency_us < 0 or bandwidth_gbps <= 0:
-        raise ConfigurationError("latency must be >= 0 and bandwidth positive")
-    return MachineParams(
-        alpha=latency_us * 1e-6,
-        beta_per_byte=1.0 / (bandwidth_gbps * 1e9),
-        element_bytes=4,
-        name=f"generic ({latency_us:g}us, {bandwidth_gbps:g} GB/s)",
-        flops_peak=flops_peak,
-    )
-
-
-def zero_latency(beta_per_byte: float = 1.0 / 6.0e9) -> MachineParams:
-    """A bandwidth-only machine (``alpha = 0``) for asymptotic studies."""
-    return MachineParams(
-        alpha=0.0, beta_per_byte=beta_per_byte, element_bytes=4, name="zero-latency"
     )

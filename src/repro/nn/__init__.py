@@ -13,7 +13,6 @@ evaluation (AlexNet) plus extras for what-if studies (VGG-16, a
 from repro.nn.layer import (
     Shape3D,
     LayerSpec,
-    InputSpec,
     ActivationSpec,
     DropoutSpec,
     LRNSpec,
@@ -29,7 +28,6 @@ from repro.nn.zoo import lenet_like, mlp, resnet_like_stack, vgg16
 __all__ = [
     "Shape3D",
     "LayerSpec",
-    "InputSpec",
     "ActivationSpec",
     "DropoutSpec",
     "LRNSpec",

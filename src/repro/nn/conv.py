@@ -119,8 +119,3 @@ class ConvSpec(LayerSpec):
     def halo_cols(self) -> int:
         """Halo depth for width partitioning: ``floor(k_w / 2)``."""
         return self.kernel_w // 2
-
-    @property
-    def is_pointwise(self) -> bool:
-        """True for 1x1 convolutions, which need no halo exchange (Eq. 7)."""
-        return self.kernel_h == 1 and self.kernel_w == 1

@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError, ShapeError
 __all__ = [
     "Shape3D",
     "LayerSpec",
-    "InputSpec",
     "ActivationSpec",
     "DropoutSpec",
     "LRNSpec",
@@ -87,29 +86,6 @@ class LayerSpec(abc.ABC):
     @abc.abstractmethod
     def flops(self, in_shape: Shape3D) -> int:
         """Forward-pass flops for one sample (multiply-add = 2 flops)."""
-
-    @property
-    def has_weights(self) -> bool:
-        return self.kind in ("conv", "fc")
-
-
-@dataclasses.dataclass(frozen=True)
-class InputSpec(LayerSpec):
-    """The network input; anchors the shape threading."""
-
-    shape: Shape3D
-    kind = "input"
-
-    def output_shape(self, in_shape: Shape3D) -> Shape3D:
-        if in_shape != self.shape:
-            raise ShapeError(f"input layer expects {self.shape}, got {in_shape}")
-        return self.shape
-
-    def param_count(self, in_shape: Shape3D) -> int:
-        return 0
-
-    def flops(self, in_shape: Shape3D) -> int:
-        return 0
 
 
 @dataclasses.dataclass(frozen=True)

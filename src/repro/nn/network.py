@@ -93,11 +93,6 @@ class WeightedLayer:
         return self.kind == "fc"
 
     @property
-    def is_pointwise(self) -> bool:
-        """1x1 convolution — needs no halo exchange under domain parallelism."""
-        return self.is_conv and self.kernel_h == 1 and self.kernel_w == 1
-
-    @property
     def halo_rows(self) -> int:
         return self.kernel_h // 2
 
@@ -318,10 +313,6 @@ class NetworkSpec:
     def total_flops(self) -> int:
         """Forward-pass flops for one sample."""
         return sum(layer.flops for layer in self._bound)
-
-    def activation_sizes(self) -> Tuple[int, ...]:
-        """``(d_0, d_1, ..., d_L)`` over weighted layers (d_0 = input size)."""
-        return (self._weighted[0].d_in,) + tuple(w.d_out for w in self._weighted)
 
     def summary(self) -> str:
         """A human-readable per-layer table."""

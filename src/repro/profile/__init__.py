@@ -34,7 +34,6 @@ _EXPORTS = {
     "OVERHEAD_BUDGET": "session",
     "ProfileReport": "session",
     "ProfileSession": "session",
-    "active_session": "session",
     "host_block": "session",
 }
 
@@ -57,7 +56,6 @@ __all__ = [
     "ProfileReport",
     "ProfileSession",
     "SUBSYSTEMS",
-    "active_session",
     "classify_frame",
     "collapsed_lines",
     "host_block",

@@ -117,11 +117,6 @@ def code_info(code: CodeType) -> Tuple[str, Optional[str], bool]:
     return info
 
 
-def is_idle_frame(frame: FrameType) -> bool:
-    """True when *frame* (a thread's innermost frame) is a blocking site."""
-    return code_info(frame.f_code)[2]
-
-
 def subsystem_of(rel: Optional[str]) -> Optional[str]:
     """Map a repro-relative path to its subsystem, or ``None``."""
     if rel is None:

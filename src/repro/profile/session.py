@@ -74,12 +74,6 @@ class ProfileReport:
         whenever at least one tick landed)."""
         return sum(row["host_s"] for row in self.rows)
 
-    def subsystem_host_s(self, name: str) -> float:
-        for row in self.rows:
-            if row["subsystem"] == name:
-                return row["host_s"]
-        return 0.0
-
     def to_table(self):
         from ..core.results import ResultTable
 
@@ -269,9 +263,3 @@ def host_block(engine: Any) -> Dict[str, Any]:
         block["samples"] = int(session.ticks)
         block["samples_dropped"] = int(session.samples_dropped)
     return block
-
-
-def active_session() -> Optional[ProfileSession]:
-    """The currently-entered session, if any (hook-slot lookup)."""
-    h = _hooks.ACTIVE
-    return h.session if h is not None else None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["format_seconds", "format_speedup"]
+__all__ = ["format_seconds"]
 
 
 def format_seconds(seconds: float) -> str:
@@ -18,10 +18,3 @@ def format_seconds(seconds: float) -> str:
     if seconds < 120.0:
         return f"{seconds:.2f}s"
     return f"{seconds / 60.0:.1f}min"
-
-
-def format_speedup(baseline: float, value: float) -> str:
-    """``baseline / value`` as the paper annotates its best bars."""
-    if value <= 0:
-        return "inf"
-    return f"{baseline / value:.1f}x"

@@ -23,7 +23,7 @@ from repro.core.strategy import Placement, ProcessGrid
 from repro.machine.compute import ComputeModel
 from repro.machine.params import MachineParams
 from repro.nn.network import WeightedLayer
-from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["CacheStats", "CostCache", "machine_key", "compute_key"]
 
@@ -85,7 +85,7 @@ class CostCache:
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self._metrics = metrics if metrics is not None else NULL_REGISTRY
+        self._metrics = metrics
         self._terms: Dict[Tuple[Any, ...], Tuple[CostTerm, ...]] = {}
         self._compute: Dict[Tuple[Any, ...], float] = {}
         self._hits = 0
@@ -93,31 +93,19 @@ class CostCache:
 
     # -- memoized kernels ---------------------------------------------------
 
-    def layer_terms(
-        self,
-        layer: WeightedLayer,
-        placement: Placement,
-        batch: float,
-        grid: ProcessGrid,
-        machine: MachineParams,
-    ) -> Tuple[CostTerm, ...]:
-        """Memoized :func:`repro.core.costs.layer_cost_terms`.
-
-        Infeasible combinations (e.g. a ``BATCH`` placement with
-        ``P > B``) raise :class:`~repro.errors.StrategyError` exactly as
-        the direct call does and are never cached.
-        """
-        return self.terms_lookup(batch, grid, machine)(layer, placement)
-
     def terms_lookup(
         self, batch: float, grid: ProcessGrid, machine: MachineParams
     ) -> Callable[[WeightedLayer, Placement], Tuple[CostTerm, ...]]:
-        """:meth:`layer_terms` with ``(batch, grid, machine)`` bound.
+        """Memoized :func:`repro.core.costs.layer_cost_terms` with
+        ``(batch, grid, machine)`` bound.
 
-        A strategy's layers all share that part of the key, so callers
-        walking a whole network take :func:`machine_key` and
-        ``float(batch)`` once instead of once per layer.  The memo key
-        is ``(layer, placement, float(batch), grid, machine_key)``.
+        Infeasible combinations (e.g. a ``BATCH`` placement with
+        ``P > B``) raise :class:`~repro.errors.StrategyError` exactly as
+        the direct call does and are never cached.  A strategy's layers
+        all share ``(batch, grid, machine)``, so callers walking a whole
+        network take :func:`machine_key` and ``float(batch)`` once
+        instead of once per layer.  The memo key is
+        ``(layer, placement, float(batch), grid, machine_key)``.
         """
         batch_key, mkey = float(batch), machine_key(machine)
         terms, record = self._terms, self._record
@@ -155,7 +143,7 @@ class CostCache:
             self._hits += 1
         else:
             self._misses += 1
-        if self._metrics is not NULL_REGISTRY:
+        if self._metrics is not None:
             self._metrics.counter("search.cache", "strategy-search cache lookups").inc(
                 1, kind=kind, event="hit" if hit else "miss"
             )
@@ -167,10 +155,6 @@ class CostCache:
             term_entries=len(self._terms),
             compute_entries=len(self._compute),
         )
-
-    def term_keys(self) -> Tuple[Tuple[Any, ...], ...]:
-        """Every cached per-layer kernel key (for inspection/tests)."""
-        return tuple(self._terms)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept — they describe history)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +28,8 @@ __all__ = [
     "reduce_scatter_ring",
     "bcast_binomial",
     "gather_naive",
-    "scatter_blocks",
     "reduce_to_root",
     "barrier_dissemination",
-    "halo_exchange_1d",
 ]
 
 _TAG_COLL = 7_000_000  # base tag namespace for collective rounds
@@ -396,32 +394,6 @@ def gather_naive(comm, obj: Any, root: int = 0) -> Optional[List[Any]]:
         return None
 
 
-def scatter_blocks(comm, blocks: Optional[Sequence[Any]], root: int = 0) -> Any:
-    """Linear scatter: ``root`` sends ``blocks[i]`` to rank ``i``.
-
-    Non-root ranks pass ``blocks=None`` and receive their piece.
-    """
-    p, r = comm.size, comm.rank
-    if p == 1:
-        if not blocks:
-            raise CommunicatorError("root must supply one block per rank")
-        return blocks[0]
-    seq = comm._next_coll_seq()
-    with span("scatter", comm=comm, seq=seq):
-        _mark(comm, "scatter", seq=seq)
-        tag = _TAG_COLL + 13_000
-        if r == root:
-            if blocks is None or len(blocks) != p:
-                raise CommunicatorError(
-                    f"root must supply {p} blocks, got {None if blocks is None else len(blocks)}"
-                )
-            for dest in range(p):
-                if dest != root:
-                    comm.send(blocks[dest], dest, tag + dest)
-            return blocks[root]
-        return comm.recv(root, tag + r)
-
-
 def reduce_to_root(comm, arr: np.ndarray, root: int = 0) -> Optional[np.ndarray]:
     """Binomial-tree sum-reduce to ``root``; returns None elsewhere."""
     if not isinstance(arr, np.ndarray):
@@ -472,38 +444,3 @@ def barrier_dissemination(comm) -> None:
             comm.sendrecv(b"", dest, source, tag)
             step *= 2
             round_no += 1
-
-
-def halo_exchange_1d(
-    comm,
-    top_rows: Optional[np.ndarray],
-    bottom_rows: Optional[np.ndarray],
-) -> tuple:
-    """Exchange boundary rows with the previous/next rank (no wraparound).
-
-    Rank ``r`` sends ``top_rows`` to ``r - 1`` and ``bottom_rows`` to
-    ``r + 1``; returns ``(from_above, from_below)`` — ``None`` at the
-    respective domain edges.  This is the pairwise, overlappable
-    exchange of the paper's domain-parallel analysis (Fig. 3, Eq. 7).
-    """
-    p, r = comm.size, comm.rank
-    tag_down = _TAG_COLL + 10_000  # data travelling to higher ranks
-    tag_up = _TAG_COLL + 10_001  # data travelling to lower ranks
-    if p == 1:
-        return None, None
-    seq = comm._next_coll_seq()
-    with span("halo_exchange", comm=comm, seq=seq):
-        _mark(comm, "halo_exchange", seq=seq)
-        from_above = None
-        from_below = None
-        # Send down (to r+1), receive from above (r-1).
-        if r + 1 < p:
-            comm.send(bottom_rows, r + 1, tag_down)
-        if r > 0:
-            from_above = comm.recv(r - 1, tag_down)
-        # Send up (to r-1), receive from below (r+1).
-        if r > 0:
-            comm.send(top_rows, r - 1, tag_up)
-        if r + 1 < p:
-            from_below = comm.recv(r + 1, tag_up)
-        return from_above, from_below

@@ -294,8 +294,8 @@ class Comm:
                     payload = wrapped
                     guard_extra = SDC_DIGEST_BYTES
                     nbytes += SDC_DIGEST_BYTES
-            # PostalNetwork.arrival_time + advance_clock inline: same
-            # float association, same postal_calls count.
+            # ``t0 + PostalNetwork.transfer_time`` and advance_clock
+            # inline: same float association, same postal_calls count.
             if h is not None:
                 h.postal_calls += 1
             machine = engine.network.machine
@@ -359,7 +359,7 @@ class Comm:
             if guard is not None:
                 guard.monitor.inc("injected")
         machine = engine.network.link_machine(self._world_rank, dst_world, t0)
-        # Same association as PostalNetwork.arrival_time so a no-op fault
+        # Same association as ``t0 + transfer_time`` so a no-op fault
         # plan yields bit-identical timings to running without one.
         arrival = t0 + (machine.alpha + machine.beta_per_byte * nbytes)
         engine.advance_clock(self._world_rank, machine.alpha)
@@ -552,11 +552,6 @@ class Comm:
         from repro.simmpi import collops
 
         return collops.allreduce(self, arr, algorithm=algorithm)
-
-    def scatter(self, blocks, root: int = 0) -> Any:
-        from repro.simmpi import collops
-
-        return collops.scatter_blocks(self, blocks, root)
 
     def reduce(self, arr: np.ndarray, root: int = 0) -> Optional[np.ndarray]:
         from repro.simmpi import collops

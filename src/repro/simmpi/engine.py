@@ -184,10 +184,6 @@ class SimEngine:
     def advance_clock(self, world_rank: int, seconds: float) -> None:
         self._clocks[world_rank] += seconds
 
-    def sync_clock(self, world_rank: int, at_least: float) -> None:
-        if at_least > self._clocks[world_rank]:
-            self._clocks[world_rank] = at_least
-
     # -- fault supervision ---------------------------------------------------
 
     def dead_ranks(self) -> Tuple[int, ...]:

@@ -574,9 +574,6 @@ class FaultInjector:
 
     # -- silent data corruption ----------------------------------------------
 
-    def has_bitflips(self) -> bool:
-        return bool(self._bitflips_matmul or self._bitflips_payload)
-
     def matmul_bitflip(
         self, rank: int, *, layer: int, step: int, gemm: str
     ) -> Optional[BitFlipFault]:

@@ -144,14 +144,3 @@ class PostalNetwork:
             h.postal_calls += 1
         machine = self.link_machine(src, dst, at)
         return machine.alpha + machine.beta_per_byte * nbytes
-
-    def arrival_time(
-        self,
-        send_clock: float,
-        nbytes: int,
-        *,
-        src: Optional[int] = None,
-        dst: Optional[int] = None,
-    ) -> float:
-        """Virtual time at which a message posted at ``send_clock`` lands."""
-        return send_clock + self.transfer_time(nbytes, src=src, dst=dst, at=send_clock)

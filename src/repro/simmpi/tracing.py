@@ -188,11 +188,6 @@ class Tracer:
             if e.op == op and (rank is None or e.rank == rank)
         )
 
-    def message_count(self, op: str = "send", rank: Optional[int] = None) -> int:
-        return sum(
-            1 for e in self.events if e.op == op and (rank is None or e.rank == rank)
-        )
-
     def faults(self, kind: Optional[str] = None) -> Tuple[TraceEvent, ...]:
         """All fault events, optionally filtered (``kind="crash"`` etc.)."""
         events = tuple(e for e in self.events if e.is_fault)

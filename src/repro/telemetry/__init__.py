@@ -18,8 +18,8 @@ Only the always-needed, dependency-light pieces are imported here;
 in the tracing and cost-model layers).
 """
 
-from repro.telemetry.heartbeat import HB_OP, emit_heartbeat, heartbeat_fields
-from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.telemetry.heartbeat import HB_OP, emit_heartbeat
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import base_name, current_path, format_label, parse_label, span
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "parse_label",
     "base_name",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "HB_OP",
     "emit_heartbeat",
-    "heartbeat_fields",
 ]

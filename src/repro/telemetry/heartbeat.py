@@ -16,12 +16,11 @@ unmonitored ones (property-tested in ``tests/test_observe_health.py``).
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Optional
 
 from repro.simmpi.tracing import TraceEvent
 
-__all__ = ["HB_OP", "emit_heartbeat", "heartbeat_fields"]
+__all__ = ["HB_OP", "emit_heartbeat"]
 
 #: The trace-event op carried by every heartbeat.
 HB_OP = "hb"
@@ -62,24 +61,3 @@ def emit_heartbeat(
             tuple(sorted(attrs.items())),
         )
     )
-
-
-def heartbeat_fields(event: TraceEvent) -> Dict[str, Any]:
-    """Decode a heartbeat event's tag pairs back into a dict.
-
-    Returns ``{}`` for non-heartbeat events.  ``loss`` comes back as a
-    float (possibly ``nan``/``inf`` — the monitor's NaN rule relies on
-    those surviving the round trip, which they do since the tag tuple
-    is never serialized).
-    """
-    if event.op != HB_OP:
-        return {}
-    fields = dict(event.tag)
-    if "loss" in fields and not isinstance(fields["loss"], float):
-        fields["loss"] = float(fields["loss"])
-    return fields
-
-
-def loss_is_bad(loss: Optional[float]) -> bool:
-    """True when a heartbeat loss is NaN or infinite."""
-    return loss is not None and not math.isfinite(loss)

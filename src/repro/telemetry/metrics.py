@@ -8,22 +8,18 @@ the tracer's streaming sink (``SimEngine(..., metrics=registry)``) it
 observes every :class:`~repro.simmpi.tracing.TraceEvent` as it happens,
 including events the tracer does not store (``trace=False``).
 
-Disabled registries (``MetricsRegistry(enabled=False)``, or the shared
-:data:`NULL_REGISTRY`) turn every mutation into an immediate no-op so
-instrumented code never needs to guard its calls.
-
 All metrics support free-form labels::
 
     reg = MetricsRegistry()
     reg.counter("bytes_sent").inc(4096, rank=0, op="send")
-    reg.histogram("span_seconds").observe(3.2e-4, span="fwd")
+    reg.gauge("clock").set(3.2e-4, rank=0)
     reg.to_table()          # ResultTable for repro.report.export
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.results import ResultTable
 from repro.errors import ConfigurationError
@@ -34,7 +30,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
 ]
 
 LabelKey = Tuple[Tuple[str, Any], ...]
@@ -63,10 +58,9 @@ class _Metric:
 
     kind = "metric"
 
-    def __init__(self, name: str, description: str, enabled: bool, lock: threading.Lock) -> None:
+    def __init__(self, name: str, description: str, lock: threading.Lock) -> None:
         self.name = name
         self.description = description
-        self._enabled = enabled
         self._lock = lock
         self._series: Dict[LabelKey, Any] = {}
 
@@ -82,8 +76,6 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, value: float = 1, **labels: Any) -> None:
-        if not self._enabled:
-            return
         _check_increment(self, value)
         key = _key(labels)
         with self._lock:
@@ -99,23 +91,13 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """A last-write-wins value per label set, with a ``max`` helper."""
+    """A last-write-wins value per label set."""
 
     kind = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        if not self._enabled:
-            return
         with self._lock:
             self._series[_key(labels)] = value
-
-    def set_max(self, value: float, **labels: Any) -> None:
-        """Keep the running maximum (used for per-rank clocks)."""
-        if not self._enabled:
-            return
-        key = _key(labels)
-        with self._lock:
-            _raise_to(self._series, key, value)
 
     def value(self, **labels: Any) -> Optional[float]:
         with self._lock:
@@ -129,26 +111,7 @@ class Histogram(_Metric):
     """Fixed-bucket histogram per label set (plus count/sum/min/max)."""
 
     kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        enabled: bool,
-        lock: threading.Lock,
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, description, enabled, lock)
-        self.buckets = tuple(sorted(buckets))
-        if not self.buckets:
-            raise ConfigurationError("histogram needs at least one bucket bound")
-
-    def observe(self, value: float, **labels: Any) -> None:
-        if not self._enabled:
-            return
-        key = _key(labels)
-        with self._lock:
-            self._observe(key, value)
+    buckets = DEFAULT_BUCKETS
 
     def _observe(self, key: LabelKey, value: float) -> None:
         """Fold ``value`` into the cell of ``key``; the caller holds the lock."""
@@ -179,38 +142,6 @@ class Histogram(_Metric):
         with self._lock:
             cell = self._series.get(_key(labels))
             return None if cell is None else dict(cell)
-
-    def quantile(self, q: float, **labels: Any) -> Optional[float]:
-        """Bucket-interpolated ``q``-quantile estimate for one label set.
-
-        Returns ``None`` when the label set has no observations.  The
-        estimate walks the cumulative bucket counts to the bucket that
-        contains the ``q``-th sample and interpolates linearly inside
-        it; the open overflow bucket and the bucket containing the
-        minimum are clamped to the observed ``max``/``min``, so a
-        single-sample histogram returns that sample exactly for any
-        ``q``.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            cell = self._series.get(_key(labels))
-            if cell is None or cell["count"] == 0:
-                return None
-            target = q * cell["count"]
-            cum = 0
-            for i, filled in enumerate(cell["buckets"]):
-                cum += filled
-                if cum >= target and filled:
-                    lo = self.buckets[i - 1] if i > 0 else cell["min"]
-                    hi = self.buckets[i] if i < len(self.buckets) else cell["max"]
-                    lo = max(lo, cell["min"])
-                    hi = min(hi, cell["max"])
-                    if hi <= lo:
-                        return lo
-                    frac = (target - (cum - filled)) / filled
-                    return lo + frac * (hi - lo)
-            return cell["max"]
 
 
 #: ``observe_event``'s metrics by the event branch that feeds them, in
@@ -253,18 +184,9 @@ def _series_key(
 
 
 class MetricsRegistry:
-    """Creates and owns metrics; doubles as a tracer event sink.
+    """Creates and owns metrics; doubles as a tracer event sink."""
 
-    Parameters
-    ----------
-    enabled:
-        With ``False`` every metric mutation (and :meth:`observe_event`)
-        returns immediately — the cheap no-op mode the instrumentation
-        relies on.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
         # observe_event's handles on its standard metrics, by branch,
@@ -275,14 +197,14 @@ class MetricsRegistry:
 
     # -- metric construction (idempotent by name) ---------------------------
 
-    def _get(self, cls, name: str, description: str, **kwargs) -> Any:
+    def _get(self, cls, name: str, description: str) -> Any:
         with self._lock:
-            return self._get_locked(cls, name, description, **kwargs)
+            return self._get_locked(cls, name, description)
 
-    def _get_locked(self, cls, name: str, description: str, **kwargs) -> Any:
+    def _get_locked(self, cls, name: str, description: str) -> Any:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(name, description, self.enabled, self._lock, **kwargs)
+            metric = cls(name, description, self._lock)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
             raise ConfigurationError(
@@ -295,11 +217,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, description: str = "") -> Gauge:
         return self._get(Gauge, name, description)
-
-    def histogram(
-        self, name: str, description: str = "", buckets: Iterable[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get(Histogram, name, description, buckets=buckets)
 
     def metrics(self) -> Tuple[_Metric, ...]:
         with self._lock:
@@ -325,12 +242,10 @@ class MetricsRegistry:
         This runs once per recorded event, so it takes the registry
         lock once and writes the series of its own metrics
         (:data:`_SINK_METRICS`, created on a branch's first event)
-        directly; the result is what the same ``counter(name).inc``,
-        ``gauge(name).set_max`` and ``histogram(name).observe`` calls
-        would leave behind.
+        directly: counters add, gauges keep the latest value (the
+        clock and heartbeat-step gauges their maximum), and the receive
+        latency histogram folds in each sample.
         """
-        if not self.enabled:
-            return
         op = event.op
         rank = event.rank
         with self._lock:
@@ -392,53 +307,6 @@ class MetricsRegistry:
             (clock,) = sink.get("clock") or self._bind("clock")
             _raise_to(clock._series, by_rank, event.t_end)
 
-    # -- combination ---------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s series into this registry, in place.
-
-        Counters add, gauges keep the maximum (matching their
-        ``set_max`` use for per-rank clocks), histogram cells combine
-        count/sum/min/max and add bucket fills.  Metrics present in only
-        one registry are copied over unchanged.  Raises
-        :class:`~repro.errors.ConfigurationError` on a kind mismatch or
-        on histograms with different bucket bounds.
-        """
-        if not self.enabled:
-            return
-        for theirs in other.metrics():
-            if isinstance(theirs, Histogram):
-                mine = self.histogram(
-                    theirs.name, theirs.description, buckets=theirs.buckets
-                )
-                if mine.buckets != theirs.buckets:
-                    raise ConfigurationError(
-                        f"histogram {theirs.name!r} bucket bounds differ: "
-                        f"{mine.buckets} vs {theirs.buckets}"
-                    )
-            else:
-                mine = self._get(type(theirs), theirs.name, theirs.description)
-            for key, value in theirs.series().items():
-                with self._lock:
-                    cur = mine._series.get(key)
-                    if cur is None:
-                        mine._series[key] = (
-                            dict(value, buckets=list(value["buckets"]))
-                            if isinstance(mine, Histogram)
-                            else value
-                        )
-                    elif isinstance(mine, Counter):
-                        mine._series[key] = cur + value
-                    elif isinstance(mine, Gauge):
-                        mine._series[key] = max(cur, value)
-                    else:
-                        cur["count"] += value["count"]
-                        cur["sum"] += value["sum"]
-                        cur["min"] = min(cur["min"], value["min"])
-                        cur["max"] = max(cur["max"], value["max"])
-                        for i, filled in enumerate(value["buckets"]):
-                            cur["buckets"][i] += filled
-
     # -- export --------------------------------------------------------------
 
     def to_rows(self) -> List[Dict[str, Any]]:
@@ -468,6 +336,3 @@ class MetricsRegistry:
         table.extend(self.to_rows())
         return table
 
-
-#: A shared disabled registry: every mutation is a no-op.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

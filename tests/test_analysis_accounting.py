@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import AccountingReport, RankAccount, rank_accounting, span_accounting
+from repro.analysis import AccountingReport, RankAccount, rank_accounting
 from repro.dist.train import MLPParams, distributed_mlp_train
 from repro.errors import ConfigurationError
 from repro.simmpi.engine import SimEngine
@@ -89,32 +89,6 @@ class TestTracedRun:
         engine, sim = _traced_mlp(pr=2, pc=1, dims=(10, 7, 4), batch=6)
         report = rank_accounting(engine.tracer.canonical(), clocks=sim.clocks)
         assert report.imbalance >= 1.0
-
-    def test_group_tables(self):
-        engine, sim = _traced_mlp()
-        report = rank_accounting(engine.tracer.canonical(), clocks=sim.clocks)
-        rows = report.group_table(2, 2, axis="row")
-        cols = report.group_table(2, 2, axis="col")
-        assert [r["row"] for r in rows.rows] == [0, 1]
-        assert [r["col"] for r in cols.rows] == [0, 1]
-        assert all(r["ranks"] == 2 for r in rows.rows)
-
-    def test_group_table_validates(self):
-        engine, sim = _traced_mlp()
-        report = rank_accounting(engine.tracer.canonical(), clocks=sim.clocks)
-        with pytest.raises(ConfigurationError):
-            report.group_table(2, 2, axis="diag")
-        with pytest.raises(ConfigurationError):
-            report.group_table(1, 2)  # 4 ranks cannot fit a 1x2 grid
-
-
-class TestSpanAccounting:
-    def test_spans_decomposed(self):
-        engine, _ = _traced_mlp()
-        table = span_accounting(engine.tracer.canonical())
-        names = [r["span"] for r in table.rows]
-        assert "step" in names
-        assert "fwd" in names
 
 
 class TestReportShape:

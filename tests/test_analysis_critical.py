@@ -104,14 +104,6 @@ class TestHandCriticalPath:
         with pytest.raises(ConfigurationError):
             critical_path([_ev(0, "span", -1, 0.0, 1.0)])
 
-    def test_off_path_slack_sorted(self):
-        cp = critical_path(HAND_EVENTS)
-        pairs = cp.off_path_slack()
-        assert all(s >= 0 for _, s in pairs)
-        assert [s for _, s in pairs] == sorted(
-            (s for _, s in pairs), reverse=True
-        )
-
 
 class TestAttribution:
     def test_phase_layer_category(self):

@@ -1,4 +1,4 @@
-"""Tests for the extended collectives: Rabenseifner all-reduce, scatter,
+"""Tests for the extended collectives: Rabenseifner all-reduce and
 reduce — results, timings, and cost formulas."""
 
 import numpy as np
@@ -8,7 +8,6 @@ from repro.collectives.cost import (
     allreduce_rabenseifner,
     allreduce_ring,
     reduce_binomial,
-    scatter_linear,
 )
 from repro.errors import RankFailedError
 from repro.machine.params import cori_knl
@@ -77,41 +76,6 @@ class TestRabenseifnerTiming:
         c1 = allreduce_rabenseifner(16, 10**6, M)
         c2 = allreduce_ring(16, 10**6, M)
         assert c1.bandwidth == pytest.approx(c2.bandwidth)
-
-
-class TestScatter:
-    @pytest.mark.parametrize("size", [1, 2, 5, 8])
-    def test_each_rank_gets_its_block(self, size):
-        def prog(comm):
-            blocks = None
-            if comm.rank == 0:
-                blocks = [np.full(3, float(i)) for i in range(comm.size)]
-            return comm.scatter(blocks, root=0)
-
-        res = SimEngine(size).run(prog)
-        for rank, value in enumerate(res.values):
-            np.testing.assert_array_equal(value, np.full(3, float(rank)))
-
-    def test_nonzero_root(self):
-        def prog(comm):
-            blocks = [f"b{i}" for i in range(comm.size)] if comm.rank == 2 else None
-            return comm.scatter(blocks, root=2)
-
-        res = SimEngine(4).run(prog)
-        assert list(res.values) == ["b0", "b1", "b2", "b3"]
-
-    def test_wrong_block_count_rejected(self):
-        def prog(comm):
-            blocks = ["only-one"] if comm.rank == 0 else None
-            comm.scatter(blocks, root=0)
-
-        with pytest.raises(RankFailedError):
-            SimEngine(3).run(prog)
-
-    def test_cost_formula(self):
-        c = scatter_linear(8, 8000, M)
-        assert c.latency == pytest.approx(7 * M.alpha)
-        assert c.bandwidth == pytest.approx(M.beta * 8000 * 7 / 8)
 
 
 class TestReduce:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.machine.compute import ComputeModel, EpochTimeTable, FlopsComputeModel
+from repro.machine.compute import ComputeModel, EpochTimeTable
 from repro.machine.knl_data import IMAGENET_TRAIN_IMAGES, KNL_ALEXNET_EPOCH_TABLE
 
 
@@ -34,7 +34,7 @@ class TestEpochTimeTable:
     def test_fig4_shape_monotone_then_minimum(self):
         """The published Fig. 4 shape: falls to B=256, rises after."""
         t = EpochTimeTable.knl_alexnet()
-        batches = t.batch_sizes
+        batches = [b for b, _ in t.entries]
         below = [b for b in batches if b <= 256]
         above = [b for b in batches if b >= 256]
         for b0, b1 in zip(below, below[1:]):
@@ -120,43 +120,3 @@ class TestComputeModel:
         cm = ComputeModel.knl_alexnet()
         with pytest.raises(ConfigurationError):
             cm.share_iteration_time(256, 0)
-
-
-class TestFlopsComputeModel:
-    def test_basic_scaling(self):
-        fm = FlopsComputeModel(1e9, 1e12, efficiency=lambda b: 0.5)
-        # 3 * 1e9 * 64 / (1e12 * 0.5)
-        assert fm.iteration_time(64) == pytest.approx(3 * 64 / 500.0)
-
-    def test_model_split(self):
-        fm = FlopsComputeModel(1e9, 1e12, efficiency=lambda b: 0.5)
-        assert fm.iteration_time(64, pr=4) == pytest.approx(fm.iteration_time(64) / 4)
-
-    def test_default_efficiency_saturates(self):
-        fm = FlopsComputeModel(1e9, 1e12)
-        assert fm.efficiency(1) < fm.efficiency(64) < fm.efficiency(4096) <= 1.0
-
-    def test_bad_efficiency_rejected(self):
-        fm = FlopsComputeModel(1e9, 1e12, efficiency=lambda b: 1.5)
-        with pytest.raises(ConfigurationError):
-            fm.efficiency(10)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FlopsComputeModel(0, 1e12)
-        with pytest.raises(ConfigurationError):
-            FlopsComputeModel(1e9, 0)
-        fm = FlopsComputeModel(1e9, 1e12)
-        with pytest.raises(ConfigurationError):
-            fm.iteration_time(0)
-
-    def test_calibrated_reproduces_table(self):
-        """The calibrated model must hit the table's iteration times."""
-        table = EpochTimeTable.knl_alexnet()
-        flops = 1.455e9
-        fm = FlopsComputeModel.calibrated(table, flops, 6e12)
-        for b in table.batch_sizes:
-            expected = table.iteration_time(b)
-            # Calibration caps efficiency at 1.0; for this table all
-            # points stay below the cap, so reproduction is exact.
-            assert fm.iteration_time(b) == pytest.approx(expected, rel=1e-9)

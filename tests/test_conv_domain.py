@@ -76,7 +76,7 @@ class TestForward:
         res = eng.run(prog)
         got = np.concatenate(list(res.values), axis=2)
         np.testing.assert_allclose(got, conv2d_forward(x, w, 1, 0), rtol=1e-12)
-        assert eng.tracer.message_count("send") == 0
+        assert sum(e.op == "send" for e in eng.tracer.events) == 0
 
     def test_halo_volume_matches_eq7(self):
         """Each interior rank ships exactly B * W * C * floor(k/2) rows
@@ -162,7 +162,7 @@ class TestStrided:
         eng = SimEngine(2, trace=True)
         eng.run(prog)
         # One downward send per boundary; no upward traffic.
-        assert eng.tracer.message_count("send") == 1
+        assert sum(e.op == "send" for e in eng.tracer.events) == 1
 
     def test_misaligned_height_rejected(self):
         def prog(comm):

@@ -129,15 +129,15 @@ class TestDegeneracies:
 class TestStructure:
     def test_pure_batch_has_only_dw_terms(self):
         bd = batch_parallel_cost(NET, 64, M, batch=2048)
-        assert bd.model_time == 0.0
-        assert bd.domain_time == 0.0
+        assert bd.filter("model.").total == 0.0
+        assert bd.filter("domain.").total == 0.0
         assert bd.batch_time == pytest.approx(bd.total)
 
     def test_pure_model_has_no_dw_terms(self):
         """Eq. 3 has no weight all-reduce: X is fully replicated."""
         md = model_parallel_cost(NET, 2048, 64, M)
         assert md.batch_time == 0.0
-        assert md.model_time == pytest.approx(md.total)
+        assert md.filter("model.").total == pytest.approx(md.total)
 
     def test_batch_cost_independent_of_batch_size(self):
         a = batch_parallel_cost(NET, 64, M, batch=64).total
@@ -158,7 +158,7 @@ class TestStructure:
         """Eq. 7: 'for a 1x1 convolution no communication is needed'."""
         net = resnet_like_stack(blocks=1)
         dd = domain_parallel_cost(net, 64, 4, M)
-        pointwise = {w.name for w in net.weighted_layers if w.is_pointwise}
+        pointwise = {w.name for w in net.weighted_layers if w.is_conv and w.kernel_h == w.kernel_w == 1}
         for t in dd.terms:
             if t.layer in pointwise:
                 assert t.category == "batch.allreduce_dw"
@@ -196,11 +196,12 @@ class TestStructure:
         assert bd.total == pytest.approx(bd.latency + bd.bandwidth)
         assert bd.total == pytest.approx(sum(bd.by_category().values()))
         assert bd.total == pytest.approx(sum(bd.by_layer().values()))
-        assert bd.total == pytest.approx(bd.batch_time + bd.model_time + bd.domain_time)
+        assert bd.total == pytest.approx(
+            bd.batch_time + bd.filter("model.").total + bd.filter("domain.").total
+        )
 
     def test_filter_by_prefix(self):
         bd = integrated_mb_cost(NET, 2048, ProcessGrid(4, 8), M)
-        assert bd.filter("model.").total == pytest.approx(bd.model_time)
         assert bd.filter("model.", "batch.").total == pytest.approx(bd.total)
 
 
@@ -224,10 +225,12 @@ class TestCheckpointCostTerms:
         from repro.core.costs import checkpoint_state_bytes
         from repro.dist import erasure
 
-        assert checkpoint_state_bytes(self.DIMS) == erasure.state_bytes(self.DIMS)
-        assert checkpoint_state_bytes(
-            self.DIMS, momentum=True
-        ) == erasure.state_bytes(self.DIMS, True)
+        for mom in (False, True):
+            for pr in (1, 2, 3):
+                assert checkpoint_state_bytes(self.DIMS, momentum=mom) == sum(
+                    erasure.block_state_bytes(self.DIMS, pr, row, mom)
+                    for row in range(pr)
+                )
 
     def test_erasure_take_is_free_on_the_wire(self):
         from repro.core.costs import checkpoint_cost_terms

@@ -12,7 +12,7 @@ from repro.data.synthetic import separable_blobs, synthetic_classification, synt
 from repro.errors import ConfigurationError
 from repro.report.charts import bar_chart, stacked_bar_chart
 from repro.report.export import export_results, write_text
-from repro.report.tables import format_seconds, format_speedup
+from repro.report.tables import format_seconds
 
 
 class TestImageNetMeta:
@@ -144,10 +144,6 @@ class TestFormatters:
     )
     def test_format_seconds(self, value, expected):
         assert format_seconds(value) == expected
-
-    def test_format_speedup(self):
-        assert format_speedup(10.0, 4.0) == "2.5x"
-        assert format_speedup(10.0, 0.0) == "inf"
 
 
 class TestExport:

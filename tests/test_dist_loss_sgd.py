@@ -1,10 +1,9 @@
-"""Tests for losses (column-convention) and the SGD optimizer."""
+"""Tests for the loss (column convention) and the SGD optimizer."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.dist.loss import mse_loss_grad, softmax_cross_entropy
+from repro.dist.loss import softmax_cross_entropy
 from repro.dist.sgd import SGD
 from repro.errors import ConfigurationError, ShapeError
 
@@ -63,30 +62,6 @@ class TestSoftmaxCE:
             softmax_cross_entropy(np.zeros((4, 1)), np.array([9]))
         with pytest.raises(ShapeError):
             softmax_cross_entropy(np.zeros((4, 1)), np.array([0]), global_batch=0)
-
-
-class TestMSE:
-    def test_value_and_grad(self):
-        p = np.array([[1.0, 2.0]])
-        t = np.array([[0.0, 0.0]])
-        loss, dp = mse_loss_grad(p, t)
-        assert loss == pytest.approx((1 + 4) / (2 * 2))
-        np.testing.assert_allclose(dp, [[0.5, 1.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mse_loss_grad(np.zeros((2, 2)), np.zeros((2, 3)))
-
-    @given(b=st.integers(2, 10))
-    @settings(deadline=None)
-    def test_sharding_sums_to_serial(self, b):
-        p = RNG.standard_normal((3, b))
-        t = RNG.standard_normal((3, b))
-        full, _ = mse_loss_grad(p, t)
-        half = b // 2
-        l1, _ = mse_loss_grad(p[:, :half], t[:, :half], global_batch=b)
-        l2, _ = mse_loss_grad(p[:, half:], t[:, half:], global_batch=b)
-        assert l1 + l2 == pytest.approx(full, rel=1e-12)
 
 
 class TestSGD:

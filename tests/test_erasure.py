@@ -28,7 +28,6 @@ from repro.dist.erasure import (
     gf_mul,
     pack_block_state,
     rs_generator_matrix,
-    state_bytes,
     unpack_block_state,
 )
 from repro.errors import ConfigurationError
@@ -154,7 +153,6 @@ class TestGeometry:
 
     def test_momentum_doubles_state(self):
         dims = (8, 10, 6)
-        assert state_bytes(dims, momentum=True) == 2 * state_bytes(dims)
         assert block_state_bytes(dims, 2, 0, momentum=True) == 2 * block_state_bytes(
             dims, 2, 0
         )

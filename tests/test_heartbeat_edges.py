@@ -15,9 +15,8 @@ never enters:
   world, so the one-event-per-``(kind, rank)`` dedupe must reset with
   the epoch while still suppressing repeats within one.
 
-Plus the :mod:`repro.telemetry.heartbeat` emitter/decoder edges:
-no-op when tracing is disabled, non-heartbeat decode, NaN losses
-surviving the tag round trip.
+Plus the :mod:`repro.telemetry.heartbeat` emitter edges: no-op when
+tracing is disabled, NaN losses surviving the tag round trip.
 """
 
 import math
@@ -25,12 +24,7 @@ import math
 from repro.observe.health import HealthConfig, HealthMonitor, evaluate_health
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.tracing import TraceEvent
-from repro.telemetry.heartbeat import (
-    HB_OP,
-    emit_heartbeat,
-    heartbeat_fields,
-    loss_is_bad,
-)
+from repro.telemetry.heartbeat import HB_OP, emit_heartbeat
 
 
 def hb(rank, step, t, loss=None, phase="train"):
@@ -215,14 +209,9 @@ class TestEmitterEdges:
         for ev in beats:
             assert ev.t_start == ev.t_end and ev.nbytes == 0
             assert list(ev.tag) == sorted(ev.tag)
-            assert heartbeat_fields(ev) == {
+            assert dict(ev.tag) == {
                 "loss": 0.25, "phase": "warm", "step": 3,
             }
-
-    def test_fields_empty_for_non_heartbeat(self):
-        ev = TraceEvent(rank=0, op="send", peer=1, nbytes=8,
-                        t_start=0.0, t_end=1e-6)
-        assert heartbeat_fields(ev) == {}
 
     def test_nan_loss_survives_round_trip(self):
         def program(comm):
@@ -231,15 +220,8 @@ class TestEmitterEdges:
 
         engine, _ = self._run(program, trace=True)
         beats = [e for e in engine.tracer.canonical() if e.op == HB_OP]
-        losses = [heartbeat_fields(e)["loss"] for e in beats]
+        losses = [dict(e.tag)["loss"] for e in beats]
         assert all(math.isnan(v) for v in losses)
-        assert all(loss_is_bad(v) for v in losses)
-
-    def test_loss_is_bad_classification(self):
-        assert not loss_is_bad(None)
-        assert not loss_is_bad(0.5)
-        assert loss_is_bad(float("inf"))
-        assert loss_is_bad(float("nan"))
 
     def test_metrics_sink_receives_beats_without_trace_storage(self):
         # Attaching a metrics sink enables recording even when no trace

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.machine.params import MachineParams, cori_knl, generic_cluster, zero_latency
+from repro.machine.params import MachineParams, cori_knl
 
 
 class TestMachineParams:
@@ -20,15 +20,6 @@ class TestMachineParams:
     def test_zero_beta_gives_infinite_bandwidth(self):
         m = MachineParams(alpha=1e-6, beta_per_byte=0.0)
         assert math.isinf(m.bandwidth)
-
-    def test_message_time(self):
-        m = MachineParams(alpha=2e-6, beta_per_byte=1.0 / 6e9, element_bytes=4)
-        assert m.message_time(0) == pytest.approx(2e-6)
-        assert m.message_time(1.5e9) == pytest.approx(2e-6 + 1.0, rel=1e-6)
-
-    def test_message_time_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            cori_knl().message_time(-1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -53,6 +44,17 @@ class TestMachineParams:
         with pytest.raises(ConfigurationError):
             cori_knl().derated(latency_factor=0.0)
 
+    def test_derated_machine_slows_the_cost_model(self):
+        """Folding topology into (alpha, beta) flows straight through
+        the Eq. 4 cost — the paper's Limitations prescription."""
+        from repro.core.costs import batch_parallel_cost
+        from repro.nn import alexnet
+
+        net = alexnet()
+        base_cost = batch_parallel_cost(net, 64, cori_knl()).total
+        slow = cori_knl().derated(latency_factor=2.0, bandwidth_factor=0.5)
+        assert batch_parallel_cost(net, 64, slow).total > base_cost
+
     def test_frozen(self):
         with pytest.raises(Exception):
             cori_knl().alpha = 1.0  # type: ignore[misc]
@@ -64,17 +66,3 @@ class TestPresets:
         assert m.alpha == pytest.approx(2e-6)
         assert m.bandwidth == pytest.approx(6e9)
         assert m.element_bytes == 4
-
-    def test_generic_cluster(self):
-        m = generic_cluster(latency_us=10, bandwidth_gbps=25)
-        assert m.alpha == pytest.approx(1e-5)
-        assert m.bandwidth == pytest.approx(25e9)
-
-    def test_generic_cluster_validation(self):
-        with pytest.raises(ConfigurationError):
-            generic_cluster(bandwidth_gbps=0)
-
-    def test_zero_latency(self):
-        m = zero_latency()
-        assert m.alpha == 0.0
-        assert m.message_time(100) > 0

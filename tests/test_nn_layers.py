@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.conv import ConvSpec, conv_output_extent
 from repro.nn.fc import FCSpec
-from repro.nn.layer import ActivationSpec, DropoutSpec, FlattenSpec, InputSpec, LRNSpec, Shape3D
+from repro.nn.layer import ActivationSpec, DropoutSpec, FlattenSpec, LRNSpec, Shape3D
 from repro.nn.pool import PoolSpec
 
 
@@ -78,8 +78,6 @@ class TestConvSpec:
     def test_halo_properties(self):
         assert ConvSpec.square(64, 3).halo_rows == 1
         assert ConvSpec.square(64, 5).halo_cols == 2
-        assert ConvSpec.square(64, 1).is_pointwise
-        assert not ConvSpec.square(64, 3).is_pointwise
 
     def test_channels_not_divisible_by_groups(self):
         spec = ConvSpec.square(64, 3, groups=2)
@@ -148,7 +146,6 @@ class TestParameterFreeSpecs:
     )
     def test_no_params(self, spec):
         assert spec.param_count(Shape3D(8, 8, 4)) == 0
-        assert not spec.has_weights
 
     def test_shape_preserving(self):
         s = Shape3D(8, 8, 4)
@@ -164,9 +161,3 @@ class TestParameterFreeSpecs:
     def test_dropout_validation(self):
         with pytest.raises(ConfigurationError):
             DropoutSpec(1.0)
-
-    def test_input_spec_anchors_shape(self):
-        spec = InputSpec(Shape3D(4, 4, 3))
-        assert spec.output_shape(Shape3D(4, 4, 3)) == Shape3D(4, 4, 3)
-        with pytest.raises(ShapeError):
-            spec.output_shape(Shape3D(5, 4, 3))

@@ -64,7 +64,9 @@ class TestNetworkSpec:
 
     def test_activation_sizes_chain(self):
         net = self.make_tiny()
-        assert net.activation_sizes() == (8 * 8 * 3, 8 * 8 * 4, 10)
+        first, *_ = net.weighted_layers
+        sizes = (first.d_in, *(w.d_out for w in net.weighted_layers))
+        assert sizes == (8 * 8 * 3, 8 * 8 * 4, 10)
 
     def test_total_params(self):
         net = self.make_tiny()
@@ -206,7 +208,7 @@ class TestZoo:
 
     def test_resnet_like_is_mostly_pointwise(self):
         net = resnet_like_stack(blocks=3)
-        pointwise = [w for w in net.conv_layers if w.is_pointwise]
+        pointwise = [w for w in net.conv_layers if w.kernel_h == w.kernel_w == 1]
         assert len(pointwise) == 6  # two 1x1 per bottleneck
 
     def test_resnet_like_validation(self):

@@ -166,6 +166,13 @@ class TestDash:
                      "--out", str(out)]) == 0
         assert "bench:observe" in out.read_text()
 
+    def test_missing_registry_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        out = tmp_path / "dash.html"
+        assert main(["dash", "--registry", str(missing), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"registry {str(missing)!r} is missing\n"
+        assert not out.exists()
+
 
 class TestJsonSatellites:
     def test_faults_json(self, capsys):

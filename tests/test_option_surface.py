@@ -1,4 +1,4 @@
-"""Pin the public parameter lists of the trainers and the engine.
+"""Pin the public parameter lists of the trainers, the engine and its sinks.
 
 The paper trains with plain minibatch SGD at a fixed global batch, and a
 run is configured by its engine.  A new keyword on any of these entry
@@ -17,6 +17,7 @@ from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.train import distributed_mlp_train
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.tracing import Tracer
+from repro.telemetry.metrics import MetricsRegistry
 
 SGD_RUN = ("pr", "pc", "batch", "steps", "lr", "momentum")
 
@@ -38,6 +39,7 @@ SURFACE = [
         ("self", "size", "machine", "trace", "faults", "supervise", "metrics", "backend"),
     ),
     (Tracer.__init__, ("self", "enabled", "sink", "store")),
+    (MetricsRegistry.__init__, ("self",)),
 ]
 
 

@@ -11,11 +11,11 @@ from repro.errors import PartitionError
 class TestBounds:
     def test_even_split(self):
         p = BlockPartition(12, 4)
-        assert p.all_bounds() == ((0, 3), (3, 6), (6, 9), (9, 12))
+        assert [p.bounds(i) for i in range(p.parts)] == [(0, 3), (3, 6), (6, 9), (9, 12)]
 
     def test_remainder_goes_to_first_parts(self):
         p = BlockPartition(10, 3)
-        assert p.all_bounds() == ((0, 4), (4, 7), (7, 10))
+        assert [p.bounds(i) for i in range(p.parts)] == [(0, 4), (4, 7), (7, 10)]
 
     def test_more_parts_than_items(self):
         p = BlockPartition(2, 4)
@@ -83,7 +83,6 @@ class TestProperties:
         p = BlockPartition(n, parts)
         sizes = [p.size(i) for i in range(parts)]
         assert max(sizes) - min(sizes) <= 1
-        assert p.is_balanced
 
     @given(n=st.integers(1, 100), parts=st.integers(1, 10))
     def test_concatenating_blocks_restores_array(self, n, parts):

@@ -26,7 +26,6 @@ from repro.profile import (
     OVERHEAD_BUDGET,
     ProfileSession,
     SUBSYSTEMS,
-    active_session,
     collapsed_lines,
     host_block,
     write_collapsed,
@@ -97,10 +96,10 @@ class TestSessionLifecycle:
         assert profile_hooks.ACTIVE is None
 
     def test_active_session_lookup(self):
-        assert active_session() is None
+        assert profile_hooks.ACTIVE is None
         with ProfileSession() as session:
-            assert active_session() is session
-        assert active_session() is None
+            assert profile_hooks.ACTIVE.session is session
+        assert profile_hooks.ACTIVE is None
 
 
 @pytest.fixture(scope="module")

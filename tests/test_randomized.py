@@ -384,10 +384,10 @@ def test_cache_invalidates_when_machine_changes(machine, factor):
     derated = machine.derated(latency_factor=factor, bandwidth_factor=1.0 / factor)
     assert machine_key(machine) != machine_key(derated)
     first = engine.best_strategy(network, 512, 64, machine, COMPUTE)
-    keys_before = set(engine.cache.term_keys())
+    keys_before = set(engine.cache._terms)
     second = engine.best_strategy(network, 512, 64, derated, COMPUTE)
     # Every key carries the machine fields: no entry was reused.
-    new_keys = set(engine.cache.term_keys()) - keys_before
+    new_keys = set(engine.cache._terms) - keys_before
     assert new_keys and all(k[-1] == machine_key(derated) for k in new_keys)
     # And the answers still match the serial path for both machines.
     _grid_choices_equal(best_strategy(network, 512, 64, machine, COMPUTE), first)

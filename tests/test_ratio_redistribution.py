@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.collectives.cost import allgather_bruck
-from repro.core.ratio import batch_model_volume_ratio, crossover_batch_size, favors_batch
+from repro.core.ratio import batch_model_volume_ratio, crossover_batch_size
 from repro.core.redistribution import redistribution_cost, redistribution_relative_overhead
 from repro.errors import ConfigurationError
 from repro.machine.params import cori_knl
@@ -35,8 +35,8 @@ class TestEq5:
         assert crossover_batch_size(w) == pytest.approx(kernel_form)
 
     def test_model_favourable_below_crossover(self):
-        assert not favors_batch(CONV4, 12)
-        assert favors_batch(CONV4, 14)
+        assert batch_model_volume_ratio(CONV4, 12) >= 1.0
+        assert batch_model_volume_ratio(CONV4, 14) < 1.0
 
     def test_fc_layers_strongly_favor_model_at_small_batch(self):
         """FC layers have huge |W| relative to d: batch only wins at

@@ -48,9 +48,9 @@ class TestCostCache:
         cache = CostCache()
         layer = NET.weighted_layers[0]
         grid = ProcessGrid(4, 2)
-        first = cache.layer_terms(layer, Placement.MODEL, 64, grid, MACHINE)
+        first = cache.terms_lookup(64, grid, MACHINE)(layer, Placement.MODEL)
         assert cache.stats().misses == 1 and cache.stats().hits == 0
-        second = cache.layer_terms(layer, Placement.MODEL, 64, grid, MACHINE)
+        second = cache.terms_lookup(64, grid, MACHINE)(layer, Placement.MODEL)
         assert second == first
         assert cache.stats().hits == 1
         assert cache.stats().hit_rate == 0.5
@@ -66,9 +66,9 @@ class TestCostCache:
         cache = CostCache()
         layer = NET.weighted_layers[0]
         grid = ProcessGrid(4, 2)
-        a = cache.layer_terms(layer, Placement.MODEL, 64, grid, MACHINE)
-        b = cache.layer_terms(
-            layer, Placement.MODEL, 64, grid, MACHINE.derated(latency_factor=3.0)
+        a = cache.terms_lookup(64, grid, MACHINE)(layer, Placement.MODEL)
+        b = cache.terms_lookup(64, grid, MACHINE.derated(latency_factor=3.0))(
+            layer, Placement.MODEL
         )
         assert len(cache) == 2
         assert a != b  # the derated machine really produced other costs
@@ -78,7 +78,7 @@ class TestCostCache:
         layer = NET.weighted_layers[0]
         grid = ProcessGrid(1, 4)
         with pytest.raises(StrategyError):
-            cache.layer_terms(layer, Placement.BATCH, 2, grid, MACHINE)
+            cache.terms_lookup(2, grid, MACHINE)(layer, Placement.BATCH)
         assert len(cache) == 0
 
     def test_compute_time_memoized(self):
@@ -98,8 +98,8 @@ class TestCostCache:
         cache = CostCache(metrics=registry)
         layer = NET.weighted_layers[0]
         grid = ProcessGrid(4, 2)
-        cache.layer_terms(layer, Placement.MODEL, 64, grid, MACHINE)
-        cache.layer_terms(layer, Placement.MODEL, 64, grid, MACHINE)
+        cache.terms_lookup(64, grid, MACHINE)(layer, Placement.MODEL)
+        cache.terms_lookup(64, grid, MACHINE)(layer, Placement.MODEL)
         counter = registry.counter("search.cache")
         assert counter.value(kind="terms", event="miss") == 1
         assert counter.value(kind="terms", event="hit") == 1

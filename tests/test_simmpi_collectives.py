@@ -148,25 +148,6 @@ class TestBcastBarrierGather:
         # With a free network the barrier aligns everyone to the slowest.
         assert min(res.values) >= size - 1
 
-    @pytest.mark.parametrize("size", [1, 2, 5])
-    def test_halo_exchange_1d_swaps_boundary_rows(self, size):
-        from repro.simmpi import collops
-
-        def prog(comm):
-            local = np.arange(12.0).reshape(3, 4) + 100 * comm.rank
-            return collops.halo_exchange_1d(comm, local[:1], local[-1:])
-
-        top, bottom = np.arange(4.0), np.arange(8.0, 12.0)
-        for rank, (above, below) in enumerate(run(size, prog).values):
-            if rank == 0:
-                assert above is None
-            else:  # the bottom row of the rank above
-                np.testing.assert_array_equal(above, [bottom + 100 * (rank - 1)])
-            if rank == size - 1:
-                assert below is None
-            else:  # the top row of the rank below
-                np.testing.assert_array_equal(below, [top + 100 * (rank + 1)])
-
 
 class TestSplit:
     def test_grid_split_2x3(self):

@@ -15,11 +15,6 @@ class TestProcessGrid:
     def test_p_is_product(self):
         assert ProcessGrid(16, 32).p == 512
 
-    def test_pure_flags(self):
-        assert ProcessGrid.pure_batch(8).is_pure_batch
-        assert ProcessGrid.pure_model(8).is_pure_model
-        assert not ProcessGrid(2, 4).is_pure_batch
-
     def test_factorizations_of_12(self):
         grids = ProcessGrid.factorizations(12)
         assert [(g.pr, g.pc) for g in grids] == [
@@ -80,28 +75,8 @@ class TestStrategy:
 
     def test_conv_domain_fc_model(self):
         s = Strategy.conv_domain_fc_model(NET, ProcessGrid(2, 4))
-        assert s.uses_domain
-        assert len(s.domain_layer_indices) == 5
-        assert len(s.model_layer_indices) == 3
-
-    def test_from_layer_sets(self):
-        s = Strategy.from_layer_sets(
-            NET,
-            ProcessGrid(2, 4),
-            model_layers=["fc6", "fc7", "fc8"],
-            domain_layers=["conv1", "conv2"],
-        )
-        assert s.batch_layer_indices == (2, 3, 4)  # conv3..conv5
-
-    def test_from_layer_sets_rejects_overlap(self):
-        with pytest.raises(StrategyError):
-            Strategy.from_layer_sets(
-                NET, ProcessGrid(2, 2), model_layers=["fc6"], domain_layers=["fc6"]
-            )
-
-    def test_from_layer_sets_rejects_unknown(self):
-        with pytest.raises(StrategyError):
-            Strategy.from_layer_sets(NET, ProcessGrid(2, 2), model_layers=["fc99"])
+        assert s.placements.count(Placement.DOMAIN) == 5
+        assert s.placements.count(Placement.MODEL) == 3
 
     def test_check_matches(self):
         s = Strategy.same_grid_model(NET, ProcessGrid(2, 2))

@@ -1,11 +1,10 @@
-"""Tests for the trace timeline renderer and the topology presets."""
+"""Tests for the trace timeline renderer."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.machine.params import cori_knl
-from repro.machine.topology import dragonfly, fat_tree, torus3d
 from repro.report.timeline import render_timeline, traffic_matrix
 from repro.simmpi.engine import SimEngine
 
@@ -89,50 +88,6 @@ class TestTrafficMatrix:
 
         matrix = traffic_matrix(traced_run(2, prog))
         assert matrix[0][1] == matrix[1][0]
-
-
-class TestTopologyPresets:
-    BASE = cori_knl()
-
-    def test_fat_tree_derates_both(self):
-        m = fat_tree(self.BASE, levels=3, utilization=0.5)
-        assert m.alpha == pytest.approx(3 * self.BASE.alpha)
-        assert m.bandwidth == pytest.approx(0.5 * self.BASE.bandwidth)
-
-    def test_dragonfly(self):
-        m = dragonfly(self.BASE, global_contention=0.5)
-        assert m.alpha == pytest.approx(2 * self.BASE.alpha)
-        assert m.bandwidth == pytest.approx(0.5 * self.BASE.bandwidth)
-
-    def test_torus_latency_grows_with_size(self):
-        small = torus3d(self.BASE, nodes=64)
-        big = torus3d(self.BASE, nodes=4096)
-        assert big.alpha > small.alpha
-
-    @pytest.mark.parametrize(
-        "fn,kwargs",
-        [
-            (fat_tree, dict(levels=0)),
-            (fat_tree, dict(utilization=0.0)),
-            (dragonfly, dict(global_contention=1.5)),
-            (torus3d, dict(nodes=0)),
-            (torus3d, dict(nodes=8, link_sharing=0)),
-        ],
-    )
-    def test_validation(self, fn, kwargs):
-        with pytest.raises(ConfigurationError):
-            fn(self.BASE, **kwargs)
-
-    def test_derated_machine_slows_the_cost_model(self):
-        """Folding topology into (alpha, beta) flows straight through
-        the Eq. 4 cost — the paper's Limitations prescription."""
-        from repro.core.costs import batch_parallel_cost
-        from repro.nn import alexnet
-
-        net = alexnet()
-        base_cost = batch_parallel_cost(net, 64, self.BASE).total
-        slow_cost = batch_parallel_cost(net, 64, dragonfly(self.BASE)).total
-        assert slow_cost > base_cost
 
 class TestFaultRendering:
     def _traced_faulty_run(self):
