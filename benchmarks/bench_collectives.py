@@ -7,7 +7,7 @@ the substrate validation underneath every figure.
 
 import numpy as np
 
-from repro.collectives.cost import allgather_bruck, allreduce_ring
+from repro.collectives.cost import allgather_bruck, allreduce_ring, executed_time
 from repro.machine.params import cori_knl
 from repro.simmpi.engine import SimEngine
 
@@ -25,7 +25,7 @@ def bench_sim_ring_allreduce_p8(benchmark):
         return SimEngine(8, M).run(prog).time
 
     simulated = benchmark(run)
-    predicted = allreduce_ring(8, n, M, exact_latency=True).total
+    predicted = executed_time(allreduce_ring(8, n, M), M)
     assert abs(simulated - predicted) / predicted < 0.05
 
 

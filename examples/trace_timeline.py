@@ -25,7 +25,7 @@ def main() -> None:
     engine = SimEngine(4, machine, trace=True)
 
     def allreduce_prog(comm):
-        comm.allreduce(np.ones(200_000, dtype=np.float32), algorithm="ring")
+        comm.allreduce(np.ones(200_000, dtype=np.float32))
 
     engine.run(allreduce_prog)
     print("Ring all-reduce (4 ranks, 200k floats):")

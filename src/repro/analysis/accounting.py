@@ -106,12 +106,6 @@ class AccountingReport:
         )
         return idle / (len(self.accounts) * self.makespan_s)
 
-    def account(self, rank: int) -> RankAccount:
-        for a in self.accounts:
-            if a.rank == rank:
-                return a
-        raise ConfigurationError(f"no account for rank {rank}")
-
     def to_table(self) -> ResultTable:
         table = ResultTable(
             "per-rank virtual-time accounting",

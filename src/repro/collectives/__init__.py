@@ -11,27 +11,17 @@ in :mod:`repro.simmpi`; tests cross-check the two.
 from repro.collectives.cost import (
     CollectiveCost,
     allgather_bruck,
-    allgather_ring,
-    allreduce_rabenseifner,
     allreduce_recursive_doubling,
     allreduce_ring,
-    broadcast_binomial,
+    executed_time,
     halo_exchange,
-    point_to_point,
-    reduce_binomial,
-    reduce_scatter_ring,
 )
 
 __all__ = [
     "CollectiveCost",
     "allgather_bruck",
-    "allgather_ring",
     "allreduce_ring",
     "allreduce_recursive_doubling",
-    "allreduce_rabenseifner",
-    "reduce_scatter_ring",
-    "reduce_binomial",
-    "broadcast_binomial",
     "halo_exchange",
-    "point_to_point",
+    "executed_time",
 ]

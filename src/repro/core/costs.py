@@ -26,9 +26,9 @@ Term categories
 ``abft.digest_fwd`` / ``abft.digest_dx`` / ``abft.digest_dw``
     SDC-guard overhead (:func:`sdc_guard_cost_terms`): one 8-byte
     checksum digest escorts every message of the corresponding
-    collective, so the per-process volume is exactly the per-rank send
-    count of the simulated algorithm (Bruck: ``ceil(log2 Pr)``, ring
-    all-reduce: ``2 (group - 1)``) at one element per message.
+    collective, so the per-process volume is exactly the escorted
+    term's ``cost.messages`` (the simulated algorithm's per-rank send
+    count) at one element per message.
 ``abft.checksum_fwd`` / ``abft.checksum_dx`` / ``abft.checksum_dw``
     Local ABFT checksum folds over each guarded GEMM output block: two
     64-bit XOR word operations per element (one row fold, one column
@@ -44,7 +44,7 @@ are property-tested to agree with the literal formulas.
 from __future__ import annotations
 
 import dataclasses
-import math
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from repro.collectives.cost import (
@@ -346,14 +346,11 @@ def sdc_guard_cost_terms(
     Two families of terms per weighted layer:
 
     * ``abft.digest_*`` — every message of a guarded collective carries
-      an 8-byte XOR digest of its clean payload bits, so the per-rank
-      escort volume is the algorithm's send count (Bruck all-gather:
-      ``ceil(log2 Pr)``; ring all-reduce: ``2 (group - 1)``) at one
-      element per message, charged pure bandwidth (``beta`` per
-      element; the digest rides an existing message, adding no
-      latency).  Terms appear exactly when the underlying Eq. 8
-      collective exists, so the breakdown mirrors
-      :func:`integrated_mb_cost` term for term.
+      an 8-byte XOR digest of its clean payload bits, so each Eq. 8 term
+      of :func:`integrated_mb_cost` gets one escort term whose per-rank
+      volume is that term's ``cost.messages`` at one element per
+      message, charged pure bandwidth (``beta`` per element; the digest
+      rides an existing message, adding no latency).
     * ``abft.checksum_*`` — the row + column folds over each guarded
       GEMM output block: two XOR word operations per block element.
       Local compute is untimed in the alpha-beta model, so the cost is
@@ -371,37 +368,16 @@ def sdc_guard_cost_terms(
         raise StrategyError(f"batch size must be positive, got {batch}")
     pr, pc = grid.pr, grid.pc
     local_batch = batch / pc
-    digest_msgs = {
-        "model.allgather_fwd": math.ceil(math.log2(pr)) if pr > 1 else 0,
-        "model.allreduce_dx": 2 * (pr - 1),
-        "batch.allreduce_dw": 2 * (pc - 1),
-    }
     terms: List[CostTerm] = []
     first_index = network.weighted_layers[0].index if network.weighted_layers else -1
     for layer in network.weighted_layers:
         first = layer.index == first_index
         # Digest escorts mirror the Eq. 8 collectives of this layer.
-        if pr > 1:
-            msgs = digest_msgs["model.allgather_fwd"]
+        for escorted in _model_layer_terms(layer, first, batch, grid, machine):
+            msgs = escorted.cost.messages
             terms.append(
                 _term(
-                    layer, "abft.digest_fwd",
-                    CollectiveCost(0.0, machine.beta * msgs), float(msgs),
-                )
-            )
-            if not first:
-                msgs = digest_msgs["model.allreduce_dx"]
-                terms.append(
-                    _term(
-                        layer, "abft.digest_dx",
-                        CollectiveCost(0.0, machine.beta * msgs), float(msgs),
-                    )
-                )
-        if pc > 1:
-            msgs = digest_msgs["batch.allreduce_dw"]
-            terms.append(
-                _term(
-                    layer, "abft.digest_dw",
+                    layer, ABFT_DIGEST_CATEGORY[escorted.category],
                     CollectiveCost(0.0, machine.beta * msgs), float(msgs),
                 )
             )
@@ -475,6 +451,10 @@ def domain_parallel_cost(
 # ---------------------------------------------------------------------------
 # Checkpoint traffic (erasure-coded sharded checkpoints; repro.dist.elastic)
 # ---------------------------------------------------------------------------
+
+# The wire volumes of these terms are exact rationals (``Fraction``), so
+# :func:`repro.telemetry.audit.audit_checkpoint_events` sums them over any
+# grid without rounding.
 
 #: The simulated trainer stores float64 state, so checkpoint byte math is
 #: pinned to 8-byte elements regardless of ``machine.element_bytes``.
@@ -568,7 +548,7 @@ def checkpoint_cost_terms(
                     i + 1,
                     "ckpt.replicate",
                     allgather_bruck(pr, elems, machine),
-                    elems * (pr - 1) / pr,
+                    Fraction(elems * (pr - 1), pr),
                 )
             )
     return CostBreakdown(tuple(terms))
@@ -610,7 +590,7 @@ def checkpoint_recovery_cost_terms(
             0,
             "ckpt.census",
             allgather_bruck(survivors, census_elems, machine),
-            census_elems * (survivors - 1) / survivors,
+            Fraction(census_elems * (survivors - 1), survivors),
         )
     )
     if have is not None:
@@ -622,7 +602,7 @@ def checkpoint_recovery_cost_terms(
             raise StrategyError("have must list one shard count per survivor")
         chunk = checkpoint_chunk_bytes(dims, pr=pr, k=k, momentum=momentum)
         shard_bytes = 16 + chunk + _CKPT_ELEMENT_BYTES * step
-        fetch_elems = sum(have) * shard_bytes / _CKPT_ELEMENT_BYTES
+        fetch_elems = Fraction(sum(have) * shard_bytes, _CKPT_ELEMENT_BYTES)
         terms.append(
             CostTerm(
                 "ckpt",

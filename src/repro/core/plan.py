@@ -14,15 +14,11 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Tuple
 
-from repro.collectives.cost import (
-    CollectiveCost,
-    allgather_bruck,
-    allreduce_ring,
-    halo_exchange,
-)
+from repro.collectives.cost import CollectiveCost
+from repro.core.costs import integrated_cost
+from repro.core.overlap import BLOCKING_CATEGORIES
 from repro.core.results import ResultTable
 from repro.core.strategy import Placement, Strategy
-from repro.errors import StrategyError
 from repro.machine.params import MachineParams
 from repro.nn.network import NetworkSpec
 
@@ -85,115 +81,57 @@ class IterationPlan:
         return table
 
 
+#: Cost category -> (phase, position within one layer's phase, operation,
+#: collective).  Backward, a layer's halo goes first, then dW, then dX.
+_SCHEDULE = {
+    "domain.halo_fwd": ("forward", 0, "halo(X rows)", "pairwise"),
+    "model.allgather_fwd": ("forward", 1, "allgather(Y)", "bruck"),
+    "domain.halo_bwd": ("backward", 0, "halo(dX rows)", "pairwise"),
+    "batch.allreduce_dw": ("backward", 1, "allreduce(dW)", "ring"),
+    "model.allreduce_dx": ("backward", 2, "allreduce(dX)", "ring"),
+}
+
+
 def build_iteration_plan(
     network: NetworkSpec,
     batch: float,
     strategy: Strategy,
     machine: MachineParams,
-    *,
-    exact_ring_latency: bool = False,
 ) -> IterationPlan:
     """Lay out the strategy's communication in issue order.
 
-    With the default paper-convention latency the plan's total time
-    equals the :func:`~repro.core.costs.integrated_cost` total exactly
-    (tested) — it is the same cost, scheduled.  With
-    ``exact_ring_latency=True`` the ring all-reduces charge their true
-    ``2(P-1)`` message latency instead of the paper's ``2*ceil(log2 P)``,
-    which is what the executable simulator produces — the setting the
-    model-validation experiment uses.
+    The steps are the :func:`~repro.core.costs.integrated_cost` terms,
+    put in order: the forward pass in layer order, then the backward
+    pass in reverse layer order.  The plan's total time is therefore
+    the cost model's total exactly -- it is the same cost, scheduled.
     """
-    strategy.check_matches(network)
     grid = strategy.grid
-    pr, pc, p = grid.pr, grid.pc, grid.p
-    local_batch = batch / pc
+    placement = {
+        layer.index: pl for layer, pl in zip(network.weighted_layers, strategy.placements)
+    }
+
+    def slot(term):
+        phase, position = _SCHEDULE[term.category][:2]
+        if phase == "forward":
+            return (0, term.layer_index, position)
+        return (1, -term.layer_index, position)
+
+    terms = sorted(integrated_cost(network, batch, strategy, machine).terms, key=slot)
     steps: List[PlanStep] = []
-    order = 0
-
-    def ring(p_group, n):
-        return allreduce_ring(p_group, n, machine, exact_latency=exact_ring_latency)
-
-    def add(phase, layer, operation, collective, group, group_size, volume, cost, overlappable):
-        nonlocal order
-        if cost.total == 0.0 and volume == 0.0:
-            return
+    for order, term in enumerate(terms):
+        phase, _, operation, collective = _SCHEDULE[term.category]
+        if collective == "pairwise":
+            group, group_size = "neighbours", 2
+        elif term.category != "batch.allreduce_dw":
+            group, group_size = "Pr", grid.pr
+        elif placement[term.layer_index] is Placement.MODEL:
+            group, group_size = "Pc", grid.pc
+        else:
+            group, group_size = "P", grid.p
         steps.append(
             PlanStep(
-                phase, order, layer, operation, collective, group, group_size,
-                volume, cost, overlappable,
+                phase, order, term.layer, operation, collective, group, group_size,
+                term.volume, term.cost, term.category not in BLOCKING_CATEGORIES,
             )
         )
-        order += 1
-
-    # ---- forward pass, in layer order ------------------------------------
-    for layer, placement in zip(network.weighted_layers, strategy.placements):
-        if placement is Placement.MODEL and pr > 1:
-            n = local_batch * layer.d_out
-            add(
-                "forward", layer.name, "allgather(Y)", "bruck", "Pr", pr,
-                n * (pr - 1) / pr, allgather_bruck(pr, n, machine),
-                overlappable=False,  # the next layer's GEMM needs it now
-            )
-        elif placement is Placement.DOMAIN and pr > 1:
-            n = local_batch * layer.in_shape.width * layer.in_shape.channels * layer.halo_rows
-            if n > 0:
-                add(
-                    "forward", layer.name, "halo(X rows)", "pairwise", "neighbours", 2,
-                    n, halo_exchange(n, machine),
-                    overlappable=True,  # interior conv proceeds meanwhile
-                )
-
-    # ---- backward pass, reverse layer order --------------------------------
-    for layer, placement in zip(
-        reversed(network.weighted_layers), reversed(strategy.placements)
-    ):
-        if placement is Placement.MODEL:
-            if pc > 1:
-                n = layer.weights / pr
-                add(
-                    "backward", layer.name, "allreduce(dW)", "ring", "Pc", pc,
-                    2 * n * (pc - 1) / pc, ring(pc, n),
-                    overlappable=True,
-                )
-            if pr > 1 and layer.index > 1:
-                n = local_batch * layer.d_in
-                add(
-                    "backward", layer.name, "allreduce(dX)", "ring", "Pr", pr,
-                    2 * n * (pr - 1) / pr, ring(pr, n),
-                    overlappable=True,
-                )
-        elif placement is Placement.DOMAIN:
-            if pr > 1:
-                n = (
-                    local_batch
-                    * layer.out_shape.width
-                    * layer.out_shape.channels
-                    * layer.halo_cols
-                )
-                if n > 0:
-                    add(
-                        "backward", layer.name, "halo(dX rows)", "pairwise",
-                        "neighbours", 2, n, halo_exchange(n, machine),
-                        overlappable=True,
-                    )
-            if p > 1:
-                add(
-                    "backward", layer.name, "allreduce(dW)", "ring", "P", p,
-                    2 * layer.weights * (p - 1) / p,
-                    ring(p, layer.weights),
-                    overlappable=True,
-                )
-        else:  # BATCH
-            if p > batch:
-                raise StrategyError(
-                    f"layer {layer.name!r} placed pure batch with P={p} > B={batch}"
-                )
-            if p > 1:
-                add(
-                    "backward", layer.name, "allreduce(dW)", "ring", "P", p,
-                    2 * layer.weights * (p - 1) / p,
-                    ring(p, layer.weights),
-                    overlappable=True,
-                )
-
     return IterationPlan(strategy=strategy, batch=batch, steps=tuple(steps))

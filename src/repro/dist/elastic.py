@@ -146,9 +146,6 @@ class ElasticResult:
     def recovered(self) -> bool:
         return bool(self.restore_steps)
 
-    @property
-    def degraded(self) -> bool:
-        return bool(self.degraded_steps)
 
 
 def replan_grid(

@@ -335,7 +335,7 @@ def _cnn_train_program(
             # --- redistribution (Eq. 6): all-gather rows over the Pr group ---
             with span("redist", comm=comm):
                 if grid.pr > 1:
-                    a_full = grid.col_comm.allgather(a, axis=2, algorithm="bruck")
+                    a_full = grid.col_comm.allgather(a, axis=2)
                 else:
                     a_full = a
             flat_shape = a_full.shape
@@ -361,7 +361,7 @@ def _cnn_train_program(
                     dzc = relu_grad(conv_pre[i], d_feat)
                     d_feat, dw_partial = convs[i].backward(dzc, conv_ws[i])
                     # Weights are replicated on all P ranks: all-reduce everywhere.
-                    conv_grads[i] = grid.comm.allreduce(dw_partial, algorithm="ring")
+                    conv_grads[i] = grid.comm.allreduce(dw_partial)
             with span("update", comm=comm):
                 opt.step(conv_ws + fc_ws, conv_grads + fc_grads)  # type: ignore[arg-type]
             # Held across the next step's FC products, these dW blocks

@@ -112,7 +112,7 @@ def forward_15d(
         return y_partial
     # Concatenation over the column group runs in model-row order because
     # GridComm built col_comm with key = r.
-    return grid.col_comm.allgather(y_partial, axis=0, algorithm="bruck")
+    return grid.col_comm.allgather(y_partial, axis=0)
 
 
 def backward_dx_15d(
@@ -135,7 +135,7 @@ def backward_dx_15d(
     )
     if grid.pr == 1:
         return dx_partial
-    return grid.col_comm.allreduce(dx_partial, algorithm="ring")
+    return grid.col_comm.allreduce(dx_partial)
 
 
 def backward_dw_15d(
@@ -158,7 +158,7 @@ def backward_dw_15d(
     )
     if grid.pc == 1:
         return dw_partial
-    return grid.row_comm.allreduce(dw_partial, algorithm="ring")
+    return grid.row_comm.allreduce(dw_partial)
 
 
 def redistribute_15d(
@@ -180,7 +180,7 @@ def redistribute_15d(
         )
     with span("redist", comm=dst.comm, layer=layer, direction=direction):
         if src.pr == 1:
-            return dst.col_comm.allgather(a, axis=1, algorithm="bruck")
+            return dst.col_comm.allgather(a, axis=1)
         return BlockPartition(a.shape[1], src.pr).take(a, src.row, axis=1)
 
 
@@ -246,7 +246,7 @@ def fc_stack_step_15d(
         loss_local, dz = softmax_cross_entropy(zs[-1], labels, global_batch=batch)
         # Global loss: shard losses add over the last grid's batch groups.
         loss = float(
-            grids[-1].row_comm.allreduce(np.array([loss_local]), algorithm="ring")[0]
+            grids[-1].row_comm.allreduce(np.array([loss_local]))[0]
         )
     grads: List[np.ndarray] = [None] * num_layers  # type: ignore[list-item]
     da = None

@@ -5,9 +5,10 @@ also *executes* the algorithms those costs describe.  This experiment
 closes the loop: it trains real MLPs on simulated ``Pr x Pc`` grids,
 measures the emergent per-iteration communication time on the virtual
 clock, and compares it against the Eq. 8 prediction computed from the
-iteration plan (with the ring all-reduce's true ``2(P-1)`` latency and
-8-byte float64 elements, matching what the trainer actually moves, plus
-the per-step scalar loss all-reduce the trainers add for reporting).
+iteration plan (one ``alpha`` per message each schedule sends, e.g. the
+ring all-reduce's ``2(P-1)``, and 8-byte float64 elements, matching what
+the trainer actually moves, plus the per-step scalar loss all-reduce the
+trainers add for reporting).
 
 A close match here means the analytic figures (6-10) are not just
 internally consistent — they describe the communication the executable
@@ -21,7 +22,7 @@ from typing import Sequence, Tuple
 from repro.core.plan import build_iteration_plan
 from repro.core.results import ResultTable
 from repro.core.strategy import ProcessGrid, Strategy
-from repro.collectives.cost import allreduce_ring
+from repro.collectives.cost import allgather_bruck, allreduce_ring, executed_time
 from repro.data.synthetic import synthetic_classification
 from repro.dist.train import MLPParams, distributed_mlp_train
 from repro.experiments.common import ExperimentResult, Setting, default_setting
@@ -69,12 +70,10 @@ def run(
     for dims, batch, pr, pc in cases:
         network = mlp(list(dims), name=f"MLP {'x'.join(map(str, dims))}")
         strategy = Strategy.same_grid_model(network, ProcessGrid(pr, pc))
-        plan = build_iteration_plan(
-            network, batch, strategy, machine, exact_ring_latency=True
-        )
+        plan = build_iteration_plan(network, batch, strategy, machine)
         # The trainer also all-reduces the scalar loss over the Pc group.
-        loss_ar = allreduce_ring(pc, 1, machine, exact_latency=True).total
-        predicted = plan.total_time + loss_ar
+        loss_ar = executed_time(allreduce_ring(pc, 1, machine), machine)
+        predicted = sum(executed_time(s.cost, machine) for s in plan.steps) + loss_ar
 
         params = MLPParams.init(list(dims), seed=0)
         x, y = synthetic_classification(dims[0], max(batch, 2 * batch), dims[-1], seed=1)
@@ -141,8 +140,6 @@ def _predict_switching(
     for batch layers, backward model->batch re-gathers, and the scalar
     loss all-reduce.
     """
-    from repro.collectives.cost import allgather_bruck
-
     p = pr * pc
     local_batch = batch / pc
     total = 0.0
@@ -157,19 +154,19 @@ def _predict_switching(
             total += allgather_bruck(pr, local_batch * d_out, machine).total
     # Loss all-reduce (1 scalar) over Pc for a model-final layer, P otherwise.
     loss_group = pc if placements[-1] == "model" else p
-    total += allreduce_ring(loss_group, 1, machine, exact_latency=True).total
+    total += executed_time(allreduce_ring(loss_group, 1, machine), machine)
     # Backward.
     for i in range(len(placements) - 1, -1, -1):
         d_in, d_out = dims[i], dims[i + 1]
         weights = d_in * d_out
         if placements[i] == "model":
             if pc > 1:
-                total += allreduce_ring(pc, weights / pr, machine, exact_latency=True).total
+                total += executed_time(allreduce_ring(pc, weights / pr, machine), machine)
             if pr > 1 and i > 0:
-                total += allreduce_ring(pr, local_batch * d_in, machine, exact_latency=True).total
+                total += executed_time(allreduce_ring(pr, local_batch * d_in, machine), machine)
         else:
             if p > 1:
-                total += allreduce_ring(p, weights, machine, exact_latency=True).total
+                total += executed_time(allreduce_ring(p, weights, machine), machine)
         if i > 0 and placements[i] == "batch" and placements[i - 1] == "model" and pr > 1:
             # Backward model->batch boundary: re-gather dA over Pr.
             total += allgather_bruck(pr, local_batch * d_in, machine).total
@@ -216,8 +213,6 @@ def _predict_integrated_cnn(config, batch: int, pr: int, pc: int, machine) -> fl
     flattened features over ``Pr``, the Fig. 5 collectives for the FC
     stack, and the scalar loss all-reduce.
     """
-    from repro.collectives.cost import allgather_bruck
-
     a, b = machine.alpha, machine.beta
     p = pr * pc
     b_local = batch / pc
@@ -236,7 +231,7 @@ def _predict_integrated_cnn(config, batch: int, pr: int, pc: int, machine) -> fl
                     total += a + b * (b_local * rows * w * c_in)
         halo_specs.append((pad, bottom, w, c_in))
         if p > 1:
-            total += allreduce_ring(p, c_out * c_in * k * k, machine, exact_latency=True).total
+            total += executed_time(allreduce_ring(p, c_out * c_in * k * k, machine), machine)
         h //= stride
         w //= stride
         if config.pool_after[i]:
@@ -253,11 +248,11 @@ def _predict_integrated_cnn(config, batch: int, pr: int, pc: int, machine) -> fl
         if pr > 1:
             total += allgather_bruck(pr, b_local * d_out, machine).total
         if pc > 1:
-            total += allreduce_ring(pc, d_in * d_out / pr, machine, exact_latency=True).total
+            total += executed_time(allreduce_ring(pc, d_in * d_out / pr, machine), machine)
         if pr > 1:
             # The CNN trainer all-reduces dX for every FC layer (the
             # gradient must flow back into the convolutions).
-            total += allreduce_ring(pr, b_local * d_in, machine, exact_latency=True).total
+            total += executed_time(allreduce_ring(pr, b_local * d_in, machine), machine)
         d_in = d_out
     # Backward halos, mirrored (input-gradient rows, in-channel volumes).
     if pr > 1:
@@ -266,7 +261,7 @@ def _predict_integrated_cnn(config, batch: int, pr: int, pc: int, machine) -> fl
                 if rows > 0:
                     total += a + b * (b_local * rows * w_i * c_i)
     # Scalar loss all-reduce over the Pc batch groups.
-    total += allreduce_ring(pc, 1, machine, exact_latency=True).total
+    total += executed_time(allreduce_ring(pc, 1, machine), machine)
     return total
 
 

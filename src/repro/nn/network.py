@@ -260,10 +260,6 @@ class NetworkSpec:
     # -- views ---------------------------------------------------------------
 
     @property
-    def layers(self) -> Tuple[BoundLayer, ...]:
-        return self._bound
-
-    @property
     def weighted_layers(self) -> Tuple[WeightedLayer, ...]:
         """The ``L`` conv/FC layers the paper's sums run over."""
         return self._weighted

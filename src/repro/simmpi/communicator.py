@@ -521,6 +521,10 @@ class Comm:
         return self.recv(source, recvtag)
 
     # -- collectives (implemented in collops; thin delegating wrappers) ------
+    #
+    # ``algorithm=`` names the one schedule each collective runs (the
+    # paper's Bruck all-gather and ring all-reduce); anything else is an
+    # error on every communicator size.
 
     def barrier(self) -> None:
         from repro.simmpi import collops
@@ -532,31 +536,25 @@ class Comm:
 
         return collops.bcast_binomial(self, obj, root)
 
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        from repro.simmpi import collops
-
-        return collops.gather_naive(self, obj, root)
-
     def allgather(self, arr: np.ndarray, axis: int = 0, algorithm: str = "bruck") -> np.ndarray:
         from repro.simmpi import collops
 
-        blocks = collops.allgather_blocks(self, arr, algorithm=algorithm)
+        if algorithm != "bruck":
+            raise CommunicatorError(f"unknown all-gather algorithm {algorithm!r}")
+        blocks = collops.allgather_blocks(self, arr)
         return np.concatenate(blocks, axis=axis) if self.size > 1 else arr.copy()
 
     def allgather_object(self, obj: Any) -> List[Any]:
         from repro.simmpi import collops
 
-        return collops.allgather_blocks(self, obj, algorithm="bruck")
+        return collops.allgather_blocks(self, obj)
 
     def allreduce(self, arr: np.ndarray, algorithm: str = "ring") -> np.ndarray:
         from repro.simmpi import collops
 
-        return collops.allreduce(self, arr, algorithm=algorithm)
-
-    def reduce(self, arr: np.ndarray, root: int = 0) -> Optional[np.ndarray]:
-        from repro.simmpi import collops
-
-        return collops.reduce_to_root(self, arr, root)
+        if algorithm != "ring":
+            raise CommunicatorError(f"unknown all-reduce algorithm {algorithm!r}")
+        return collops.allreduce(self, arr)
 
     # -- sub-communicators ------------------------------------------------------
 

@@ -13,7 +13,7 @@ event even when storage is off.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.profile import hooks as _profile_hooks
 
@@ -178,9 +178,6 @@ class Tracer:
 
     # -- aggregate views used by tests ------------------------------------
 
-    def messages(self, op: str = "send") -> Tuple[TraceEvent, ...]:
-        return tuple(e for e in self.events if e.op == op)
-
     def total_bytes(self, op: str = "send", rank: Optional[int] = None) -> int:
         return sum(
             e.nbytes
@@ -207,10 +204,3 @@ class Tracer:
         """
         return tuple(sorted(self.events, key=lambda e: e.rank))
 
-    def by_rank(self, op: str = "send") -> Dict[int, int]:
-        """Bytes sent (or received) per rank."""
-        out: Dict[int, int] = {}
-        for e in self.events:
-            if e.op == op:
-                out[e.rank] = out.get(e.rank, 0) + e.nbytes
-        return out

@@ -14,10 +14,13 @@ and compares per layer and per category against
   ranks moves exactly ``(Pr-1)/Pr * n`` elements per process on
   average, so the group total is exactly ``(Pr-1) * n`` no matter how
   unevenly ``n`` splits.
-* **latency terms** — measured message counts vs the round counts of
-  the simulated algorithms (Bruck: ``ceil(log2 Pr)`` sends per rank;
-  ring all-reduce: ``2 (P-1)`` sends per rank — the ``exact_latency``
-  convention of :mod:`repro.collectives.cost`).
+  Predicted totals are computed in exact arithmetic (the cost model is
+  evaluated at a :class:`~fractions.Fraction` batch), so no rounding of
+  a per-process share stands between the two.
+* **latency terms** — measured message counts vs each term's
+  ``cost.messages`` (the per-rank send count of the simulated
+  algorithm: Bruck ``ceil(log2 Pr)``, ring all-reduce ``2 (P-1)``)
+  times ``P``.
 
 Pure model parallelism (``pc=1``) audits Eq. 3, pure batch (``pr=1``)
 Eq. 4, and the general grid Eq. 8.  The Eq. 9 domain terms are
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -193,23 +197,6 @@ def _measured_phase_totals(
     return totals
 
 
-def _predicted_messages(category: str, pr: int, pc: int) -> int:
-    """Per-step send count over all ``P = pr*pc`` ranks for one term.
-
-    Counts match the algorithms the simulator actually runs: Bruck
-    all-gather sends ``ceil(log2 Pr)`` messages per rank, the ring
-    all-reduce ``2 (group-1)`` per rank.
-    """
-    p = pr * pc
-    if category == "model.allgather_fwd":
-        return p * math.ceil(math.log2(pr))
-    if category == "model.allreduce_dx":
-        return p * 2 * (pr - 1)
-    if category == "batch.allreduce_dw":
-        return p * 2 * (pc - 1)
-    raise ConfigurationError(f"no message-count model for category {category!r}")
-
-
 def audit_events(
     events: Sequence[TraceEvent],
     dims: Sequence[int],
@@ -238,7 +225,7 @@ def audit_events(
     machine = machine if machine is not None else cori_knl()
     network = mlp(list(dims))
     grid = ProcessGrid(pr, pc)
-    breakdown = integrated_mb_cost(network, batch, grid, machine)
+    breakdown = integrated_mb_cost(network, Fraction(batch), grid, machine)
     measured = _measured_phase_totals(events)
     p = pr * pc
     category_phase = {v: k for k, v in PHASE_CATEGORY.items()}
@@ -254,9 +241,9 @@ def audit_events(
             AuditTerm(
                 layer_index=cost_term.layer_index,
                 category=cost_term.category,
-                predicted_bytes=cost_term.volume * p * SIM_ELEMENT_BYTES,
+                predicted_bytes=float(cost_term.volume * p * SIM_ELEMENT_BYTES),
                 measured_bytes=meas_bytes / steps,
-                predicted_messages=_predicted_messages(cost_term.category, pr, pc),
+                predicted_messages=cost_term.cost.messages * p,
                 measured_messages=meas_msgs / steps,
             )
         )
@@ -368,9 +355,10 @@ def audit_checkpoint_events(
     ``pr``/``pc``/``batch`` are report metadata only (the initial grid);
     the per-event grids come from the span labels themselves.
     """
-    from repro.core.costs import checkpoint_chunk_bytes
+    from repro.core.costs import checkpoint_cost_terms, checkpoint_recovery_cost_terms
 
-    num_layers = len(dims) - 1
+    dims = tuple(dims)
+    machine = cori_knl()  # only volumes and send counts are audited
     spans = _ckpt_span_instances(events)
     terms = []
 
@@ -386,6 +374,22 @@ def audit_checkpoint_events(
                 groups.setdefault((key, j), []).append(inst)
         return groups
 
+    def _add(index: int, category: str, breakdown, p: int, insts) -> None:
+        """Compare the wire traffic of ``breakdown`` over ``p`` ranks (its
+        terms that send messages; the erasure take's stored chunk does
+        not) with what ``insts`` measured."""
+        sent = [t for t in breakdown.terms if t.cost.messages]
+        terms.append(
+            AuditTerm(
+                layer_index=index,
+                category=category,
+                predicted_bytes=float(sum(t.volume for t in sent) * p * SIM_ELEMENT_BYTES),
+                measured_bytes=sum(i["bytes"] for i in insts),
+                predicted_messages=sum(t.cost.messages for t in sent) * p,
+                measured_messages=sum(i["msgs"] for i in insts),
+            )
+        )
+
     # --- checkpoint takes -------------------------------------------------
     take_groups = _grouped(
         "checkpoint",
@@ -394,49 +398,21 @@ def audit_checkpoint_events(
     )
     for (key, _j), insts in sorted(take_groups.items(), key=lambda kv: kv[0][0]):
         step, mode, g_pr, g_pc, mom = key
-        meas_bytes = sum(i["bytes"] for i in insts)
-        meas_msgs = sum(i["msgs"] for i in insts)
-        if mode == "erasure":
-            pred_bytes, pred_msgs = 0.0, 0.0
-            category = "ckpt.parity"
-        else:
-            state = sum(dims[i + 1] * dims[i] for i in range(num_layers))
-            state *= SIM_ELEMENT_BYTES * (2 if mom else 1)
-            pred_bytes = g_pc * (g_pr - 1) * state if g_pr > 1 else 0.0
-            pred_msgs = (
-                (2 if mom else 1) * num_layers
-                * g_pr * g_pc * math.ceil(math.log2(g_pr))
-                if g_pr > 1 else 0.0
-            )
-            category = "ckpt.replicate"
-        terms.append(
-            AuditTerm(
-                layer_index=int(step),
-                category=category,
-                predicted_bytes=pred_bytes,
-                measured_bytes=meas_bytes,
-                predicted_messages=pred_msgs,
-                measured_messages=meas_msgs,
-            )
+        take = checkpoint_cost_terms(
+            dims, pr=g_pr, pc=g_pc, machine=machine, momentum=bool(mom), mode=mode
         )
+        category = "ckpt.parity" if mode == "erasure" else "ckpt.replicate"
+        _add(int(step), category, take, g_pr * g_pc, insts)
 
     # --- recovery: shard census ------------------------------------------
     census_groups = _grouped("ckpt_census", lambda a: ())
     for (_key, j), insts in sorted(census_groups.items(), key=lambda kv: kv[0][1]):
         s = len(insts)
-        held_bytes = sum(
-            i["attrs"].get("held", 0) * 8 * SIM_ELEMENT_BYTES for i in insts
+        census = checkpoint_recovery_cost_terms(
+            survivors=s, held=tuple(i["attrs"].get("held", 0) for i in insts),
+            machine=machine,
         )
-        terms.append(
-            AuditTerm(
-                layer_index=j,
-                category="ckpt.census",
-                predicted_bytes=(s - 1) * held_bytes,
-                measured_bytes=sum(i["bytes"] for i in insts),
-                predicted_messages=s * math.ceil(math.log2(s)) if s > 1 else 0.0,
-                measured_messages=sum(i["msgs"] for i in insts),
-            )
-        )
+        _add(j, "ckpt.census", census, s, insts)
 
     # --- recovery: erasure shard fetch -----------------------------------
     fetch_groups = _grouped(
@@ -449,23 +425,12 @@ def audit_checkpoint_events(
     ):
         step, prt, k, _r, mom = key
         s = len(insts)
-        chunk = checkpoint_chunk_bytes(
-            tuple(dims), pr=int(prt), k=int(k), momentum=bool(mom)
+        recovery = checkpoint_recovery_cost_terms(
+            survivors=s, held=(0,) * s, machine=machine, dims=dims, step=int(step),
+            pr=int(prt), k=int(k), momentum=bool(mom),
+            have=tuple(i["attrs"].get("have", 0) for i in insts),
         )
-        # One fetched shard = 16-byte (row, col) header + chunk payload
-        # + the loss history (one float per completed step).
-        shard_bytes = 16 + chunk + SIM_ELEMENT_BYTES * int(step)
-        have = sum(i["attrs"].get("have", 0) for i in insts)
-        terms.append(
-            AuditTerm(
-                layer_index=int(step),
-                category="ckpt.fetch",
-                predicted_bytes=(s - 1) * have * shard_bytes,
-                measured_bytes=sum(i["bytes"] for i in insts),
-                predicted_messages=s * math.ceil(math.log2(s)) if s > 1 else 0.0,
-                measured_messages=sum(i["msgs"] for i in insts),
-            )
-        )
+        _add(int(step), "ckpt.fetch", recovery.filter("ckpt.fetch"), s, insts)
     return AuditReport(tuple(terms), pr=pr, pc=pc, batch=batch, steps=1)
 
 

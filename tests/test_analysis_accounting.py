@@ -39,21 +39,21 @@ def _traced_mlp(pr=2, pc=2, batch=8, steps=2, dims=(12, 9, 5)):
 class TestHandTrace:
     def test_exact_decomposition_without_clocks(self):
         report = rank_accounting(HAND_EVENTS)
-        a0, a1 = report.account(0), report.account(1)
+        a0, a1 = report.accounts
         assert a0 == RankAccount(0, 3.0, 0.0, 1.0, 2.0, sends=1, recvs=1)
         assert a1.comm_s == 1.0 and a1.wait_s == 2.0 and a1.compute_s == 0.0
         assert report.makespan_s == 3.0
 
     def test_clocks_pin_trailing_compute(self):
         report = rank_accounting(HAND_EVENTS, clocks=(4.0, 3.0))
-        assert report.account(0).compute_s == pytest.approx(1.0)
-        assert report.account(0).wall_s == 4.0
+        assert report.accounts[0].compute_s == pytest.approx(1.0)
+        assert report.accounts[0].wall_s == 4.0
         assert report.makespan_s == 4.0
         assert report.straggler_rank == 0
 
     def test_clocks_surface_silent_ranks(self):
         report = rank_accounting(HAND_EVENTS, clocks=(3.0, 3.0, 0.5))
-        silent = report.account(2)
+        silent = report.accounts[2]
         assert silent.sends == silent.recvs == 0
         assert silent.compute_s == pytest.approx(0.5)
 

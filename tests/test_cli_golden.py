@@ -1,5 +1,6 @@
-"""Golden output of the gauntlet commands and of the experiments that run
-the switching trainer: exit code, sha256 of stdout, no stderr.
+"""Golden output of the gauntlet commands, of the experiments that run
+the switching trainer, and of ``best --plan``: exit code, sha256 of
+stdout, no stderr.
 
 Run with no scheduler flag, so a CLI change that moves one byte a user
 sees fails here.  After an *intended* change of output, copy the digest
@@ -27,6 +28,10 @@ GOLDEN = {  # argv -> (exit code, sha256(stdout)[:24])
     # The two experiments that print the switching trainer's virtual time.
     "run dist": (0, "a8e47c81e4e65474a3218053"),
     "run modelcheck": (0, "a4a6c065eb927700898cc10d"),
+    # The iteration plan: batch + model placements, then domain + model
+    # placements with their halo exchanges.
+    "best -B 2048 -P 512 --plan": (0, "61f319e8c514270b58466294"),
+    "best -B 256 -P 4096 --plan": (0, "6ca2a59ea4b683f70ba5e766"),
 }
 
 

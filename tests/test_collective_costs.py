@@ -1,18 +1,17 @@
 """Tests for the closed-form collective cost models (repro.collectives)."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.collectives.cost import (
     CollectiveCost,
     allgather_bruck,
-    allgather_ring,
     allreduce_recursive_doubling,
     allreduce_ring,
-    broadcast_binomial,
+    executed_time,
     halo_exchange,
-    point_to_point,
-    reduce_scatter_ring,
 )
 from repro.errors import ConfigurationError
 from repro.machine.params import MachineParams, cori_knl
@@ -27,12 +26,32 @@ class TestCollectiveCost:
         assert c.total == 3.0
 
     def test_addition_and_scaling(self):
-        c = CollectiveCost(1.0, 2.0) + CollectiveCost(0.5, 0.25)
-        assert (c.latency, c.bandwidth) == (1.5, 2.25)
+        c = CollectiveCost(1.0, 2.0, 3) + CollectiveCost(0.5, 0.25, 1)
+        assert (c.latency, c.bandwidth, c.messages) == (1.5, 2.25, 4)
         assert (2 * c).total == 2 * c.total
+        assert (2 * c).messages == 8
 
     def test_zero(self):
         assert CollectiveCost.zero().total == 0.0
+
+
+class TestMessages:
+    """``messages`` is the per-rank send count of the executed schedule;
+    the paper-convention latency stays ``alpha * ceil(log2 p)``."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 8, 13])
+    def test_bruck_and_ring_counts(self, p):
+        rounds = math.ceil(math.log2(p))
+        ag, ar = allgather_bruck(p, 100, M), allreduce_ring(p, 100, M)
+        assert ag.messages == rounds and ag.latency == M.alpha * rounds
+        assert ar.messages == 2 * (p - 1) and ar.latency == M.alpha * (2 * rounds)
+
+    def test_single_process_sends_nothing(self):
+        assert allgather_bruck(1, 10, M).messages == allreduce_ring(1, 10, M).messages == 0
+
+    def test_executed_time_of_bruck_is_its_total(self):
+        c = allgather_bruck(6, 600, M)
+        assert executed_time(c, M) == c.total
 
 
 class TestAllGather:
@@ -45,11 +64,6 @@ class TestAllGather:
     def test_bruck_nonpower_of_two_rounds_up(self):
         c = allgather_bruck(5, 100, M)
         assert c.latency == pytest.approx(3 * 1e-6)  # ceil(log2 5) = 3
-
-    def test_ring_pays_linear_latency(self):
-        c = allgather_ring(8, 1000, M)
-        assert c.latency == pytest.approx(7 * 1e-6)
-        assert c.bandwidth == pytest.approx(allgather_bruck(8, 1000, M).bandwidth)
 
     def test_single_process_is_free(self):
         assert allgather_bruck(1, 1000, M).total == 0.0
@@ -64,8 +78,10 @@ class TestAllReduce:
         assert ar.latency == pytest.approx(2 * ag.latency)
 
     def test_ring_exact_latency_variant(self):
-        c = allreduce_ring(16, 5000, M, exact_latency=True)
-        assert c.latency == pytest.approx(2 * 15 * 1e-6)
+        """The executed ring sends 2(p-1) messages, one alpha each."""
+        c = allreduce_ring(16, 5000, M)
+        assert c.messages == 2 * 15
+        assert executed_time(c, M) == 2 * 15 * 1e-6 + c.bandwidth
 
     def test_recursive_doubling_power_of_two(self):
         c = allreduce_recursive_doubling(8, 1000, M)
@@ -84,31 +100,19 @@ class TestAllReduce:
     def test_rd_beats_ring_exact_for_tiny_messages(self):
         assert (
             allreduce_recursive_doubling(512, 1, M).total
-            < allreduce_ring(512, 1, M, exact_latency=True).total
+            < executed_time(allreduce_ring(512, 1, M), M)
         )
-
-    def test_reduce_scatter_is_half_a_ring_allreduce(self):
-        rs = reduce_scatter_ring(8, 1000, M)
-        ar = allreduce_ring(8, 1000, M)
-        assert rs.bandwidth == pytest.approx(ar.bandwidth / 2)
 
 
 class TestOthers:
-    def test_broadcast(self):
-        c = broadcast_binomial(8, 1000, M)
-        assert c.latency == pytest.approx(3e-6)
-        assert c.bandwidth == pytest.approx(3 * 4e-9 * 1000)
-
     def test_halo_exchange_single_message(self):
         c = halo_exchange(500, M)
         assert c.latency == pytest.approx(1e-6)
         assert c.bandwidth == pytest.approx(4e-9 * 500)
-
-    def test_point_to_point(self):
-        assert point_to_point(100, M).total == pytest.approx(1e-6 + 4e-9 * 100)
+        assert c.messages == 1
 
     @pytest.mark.parametrize(
-        "fn", [allgather_bruck, allreduce_ring, reduce_scatter_ring, broadcast_binomial]
+        "fn", [allgather_bruck, allreduce_ring, allreduce_recursive_doubling]
     )
     def test_validation(self, fn):
         with pytest.raises(ConfigurationError):
@@ -134,6 +138,6 @@ class TestProperties:
     def test_costs_nonnegative(self, n):
         m = cori_knl()
         for p in (1, 2, 7, 64):
-            for fn in (allgather_bruck, allgather_ring, allreduce_ring, broadcast_binomial):
+            for fn in (allgather_bruck, allreduce_ring, allreduce_recursive_doubling):
                 c = fn(p, n, m)
                 assert c.latency >= 0 and c.bandwidth >= 0

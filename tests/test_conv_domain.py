@@ -92,7 +92,7 @@ class TestForward:
             return op.forward(part.take(x, comm.rank, axis=2), w)
 
         eng.run(prog)
-        sends = eng.tracer.messages("send")
+        sends = [e for e in eng.tracer.events if e.op == "send"]
         assert len(sends) == 2  # one per direction across the single boundary
         expected_bytes = b * c * (k // 2) * wd * 8  # float64
         for e in sends:

@@ -220,7 +220,7 @@ class TestCheckpointModes:
         er = _elastic(faults=plan)
         rp = _elastic(faults=plan, ckpt_mode="replicate")
         assert er.restore_steps == rp.restore_steps == [4]
-        assert not er.degraded and not rp.degraded
+        assert not er.degraded_steps and not rp.degraded_steps
         for a, b in zip(er.weights, rp.weights):
             assert a.tobytes() == b.tobytes()
 
@@ -261,7 +261,7 @@ class TestCheckpointModes:
         )
         res = _elastic(faults=plan, pr=2, pc=4, parity=2)
         assert sorted(res.sim.failed) == [1, 2]
-        assert res.restore_steps == [4] and not res.degraded
+        assert res.restore_steps == [4] and not res.degraded_steps
         ref_params, _ = _serial()
         for w, r in zip(res.weights, ref_params.weights):
             np.testing.assert_allclose(w, r, rtol=1e-10, atol=1e-12)
@@ -277,7 +277,7 @@ class TestCheckpointModes:
         )
         res = _elastic(faults=plan, pr=2, pc=4, parity=1)
         assert res.restore_steps == [0]
-        assert res.degraded and res.degraded_steps == [0]
+        assert res.degraded_steps == [0]
         ref_params, _ = _serial()
         for w, r in zip(res.weights, ref_params.weights):
             np.testing.assert_allclose(w, r, rtol=1e-10, atol=1e-12)
@@ -291,7 +291,7 @@ class TestCheckpointModes:
             e for e in res.engine.tracer.canonical() if e.op == "ckpt.take"
         ]
         assert takes and all(int(e.tag[1]) == MODE_REPLICATE for e in takes)
-        assert res.restore_steps == [4] and not res.degraded
+        assert res.restore_steps == [4] and not res.degraded_steps
 
     def test_cascading_crash_during_recovery(self):
         # Rank 2 dies while recovering from rank 1's crash; recovery
@@ -305,7 +305,7 @@ class TestCheckpointModes:
         res = _elastic(faults=plan, pr=2, pc=4, parity=2)
         assert sorted(res.sim.failed) == [1, 2]
         assert res.grids == [(2, 4), (2, 3)]
-        assert res.restore_steps == [4] and not res.degraded
+        assert res.restore_steps == [4] and not res.degraded_steps
         ref_params, _ = _serial()
         for w, r in zip(res.weights, ref_params.weights):
             np.testing.assert_allclose(w, r, rtol=1e-10, atol=1e-12)
@@ -334,7 +334,7 @@ class TestCheckpointScheduleEdges:
         er = _elastic(faults=plan, checkpoint_every=4)
         rp = _elastic(faults=plan, checkpoint_every=4, ckpt_mode="replicate")
         assert er.restore_steps == rp.restore_steps == [0]
-        assert not er.degraded  # the step-0 replica IS the newest state
+        assert not er.degraded_steps  # the step-0 replica IS the newest state
         for a, b in zip(er.weights, rp.weights):
             assert a.tobytes() == b.tobytes()
         ref_params, _ = _serial()
@@ -346,7 +346,7 @@ class TestCheckpointScheduleEdges:
         # crash step itself, so recovery resumes from the crash step.
         plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=5),))
         res = _elastic(faults=plan, checkpoint_every=1)
-        assert res.restore_steps == [5] and not res.degraded
+        assert res.restore_steps == [5] and not res.degraded_steps
         ref_params, _ = _serial()
         for w, r in zip(res.weights, ref_params.weights):
             np.testing.assert_allclose(w, r, rtol=1e-10, atol=1e-12)

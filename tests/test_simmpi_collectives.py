@@ -1,14 +1,15 @@
 """Tests for the executable collective algorithms (repro.simmpi.collops):
 result correctness against naive references, sub-communicators, and
-emergent virtual timings against the closed-form cost models."""
+emergent virtual timings and send counts against the closed-form cost
+models."""
 
 import numpy as np
 import pytest
 
 from repro.collectives.cost import allgather_bruck as ag_cost
-from repro.collectives.cost import allreduce_recursive_doubling as rd_cost
 from repro.collectives.cost import allreduce_ring as ar_cost
-from repro.errors import RankFailedError
+from repro.collectives.cost import executed_time
+from repro.errors import CommunicatorError, RankFailedError
 from repro.machine.params import MachineParams, cori_knl
 from repro.simmpi.engine import SimEngine
 
@@ -21,7 +22,7 @@ def run(size, prog, machine=None, **kwargs):
 
 class TestAllGather:
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("algorithm", ["bruck", "ring", "naive"])
+    @pytest.mark.parametrize("algorithm", ["bruck"])
     def test_gathers_in_rank_order(self, size, algorithm):
         def prog(comm):
             block = np.full((2,), float(comm.rank))
@@ -67,9 +68,29 @@ class TestAllGather:
             run(2, prog)
 
 
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize(
+    "collective,algorithm",
+    [("allgather", "hypercube"), ("allgather", "ring"), ("allreduce", "nope"),
+     ("allreduce", "rd")],
+)
+def test_only_the_executed_schedule_is_accepted(size, collective, algorithm):
+    """A one-rank communicator rejects a bad ``algorithm`` like a wider one."""
+
+    def prog(comm):
+        try:
+            getattr(comm, collective)(np.zeros(2), algorithm=algorithm)
+        except CommunicatorError as exc:
+            return str(exc)
+        return None
+
+    for message in run(size, prog).values:
+        assert message is not None and repr(algorithm) in message
+
+
 class TestAllReduce:
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("algorithm", ["ring", "rd", "naive"])
+    @pytest.mark.parametrize("algorithm", ["ring"])
     def test_sums_across_ranks(self, size, algorithm):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((size, 13))
@@ -128,14 +149,14 @@ class TestBcastBarrierGather:
         for value in run(size, prog).values:
             assert value == {"v": 42}
 
-    @pytest.mark.parametrize("size", [2, 3, 6])
-    def test_gather_at_root(self, size):
+    @pytest.mark.parametrize("size,root", [(4, 5), (4, 4), (4, -1), (1, 1)])
+    def test_bcast_root_out_of_range(self, size, root):
         def prog(comm):
-            return comm.gather(comm.rank * 2, root=1)
+            with pytest.raises(CommunicatorError, match=f"root {root} out of range"):
+                comm.bcast("x", root=root)
+            return True
 
-        res = run(size, prog)
-        assert res[1] == [2 * r for r in range(size)]
-        assert res[0] is None
+        assert all(run(size, prog).values)
 
     @pytest.mark.parametrize("size", [2, 4, 7])
     def test_barrier_synchronises_clocks(self, size):
@@ -214,7 +235,7 @@ class TestEmergentTiming:
             return comm.clock
 
         res = SimEngine(p, m).run(prog)
-        predicted = ar_cost(p, n, m, exact_latency=True).total
+        predicted = executed_time(ar_cost(p, n, m), m)
         assert res.time == pytest.approx(predicted, rel=0.02)
 
     def test_bruck_allgather_matches_formula(self):
@@ -229,61 +250,49 @@ class TestEmergentTiming:
         predicted = ag_cost(p, n, m).total
         assert res.time == pytest.approx(predicted, rel=0.02)
 
-    def test_recursive_doubling_matches_formula_pof2(self):
-        m = cori_knl()
-        p, n = 8, 50_000
-
-        def prog(comm):
-            comm.allreduce(np.ones(n, dtype=np.float32), algorithm="rd")
-            return comm.clock
-
-        res = SimEngine(p, m).run(prog)
-        predicted = rd_cost(p, n, m).total
-        assert res.time == pytest.approx(predicted, rel=0.02)
-
-    def test_ring_beats_rd_for_large_messages_in_simulation(self):
-        """The Eq. 4 algorithm choice, observed end-to-end."""
-        m = cori_knl()
-        p, n = 8, 400_000
-
-        def ring(comm):
-            comm.allreduce(np.ones(n, dtype=np.float32), algorithm="ring")
-            return comm.clock
-
-        def rd(comm):
-            comm.allreduce(np.ones(n, dtype=np.float32), algorithm="rd")
-            return comm.clock
-
-        t_ring = SimEngine(p, m).run(ring).time
-        t_rd = SimEngine(p, m).run(rd).time
-        assert t_ring < t_rd
-
 
 class TestTracing:
-    def test_trace_counts_bruck_rounds(self):
-        eng = SimEngine(8, trace=True)
+    @staticmethod
+    def _sends(p, prog):
+        eng = SimEngine(p, trace=True)
+        eng.run(prog)
+        return [e for e in eng.tracer.events if e.op == "send"]
 
+    def test_trace_counts_bruck_rounds(self):
         def prog(comm):
             comm.allgather(np.ones(8, dtype=np.float32))
 
-        eng.run(prog)
-        sends = eng.tracer.messages("send")
         # Bruck on 8 ranks: 3 rounds, one send per rank per round.
-        assert len(sends) == 24
+        assert len(self._sends(8, prog)) == 24
 
     def test_trace_volume_of_ring_allreduce(self):
-        eng = SimEngine(4, trace=True)
         n = 4000
 
         def prog(comm):
             comm.allreduce(np.ones(n, dtype=np.float32))
 
-        eng.run(prog)
-        per_rank = eng.tracer.by_rank("send")
+        per_rank = {}
+        for e in self._sends(4, prog):
+            per_rank[e.rank] = per_rank.get(e.rank, 0) + e.nbytes
         # Each rank ships 2 * (p-1)/p * n elements of 4 bytes.
         expected = 2 * (3 / 4) * n * 4
+        assert len(per_rank) == 4
         for rank, sent in per_rank.items():
             assert sent == pytest.approx(expected, rel=0.01)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 8])
+    def test_send_counts_are_the_cost_messages(self, p):
+        """``CollectiveCost.messages`` is what each rank really sends."""
+        m = cori_knl()
+
+        def gather(comm):
+            comm.allgather(np.ones(2))
+
+        def reduce(comm):
+            comm.allreduce(np.ones(10))
+
+        assert len(self._sends(p, gather)) == p * ag_cost(p, 2 * p, m).messages
+        assert len(self._sends(p, reduce)) == p * ar_cost(p, 10, m).messages
 
     def test_trace_disabled_by_default(self):
         eng = SimEngine(2)

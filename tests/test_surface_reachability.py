@@ -4,9 +4,11 @@ The entry points are the ``repro`` CLI and the experiment registry
 (module-level code in ``src/``), the host-time benchmark (``bench/``),
 the gate and figure scripts (``benchmarks/``) and the runnable
 ``examples/``; CI (``.github/``) only invokes those.  A public
-top-level function or class, or a public method of a live class, is
-*live* when a live body refers to its name (as a name or an attribute);
-module-level code is live by definition.  Imports, package re-exports
+top-level function or class is *live* when a live body refers to its
+name (as a name or an attribute); a public method of a live class is
+live when a live body reads an attribute of that name (a bare name is a
+local or a global, never a method); module-level code is live by
+definition.  Imports, package re-exports
 and ``__all__`` are not references, and neither are the tests: a
 definition only its own tests call is dead weight to maintain.
 
@@ -40,21 +42,17 @@ KEEP = (
     ("repro.core.costs.model_parallel_cost", "Eq. 3 oracle for the integrated cost"),
     ("repro.core.costs.batch_parallel_cost", "Eq. 4 oracle for the integrated cost"),
     ("repro.core.costs.domain_parallel_cost", "Eq. 9 oracle for the integrated cost"),
-    # Closed-form collective costs the executed collectives are timed against.
-    ("repro.collectives.cost.allgather_ring", "oracle for the ring all-gather"),
-    ("repro.collectives.cost.reduce_scatter_ring", "oracle for the ring reduce-scatter"),
-    ("repro.collectives.cost.allreduce_rabenseifner", "oracle for the Rabenseifner all-reduce"),
-    ("repro.collectives.cost.reduce_binomial", "oracle for the binomial reduce"),
-    ("repro.collectives.cost.broadcast_binomial", "oracle for the binomial broadcast"),
-    ("repro.collectives.cost.point_to_point", "oracle for a single message"),
-    ("repro.simmpi.collops.reduce_scatter_ring", "its traffic is pinned by the message-path golden"),
+    # A small network for the property tests.
     ("repro.nn.zoo.lenet_like", "small conv workload for the property tests"),
-    # The checkpoint traffic audit: executed checkpoint bytes vs the cost model.
-    ("repro.core.costs.checkpoint_state_bytes", "checkpoint audit term"),
-    ("repro.core.costs.checkpoint_chunk_bytes", "checkpoint audit term"),
-    ("repro.core.costs.checkpoint_cost_terms", "checkpoint audit term"),
-    ("repro.core.costs.checkpoint_recovery_cost_terms", "checkpoint audit term"),
+    # The checkpoint traffic audit: executed checkpoint bytes vs the cost
+    # model's checkpoint terms, which it calls.
     ("repro.telemetry.audit.audit_checkpoint_events", "checkpoint traffic audit"),
+    ("repro.core.costs.checkpoint_state_bytes", "full checkpoint size, checked against the erasure layout"),
+    # Read-side views the tests observe results through.
+    ("repro.core.results.ResultTable.columns", "column order of an experiment table"),
+    ("repro.core.results.ResultTable.column", "one column of an experiment table"),
+    ("repro.simmpi.communicator.Comm.world_ranks", "the membership a split produced"),
+    ("repro.simmpi.tracing.Tracer.faults", "the fault events of a traced run"),
     # The non-blocking halo path of ROADMAP item 7(iii).
     ("repro.dist.conv_domain.DomainConv2D.forward_timed", "overlapped halo exchange (item 7(iii))"),
     ("repro.simmpi.communicator.Comm.isend", "non-blocking send (item 7(iii))"),
@@ -78,14 +76,15 @@ class _Def:
 
 
 def _refs(nodes: Iterable[ast.AST]) -> Set[str]:
-    """Names read anywhere under ``nodes`` (as ``name`` or ``x.name``)."""
+    """Names read anywhere under ``nodes``: ``name`` for a bare name,
+    ``.name`` for an attribute ``x.name``."""
     out: Set[str] = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                out.add(sub.attr)
+                out.add("." + sub.attr)
     return out
 
 
@@ -134,11 +133,11 @@ def _live(defs: List[_Def], roots: Set[str], keep: Iterable[str]) -> Set[str]:
             if d.qual in keep:
                 reached = True
             elif d.parent is None:
-                reached = d.name in names
+                reached = d.name in names or "." + d.name in names
             elif d.parent.qual not in live:
                 reached = False
             else:
-                reached = d.dunder or d.name in names
+                reached = d.dunder or "." + d.name in names
             if reached:
                 live.add(d.qual)
                 names |= _refs(d.body)

@@ -42,6 +42,16 @@ class TestExactness:
             assert term.measured_messages == term.predicted_messages
 
 
+@pytest.mark.parametrize("dims", [DIMS, (784, 1024, 512, 10)])
+def test_seven_row_grid_closes_exactly(dims):
+    """Each rank of a 7-row group moves 6/7 of a volume, which no float
+    holds; the predicted totals are still exactly the traced bytes."""
+    report, _ = audit_mlp_15d(dims, pr=7, pc=1, batch=30, steps=1)
+    for term in report.terms:
+        assert term.measured_bytes == term.predicted_bytes, term
+    assert report.exact
+
+
 class TestStructure:
     def test_terms_cover_every_eq8_sum(self):
         report, _ = audit_mlp_15d(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
@@ -103,7 +113,7 @@ class TestAuditEvents:
 class TestCheckpointAudit:
     """Checkpoint traffic closes against the closed forms at zero error."""
 
-    def _events(self, mode, momentum):
+    def _events(self, mode, momentum, pr=2, pc=4, dims=(8, 10, 6)):
         import numpy as np
 
         from repro.dist.elastic import elastic_mlp_train
@@ -111,15 +121,14 @@ class TestCheckpointAudit:
         from repro.simmpi.engine import SimEngine
         from repro.simmpi.faults import Crash, FaultPlan
 
-        dims = (8, 10, 6)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((dims[0], 32))
         y = rng.integers(0, dims[-1], 32)
         plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=3),))
         res = elastic_mlp_train(
-            MLPParams.init(dims, seed=3), x, y, pr=2, pc=4, batch=8,
+            MLPParams.init(dims, seed=3), x, y, pr=pr, pc=pc, batch=8,
             steps=6, checkpoint_every=2, ckpt_mode=mode, momentum=momentum,
-            engine=SimEngine(8, trace=True, faults=plan, supervise=True),
+            engine=SimEngine(pr * pc, trace=True, faults=plan, supervise=True),
         )
         return res.engine.tracer.canonical(), dims
 
@@ -148,6 +157,22 @@ class TestCheckpointAudit:
                 t.category == "ckpt.replicate" and t.measured_bytes > 0
                 for t in report.terms
             )
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_three_row_grid_closes_exactly(self, momentum):
+        """Replicate takes over 3-row groups move 2/3 of each layer per
+        rank (here 2/3 of 112 elements, which no float holds): the audit
+        must still close in exact arithmetic."""
+        from repro.telemetry.audit import audit_checkpoint_events
+
+        events, dims = self._events("replicate", momentum, pr=3, pc=2, dims=(8, 14, 6))
+        report = audit_checkpoint_events(events, dims, pr=3, pc=2, batch=8)
+        assert any(
+            t.category == "ckpt.replicate" and t.measured_bytes > 0 for t in report.terms
+        )
+        for t in report.terms:
+            assert t.predicted_bytes == t.measured_bytes, t.category
+            assert t.predicted_messages == t.measured_messages, t.category
 
     def test_wrong_dims_break_closure(self):
         from repro.telemetry.audit import audit_checkpoint_events

@@ -78,7 +78,7 @@ class TestEngineIntegration:
     def test_events_carry_span_path(self):
         eng = SimEngine(2, trace=True)
         eng.run(_annotated_program)
-        sends = eng.tracer.messages("send")
+        sends = [e for e in eng.tracer.events if e.op == "send"]
         assert sends, "ring allreduce must send"
         for e in sends:
             assert e.span[0] == "phase[step=0]"
