@@ -5,8 +5,9 @@ analysis assumes (Section 2.2): Bruck's all-gather and the ring
 all-reduce of Thakur et al. [24] (reduce-scatter + ring all-gather),
 plus the binomial-tree broadcast SUMMA runs and a dissemination
 barrier.  They operate on whole-object payloads (NumPy arrays or
-arbitrary picklables) and are built purely from the communicator's
-``send``/``recv``, so both their *results* and their *emergent virtual
+arbitrary picklables) and are built from the communicator's
+``send``/``recv`` (the ring all-reduce of a plain run does the same
+work inline), so both their *results* and their *emergent virtual
 timings* can be validated against theory
 (:mod:`repro.collectives.cost` states what each one costs).
 """
@@ -20,6 +21,8 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import CommunicatorError
+from repro.profile import hooks as _profile_hooks
+from repro.simmpi.sdc import current_guard
 from repro.simmpi.tracing import TraceEvent
 from repro.telemetry.spans import span
 
@@ -109,7 +112,9 @@ def allreduce(comm, arr: np.ndarray) -> np.ndarray:
     """Sum-reduce ``arr`` across all ranks; every rank gets the total.
 
     The bandwidth-optimal ring of the paper's Eq. 4 analysis: a ring
-    reduce-scatter, then a ring all-gather of the reduced chunks.
+    reduce-scatter, then a ring all-gather of the reduced chunks.  A
+    plain run takes :func:`_ring_rounds_plain`; a faulted, traced or
+    guarded one goes round by round through ``comm.sendrecv``.
     """
     if not isinstance(arr, np.ndarray):
         raise CommunicatorError("allreduce requires a NumPy array payload")
@@ -121,6 +126,10 @@ def allreduce(comm, arr: np.ndarray) -> np.ndarray:
         _mark(comm, "allreduce[ring]", int(arr.nbytes), seq=seq)
         flat = arr.flatten()  # the one private copy, reduced in place
         bounds = _chunk_bounds(flat.size, p)
+        engine = comm._engine
+        if engine.injector is None and not engine.tracer.enabled and current_guard() is None:
+            _ring_rounds_plain(comm, flat, bounds, p, r)
+            return flat.reshape(arr.shape)
         right = (r + 1) % p
         left = (r - 1) % p
         sendrecv = comm.sendrecv
@@ -140,6 +149,74 @@ def allreduce(comm, arr: np.ndarray) -> np.ndarray:
             r0, r1 = bounds[(r - round_no) % p]
             flat[r0:r1] = received
         return flat.reshape(arr.shape)
+
+
+def _ring_rounds_plain(comm, flat: np.ndarray, bounds, p: int, r: int) -> None:
+    """Both ring phases of a plain run (no injector, no tracing, no guard).
+
+    Each round does exactly what ``Comm.sendrecv`` does for a fault-free
+    message: copy the chunk, bump the hook counters, post it with
+    ``arrival = t0 + (alpha + beta * nbytes)`` while the clock moves to
+    ``t0 + alpha``, take the left peer's message with the communicator's
+    interrupt predicate, and raise the clock to its arrival.  The state
+    those calls re-derive every round (peers, keys, machine constants,
+    clocks, mailbox, predicate) is read once here instead.
+
+    In phase 2 a round after the first forwards the array it received
+    the round before rather than copying the same values out of
+    ``flat``: it is a private copy nobody mutates (receivers assign it
+    into their own ``flat``).  One whose dtype differs from ``flat``'s
+    would ship different bytes, so it is copied fresh as before.
+    """
+    engine = comm._engine
+    me = comm._world_rank
+    ctx = comm._ctx
+    right = comm._world_ranks[(r + 1) % p]
+    left = comm._world_ranks[(r - 1) % p]
+    machine = engine.network.machine
+    alpha = machine.alpha
+    beta = machine.beta_per_byte
+    clocks = engine._clocks
+    post = engine.mailbox.post
+    take = engine.mailbox.take
+    interrupt = comm._interrupt_for(left)
+    dtype = flat.dtype
+    h = _profile_hooks.ACTIVE
+    last = p - 1
+    for step in range(2 * last):
+        if step < last:  # phase 1: reduce-scatter
+            s0, s1 = bounds[(r - step) % p]
+            payload = flat[s0:s1].copy()
+            tag = _TAG_COLL + 3000 + step
+        else:  # phase 2: all-gather of the reduced chunks
+            k = step - last
+            if k and received.dtype == dtype:
+                payload = received
+            else:
+                s0, s1 = bounds[(r + 1 - k) % p]
+                payload = flat[s0:s1].copy()
+            tag = _TAG_COLL + 4000 + k
+        nbytes = payload.nbytes
+        if h is not None:
+            h.msgs_sent += 1
+            h.bytes_sent += nbytes
+            h.postal_calls += 1
+        t0 = clocks[me]
+        clocks[me] = t1 = t0 + alpha
+        post((ctx, me, right, tag), payload, t0 + (alpha + beta * nbytes))
+        received, arrival = take((ctx, left, me, tag), interrupt)
+        if h is not None:
+            h.msgs_delivered += 1
+        if arrival > t1:
+            clocks[me] = arrival
+        if type(received) is not np.ndarray:
+            received = comm._accept_payload(received, left)
+        if step < last:
+            r0, r1 = bounds[(r - step - 1) % p]
+            flat[r0:r1] += received
+        else:
+            r0, r1 = bounds[(r - k) % p]
+            flat[r0:r1] = received
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,8 @@ class Comm:
                     nbytes += SDC_DIGEST_BYTES
             # ``t0 + PostalNetwork.transfer_time`` and advance_clock
             # inline: same float association, same postal_calls count.
+            # ``collops._ring_rounds_plain`` repeats this branch and
+            # ``_deliver`` for the ring all-reduce: change them together.
             if h is not None:
                 h.postal_calls += 1
             machine = engine.network.machine
@@ -523,8 +525,8 @@ class Comm:
     # -- collectives (implemented in collops; thin delegating wrappers) ------
     #
     # ``algorithm=`` names the one schedule each collective runs (the
-    # paper's Bruck all-gather and ring all-reduce); anything else is an
-    # error on every communicator size.
+    # paper's Bruck all-gather and ring all-reduce); anything else, like a
+    # 0-d array to ``allgather``, is an error on every communicator size.
 
     def barrier(self) -> None:
         from repro.simmpi import collops
@@ -541,6 +543,10 @@ class Comm:
 
         if algorithm != "bruck":
             raise CommunicatorError(f"unknown all-gather algorithm {algorithm!r}")
+        if np.ndim(arr) == 0:
+            raise CommunicatorError(
+                "allgather concatenates blocks along an axis; a 0-d array has none"
+            )
         blocks = collops.allgather_blocks(self, arr)
         return np.concatenate(blocks, axis=axis) if self.size > 1 else arr.copy()
 

@@ -204,13 +204,18 @@ class EventMailbox:
     that finds no message suspends its tasklet on the scheduler until a
     matching ``post`` wakes it.  Outside a run the engine holds one
     without a core, which only answers ``peek``.
+
+    A key with one queued message maps straight to its
+    ``(payload, arrival)`` pair; a second message on the same key
+    promotes the entry to a FIFO ``deque``.  Collectives give every
+    round its own tag, so almost every key only ever holds one.
     """
 
     __slots__ = ("_core", "_queues")
 
     def __init__(self, core: Optional["EventCore"]) -> None:
         self._core = core
-        self._queues: Dict[Tuple, deque] = {}
+        self._queues: Dict[Tuple, Any] = {}  # key -> (payload, arrival) | deque
 
     def post(self, key: Tuple, payload: Any, arrival: float) -> None:
         core = self._core
@@ -221,14 +226,18 @@ class EventMailbox:
             t = arrival if arrival > waiter.block_clock else waiter.block_clock
             core._wake(waiter, value=(payload, arrival), time=t)
             return
-        q = self._queues.get(key)
+        queues = self._queues
+        q = queues.get(key)
         if q is None:
-            q = self._queues[key] = deque()
-        q.append((payload, arrival))
+            queues[key] = (payload, arrival)
+        elif type(q) is tuple:
+            queues[key] = deque((q, (payload, arrival)))
+        else:
+            q.append((payload, arrival))
 
     def peek(self, key: Tuple) -> bool:
         """Non-destructive match probe (used by ``Request.test``)."""
-        return bool(self._queues.get(key))
+        return key in self._queues
 
     def take(self, key: Tuple, interrupt) -> Tuple[Any, float]:
         """The first message matching ``key``, waiting for it if need be.
@@ -236,11 +245,13 @@ class EventMailbox:
         ``interrupt()`` returns ``None`` to keep waiting or the exception
         to raise instead (peer failure, run abort).
         """
-        q = self._queues.get(key)
-        if q:
+        q = self._queues.pop(key, None)
+        if q is not None:
+            if type(q) is tuple:
+                return q
             item = q.popleft()
-            if not q:
-                del self._queues[key]
+            if q:
+                self._queues[key] = q
             return item
         exc = interrupt()
         if exc is not None:

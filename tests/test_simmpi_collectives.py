@@ -88,6 +88,22 @@ def test_only_the_executed_schedule_is_accepted(size, collective, algorithm):
         assert message is not None and repr(algorithm) in message
 
 
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_allgather_rejects_a_zero_d_array_on_every_size(size):
+    """A 0-d block has no axis to concatenate along, on one rank or many."""
+
+    def prog(comm):
+        try:
+            comm.allgather(np.array(float(comm.rank)))
+        except CommunicatorError as exc:
+            return str(exc)
+        return None
+
+    for message in run(size, prog).values:
+        assert message is not None and "0-d" in message
+
+
 class TestAllReduce:
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("algorithm", ["ring"])
