@@ -365,9 +365,22 @@ def _census_restore(
     return chosen, ckpt, was_degraded
 
 
+def _step0_checkpoint(params0: MLPParams) -> Checkpoint:
+    """The step-0 checkpoint: one read-only copy of the initial weights.
+
+    Built once per run and held by every rank's :class:`ShardStore`; a
+    copy per rank is O(P * model).  Restores copy out of it, so nothing
+    writes to it (and a write raises).
+    """
+    weights = [w.copy() for w in params0.weights]
+    for w in weights:
+        w.setflags(write=False)
+    return Checkpoint(0, weights, None, ())
+
+
 def elastic_mlp_program(
     world,
-    params0: MLPParams,
+    step0: Checkpoint,
     x: np.ndarray,
     y: np.ndarray,
     *,
@@ -384,6 +397,8 @@ def elastic_mlp_program(
 ):
     """The SPMD rank program for elastic 1.5D MLP training.
 
+    ``step0`` is the run's shared, read-only step-0 checkpoint (the
+    initial weights); every rank's store holds that one object.
     Returns ``(losses, full_weights, grids, restore_steps,
     degraded_steps, restored_checkpoints, store)`` on every surviving
     rank.  The training loop is the
@@ -404,23 +419,21 @@ def elastic_mlp_program(
     the per-step GEMM charge use the engine's machine.
     """
     guard = make_guard(sdc)
-    dims = params0.dims
+    dims = MLPParams(step0.weights).dims
     n = x.shape[1]
-    num_layers = len(params0.weights)
-    # Step-0 checkpoint: built locally from the shared initialisation
-    # and always replicated, so every rank holds it and even a census
-    # that degrades past every striped checkpoint has a restore point.
+    num_layers = len(step0.weights)
+    # The step-0 checkpoint is always replicated, so every rank holds
+    # it and even a census that degrades past every striped checkpoint
+    # has a restore point.
     store = ShardStore()
-    store.add_replica(
-        0, Checkpoint(0, [w.copy() for w in params0.weights], None, ())
-    )
+    store.add_replica(0, step0)
     grids: List[Tuple[int, int]] = [(pr, pc)]
     restores: List[int] = []
     degraded: List[int] = []
     restored: List[Checkpoint] = []
     with payload_guard(guard):
         return _elastic_loop(
-            world, params0, x, y, store, grids, restores, degraded,
+            world, x, y, store, grids, restores, degraded,
             restored, pr, pc,
             batch=batch, steps=steps, lr=lr, momentum=momentum,
             checkpoint_every=checkpoint_every, ckpt_mode=ckpt_mode,
@@ -430,7 +443,7 @@ def elastic_mlp_program(
 
 
 def _elastic_loop(
-    world, params0, x, y, store, grids, restores, degraded, restored,
+    world, x, y, store, grids, restores, degraded, restored,
     cur_pr, cur_pc,
     *, batch, steps, lr, momentum, checkpoint_every, ckpt_mode, parity,
     machine, guard, dims, n, num_layers,
@@ -582,7 +595,7 @@ def elastic_mlp_train(
     engine = resolve_engine(engine, pr * pc, faults=faults, supervise=True)
     result = engine.run(
         elastic_mlp_program,
-        params0,
+        _step0_checkpoint(params0),
         x,
         y,
         pr=pr,

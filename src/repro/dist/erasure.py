@@ -26,12 +26,13 @@ replaces it with a classic storage-systems construction adapted to the
 
 The :class:`ShardStore` is each rank's in-simulation "local disk": a map
 from checkpoint step to either a full replica (``mode="replicate"``, and
-always for the step-0 checkpoint, which every rank builds locally from
-the shared initialisation) or one shard.  Recovery runs a *shard
-census*: survivors all-gather their holdings' descriptors, pick the
-newest step whose every stripe still has ``>= k`` distinct surviving
-chunks (:func:`census_choose`), degrade to an older step when shards are
-short, and fetch + decode (:mod:`repro.dist.elastic`).
+always for the step-0 checkpoint: one read-only copy of the initial
+weights per run, which every rank's store references) or one shard.
+Recovery runs a *shard census*: survivors all-gather their holdings'
+descriptors, pick the newest step whose every stripe still has ``>= k``
+distinct surviving chunks (:func:`census_choose`), degrade to an older
+step when shards are short, and fetch + decode
+(:mod:`repro.dist.elastic`).
 
 There is deliberately no RNG state in a checkpoint: the cyclic batch
 window is a pure function of the absolute step index, so ``(weights, velocity,
@@ -123,8 +124,17 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"incompatible GF(256) matmul shapes {a.shape} @ {b.shape}"
         )
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for j in range(a.shape[1]):
-        out ^= _GF_MUL[a[:, j][:, None], b[j][None, :]]
+    product = np.empty(b.shape[1], dtype=np.uint8)
+    # Per nonzero coefficient c, a 1-D lookup of b's row in the 256-entry
+    # table row of c: cheaper than one broadcast 2-D fancy index per column.
+    for i, coeffs in enumerate(a.tolist()):
+        row = out[i]
+        for j, c in enumerate(coeffs):
+            if c == 1:
+                row ^= b[j]
+            elif c:
+                np.take(_GF_MUL[c], b[j], out=product)
+                row ^= product
     return out
 
 
@@ -146,6 +156,7 @@ def _gf_mat_inv(a: np.ndarray) -> np.ndarray:
 
 
 _GENERATORS: Dict[Tuple[int, int], np.ndarray] = {}
+_DECODERS: Dict[Tuple[int, int, Tuple[int, ...]], np.ndarray] = {}
 
 
 def rs_generator_matrix(k: int, r: int) -> np.ndarray:
@@ -216,6 +227,20 @@ def encode_chunk(
     return gf_matmul(gen[index : index + 1], matrix)[0]
 
 
+def _decoder_matrix(k: int, r: int, picked: Tuple[int, ...]) -> np.ndarray:
+    """Inverse of the generator rows ``picked``, cached like the generators.
+
+    Every survivor of a census decodes the same stripes from the same
+    surviving chunk indices, so one inversion serves them all.
+    """
+    cached = _DECODERS.get((k, r, picked))
+    if cached is None:
+        cached = _gf_mat_inv(rs_generator_matrix(k, r)[list(picked)])
+        cached.setflags(write=False)
+        _DECODERS[(k, r, picked)] = cached
+    return cached
+
+
 def decode_stripe(
     chunks: Dict[int, np.ndarray], k: int, r: int, length: int
 ) -> np.ndarray:
@@ -234,8 +259,7 @@ def decode_stripe(
     if picked == list(range(k)):
         data = stack  # all-data fast path: systematic code, no solve needed
     else:
-        gen = rs_generator_matrix(k, r)
-        data = gf_matmul(_gf_mat_inv(gen[picked]), stack)
+        data = gf_matmul(_decoder_matrix(k, r, tuple(picked)), stack)
     flat = data.reshape(-1)
     if length > flat.size:
         raise ConfigurationError(
@@ -335,7 +359,11 @@ class ShardMeta:
 
 @dataclasses.dataclass
 class _Replica:
-    """A full local checkpoint copy (``mode="replicate"`` and step 0)."""
+    """A full checkpoint (``mode="replicate"``, and the shared step-0 one).
+
+    Every rank counts the step-0 checkpoint as stored, although the run
+    holds it once.
+    """
 
     checkpoint: object  # repro.dist.elastic.Checkpoint (duck-typed: no cycle)
 

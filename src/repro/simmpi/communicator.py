@@ -118,9 +118,12 @@ class Comm:
     engine:
         The owning :class:`~repro.simmpi.engine.SimEngine`.
     world_ranks:
-        World ranks of the members, in local-rank order.
-    my_world_rank:
-        This rank's world identity.
+        World ranks of the members, in local-rank order.  Held as given,
+        not copied: every rank's world communicator holds the engine's
+        one tuple.
+    rank:
+        This rank's local rank; its world identity is
+        ``world_ranks[rank]``.
     ctx:
         Hashable context id isolating this communicator's message
         namespace from every other communicator's.
@@ -134,21 +137,16 @@ class Comm:
         self,
         engine,
         world_ranks: Tuple[int, ...],
-        my_world_rank: int,
+        rank: int,
         ctx: Tuple,
         gen: int = 0,
     ) -> None:
         self._engine = engine
-        self._world_ranks = tuple(world_ranks)
-        self._world_rank = my_world_rank
+        self._world_ranks = world_ranks
+        self._rank = rank
+        self._world_rank = world_ranks[rank]
         self._ctx = ctx
         self._gen = gen
-        try:
-            self._rank = self._world_ranks.index(my_world_rank)
-        except ValueError:
-            raise CommunicatorError(
-                f"world rank {my_world_rank} is not a member of {world_ranks}"
-            )
         self._split_seq = 0
         self._coll_seq = 0
         self._interrupts: Dict[int, Any] = {}  # source world rank -> predicate
@@ -599,7 +597,10 @@ class Comm:
             }
         new_world_ranks = groups[color]
         new_ctx = (self._ctx, "split", seq, color)
-        return Comm(self._engine, new_world_ranks, self._world_rank, new_ctx, gen=self._gen)
+        return Comm(
+            self._engine, new_world_ranks, new_world_ranks.index(self._world_rank),
+            new_ctx, gen=self._gen,
+        )
 
     def shrink(self) -> "Comm":
         """Build a communicator over the surviving members (ULFM-style).
@@ -630,8 +631,9 @@ class Comm:
     def _shrink_loop(self, engine) -> "Comm":
         while True:
             gen, alive = engine.begin_shrink()
-            members = tuple(r for r in self._world_ranks if r in set(alive))
-            if self._world_rank not in members:  # pragma: no cover - defensive
+            alive = set(alive)
+            members = tuple(r for r in self._world_ranks if r in alive)
+            if self._world_rank not in alive:  # pragma: no cover - defensive
                 raise CommunicatorError("a dead rank cannot take part in shrink")
             # Declare the move: peers blocked on this rank's old-generation
             # messages fail over deterministically instead of deadlocking.
@@ -649,7 +651,9 @@ class Comm:
                     (len(members),),
                 )
             )
-            return Comm(engine, members, self._world_rank, ctx=ctx, gen=gen)
+            return Comm(
+                engine, members, members.index(self._world_rank), ctx=ctx, gen=gen
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

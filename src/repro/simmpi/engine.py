@@ -139,6 +139,9 @@ class SimEngine:
                 f"unknown engine backend {backend!r}; expected one of {self.BACKENDS}"
             )
         self.size = size
+        # Every rank's world communicator holds this one tuple: a tuple
+        # per rank is O(P^2) ints, about 9 GiB at P=16384.
+        self._world_ranks = tuple(range(size))
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults)
         self.injector: Optional[FaultInjector] = faults
@@ -334,7 +337,7 @@ class SimEngine:
     # -- running -------------------------------------------------------------
 
     def world_comm(self, world_rank: int) -> Comm:
-        return Comm(self, tuple(range(self.size)), world_rank, ctx=("world",))
+        return Comm(self, self._world_ranks, world_rank, ctx=("world",))
 
     def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> SimResult:
         """Execute ``fn(comm, *args, **kwargs)`` on every rank.

@@ -368,6 +368,36 @@ class TestCheckpointScheduleEdges:
         assert set(res.degraded_steps) <= set(res.restore_steps)
 
 
+class TestSharedStep0Replica:
+    """The step-0 checkpoint is one read-only object per run."""
+
+    def test_survivors_share_one_read_only_step0(self):
+        plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=1),))
+        res = _elastic(faults=plan, checkpoint_every=4)
+        assert res.restore_steps == [0]
+        stores = [res.sim.values[r][6] for r in res.sim.survivors]
+        step0 = stores[0].get(0).checkpoint
+        assert all(s.get(0).checkpoint is step0 for s in stores)
+        assert step0.weights[0] is not PARAMS0.weights[0]
+        for w, w0 in zip(step0.weights, PARAMS0.weights):
+            assert not w.flags.writeable
+            assert w.tobytes() == w0.tobytes()
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+        # The restore copied out of it: what recovery restored is writeable.
+        assert all(w.flags.writeable for w in res.restored[0].weights)
+
+    def test_every_rank_still_counts_step0_as_stored(self):
+        step0_bytes = sum(w.nbytes for w in PARAMS0.weights)
+
+        def stored(res):
+            return [res.sim.values[r][6].stored_bytes() for r in range(4)]
+
+        assert stored(_elastic(ckpt_mode="replicate")) == [4 * step0_bytes] * 4
+        # Step 0 plus one 384-byte shard per take at steps 2, 4 and 6.
+        assert stored(_elastic()) == [step0_bytes + 3 * 384] * 4
+
+
 class TestReplanGrid:
     def test_uses_all_survivors(self):
         for p in (1, 2, 3, 4, 6):

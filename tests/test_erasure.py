@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.dist.erasure import (
+    _GF_MUL,
     CENSUS_FIELDS,
     MODE_ERASURE,
     MODE_REPLICATE,
@@ -29,6 +30,7 @@ from repro.dist.erasure import (
     pack_block_state,
     rs_generator_matrix,
     unpack_block_state,
+    _decoder_matrix,
 )
 from repro.errors import ConfigurationError
 
@@ -62,6 +64,22 @@ class TestGF256:
     def test_zero_has_no_inverse(self):
         with pytest.raises(ConfigurationError):
             gf_inv(0)
+
+    @pytest.mark.parametrize("m,k,n", [(1, 1, 1), (3, 2, 5), (6, 6, 4096), (2, 6, 0), (4, 0, 3)])
+    def test_matmul_matches_2d_table_lookup(self, m, k, n):
+        # The reference: one broadcast 2-D lookup of the product table per
+        # column of ``a``, XOR-accumulated.  Zeros and ones are drawn
+        # often, since the product skips the former and copies the latter.
+        rng = np.random.default_rng(m * 100 + k * 10 + n)
+        a = rng.integers(0, 256, (m, k), dtype=np.uint8)
+        a[rng.random((m, k)) < 0.3] = 0
+        a[rng.random((m, k)) < 0.2] = 1
+        b = rng.integers(0, 256, (k, n), dtype=np.uint8)
+        ref = np.zeros((m, n), dtype=np.uint8)
+        for j in range(k):
+            ref ^= _GF_MUL[a[:, j][:, None], b[j][None, :]]
+        out = gf_matmul(a, b)
+        assert out.dtype == np.uint8 and out.tobytes() == ref.tobytes()
 
     def test_matmul_shape_validation(self):
         with pytest.raises(ConfigurationError):
@@ -102,6 +120,18 @@ class TestGeneratorMatrix:
         gen = rs_generator_matrix(2, 1)
         with pytest.raises(ValueError):
             gen[0, 0] = 7
+
+    def test_cached_decoder_inverts_the_picked_rows(self):
+        k, r = 3, 2
+        gen = rs_generator_matrix(k, r)
+        for picked in itertools.combinations(range(k + r), k):
+            dec = _decoder_matrix(k, r, picked)
+            assert _decoder_matrix(k, r, picked) is dec
+            np.testing.assert_array_equal(
+                gf_matmul(dec, gen[list(picked)]), np.eye(k, dtype=np.uint8)
+            )
+            with pytest.raises(ValueError):
+                dec[0, 0] = 7
 
 
 class TestStripeCodec:

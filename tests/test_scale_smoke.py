@@ -5,10 +5,12 @@ runs these grids in seconds on one core.  Each test runs a full telemetry-enable
 training step and asserts a generous wall-clock budget — the point is
 to catch pathological scheduler regressions (quadratic wakeups), not
 to be a benchmark; the calibrated gate lives in
-``benchmarks/bench_simmpi.py``.
+``benchmarks/bench_simmpi.py``.  Host memory must grow with P, not P^2:
+run-wide state such as the world communicator's rank tuple is held once.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,3 +65,31 @@ def test_event_backend_p1024_under_budget(pr, pc):
     wall = _scale_run(pr, pc)
     assert wall < 120.0, f"P={pr*pc} step took {wall:.1f}s"
 
+
+
+def _barrier_traced_peak(p):
+    """tracemalloc peak of one barrier run at P=p (after a warm-up run)."""
+    engine = SimEngine(p)
+    engine.run(lambda comm: comm.barrier())
+    tracemalloc.start()
+    try:
+        engine.run(lambda comm: comm.barrier())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_world_comms_share_one_ranks_tuple():
+    sim = SimEngine(64).run(lambda comm: (comm.world_ranks, comm.rank, comm.world_rank))
+    first = sim.values[0][0]
+    assert first == tuple(range(64))
+    for ranks, rank, world_rank in sim.values:
+        assert ranks is first
+        assert rank == world_rank
+
+
+def test_barrier_host_memory_grows_linearly():
+    # A tuple of P world ranks per rank made this grow with P^2 (about
+    # 17x from P=256 to P=1024); linear growth is 4x plus fixed costs.
+    growth = _barrier_traced_peak(1024) / _barrier_traced_peak(256)
+    assert growth < 6.0, f"barrier peak grew {growth:.1f}x for 4x the ranks"
