@@ -1855,14 +1855,15 @@ def _run_experiments(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse ``argv`` and run the command.  Bad input exits 2: argparse
     rejects malformed options, and a :class:`~repro.errors.ReproError`
-    escaping a command becomes one ``repro <command>: <message>`` line
-    on stderr instead of a traceback."""
+    or an ``OSError`` (an ``--out``/``--record`` path that cannot be
+    written) escaping a command becomes one ``repro <command>: <message>``
+    line on stderr instead of a traceback."""
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
 

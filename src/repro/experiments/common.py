@@ -69,11 +69,6 @@ class ExperimentResult:
             parts += ["", chart]
         return "\n".join(parts)
 
-    def main_table(self) -> ResultTable:
-        if not self.tables:
-            raise ValueError(f"experiment {self.experiment_id} produced no tables")
-        return self.tables[0]
-
 
 def points_to_rows(
     points: Sequence[SimulationPoint], baseline: Optional[SimulationPoint] = None

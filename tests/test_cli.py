@@ -399,6 +399,27 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr
 
 
+#: Output paths that are, or lie under, a regular file ``{f}``.
+UNWRITABLE = [
+    ["run", "eq5", "--quiet", "--out", "{f}"],
+    ["trace", "--steps", "1", "--out", "{f}"],
+    ["chaos", "--out", "{f}"],
+    ["profile", "-P", "4", "--steps", "1", "--out", "{f}"],
+    ["dash", "--registry", os.path.join(BENCHMARKS, "REGISTRY.jsonl"), "--out", "{f}/d.html"],
+    ["trace", "--steps", "1", "--record", "{f}/r.json"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=lambda a: " ".join(a[:1] + a[-2:]))
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    assert main([a.format(f=blocker) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: ") and str(blocker) in err
+    assert err.count("\n") == 1
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -2,7 +2,7 @@
 
 The entry points are the ``repro`` CLI and the experiment registry
 (module-level code in ``src/``), the host-time benchmark (``bench/``),
-the gate and figure scripts (``benchmarks/``) and the runnable
+the gate scripts (``benchmarks/``) and the runnable
 ``examples/``; CI (``.github/``) only invokes those.  A public
 top-level function or class is *live* when a live body refers to its
 name (as a name or an attribute); a public method of a live class is
