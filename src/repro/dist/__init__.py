@@ -9,8 +9,11 @@ Where :mod:`repro.core` *costs* the paper's algorithms, this package
   ``Pc`` (:mod:`~repro.dist.matmul15d`),
 * domain-parallel convolution with pairwise halo exchanges, forward and
   backward (Fig. 3; :mod:`~repro.dist.conv_domain`),
-* full SGD training loops for MLPs on arbitrary ``Pr x Pc`` grids
-  (:mod:`~repro.dist.train`) and for CNNs combining domain-parallel
+* one synchronous-SGD loop (:func:`~repro.dist.train.sgd_program`)
+  that trains MLPs on arbitrary ``Pr x Pc`` grids
+  (:mod:`~repro.dist.train`), with per-layer grid switching
+  (:mod:`~repro.dist.switching`) or elastic recovery
+  (:mod:`~repro.dist.elastic`), and CNNs combining domain-parallel
   convolutions, the Eq. 6 redistribution, and 1.5D fully connected
   layers (:mod:`~repro.dist.integrated`),
 
@@ -40,17 +43,14 @@ from repro.dist.train import (
     MLPParams,
     serial_mlp_train,
     distributed_mlp_train,
-    mlp_train_program,
+    sgd_program,
 )
 from repro.dist.integrated import (
     IntegratedCNNConfig,
     serial_cnn_train,
     distributed_cnn_train,
 )
-from repro.dist.switching import (
-    distributed_switching_mlp_train,
-    switching_mlp_train_program,
-)
+from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.elastic import (
     Checkpoint,
     ElasticResult,
@@ -81,12 +81,11 @@ __all__ = [
     "ElasticResult",
     "elastic_mlp_train",
     "replan_grid",
-    "mlp_train_program",
+    "sgd_program",
     "IntegratedCNNConfig",
     "serial_cnn_train",
     "distributed_cnn_train",
     "distributed_switching_mlp_train",
-    "switching_mlp_train_program",
     "distribute_2d",
     "summa_stationary_c",
     "summa_matmul",

@@ -1,8 +1,9 @@
 """Elastic, fault-tolerant 1.5D MLP training.
 
 Builds on the supervised fault mode of :class:`~repro.simmpi.engine.SimEngine`:
-ranks train exactly as :func:`~repro.dist.train.mlp_train_program` does,
-but additionally
+ranks run the one synchronous-SGD loop,
+:func:`~repro.dist.train.sgd_program`, on the MLP cut, with a recovery
+hook that additionally lets them
 
 * take periodic **in-simulation checkpoints**.  The default
   ``ckpt_mode="erasure"`` stripes the optimizer state across each grid
@@ -59,20 +60,20 @@ from repro.dist.erasure import (
     unpack_block_state,
 )
 from repro.dist.grid import GridComm
-from repro.dist.matmul15d import fc_stack_step_15d
 from repro.dist.partition import BlockPartition
-from repro.dist.sgd import SGD
 from repro.dist.train import (
+    Checkpoint,
     MLPParams,
-    _batch_columns,
-    check_mlp_inputs,
+    Replica,
+    check_inputs,
+    mlp_cut,
+    sgd_program,
     trainer_run_record,
 )
 from repro.errors import ConfigurationError, PeerFailedError, StrategyError
 from repro.machine.params import MachineParams
 from repro.nn.zoo import mlp
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
-from repro.simmpi.sdc import payload_guard
 from repro.telemetry.heartbeat import emit_heartbeat
 from repro.telemetry.spans import span
 
@@ -88,31 +89,6 @@ __all__ = [
 
 #: Supported checkpoint storage modes.
 CKPT_MODES = ("erasure", "replicate")
-
-
-@dataclasses.dataclass
-class Checkpoint:
-    """Replicated training state at a step boundary.
-
-    Captures everything needed to resume step ``step`` on *any* process
-    grid: the full (unpartitioned) weights, the full momentum buffers
-    (``None`` when momentum is off), and the global losses of the steps
-    already taken.  The batch cursor needs no storage — the cyclic batch
-    window is a pure function of the step index.
-    """
-
-    step: int
-    weights: List[np.ndarray]
-    velocity: Optional[List[np.ndarray]]
-    losses: Tuple[float, ...]
-
-    def copy(self) -> "Checkpoint":
-        return Checkpoint(
-            self.step,
-            [w.copy() for w in self.weights],
-            None if self.velocity is None else [v.copy() for v in self.velocity],
-            self.losses,
-        )
 
 
 @dataclasses.dataclass
@@ -191,79 +167,6 @@ def _full_blocks(grid: GridComm, blocks: Sequence[np.ndarray]) -> List[np.ndarra
     return [np.vstack(grid.col_comm.allgather_object(b)) for b in blocks]
 
 
-def _velocity_blocks(
-    w_locals: Sequence[np.ndarray], opt: SGD
-) -> List[np.ndarray]:
-    state = opt.get_state()
-    return [state.get(i, np.zeros_like(w)) for i, w in enumerate(w_locals)]
-
-
-def _take_checkpoint(
-    grid: GridComm,
-    step: int,
-    w_locals: Sequence[np.ndarray],
-    opt: SGD,
-    losses: Sequence[float],
-    momentum: float,
-) -> Checkpoint:
-    full_w = _full_blocks(grid, w_locals)
-    full_v: Optional[List[np.ndarray]] = None
-    if momentum:
-        full_v = _full_blocks(grid, _velocity_blocks(w_locals, opt))
-    return Checkpoint(step, full_w, full_v, tuple(losses))
-
-
-def _take_shard(
-    grid: GridComm,
-    store: ShardStore,
-    step: int,
-    w_locals: Sequence[np.ndarray],
-    opt: SGD,
-    losses: Sequence[float],
-    momentum: float,
-    parity: int,
-    dims: Sequence[int],
-) -> int:
-    """Erasure-coded take: local encode, zero wire traffic.
-
-    Every member of this rank's row group serializes the bit-identical
-    row-block state and keeps chunk ``grid.col`` of its stripe; returns
-    the bytes this rank stored.
-    """
-    k = grid.pc - parity
-    v_blocks = _velocity_blocks(w_locals, opt) if momentum else None
-    stripe = pack_block_state(w_locals, v_blocks)
-    clen = chunk_bytes(dims, grid.pr, k, bool(momentum))
-    chunk = encode_chunk(stripe, k, parity, grid.col, clen)
-    meta = ShardMeta(
-        step, grid.row, grid.col, grid.pr, grid.pc, k, parity, int(bool(momentum))
-    )
-    store.add_shard(step, meta, chunk, tuple(losses))
-    return int(chunk.nbytes)
-
-
-def _restore(
-    ckpt: Checkpoint,
-    grid: GridComm,
-    row_parts: Sequence[BlockPartition],
-    lr: float,
-    momentum: float,
-) -> Tuple[List[np.ndarray], SGD, List[float]]:
-    w_locals = [
-        part.take(w, grid.row, axis=0).copy()
-        for part, w in zip(row_parts, ckpt.weights)
-    ]
-    opt = SGD(lr=lr, momentum=momentum)
-    if ckpt.velocity is not None:
-        opt.set_state(
-            {
-                i: part.take(v, grid.row, axis=0)
-                for i, (part, v) in enumerate(zip(row_parts, ckpt.velocity))
-            }
-        )
-    return w_locals, opt, list(ckpt.losses)
-
-
 def _ckpt_event(world, op: str, *tag: int) -> None:
     """Record a zero-duration ``ckpt.*`` marker event (tracing only).
 
@@ -312,16 +215,8 @@ def _census_restore(
         if holding is not None and hasattr(holding, "chunk"):
             meta = holding.meta
             payload = (meta.row, meta.col, holding.chunk, holding.losses)
-        with span(
-            "ckpt_fetch",
-            comm=world,
-            step=chosen,
-            prt=pr_t,
-            k=k,
-            r=r,
-            mom=int(mom),
-            have=int(payload is not None),
-        ):
+        with span("ckpt_fetch", comm=world, step=chosen, prt=pr_t, k=k, r=r,
+                  mom=int(mom), have=int(payload is not None)):
             gathered = world.allgather_object(payload)
         chunks_by_row: dict = {}
         losses: Tuple[float, ...] = ()
@@ -329,35 +224,20 @@ def _census_restore(
         for item in gathered:
             if item is None:
                 continue
-            row, _col, chunk, loss_vec = item
-            chunks_by_row.setdefault(row, {})[_col] = chunk
+            row, col, chunk, loss_vec = item
+            chunks_by_row.setdefault(row, {})[col] = chunk
             losses = tuple(loss_vec)
             fetched += 16 + int(chunk.nbytes) + 8 * len(loss_vec)
-        num_layers = len(dims) - 1
-        blocks_w: List[List[np.ndarray]] = []
-        blocks_v: List[Optional[List[np.ndarray]]] = []
-        for row in range(pr_t):
-            stripe = decode_stripe(
-                chunks_by_row.get(row, {}),
-                k,
-                r,
-                block_state_bytes(dims, pr_t, row, mom),
+        blocks = [
+            unpack_block_state(
+                decode_stripe(chunks_by_row.get(row, {}), k, r,
+                              block_state_bytes(dims, pr_t, row, mom)),
+                dims, pr_t, row, mom,
             )
-            wb, vb = unpack_block_state(stripe, dims, pr_t, row, mom)
-            blocks_w.append(wb)
-            blocks_v.append(vb)
-        weights = [
-            np.vstack([blocks_w[row][i] for row in range(pr_t)])
-            for i in range(num_layers)
+            for row in range(pr_t)
         ]
-        velocity = (
-            [
-                np.vstack([blocks_v[row][i] for row in range(pr_t)])
-                for i in range(num_layers)
-            ]
-            if mom
-            else None
-        )
+        weights = [np.vstack(ws) for ws in zip(*(wb for wb, _ in blocks))]
+        velocity = [np.vstack(vs) for vs in zip(*(vb for _, vb in blocks))] if mom else None
         ckpt = Checkpoint(chosen, weights, velocity, losses)
     _ckpt_event(world, "ckpt.restore", chosen, mode, fetched)
     if was_degraded:
@@ -376,6 +256,122 @@ def _step0_checkpoint(params0: MLPParams) -> Checkpoint:
     for w in weights:
         w.setflags(write=False)
     return Checkpoint(0, weights, None, ())
+
+
+class _Recovery:
+    """The elastic hook on :func:`~repro.dist.train.sgd_program`.
+
+    Before each step it fires this rank's scripted crashes, charges the
+    step's GEMM time and takes the periodic checkpoint; on a peer
+    failure it shrinks, runs the census, re-plans and restores.  It
+    holds this rank's :class:`ShardStore` and the run's grid and
+    restore history.
+    """
+
+    def __init__(self, step0: Checkpoint, *, pr, pc, batch, momentum,
+                 checkpoint_every, ckpt_mode, parity, machine):
+        # The step-0 checkpoint is always replicated, so every rank
+        # holds it and even a census that degrades past every striped
+        # checkpoint has a restore point.
+        self.store = ShardStore()
+        self.store.add_replica(0, step0)
+        self.dims = MLPParams(step0.weights).dims
+        self.batch, self.momentum, self.machine = batch, momentum, machine
+        self.every, self.ckpt_mode, self.parity = checkpoint_every, ckpt_mode, parity
+        self.start = 0
+        self.grids: List[Tuple[int, int]] = [(pr, pc)]
+        self.restores: List[int] = []
+        self.degraded: List[int] = []
+        self.restored: List[Checkpoint] = []
+
+    def before_step(self, rep: Replica, step: int, losses: List[float]) -> None:
+        grid, dims = rep.grid, self.dims
+        world = grid.comm
+        world.heartbeat(step=step)
+        # Local GEMM work per step (fwd + dX + dW ~ 3 GEMMs at
+        # 2*m*k*n flops each), charged to the virtual clock so
+        # compute-level faults — stragglers above all — actually
+        # shape elastic timings instead of being invisible.
+        b_local = BlockPartition(self.batch, grid.pc).size(grid.col)
+        world.advance(sum(
+            6.0 * BlockPartition(dims[i + 1], grid.pr).size(grid.row) * dims[i] * b_local
+            for i in range(len(dims) - 1)
+        ) / self.machine.flops_peak)
+        # Compute-phase heartbeat: emitted before the first collective
+        # of the step, while per-rank clocks still show *local* compute
+        # time — the only point where a straggler's dilation is visible
+        # per rank (the later collectives sync everyone to the slowest).
+        emit_heartbeat(world, step=step, phase="compute")
+        if step % self.every == 0 and step > self.start:
+            self._take(rep, step, losses)
+
+    def _take(self, rep: Replica, step: int, losses: List[float]) -> None:
+        """Checkpoint the state entering ``step``.
+
+        An erasure take is a local encode with zero wire traffic: every
+        member of a row group serializes the bit-identical row-block
+        state and keeps chunk ``grid.col`` of its stripe.  Striping
+        needs at least one data chunk per stripe, so narrow grids (e.g.
+        Pc=1 after heavy shrink) fall back to replication, which
+        all-gathers the full state onto every rank.
+        """
+        grid, mom = rep.grid, bool(self.momentum)
+        k = grid.pc - self.parity
+        erasure = self.ckpt_mode == "erasure" and k >= 1
+        velocity = None
+        if mom:
+            state = rep.opt.get_state()
+            velocity = [state.get(i, np.zeros_like(w)) for i, w in enumerate(rep.params)]
+        with span("checkpoint", comm=grid.comm, step=step,
+                  mode="erasure" if erasure else "replicate",
+                  pr=grid.pr, pc=grid.pc, mom=int(mom)):
+            if erasure:
+                chunk = encode_chunk(
+                    pack_block_state(rep.params, velocity), k, self.parity,
+                    grid.col, chunk_bytes(self.dims, grid.pr, k, mom),
+                )
+                meta = ShardMeta(step, grid.row, grid.col, grid.pr, grid.pc,
+                                 k, self.parity, int(mom))
+                self.store.add_shard(step, meta, chunk, tuple(losses))
+                stored, mode = int(chunk.nbytes), MODE_ERASURE
+            else:
+                weights = _full_blocks(grid, rep.params)
+                full_v = _full_blocks(grid, velocity) if mom else None
+                self.store.add_replica(step, Checkpoint(step, weights, full_v, tuple(losses)))
+                stored, mode = self.store.get(step).stored_bytes(), MODE_REPLICATE
+        _ckpt_event(grid.comm, "ckpt.take", step, mode, stored)
+
+    def recover(self, world) -> Tuple[object, Checkpoint]:
+        """Shrink to the survivors, census the surviving shards, agree
+        on the newest recoverable checkpoint and re-plan the grid for
+        the new world size; returns the new world and that checkpoint.
+        A further crash anywhere in this sequence (a *cascading*
+        failure) re-raises PeerFailedError, and recovery starts over.
+        """
+        while True:
+            try:
+                with span("recovery", comm=world):
+                    world = world.shrink()
+                    self.start, ckpt, was_degraded = _census_restore(
+                        world, self.store, self.dims, self.momentum
+                    )
+                    # Stale newer holdings carry the pre-crash grid's
+                    # trajectory; the replay from ``start`` re-takes
+                    # them on the new grid, so they must be dropped.
+                    self.store.truncate(self.start)
+                    self.grids.append(
+                        replan_grid(world.size, self.dims, self.batch, self.machine)
+                    )
+                    self.restores.append(self.start)
+                    self.restored.append(ckpt)
+                    if was_degraded:
+                        self.degraded.append(self.start)
+                return world, ckpt
+            except PeerFailedError:
+                pass
+
+    def finish(self, rep: Replica) -> List[np.ndarray]:
+        return _full_blocks(rep.grid, rep.params)
 
 
 def elastic_mlp_program(
@@ -398,153 +394,39 @@ def elastic_mlp_program(
     """The SPMD rank program for elastic 1.5D MLP training.
 
     ``step0`` is the run's shared, read-only step-0 checkpoint (the
-    initial weights); every rank's store holds that one object.
-    Returns ``(losses, full_weights, grids, restore_steps,
-    degraded_steps, restored_checkpoints, store)`` on every surviving
-    rank.  The training loop is the
-    synchronous-SGD loop of :func:`~repro.dist.train.mlp_train_program`;
-    a heartbeat at the top of each step fires this rank's scripted
-    crashes, and any :class:`~repro.errors.PeerFailedError` (surfacing
-    deterministically from communication with a dead or recovering peer)
-    triggers the shrink / census / re-plan / restore sequence — from
-    anywhere, including from *within* an earlier recovery attempt.
+    initial weights); every rank's store holds that one object, so even
+    a census that degrades past every striped checkpoint has a restore
+    point.  Runs :func:`~repro.dist.train.sgd_program` on the MLP cut
+    of the current grid with a :class:`_Recovery` hook.  Returns
+    ``(losses, full_weights, grids, restore_steps, degraded_steps,
+    restored_checkpoints, store)`` on every surviving rank.
 
-    ``sdc`` enables ABFT guards (see
-    :func:`~repro.dist.train.mlp_train_program`).  This is also the
-    escalation target of the ``recompute`` policy: a rank whose retry
-    budget is exhausted raises
+    ``sdc`` enables ABFT guards (see :func:`~repro.dist.train.mlp_cut`).
+    This is also the escalation target of the ``recompute`` policy: a
+    rank whose retry budget is exhausted raises
     :class:`~repro.errors.SDCUnrecoverableError`, which the supervisor
     treats exactly like a crash — the survivors shrink, re-plan and
     restore from the newest recoverable checkpoint.  Re-planning and
     the per-step GEMM charge use the engine's machine.
     """
     guard = make_guard(sdc)
-    dims = MLPParams(step0.weights).dims
-    n = x.shape[1]
-    num_layers = len(step0.weights)
-    # The step-0 checkpoint is always replicated, so every rank holds
-    # it and even a census that degrades past every striped checkpoint
-    # has a restore point.
-    store = ShardStore()
-    store.add_replica(0, step0)
-    grids: List[Tuple[int, int]] = [(pr, pc)]
-    restores: List[int] = []
-    degraded: List[int] = []
-    restored: List[Checkpoint] = []
-    with payload_guard(guard):
-        return _elastic_loop(
-            world, x, y, store, grids, restores, degraded,
-            restored, pr, pc,
-            batch=batch, steps=steps, lr=lr, momentum=momentum,
-            checkpoint_every=checkpoint_every, ckpt_mode=ckpt_mode,
-            parity=parity, machine=world.engine.network.machine, guard=guard,
-            dims=dims, n=n, num_layers=num_layers,
+    rec = _Recovery(
+        step0, pr=pr, pc=pc, batch=batch, momentum=momentum,
+        checkpoint_every=checkpoint_every, ckpt_mode=ckpt_mode, parity=parity,
+        machine=world.engine.network.machine,
+    )
+
+    def cut(w, ckpt):
+        cur_pr, cur_pc = rec.grids[-1]
+        return mlp_cut(
+            w, ckpt, x, y, pr=cur_pr, pc=cur_pc, batch=batch, lr=lr,
+            momentum=momentum, guard=guard,
         )
 
-
-def _elastic_loop(
-    world, x, y, store, grids, restores, degraded, restored,
-    cur_pr, cur_pc,
-    *, batch, steps, lr, momentum, checkpoint_every, ckpt_mode, parity,
-    machine, guard, dims, n, num_layers,
-):
-    start = 0
-    restore_ckpt = store.get(0).checkpoint
-    recovering = False
-    while True:
-        try:
-            if recovering:
-                # ULFM-style recovery: shrink to the survivors, census
-                # the surviving shards, agree on the newest recoverable
-                # checkpoint, re-plan the grid for the new world size,
-                # and restore.  A further crash anywhere in this
-                # sequence (a *cascading* failure) re-raises
-                # PeerFailedError and re-enters recovery from the top.
-                with span("recovery", comm=world):
-                    world = world.shrink()
-                    start, restore_ckpt, was_degraded = _census_restore(
-                        world, store, dims, momentum
-                    )
-                    # Stale newer holdings carry the pre-crash grid's
-                    # trajectory; the replay from ``start`` re-takes
-                    # them on the new grid, so they must be dropped.
-                    store.truncate(start)
-                    cur_pr, cur_pc = replan_grid(world.size, dims, batch, machine)
-                    grids.append((cur_pr, cur_pc))
-                    restores.append(start)
-                    restored.append(restore_ckpt)
-                    if was_degraded:
-                        degraded.append(start)
-                recovering = False
-            grid = GridComm(world, cur_pr, cur_pc)
-            row_parts = [BlockPartition(d, grid.pr) for d in dims[1:]]
-            col_part = BlockPartition(batch, grid.pc)
-            w_locals, opt, losses = _restore(restore_ckpt, grid, row_parts, lr, momentum)
-            # Local GEMM work per step (fwd + dX + dW ~ 3 GEMMs at
-            # 2*m*k*n flops each), charged to the virtual clock so
-            # compute-level faults — stragglers above all — actually
-            # shape elastic timings instead of being invisible.
-            step_seconds = sum(
-                6.0 * row_parts[i].size(grid.row) * dims[i]
-                * col_part.size(grid.col)
-                for i in range(num_layers)
-            ) / machine.flops_peak
-            for step in range(start, steps):
-                with span("step", comm=world, step=step):
-                    world.heartbeat(step=step)
-                    world.advance(step_seconds)
-                    # Compute-phase heartbeat: emitted before the first
-                    # collective of the step, while per-rank clocks still
-                    # show *local* compute time — the only point where a
-                    # straggler's dilation is visible per rank (the later
-                    # collectives sync everyone to the slowest clock).
-                    emit_heartbeat(world, step=step, phase="compute")
-                    if (
-                        checkpoint_every
-                        and step % checkpoint_every == 0
-                        and step > start
-                    ):
-                        # Erasure striping needs at least one data chunk
-                        # per stripe; narrow grids fall back to
-                        # replication (e.g. Pc=1 after heavy shrink).
-                        k = grid.pc - parity
-                        erasure = ckpt_mode == "erasure" and k >= 1
-                        eff = "erasure" if erasure else "replicate"
-                        with span(
-                            "checkpoint", comm=world, step=step, mode=eff,
-                            pr=grid.pr, pc=grid.pc, mom=int(bool(momentum)),
-                        ):
-                            if erasure:
-                                stored = _take_shard(
-                                    grid, store, step, w_locals, opt,
-                                    losses, momentum, parity, dims,
-                                )
-                                mode_code = MODE_ERASURE
-                            else:
-                                ckpt = _take_checkpoint(
-                                    grid, step, w_locals, opt, losses, momentum
-                                )
-                                store.add_replica(step, ckpt)
-                                stored = store.get(step).stored_bytes()
-                                mode_code = MODE_REPLICATE
-                        _ckpt_event(world, "ckpt.take", step, mode_code, stored)
-                    cols = _batch_columns(step, batch, n)
-                    my_cols = col_part.take(cols, grid.col)
-                    a_local = x[:, my_cols]
-                    yb_local = y[my_cols]
-                    loss_global, grads, _ = fc_stack_step_15d(
-                        grid, w_locals, row_parts, a_local, yb_local,
-                        batch=batch, step=step, guard=guard,
-                    )
-                    losses.append(loss_global)
-                    with span("update", comm=world):
-                        opt.step(w_locals, grads)
-                    del grads  # else held through the next step's products: peak footprint
-                emit_heartbeat(world, step=step, loss=loss_global, phase="elastic")
-            full_weights = _full_blocks(grid, w_locals)
-            return losses, full_weights, grids, restores, degraded, restored, store
-        except PeerFailedError:
-            recovering = True
+    weights, losses = sgd_program(
+        world, cut, step0, steps=steps, phase="elastic", guard=guard, recovery=rec
+    )
+    return losses, weights, rec.grids, rec.restores, rec.degraded, rec.restored, rec.store
 
 
 def elastic_mlp_train(
@@ -581,7 +463,7 @@ def elastic_mlp_train(
     beside it is an error).
     Raises :class:`~repro.errors.RankFailedError` if every rank dies.
     """
-    check_mlp_inputs(x, y, batch)
+    check_inputs(x, y, batch)
     if checkpoint_every < 1:
         raise ConfigurationError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"

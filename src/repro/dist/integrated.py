@@ -18,6 +18,7 @@ multiple grid shapes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -37,11 +38,18 @@ from repro.dist.loss import softmax_cross_entropy
 from repro.dist.matmul15d import fc_stack_step_15d
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.dist.train import _batch_columns, assemble_weights, trainer_run_record
-from repro.errors import ConfigurationError, ShapeError
+from repro.dist.train import (
+    Checkpoint,
+    Replica,
+    _batch_columns,
+    _cut_rows,
+    assemble_weights,
+    check_inputs,
+    sgd_program,
+    trainer_run_record,
+)
+from repro.errors import ConfigurationError
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
-from repro.simmpi.sdc import payload_guard
-from repro.telemetry.heartbeat import emit_heartbeat
 from repro.telemetry.spans import span
 
 __all__ = [
@@ -254,8 +262,7 @@ def serial_cnn_train(
     momentum: float = 0.0,
 ) -> Tuple[CNNParams, List[float]]:
     """Single-process reference CNN SGD. ``x`` is ``(N, C, H, W)``."""
-    if x.ndim != 4:
-        raise ShapeError(f"x must be (N, C, H, W), got {x.shape}")
+    check_inputs(x, y, batch, sample_axis=0)
     n = x.shape[0]
     params = params.copy()
     opt = SGD(lr=lr, momentum=momentum)
@@ -274,101 +281,73 @@ def serial_cnn_train(
 # ---------------------------------------------------------------------------
 
 
-def _cnn_train_program(
-    comm,
-    config: IntegratedCNNConfig,
-    params0: CNNParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    pr: int,
-    pc: int,
-    batch: int,
-    steps: int,
-    lr: float,
-    momentum: float,
-    sdc=None,
-):
-    grid = GridComm(comm, pr, pc)
-    guard = make_guard(sdc)
-    n = x.shape[0]
+def _cnn_cut(world, ckpt: Checkpoint, config: IntegratedCNNConfig, x, y, *,
+             pr: int, pc: int, batch: int, lr: float, momentum: float,
+             guard=None) -> Replica:
+    """Cut ``ckpt`` (conv weights, then FC weights) for a ``pr x pc`` grid.
+
+    Conv weights are fully replicated, FC weights cut into 1.5D row
+    blocks.  A step runs the domain conv stack over the ``Pr`` group,
+    the Eq. 6 redistribution and the 1.5D FC stack, and back.
+    """
+    grid = GridComm(world, pr, pc)
+    nconv = config.num_convs
     heights = config.heights()
     # Domain-parallel conv operators over the Pr (column) group.
     convs = [
         DomainConv2D(grid.col_comm, heights[i], k, k, stride=config.conv_strides[i])
         for i, k in enumerate(config.conv_kernels)
     ]
-    conv_ws = [w.copy() for w in params0.conv_weights]  # fully replicated
-    # 1.5D FC blocks.
-    fc_full_dims = [w.shape[0] for w in params0.fc_weights]
-    fc_row_parts = [BlockPartition(d, grid.pr) for d in fc_full_dims]
-    fc_ws = [
-        part.take(w, grid.row, axis=0).copy()
-        for part, w in zip(fc_row_parts, params0.fc_weights)
-    ]
+    conv_ws = [w.copy() for w in ckpt.weights[:nconv]]  # fully replicated
+    fc_row_parts, fc_ws = _cut_rows(ckpt.weights[nconv:], [grid] * len(config.fc_dims))
     col_part = BlockPartition(batch, grid.pc)
-    opt = SGD(lr=lr, momentum=momentum)
-    losses: List[float] = []
 
-    for step in range(steps):
-        with span("step", comm=comm, step=step), payload_guard(guard):
-            cols = _batch_columns(step, batch, n)
-            my_cols = col_part.take(cols, grid.col)
-            yb_local = y[my_cols]
-            b_local = len(my_cols)
-            # Input: my batch shard, my row block of each image.
-            a = convs[0].partition.take(x[my_cols], grid.row, axis=2)
-            # --- forward: domain conv stack ---
-            conv_pre, pool_args, pool_inshapes = [], [], []
-            for i, op in enumerate(convs):
-                with span("conv_fwd", comm=comm, layer=i):
-                    z = op.forward(a, conv_ws[i])
-                conv_pre.append(z)
-                a = relu(z)
+    def step(t: int):
+        my_cols = col_part.take(_batch_columns(t, batch, x.shape[0]), grid.col)
+        b_local = len(my_cols)
+        # Input: my batch shard, my row block of each image.
+        a = convs[0].partition.take(x[my_cols], grid.row, axis=2)
+        # --- forward: domain conv stack ---
+        conv_pre, pool_args, pool_inshapes = [], [], []
+        for i, op in enumerate(convs):
+            with span("conv_fwd", comm=world, layer=i):
+                z = op.forward(a, conv_ws[i])
+            conv_pre.append(z)
+            a = relu(z)
+            if config.pool_after[i]:
+                pool_inshapes.append(a.shape)
+                a, arg = maxpool2d_forward(a, 2)  # local rows are even-aligned
+                pool_args.append(arg)
+            else:
+                pool_inshapes.append(None)
+                pool_args.append(None)
+        # --- redistribution (Eq. 6): all-gather rows over the Pr group ---
+        with span("redist", comm=world):
+            a_full = grid.col_comm.allgather(a, axis=2) if grid.pr > 1 else a
+        flat_shape = a_full.shape
+        # --- forward, loss, backward: 1.5D FC stack; the convs need dX ---
+        loss, fc_grads, da = fc_stack_step_15d(
+            grid, fc_ws, fc_row_parts,
+            a_full.reshape(b_local, -1).T,  # (features, b_local)
+            y[my_cols], batch=batch, step=t, guard=guard, input_grad=True,
+        )
+        # --- backward through the redistribution: slice my rows, no comm ---
+        d_feat_full = da.T.reshape(flat_shape)
+        pooled_part = BlockPartition(flat_shape[2], grid.pr)
+        d_feat = pooled_part.take(d_feat_full, grid.row, axis=2).copy()
+        # --- backward: domain conv stack ---
+        conv_grads: List[Optional[np.ndarray]] = [None] * nconv
+        for i in range(nconv - 1, -1, -1):
+            with span("conv_bwd", comm=world, layer=i):
                 if config.pool_after[i]:
-                    pool_inshapes.append(a.shape)
-                    a, arg = maxpool2d_forward(a, 2)  # local rows are even-aligned
-                    pool_args.append(arg)
-                else:
-                    pool_inshapes.append(None)
-                    pool_args.append(None)
-            # --- redistribution (Eq. 6): all-gather rows over the Pr group ---
-            with span("redist", comm=comm):
-                if grid.pr > 1:
-                    a_full = grid.col_comm.allgather(a, axis=2)
-                else:
-                    a_full = a
-            flat_shape = a_full.shape
-            # --- forward, loss, backward: 1.5D FC stack; the convs need dX ---
-            loss_global, fc_grads, da = fc_stack_step_15d(
-                grid, fc_ws, fc_row_parts,
-                a_full.reshape(b_local, -1).T,  # (features, b_local)
-                yb_local, batch=batch, step=step, guard=guard, input_grad=True,
-            )
-            losses.append(loss_global)
-            # --- backward through the redistribution: slice my rows, no comm ---
-            d_feat_full = da.T.reshape(flat_shape)
-            pooled_part = BlockPartition(flat_shape[2], grid.pr)
-            d_feat = pooled_part.take(d_feat_full, grid.row, axis=2).copy()
-            # --- backward: domain conv stack ---
-            conv_grads: List[Optional[np.ndarray]] = [None] * config.num_convs
-            for i in range(config.num_convs - 1, -1, -1):
-                with span("conv_bwd", comm=comm, layer=i):
-                    if config.pool_after[i]:
-                        d_feat = maxpool2d_backward(
-                            d_feat, pool_args[i], pool_inshapes[i], 2
-                        )
-                    dzc = relu_grad(conv_pre[i], d_feat)
-                    d_feat, dw_partial = convs[i].backward(dzc, conv_ws[i])
-                    # Weights are replicated on all P ranks: all-reduce everywhere.
-                    conv_grads[i] = grid.comm.allreduce(dw_partial)
-            with span("update", comm=comm):
-                opt.step(conv_ws + fc_ws, conv_grads + fc_grads)  # type: ignore[arg-type]
-            # Held across the next step's FC products, these dW blocks
-            # would add a weight-sized array per rank to the peak footprint.
-            del fc_grads
-            emit_heartbeat(comm, step=step, loss=loss_global, phase="integrated")
-    return conv_ws, fc_ws, losses
+                    d_feat = maxpool2d_backward(d_feat, pool_args[i], pool_inshapes[i], 2)
+                dzc = relu_grad(conv_pre[i], d_feat)
+                d_feat, dw_partial = convs[i].backward(dzc, conv_ws[i])
+                # Weights are replicated on all P ranks: all-reduce everywhere.
+                conv_grads[i] = grid.comm.allreduce(dw_partial)
+        return loss, conv_grads + fc_grads
+
+    return Replica(grid, conv_ws + fc_ws, SGD(lr=lr, momentum=momentum), step)
 
 
 def distributed_cnn_train(
@@ -395,6 +374,7 @@ def distributed_cnn_train(
     carries the run's machine, tracer and metrics sink (see
     :func:`~repro.dist.train.distributed_mlp_train`).
     """
+    check_inputs(x, y, batch, sample_axis=0)
     config.validate_for_domain(pr)
     if batch % pc:
         raise ConfigurationError(
@@ -403,25 +383,21 @@ def distributed_cnn_train(
     engine = resolve_engine(engine, pr * pc)
     # One shared guard object so all ranks aggregate into the same
     # sdc.* counters (and the caller can inspect them afterwards).
+    guard = make_guard(sdc)
+    cut = functools.partial(
+        _cnn_cut, config=config, x=x, y=y, pr=pr, pc=pc, batch=batch,
+        lr=lr, momentum=momentum, guard=guard,
+    )
     result = engine.run(
-        _cnn_train_program,
-        config,
-        params0,
-        x,
-        y,
-        pr=pr,
-        pc=pc,
-        batch=batch,
-        steps=steps,
-        lr=lr,
-        momentum=momentum,
-        sdc=make_guard(sdc),
+        sgd_program, cut, Checkpoint(0, params0.all_params(), None, ()),
+        steps=steps, phase="integrated", guard=guard,
     )
     # Conv weights are replicated (take rank 0's); FC weights reassemble
     # from their row blocks.
-    conv_ws = [w.copy() for w in result.values[0][0]]
-    fc_ws = assemble_weights(result, pr, pc, 1)
-    losses = list(result.values[0][2])
+    nconv = config.num_convs
+    conv_ws = [w.copy() for w in result.values[0][0][:nconv]]
+    fc_ws = assemble_weights(result, pr, pc, nconv)
+    losses = list(result.values[0][1])
     return CNNParams(conv_ws, fc_ws), losses, result
 
 

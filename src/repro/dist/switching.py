@@ -23,6 +23,7 @@ mirrored).  The result is numerically identical to serial SGD.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,11 +32,19 @@ from repro.dist.grid import GridComm
 from repro.dist.matmul15d import fc_stack_step_15d, redistribute_15d
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.dist.train import MLPParams, _batch_columns, check_mlp_inputs
+from repro.dist.train import (
+    Checkpoint,
+    MLPParams,
+    Replica,
+    _batch_columns,
+    _cut_rows,
+    check_inputs,
+    sgd_program,
+)
 from repro.errors import StrategyError
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
 
-__all__ = ["switching_mlp_train_program", "distributed_switching_mlp_train"]
+__all__ = ["distributed_switching_mlp_train"]
 
 _LAYOUT_BATCH = "batch"
 _LAYOUT_MODEL = "model"
@@ -53,37 +62,18 @@ def _check_placements(placements: Sequence[str], num_layers: int) -> Tuple[str, 
     return placements
 
 
-def switching_mlp_train_program(
-    comm,
-    params0: MLPParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    placements: Sequence[str],
-    pr: int,
-    pc: int,
-    batch: int,
-    steps: int,
-    lr: float = 0.05,
-    momentum: float = 0.0,
-):
-    """SPMD rank program for per-layer grid switching (see module docs)."""
-    placements = _check_placements(placements, len(params0.weights))
-    model_grid = GridComm(comm, pr, pc)
+def _switching_cut(world, ckpt: Checkpoint, x, y, *, placements, pr: int,
+                   pc: int, batch: int, lr: float, momentum: float) -> Replica:
+    """Cut ``ckpt`` for the switching step: each layer on its placement's grid."""
+    model_grid = GridComm(world, pr, pc)
     # With Pr = 1 the two layouts coincide and no layer ever switches.
-    batch_grid = GridComm(comm, 1, pr * pc) if pr > 1 else model_grid
+    batch_grid = GridComm(world, 1, pr * pc) if pr > 1 else model_grid
     grids = [model_grid if pl == _LAYOUT_MODEL else batch_grid for pl in placements]
-    row_parts = [BlockPartition(d, g.pr) for d, g in zip(params0.dims[1:], grids)]
-    weights = [
-        part.take(w, g.row, axis=0).copy()
-        for part, w, g in zip(row_parts, params0.weights, grids)
-    ]
+    row_parts, weights = _cut_rows(ckpt.weights, grids)
     col_part = BlockPartition(batch, pc)
-    opt = SGD(lr=lr, momentum=momentum)
-    losses: List[float] = []
 
-    for step in range(steps):
-        cols = _batch_columns(step, batch, x.shape[1])
+    def step(t: int):
+        cols = _batch_columns(t, batch, x.shape[1])
         # Hierarchical batch partitions: cols_c over Pc, then sub-shard r over Pr.
         group_cols = col_part.take(cols, model_grid.col)
         sub_cols = BlockPartition(len(group_cols), pr).take(group_cols, model_grid.row)
@@ -92,11 +82,11 @@ def switching_mlp_train_program(
             a = redistribute_15d(batch_grid, grids[0], a, layer=0)
         labels = y[sub_cols if grids[-1] is batch_grid else group_cols]
         loss, grads, _ = fc_stack_step_15d(
-            grids, weights, row_parts, a, labels, batch=batch, step=step, guard=None
+            grids, weights, row_parts, a, labels, batch=batch, step=t, guard=None
         )
-        losses.append(loss)
-        opt.step(weights, grads)
-    return weights, losses
+        return loss, grads
+
+    return Replica(model_grid, weights, SGD(lr=lr, momentum=momentum), step)
 
 
 def distributed_switching_mlp_train(
@@ -119,23 +109,19 @@ def distributed_switching_mlp_train(
     :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, as
     for :func:`~repro.dist.train.distributed_mlp_train`; a traced one
     exposes the redistribution collectives on its tracer, each under a
-    ``redist`` span.
+    ``redist`` span, and one ``hb`` heartbeat per rank per step (phase
+    ``"switching"``).
     """
     placements = _check_placements(placements, len(params0.weights))
-    check_mlp_inputs(x, y, batch)
+    check_inputs(x, y, batch)
     engine = resolve_engine(engine, pr * pc)
+    cut = functools.partial(
+        _switching_cut, x=x, y=y, placements=placements, pr=pr, pc=pc,
+        batch=batch, lr=lr, momentum=momentum,
+    )
     result = engine.run(
-        switching_mlp_train_program,
-        params0,
-        x,
-        y,
-        placements=placements,
-        pr=pr,
-        pc=pc,
-        batch=batch,
-        steps=steps,
-        lr=lr,
-        momentum=momentum,
+        sgd_program, cut, Checkpoint(0, params0.weights, None, ()),
+        steps=steps, phase="switching",
     )
     weights: List[np.ndarray] = []
     for i in range(len(params0.weights)):

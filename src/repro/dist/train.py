@@ -1,4 +1,5 @@
-"""End-to-end MLP training: serial reference and 1.5D distributed SGD.
+"""End-to-end MLP training: serial reference, 1.5D distributed SGD, and
+the one synchronous-SGD loop every distributed trainer runs.
 
 :func:`distributed_mlp_train` runs synchronous mini-batch SGD for a
 fully connected network on a simulated ``Pr x Pc`` process grid, using
@@ -6,13 +7,16 @@ exactly the layer products of Fig. 5.  Because synchronous SGD "obeys
 the sequential consistency of the original algorithm" (paper Section
 2), the distributed run must match :func:`serial_mlp_train`'s losses
 and final weights to floating-point accuracy on *any* grid shape — the
-integration tests assert precisely this.
+integration tests assert precisely this.  The loop itself,
+:func:`sgd_program`, is shared: a trainer differs only in how its cut
+(:func:`mlp_cut` here) lays one step over the grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Union
+import functools
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,18 +25,21 @@ from repro.dist.grid import GridComm
 from repro.dist.layers import relu, relu_grad
 from repro.dist.loss import softmax_cross_entropy
 from repro.dist.matmul15d import fc_stack_step_15d
-from repro.simmpi.sdc import payload_guard
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, PeerFailedError, ShapeError
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
+from repro.simmpi.sdc import payload_guard
 from repro.telemetry.heartbeat import emit_heartbeat
 from repro.telemetry.spans import span
 
 __all__ = [
     "MLPParams",
     "serial_mlp_train",
-    "mlp_train_program",
+    "Checkpoint",
+    "Replica",
+    "sgd_program",
+    "mlp_cut",
     "distributed_mlp_train",
     "mlp_run_record",
 ]
@@ -64,16 +71,23 @@ class MLPParams:
         return MLPParams([w.copy() for w in self.weights])
 
 
-def check_mlp_inputs(x: np.ndarray, y: np.ndarray, batch: int) -> None:
-    """Reject a dataset/batch combination no MLP trainer can run.
+#: ``x``'s dimensionality and layout for each sample axis: 1 for an
+#: MLP's ``(features, samples)``, 0 for a CNN's ``(N, C, H, W)``.
+_X_LAYOUTS = {1: (2, "(features, samples)"), 0: (4, "(N, C, H, W)")}
 
-    Shared by the serial, 1.5D, elastic and switching entry points so
-    they fail alike: cyclic batch windows would otherwise wrap silently
-    over a too-small or mis-shaped dataset.
+
+def check_inputs(x: np.ndarray, y: np.ndarray, batch: int, *, sample_axis: int = 1) -> None:
+    """Reject a dataset/batch combination no trainer can run.
+
+    Shared by every trainer's entry point, serial or distributed, so
+    they fail alike and before any rank starts: cyclic batch windows
+    would otherwise wrap silently over a too-small or mis-shaped
+    dataset.  ``sample_axis`` selects the layout (see ``_X_LAYOUTS``).
     """
-    if x.ndim != 2:
-        raise ShapeError(f"x must be (features, samples), got {x.shape}")
-    n = x.shape[1]
+    ndim, layout = _X_LAYOUTS[sample_axis]
+    if x.ndim != ndim:
+        raise ShapeError(f"x must be {layout}, got {x.shape}")
+    n = x.shape[sample_axis]
     if y.shape != (n,):
         raise ShapeError(f"y shape {y.shape} != ({n},)")
     if batch < 1 or batch > n:
@@ -107,7 +121,7 @@ def serial_mlp_train(
     momentum: float = 0.0,
 ) -> Tuple[MLPParams, List[float]]:
     """Single-process reference SGD; mutates and returns a copy of ``params``."""
-    check_mlp_inputs(x, y, batch)
+    check_inputs(x, y, batch)
     n = x.shape[1]
     params = params.copy()
     weights = params.weights
@@ -129,76 +143,126 @@ def serial_mlp_train(
     return params, losses
 
 
-def mlp_train_program(
-    comm,
-    params0: MLPParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    pr: int,
-    pc: int,
-    batch: int,
-    steps: int,
-    lr: float = 0.05,
-    momentum: float = 0.0,
-    sdc=None,
-):
-    """The SPMD rank program for 1.5D MLP training.
+@dataclasses.dataclass
+class Checkpoint:
+    """Replicated training state at a step boundary.
 
-    Every rank receives the same ``params0``/``x``/``y`` (mimicking
-    identical initialisation and a shared dataset) and keeps only its
-    1.5D blocks: weight rows ``rows_r`` per layer and batch columns
-    ``cols_c`` per step.  Returns ``(local_weight_blocks, losses)``.
-
-    ``sdc`` enables the ABFT guards of :mod:`repro.dist.abft`: a policy
-    mode string (``"detect"``/``"correct"``/``"recompute"``), an
-    :class:`~repro.simmpi.sdc.SDCPolicy`, or a shared
-    :class:`~repro.dist.abft.SDCGuard`.  Guards checksum every local
-    GEMM output block and escort every in-flight payload with an 8-byte
-    digest; with no injected faults the guarded run is bit-identical to
-    an unguarded one.
+    Captures everything needed to resume step ``step`` on *any* process
+    grid: the full (unpartitioned) weights, the full momentum buffers
+    (``None`` when momentum is off), and the global losses of the steps
+    already taken.  The batch cursor needs no storage — the cyclic batch
+    window is a pure function of the step index.
     """
-    grid = GridComm(comm, pr, pc)
-    guard = make_guard(sdc)
-    n = x.shape[1]
-    dims = params0.dims
-    row_parts = [BlockPartition(d_out, grid.pr) for d_out in dims[1:]]
-    w_locals = [
-        part.take(w, grid.row, axis=0).copy()
-        for part, w in zip(row_parts, params0.weights)
-    ]
-    col_part = BlockPartition(batch, grid.pc)
-    opt = SGD(lr=lr, momentum=momentum)
-    losses: List[float] = []
+
+    step: int
+    weights: List[np.ndarray]
+    velocity: Optional[List[np.ndarray]]
+    losses: Tuple[float, ...]
+
+    def copy(self) -> "Checkpoint":
+        return Checkpoint(
+            self.step,
+            [w.copy() for w in self.weights],
+            None if self.velocity is None else [v.copy() for v in self.velocity],
+            self.losses,
+        )
+
+
+@dataclasses.dataclass
+class Replica:
+    """One rank's cut of a :class:`Checkpoint`: its parameter blocks on
+    ``grid``, their optimizer, and ``step(t) -> (global_loss, grads)``."""
+
+    grid: GridComm
+    params: List[np.ndarray]
+    opt: SGD
+    step: Callable[[int], Tuple[float, List[np.ndarray]]]
+
+
+def sgd_program(world, cut, ckpt: Checkpoint, *, steps: int, phase: str,
+                guard=None, recovery=None):
+    """The SPMD rank program of every synchronous-SGD trainer.
+
+    ``cut(world, ckpt)`` builds this rank's :class:`Replica`; the loop
+    runs steps ``ckpt.step .. steps - 1``, each under a ``step`` span
+    with an ``update`` span and one ``hb`` heartbeat tagged ``phase``,
+    with ``guard`` escorting every payload.  Returns ``(params, losses)``.
+
+    A ``recovery`` hook makes the run elastic: the loop calls
+    ``recovery.before_step(replica, step, losses)`` at the top of each
+    step, hands a :class:`~repro.errors.PeerFailedError` to
+    ``recovery.recover(world) -> (world, checkpoint)`` and cuts again,
+    and returns ``recovery.finish(replica)`` as the params.
+    """
     with payload_guard(guard):
-        for step in range(steps):
-            with span("step", comm=comm, step=step):
-                cols = _batch_columns(step, batch, n)
-                my_cols = col_part.take(cols, grid.col)
-                a_local = x[:, my_cols]
-                yb_local = y[my_cols]
-                loss_global, grads, _ = fc_stack_step_15d(
-                    grid, w_locals, row_parts, a_local, yb_local,
-                    batch=batch, step=step, guard=guard,
-                )
-                losses.append(loss_global)
-                with span("update", comm=comm):
-                    opt.step(w_locals, grads)
-                del grads  # else held through the next step's products: peak footprint
-                emit_heartbeat(comm, step=step, loss=loss_global, phase="train")
-    return w_locals, losses
+        while True:
+            try:
+                rep = cut(world, ckpt)
+                losses = list(ckpt.losses)
+                for step in range(ckpt.step, steps):
+                    with span("step", comm=world, step=step):
+                        if recovery is not None:
+                            recovery.before_step(rep, step, losses)
+                        loss, grads = rep.step(step)
+                        losses.append(loss)
+                        with span("update", comm=world):
+                            rep.opt.step(rep.params, grads)
+                        del grads  # else held through the next step's products: peak footprint
+                        emit_heartbeat(world, step=step, loss=loss, phase=phase)
+                return (rep.params if recovery is None else recovery.finish(rep)), losses
+            except PeerFailedError:
+                if recovery is None:
+                    raise
+            # Outside the handler, so the failed step's frames are freed first.
+            world, ckpt = recovery.recover(world)
+
+
+def _cut_rows(weights: Sequence[np.ndarray], grids: Sequence[GridComm]):
+    """Each weight's 1.5D row block on its grid: ``(partitions, blocks)``."""
+    parts = [BlockPartition(w.shape[0], g.pr) for w, g in zip(weights, grids)]
+    return parts, [p.take(w, g.row, axis=0).copy() for p, w, g in zip(parts, weights, grids)]
+
+
+def mlp_cut(world, ckpt: Checkpoint, x, y, *, pr: int, pc: int, batch: int,
+            lr: float, momentum: float, guard=None) -> Replica:
+    """Cut ``ckpt`` for the 1.5D MLP step on a ``pr x pc`` grid of ``world``.
+
+    Every rank receives the same full state and dataset and keeps only
+    its 1.5D blocks: weight (and momentum) rows ``rows_r`` per layer,
+    batch columns ``cols_c`` per step.  ``guard`` (an
+    :class:`~repro.dist.abft.SDCGuard`) checksums every local GEMM
+    output block; with no injected faults a guarded run is bit-identical
+    to an unguarded one.
+    """
+    grid = GridComm(world, pr, pc)
+    row_parts, params = _cut_rows(ckpt.weights, [grid] * len(ckpt.weights))
+    opt = SGD(lr=lr, momentum=momentum)
+    if ckpt.velocity is not None:
+        opt.set_state({i: p.take(v, grid.row, axis=0)
+                       for i, (p, v) in enumerate(zip(row_parts, ckpt.velocity))})
+    col_part = BlockPartition(batch, grid.pc)
+
+    def step(t: int):
+        cols = col_part.take(_batch_columns(t, batch, x.shape[1]), grid.col)
+        loss, grads, _ = fc_stack_step_15d(
+            grid, params, row_parts, x[:, cols], y[cols], batch=batch, step=t, guard=guard
+        )
+        return loss, grads
+
+    return Replica(grid, params, opt, step)
 
 
 def assemble_weights(
-    result: SimResult, pr: int, pc: int, index: int
+    result: SimResult, pr: int, pc: int, first: int = 0
 ) -> List[np.ndarray]:
     """Rebuild full weight matrices from the rank-local row blocks of a run.
 
-    ``result.values[rank][index]`` is that rank's list of per-layer row
-    blocks.  Block ``r`` is replicated across grid row ``r``; the copy
-    of column 0 (world rank ``r * pc``) is taken.
+    ``result.values[rank][0][first:]`` is that rank's list of per-layer
+    row blocks (the params :func:`sgd_program` returns).  Block ``r`` is
+    replicated across grid row ``r``; the copy of column 0 (world rank
+    ``r * pc``) is taken.
     """
-    per_row = [result.values[r * pc][index] for r in range(pr)]
+    per_row = [result.values[r * pc][0][first:] for r in range(pr)]
     return [np.vstack(blocks) for blocks in zip(*per_row)]
 
 
@@ -226,26 +290,25 @@ def distributed_mlp_train(
     and keeps the tracer handle for a
     :class:`~repro.analysis.record.RunRecord` afterwards; to profile the
     run, call the trainer inside ``with ProfileSession():``.
-    ``sdc`` turns on the ABFT guards (see :func:`mlp_train_program`).
+    ``sdc`` turns on the ABFT guards of :mod:`repro.dist.abft` (see
+    :func:`mlp_cut`): a policy mode string
+    (``"detect"``/``"correct"``/``"recompute"``), an
+    :class:`~repro.simmpi.sdc.SDCPolicy`, or a shared
+    :class:`~repro.dist.abft.SDCGuard`.
     """
-    check_mlp_inputs(x, y, batch)
+    check_inputs(x, y, batch)
     engine = resolve_engine(engine, pr * pc)
     # One shared guard so all ranks aggregate into the same sdc.* counters.
     guard = make_guard(sdc)
-    result = engine.run(
-        mlp_train_program,
-        params0,
-        x,
-        y,
-        pr=pr,
-        pc=pc,
-        batch=batch,
-        steps=steps,
-        lr=lr,
-        momentum=momentum,
-        sdc=guard,
+    cut = functools.partial(
+        mlp_cut, x=x, y=y, pr=pr, pc=pc, batch=batch, lr=lr,
+        momentum=momentum, guard=guard,
     )
-    weights = assemble_weights(result, pr, pc, 0)
+    result = engine.run(
+        sgd_program, cut, Checkpoint(0, params0.weights, None, ()),
+        steps=steps, phase="train", guard=guard,
+    )
+    weights = assemble_weights(result, pr, pc)
     losses = list(result.values[0][1])
     return weights, losses, result
 

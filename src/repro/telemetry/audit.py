@@ -208,7 +208,7 @@ def audit_events(
     machine: Optional[MachineParams] = None,
     sdc: bool = False,
 ) -> AuditReport:
-    """Audit an existing trace of :func:`repro.dist.train.mlp_train_program`.
+    """Audit an existing trace of :func:`repro.dist.train.distributed_mlp_train`.
 
     ``dims`` are the MLP layer sizes the trace was produced with;
     measured totals are averaged over ``steps`` (they are identical
@@ -453,7 +453,7 @@ def audit_mlp_15d(
     ``seed``.  ``sdc`` (a policy mode / policy / guard) turns on the
     ABFT guards for the run and audits their digest escorts too.
     """
-    from repro.dist.train import MLPParams, mlp_train_program
+    from repro.dist.train import MLPParams, distributed_mlp_train
     from repro.simmpi.engine import SimEngine
 
     n = samples if samples is not None else 4 * batch
@@ -462,9 +462,9 @@ def audit_mlp_15d(
     y = rng.integers(0, dims[-1], n)
     params0 = MLPParams.init(dims, seed=seed)
     engine = SimEngine(pr * pc, machine, trace=True)
-    engine.run(
-        mlp_train_program, params0, x, y,
-        pr=pr, pc=pc, batch=batch, steps=steps, sdc=sdc,
+    distributed_mlp_train(
+        params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps, sdc=sdc,
+        engine=engine,
     )
     events = engine.tracer.events
     report = audit_events(

@@ -17,7 +17,7 @@ from repro.dist.elastic import (
 )
 from repro.dist.erasure import MODE_ERASURE, MODE_REPLICATE
 from repro.dist.sgd import SGD
-from repro.dist.train import MLPParams, serial_mlp_train
+from repro.dist.train import MLPParams, distributed_mlp_train, serial_mlp_train
 from repro.errors import ConfigurationError, RankFailedError
 from repro.machine.params import cori_knl
 from repro.simmpi.engine import SimEngine
@@ -78,6 +78,19 @@ class TestElasticNoFaults:
         np.testing.assert_allclose(res.losses, ref_losses, rtol=1e-10, atol=1e-13)
         for w, r in zip(res.weights, ref_params.weights):
             np.testing.assert_allclose(w, r, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("ckpt_mode", ["erasure", "replicate"])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_equals_plain_trainer_bit_for_bit(self, momentum, ckpt_mode):
+        """With no faults the recovery hook only charges compute and
+        takes checkpoints: weights and losses equal the plain trainer's."""
+        res = _elastic(momentum=momentum, pr=2, pc=4, ckpt_mode=ckpt_mode)
+        weights, losses, _ = distributed_mlp_train(
+            PARAMS0, X, Y, pr=2, pc=4, batch=BATCH, steps=STEPS, lr=0.05,
+            momentum=momentum,
+        )
+        assert np.asarray(res.losses).tobytes() == np.asarray(losses).tobytes()
+        assert [w.tobytes() for w in res.weights] == [w.tobytes() for w in weights]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

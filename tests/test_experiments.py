@@ -324,20 +324,6 @@ def _domain_epochs(result):
     return [r["total_s"] for r in result.tables[0].rows if r["strategy"].startswith("domain")]
 
 
-def _halo_shares(result):
-    """Per P > B: the halo volume over the conv all-gather volume it replaces."""
-    net, m, shares = SETTING.network, SETTING.machine, []
-    for r in result.tables[0].rows:
-        if r["strategy"].startswith("domain") and r["P"] > 512:
-            grid = ProcessGrid(*map(int, r["grid"].split("x")))
-            costs = [integrated_cost(net, 512, family(net, grid), m) for family in
-                     (Strategy.same_grid_model, Strategy.conv_domain_fc_model)]
-            gather = [sum(t.volume for t in c.filter("model.allgather_fwd").terms) for c in costs]
-            halo = sum(t.volume for t in costs[1].filter("domain.").terms)
-            shares.append(halo / (gather[0] - gather[1]))
-    return shares
-
-
 def _crossover(result):
     return _row(result, layer="conv4")["crossover_B"]
 
@@ -430,7 +416,8 @@ CLAIMS = [
         *_domain_epochs(e)), "251 s (P=512) → 130 s → 69 s → 39 s (P=4096)"),
     ("fig10", lambda e, R: _if(_falls(_domain_epochs(e)), "strictly monotone"),
      "strictly monotone"),
-    ("fig10", lambda e, R: f"is {_span([100 * s for s in _halo_shares(e)], '.0f')}%", "is 13–23%"),
+    ("fig10", lambda e, R: re.search(r"is \S+%", next(n for n in e.notes if "halo volume" in n))[0],
+     "is 13–23%"),
     ("eq5", lambda e, R: _eq5_formula(e), "2·3·3·384/(3·13·13) = 13.6"),
     ("eq5", lambda e, R: f"model wins for B ≤ {int(_crossover(e))}", "model wins for B ≤ 13"),
     ("summa", lambda e, R: _summa_range(e), "[1.02 (256×2) … 514 (2×256)]"),

@@ -10,7 +10,7 @@ from repro.dist.integrated import (
     distributed_cnn_train,
     serial_cnn_train,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeError
 
 CFG = IntegratedCNNConfig(
     in_channels=2,
@@ -154,6 +154,26 @@ class TestDistributedValidation:
     def test_batch_must_divide_over_pc(self):
         with pytest.raises(ConfigurationError):
             distributed_cnn_train(CFG, PARAMS, X, Y, pr=1, pc=3, **KW)
+
+    @pytest.mark.parametrize("trainer", ["serial", "distributed"])
+    @pytest.mark.parametrize(
+        "x, y, error",
+        [
+            (X[:4], Y[:4], ConfigurationError),  # batch 8 > 4 samples: a wrapped window
+            (X, Y[:-1], ShapeError),  # one label short
+            (X[:, 0], Y, ShapeError),  # 3-D images
+        ],
+        ids=["batch-over-samples", "short-y", "3d-x"],
+    )
+    def test_inputs_checked_before_any_rank_starts(self, trainer, x, y, error):
+        """Both CNN entry points run the shared input check on the sample
+        axis 0, so a bad dataset is a typed error, never a silent wrap or
+        a RankFailedError from inside the ranks."""
+        with pytest.raises(error):
+            if trainer == "serial":
+                serial_cnn_train(CFG, PARAMS, x, y, **KW)
+            else:
+                distributed_cnn_train(CFG, PARAMS, x, y, pr=2, pc=2, **KW)
 
     def test_halo_traffic_present_for_3x3_convs(self):
         from repro.machine.params import cori_knl

@@ -99,7 +99,7 @@ GOLDEN = {
         "chrome": "1c4c0b64bd8edc23d421393c",
         "registry": "be3f781e960871693fb2fcd6",
         "rows": "ddaa5f89e00a6b1db545f68b",
-        "canonical": "e184abc37494fd1982254af3",
+        "canonical": "9235f2560d2e6555fad6ea3f",
         "record": "05b7df5663d2631b40474f09",
     },
 }

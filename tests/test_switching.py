@@ -48,6 +48,25 @@ class TestSwitchingMatchesSerial:
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-11)
 
 
+def test_traced_run_beats_once_per_rank_per_step():
+    """On the shared SGD loop the switching trainer is observable like the
+    others: one ``hb`` per rank per step, each inside its step span, and a
+    healthy trace."""
+    from repro.observe.health import evaluate_health
+    from repro.telemetry.heartbeat import HB_OP
+
+    engine = SimEngine(8, trace=True)
+    distributed_switching_mlp_train(
+        PARAMS, X, Y, placements=["batch", "model", "batch"], pr=4, pc=2,
+        engine=engine, **KW,
+    )
+    beats = [e for e in engine.tracer.events if e.op == HB_OP]
+    assert len(beats) == 8 * KW["steps"]
+    assert {dict(e.tag)["phase"] for e in beats} == {"switching"}
+    assert all(base_name(e.span[-1]) == "step" for e in beats)
+    assert evaluate_health(engine.tracer.events).events == ()
+
+
 class TestValidation:
     def test_wrong_placement_count(self):
         with pytest.raises(StrategyError):
@@ -133,11 +152,8 @@ class TestRedistributionTraffic:
         """With Pr = 1 the layout switch is the identity: tracing a 1x4
         run of a batch->model mix shows only dW/loss all-reduce traffic
         (no all-gather rounds beyond those collectives)."""
-        from repro.dist.switching import switching_mlp_train_program
-
         engine = SimEngine(4, cori_knl(), trace=True)
-        engine.run(
-            switching_mlp_train_program,
+        distributed_switching_mlp_train(
             PARAMS,
             X,
             Y,
@@ -147,6 +163,7 @@ class TestRedistributionTraffic:
             batch=16,
             steps=1,
             lr=0.1,
+            engine=engine,
         )
         ops = {e.op for e in engine.tracer.events if e.peer == -1}
         assert not any(op.startswith("allgather") for op in ops)

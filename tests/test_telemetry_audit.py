@@ -1,7 +1,7 @@
 """Satellite test: measured 1.5D traffic equals the Eq. 8 terms exactly.
 
 The audit compares the *simulated* per-step communication (data bytes
-summed over all ranks, and send counts) of ``mlp_train_program`` against
+summed over all ranks, and send counts) of ``distributed_mlp_train`` against
 the closed-form bandwidth/latency terms of
 :func:`repro.core.costs.integrated_mb_cost` — zero relative error, not
 approximately.

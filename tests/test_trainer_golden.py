@@ -102,10 +102,10 @@ GOLDEN = {
     "cnn-2x2-guarded": "78f9d2b38c781581a51e75b9",
     "cnn-2x4-plain": "8eb23e2b1cf7f6f4e90e84de",
     "cnn-2x4-guarded": "81b3c1c006e24a3f6c63d2bb",
-    "elastic-2x2-plain": "c76a34050a80b22559016d26",
-    "elastic-2x2-guarded": "1cb692c18c34b65bcfb7a112",
-    "elastic-2x4-plain": "d01fd75b6b7033f615e161fd",
-    "elastic-2x4-guarded": "93e1b9ff125c190d0a261fa8",
+    "elastic-2x2-plain": "3db83727eb043842e886f47d",
+    "elastic-2x2-guarded": "7cce28c791d513ad698c749b",
+    "elastic-2x4-plain": "a752496f666bcb2a733193c5",
+    "elastic-2x4-guarded": "db9752b57249c45b53d53b8d",
     "mlp-2x2-plain": "ae3170c54ec1077a4125fa59",
     "mlp-2x2-guarded": "7427a74b096fd03205ba200b",
     "mlp-2x4-plain": "73250c190ba110ee08242286",
