@@ -12,7 +12,8 @@ Run:  python examples/telemetry_trace.py [out_dir]
 import sys
 import tempfile
 
-from repro.telemetry.audit import audit_mlp_15d
+from repro.run import RunSpec, execute
+from repro.telemetry.audit import audit_events
 from repro.telemetry.chrome import validate_chrome_trace, write_chrome_trace
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.summary import span_summary
@@ -20,7 +21,9 @@ from repro.telemetry.summary import span_summary
 
 def main() -> None:
     dims = (32, 24, 16, 10)
-    report, events = audit_mlp_15d(dims, pr=2, pc=2, batch=16, steps=2)
+    run = execute(RunSpec(size=dims, pr=2, pc=2, batch=16, steps=2))
+    events = run.engine.tracer.events
+    report = audit_events(events, dims, pr=2, pc=2, batch=16, steps=2)
 
     print("Per-span summary (2x2 grid, 2 steps):")
     print(span_summary(events).to_ascii())

@@ -473,18 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
 # -- the shared run path of the simulated-run commands ---------------------
 
 
-def _toy_mlp(dims, samples: int, seed: int):
-    """Seeded inputs of a toy-MLP run: ``(x, y, initial params)``."""
-    import numpy as np
-
-    from repro.dist.train import MLPParams
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dims[0], samples))
-    y = rng.integers(0, dims[-1], samples)
-    return x, y, MLPParams.init(dims, seed=seed)
-
-
 def _write_record(args, build) -> None:
     """Write ``build()``'s RunRecord to ``--record``, if given, and say so
     unless stdout carries ``--json``."""
@@ -512,6 +500,11 @@ def _exit_code(kinds, severity) -> int:
     """The worst exit code among the outcome ``kinds`` (``severity`` maps
     a kind to 1 or 2; any other kind is clean)."""
     return max((severity.get(kind, 0) for kind in kinds), default=0)
+
+
+def _bits(arrays):
+    """``arrays`` as bytes, for bit-exact comparison (``None`` stays)."""
+    return None if arrays is None else [a.tobytes() for a in arrays]
 
 
 def _build_network(name: str):
@@ -592,28 +585,24 @@ def _run_best(args) -> int:
 def _run_faults(args) -> int:
     import numpy as np
 
-    from repro.dist.elastic import elastic_mlp_train, elastic_run_record, replan_grid
+    from repro.dist.elastic import replan_grid
     from repro.dist.train import serial_mlp_train
     from repro.errors import ConfigurationError, ReproError
     from repro.machine.params import cori_knl
-    from repro.report.timeline import (
-        render_fault_log,
-        render_span_timeline,
-        render_timeline,
-    )
-    from repro.simmpi.engine import SimEngine
+    from repro.report.timeline import render_fault_log, render_span_timeline, render_timeline
+    from repro.run import RunSpec, execute
     from repro.simmpi.faults import Crash, FaultPlan, LinkFault, Straggler
 
     if args.ranks < 2:
-        print("faults demo needs at least 2 ranks", file=sys.stderr)
-        return 2
+        raise ConfigurationError("faults demo needs at least 2 ranks")
+    if args.width < 10:
+        raise ConfigurationError(f"width must be >= 10, got {args.width}")
     if args.plan is not None:
         try:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 plan = FaultPlan.from_json(fh.read())
         except (OSError, ValueError, ConfigurationError) as exc:
-            print(f"bad fault plan {args.plan!r}: {exc}", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"bad fault plan {args.plan!r}: {exc}") from exc
     else:
         # Built-in demo: one mid-run crash, one degraded link, one mild
         # straggler — enough to show detection, shrink and resumption.
@@ -623,78 +612,42 @@ def _run_faults(args) -> int:
             links=(LinkFault(src=0, dst=2, latency_factor=4.0, bandwidth_factor=0.5),),
             stragglers=(Straggler(rank=0, factor=1.3),),
         )
-    dims = (8, 10, 6)
-    batch = 8
-    x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
+    dims, batch = (8, 10, 6), 8
     pr, pc = replan_grid(args.ranks, dims, batch, cori_knl())
+    spec = RunSpec(
+        trainer="elastic", size=dims, pr=pr, pc=pc, batch=batch,
+        steps=args.steps, seed=args.seed, faults=plan, sdc=args.sdc,
+    )
+    counts = {
+        kind: len(getattr(plan, kind))
+        for kind in ("crashes", "transients", "drops", "links", "stragglers", "bitflips")
+    }
     if not args.json:
         print(f"world   : {args.ranks} ranks as a {pr}x{pc} grid, "
               f"{args.steps} steps")
         print(
-            f"plan    : {len(plan.crashes)} crash(es), {len(plan.transients)} "
-            f"transient(s), {len(plan.drops)} drop(s), {len(plan.links)} link "
-            f"fault(s), {len(plan.stragglers)} straggler(s), "
-            f"{len(plan.bitflips)} bit flip(s)  [seed {plan.seed}]"
+            "plan    : {crashes} crash(es), {transients} transient(s), {drops} "
+            "drop(s), {links} link fault(s), {stragglers} straggler(s), "
+            "{bitflips} bit flip(s)".format(**counts) + f"  [seed {plan.seed}]"
         )
         if args.sdc:
             print(f"guards  : ABFT on, policy {args.sdc!r}")
     try:
-        result = elastic_mlp_train(
-            params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
-            checkpoint_every=2, sdc=args.sdc,
-            engine=SimEngine(pr * pc, trace=True, faults=plan, supervise=True),
-        )
+        run = execute(spec)
     except ReproError as exc:
         print(f"DEGRADED: run failed under the fault plan: {exc}", file=sys.stderr)
         return 1
-    events = result.engine.tracer.canonical()
-    if not args.json:
-        print()
-        print("fault log:")
-        print(render_fault_log(events))
-        print()
-        print(render_timeline(events, width=args.width))
-        print()
-        print(render_span_timeline(events, width=args.width))
-        print()
-        if result.recovered:
-            degraded_at = set(result.degraded_steps)
-            for (gpr, gpc), at in zip(result.grids[1:], result.restore_steps):
-                print(
-                    f"recovery: shrank to a {gpr}x{gpc} grid, resumed from "
-                    f"the step-{at} checkpoint"
-                    + (" (DEGRADED: newer shards unrecoverable)"
-                       if at in degraded_at else "")
-                )
-        else:
-            print("recovery: none needed")
-    injector = result.engine.injector
-    slack = {}
-    if injector is not None and injector.plan.stragglers:
-        slack = injector.straggler_slack()
-        if not args.json:
-            print()
-            print("stragglers:")
-            for spec in injector.plan.stragglers:
-                jitter = f", jitter {spec.jitter:g}" if spec.jitter else ""
-                print(
-                    f"  rank {spec.rank}: factor {spec.factor:g}{jitter} -> "
-                    f"injected slack {slack.get(spec.rank, 0.0):.3e}s virtual"
-                )
-    _write_record(args, lambda: elastic_run_record(
-        result, batch=batch, steps=args.steps, checkpoint_every=2,
-    ))
-    ref_params, _ = serial_mlp_train(
-        params0, x, y, batch=batch, steps=args.steps
-    )
+    result = run.elastic
+    events = run.engine.tracer.canonical()
+    injector = run.engine.injector
+    stragglers = injector.plan.stragglers if injector is not None else ()
+    slack = injector.straggler_slack() if stragglers else {}
+    x, y, params0 = spec.inputs()
+    ref_params, _ = serial_mlp_train(params0, x, y, batch=batch, steps=args.steps)
     dev = max(
         float(np.max(np.abs(w - r)))
-        for w, r in zip(result.weights, ref_params.weights)
+        for w, r in zip(run.weights, ref_params.weights)
     )
-    if not args.json:
-        print(f"failed ranks   : {list(result.sim.failed) or 'none'}")
-        print(f"final loss     : {result.losses[-1]:.6f}")
-        print(f"max |w - serial|: {dev:.3e}")
     # Exit granularity: 0 = clean or fully recovered (crashes absorbed by
     # shrink/restore, bit flips detected and repaired); 1 = degraded — an
     # injected flip nobody detected escaped into the weights.
@@ -702,6 +655,7 @@ def _run_faults(args) -> int:
     escaped = ops.count("fault.bitflip") - ops.count("fault.sdc_detected")
     code = 1 if escaped > 0 else 0
     if args.json:
+        _write_record(args, run.record)
         return _emit_json(
             {
                 "schema": "repro.cli.faults/v1",
@@ -711,30 +665,52 @@ def _run_faults(args) -> int:
                     "steps": args.steps, "seed": args.seed,
                     "sdc": args.sdc,
                 },
-                "plan": {
-                    "crashes": len(plan.crashes),
-                    "transients": len(plan.transients),
-                    "drops": len(plan.drops),
-                    "links": len(plan.links),
-                    "stragglers": len(plan.stragglers),
-                    "bitflips": len(plan.bitflips),
-                    "seed": plan.seed,
-                },
+                "plan": dict(counts, seed=plan.seed),
                 "recovered": result.recovered,
                 "grids": [list(g) for g in result.grids],
                 "restore_steps": list(result.restore_steps),
                 "degraded_steps": list(result.degraded_steps),
-                "failed_ranks": sorted(result.sim.failed),
+                "failed_ranks": sorted(run.sim.failed),
                 "straggler_slack_s": {
                     str(r): s for r, s in sorted(slack.items())
                 },
-                "final_loss": float(result.losses[-1]),
+                "final_loss": float(run.losses[-1]),
                 "max_weight_dev": dev,
                 "escaped_flips": escaped,
                 "dropped": 0,  # format field: the tracer keeps every event
                 "exit_code": code,
             }
         )
+    print()
+    print("fault log:")
+    print(render_fault_log(events))
+    print()
+    print(render_timeline(events, width=args.width))
+    print()
+    print(render_span_timeline(events, width=args.width))
+    print()
+    degraded_at = set(result.degraded_steps)
+    for (gpr, gpc), at in zip(result.grids[1:], result.restore_steps):
+        print(
+            f"recovery: shrank to a {gpr}x{gpc} grid, resumed from "
+            f"the step-{at} checkpoint"
+            + (" (DEGRADED: newer shards unrecoverable)" if at in degraded_at else "")
+        )
+    if not result.recovered:
+        print("recovery: none needed")
+    if stragglers:
+        print()
+        print("stragglers:")
+        for straggler in stragglers:
+            jitter = f", jitter {straggler.jitter:g}" if straggler.jitter else ""
+            print(
+                f"  rank {straggler.rank}: factor {straggler.factor:g}{jitter} -> "
+                f"injected slack {slack.get(straggler.rank, 0.0):.3e}s virtual"
+            )
+    _write_record(args, run.record)
+    print(f"failed ranks   : {list(run.sim.failed) or 'none'}")
+    print(f"final loss     : {run.losses[-1]:.6f}")
+    print(f"max |w - serial|: {dev:.3e}")
     if escaped > 0:
         print(
             f"DEGRADED: {escaped} injected bit flip(s) escaped undetected "
@@ -761,56 +737,44 @@ _SDC_GAUNTLET = (
 
 
 def _run_sdc(args) -> int:
-    from repro.dist.abft import make_guard
-    from repro.dist.train import distributed_mlp_train, mlp_run_record
-    from repro.errors import RankFailedError, SDCError
-    from repro.simmpi.engine import SimEngine
+    import dataclasses
+
+    from repro.errors import ConfigurationError, RankFailedError, SDCError
+    from repro.run import RunSpec, execute
     from repro.simmpi.faults import BitFlipFault, FaultPlan
 
     # A plan for a step the run never reaches cannot fire, which would
     # read as an escape rather than the misconfiguration it is.
-    min_steps = 1 + max(spec.get("step", 0) for _, spec in _SDC_GAUNTLET)
+    min_steps = 1 + max(flip.get("step", 0) for _, flip in _SDC_GAUNTLET)
     if args.steps < min_steps:
-        print(f"sdc needs at least {min_steps} steps", file=sys.stderr)
-        return 2
-    dims = (12, 10, 8)
-    pr = pc = 2
-    batch = 8
-    x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
-
-    def run(plan=None, guard=None):
-        engine = SimEngine(pr * pc, trace=True, faults=plan)
-        weights, _, sim = distributed_mlp_train(
-            params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
-            engine=engine, sdc=guard,
-        )
-        return weights, engine, sim
-
-    clean, _, _ = run()
-    clean_bits = [w.tobytes() for w in clean]
-    guarded = not args.no_guard
+        raise ConfigurationError(f"sdc needs at least {min_steps} steps")
+    clean = RunSpec(
+        size=(12, 10, 8), pr=2, pc=2, batch=8, steps=args.steps, seed=args.seed
+    )
+    clean_bits = _bits(execute(clean).weights)
+    policy = None if args.no_guard else args.policy
     print(
         f"gauntlet: {len(_SDC_GAUNTLET)} single-bit-flip plans on a "
-        f"{pr}x{pc} grid, dims {dims}, {args.steps} steps, "
-        + (f"guards ON (policy {args.policy!r})" if guarded else "guards OFF")
+        f"{clean.pr}x{clean.pc} grid, dims {clean.size}, {args.steps} steps, "
+        + (f"guards ON (policy {policy!r})" if policy else "guards OFF")
     )
     outcomes = []
     last = None
-    for name, spec in _SDC_GAUNTLET:
-        plan = FaultPlan(seed=args.seed, bitflips=(BitFlipFault(**spec),))
-        guard = make_guard(args.policy) if guarded else None
+    for name, flip in _SDC_GAUNTLET:
+        plan = FaultPlan(seed=args.seed, bitflips=(BitFlipFault(**flip),))
         try:
-            weights, engine, sim = run(plan, guard)
+            run = execute(dataclasses.replace(clean, faults=plan, sdc=policy))
         except (RankFailedError, SDCError):
             # The guard refused to continue (detect policy, or retries
             # exhausted): corruption never reached the weights, but the
             # run did not complete either.
             outcomes.append((name, "detected-unrecovered"))
             continue
+        guard = run.guard
         injected = guard.monitor["injected"] if guard is not None else sum(
-            1 for e in engine.tracer.canonical() if e.op == "fault.bitflip"
+            1 for e in run.engine.tracer.canonical() if e.op == "fault.bitflip"
         )
-        identical = [w.tobytes() for w in weights] == clean_bits
+        identical = _bits(run.weights) == clean_bits
         if injected == 0:
             outcome = "no-fire"
         elif identical:
@@ -823,16 +787,12 @@ def _run_sdc(args) -> int:
         else:
             outcome = "escaped"
         outcomes.append((name, outcome))
-        last = (engine, sim, guard)
+        last = run
     width = max(len(n) for n, _ in outcomes)
     for name, outcome in outcomes:
         print(f"  {name:<{width}}  {outcome}")
     if last is not None:
-        engine, sim, guard = last
-        _write_record(args, lambda: mlp_run_record(
-            engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
-            steps=args.steps, sdc=guard, meta={"gauntlet": "sdc"},
-        ))
+        _write_record(args, lambda: last.record(meta={"gauntlet": "sdc"}))
     code = _exit_code(
         (o for _, o in outcomes),
         {"escaped": 2, "no-fire": 2, "detected-unrecovered": 1},
@@ -847,295 +807,187 @@ def _run_sdc(args) -> int:
     return code
 
 
-def _run_chaos(args) -> int:
-    import numpy as np
+def _chaos_trials(args):
+    """The chaos gauntlet as ``(base spec, [(name, spec), ...])``: every
+    failure archetype the checkpoint subsystem claims to survive, the
+    seeded random single crashes, then (``--over-parity``) the losses it
+    must *declare*.  Each spec runs with erasure-coded checkpoints.
+    Bad arguments raise before any spec is built."""
+    import dataclasses
 
-    from repro.analysis import write_run_record
-    from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-    from repro.errors import ReproError
-    from repro.simmpi.engine import SimEngine
-    from repro.simmpi.faults import (
-        BitFlipFault,
-        Cascade,
-        Crash,
-        FaultPlan,
-        MessageDrop,
-        Straggler,
+    from repro.errors import ConfigurationError
+    from repro.run import RunSpec, random_crashes
+    from repro.simmpi.faults import BitFlipFault, Cascade, Crash, FaultPlan, MessageDrop, Straggler
+
+    base = RunSpec(
+        trainer="elastic", size=(8, 10, 6), pr=2, pc=4, batch=8,
+        steps=args.steps, seed=args.seed, parity=args.parity,
     )
-
-    dims = (8, 10, 6)
-    pr, pc = 2, 4
-    batch = 8
-    steps = args.steps
     # A stripe has Pc chunks: parity >= Pc leaves no data chunk, and every
     # "erasure" trial would silently fall back to replication.
     for bad, message in (
-        (steps < 4, "chaos needs at least 4 steps"),
+        (args.steps < 4, "chaos needs at least 4 steps"),
         (args.trials < 0, "chaos --trials must be >= 0"),
-        (not 1 <= args.parity < pc, f"chaos --parity must be in [1, {pc - 1}]"),
+        (not 1 <= args.parity < base.pc,
+         f"chaos --parity must be in [1, {base.pc - 1}]"),
     ):
         if bad:
-            print(message, file=sys.stderr)
-            return 2
-    x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
+            raise ConfigurationError(message)
+    steps = args.steps
     mid = max(2, steps // 2)
-
-    # The deterministic gauntlet: every failure archetype the checkpoint
-    # subsystem claims to survive, each as (name, plan, parity, sdc).
+    crash = Crash(1, at_step=mid)
+    # Ranks 1 and 2 share a row stripe: two concurrent losses in one stripe.
+    pair = (crash, Crash(2, at_step=mid))
+    cascade = Cascade(2, at_recovery=1)  # a second loss mid-recovery
     flip = BitFlipFault(
         rank=0, target="matmul", layer=0, step=0, gemm="fwd", element=1, bit=40
     )
+
+    def trial(name, parity=args.parity, sdc=None, **plan):
+        faults = FaultPlan(seed=args.seed, **plan)
+        return name, dataclasses.replace(base, faults=faults, parity=parity, sdc=sdc)
+
     trials = [
-        ("clean", FaultPlan(seed=args.seed), args.parity, None),
-        (
-            "crash-1",
-            FaultPlan(seed=args.seed, crashes=(Crash(1, at_step=mid),)),
-            args.parity,
-            None,
-        ),
-        (
-            "crash-seq-2",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(
-                    Crash(1, at_step=max(1, steps // 3)),
-                    Crash(3, at_step=max(2, (2 * steps) // 3)),
-                ),
-            ),
-            args.parity,
-            None,
-        ),
-        (
-            # Ranks 1 and 2 share a row stripe, so this is a genuine
-            # 2-concurrent-loss test of a 2-shard parity budget.
-            "crash-concurrent-2-r2",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(Crash(1, at_step=mid), Crash(2, at_step=mid)),
-            ),
-            2,
-            None,
-        ),
-        (
-            # Same double crash but across *different* row stripes:
-            # each stripe loses one chunk, so parity 1 suffices.
-            "crash-concurrent-2-split-r1",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(Crash(1, at_step=mid), Crash(5, at_step=mid)),
-            ),
-            1,
-            None,
-        ),
-        (
-            # Two total losses (one mid-training, one mid-recovery), so
-            # this needs a 2-shard parity budget to recover exactly.
-            "cascade-r2",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(Crash(1, at_step=mid),),
-                cascades=(Cascade(2, at_recovery=1),),
-            ),
-            2,
-            None,
-        ),
-        (
-            "bitflip-crash",
-            FaultPlan(
-                seed=args.seed, crashes=(Crash(2, at_step=mid),), bitflips=(flip,)
-            ),
-            args.parity,
-            "correct",
-        ),
-        (
-            "straggler-crash",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(Crash(3, at_step=mid),),
-                stragglers=(Straggler(rank=0, factor=1.5),),
-            ),
-            args.parity,
-            None,
-        ),
+        trial("clean"),
+        trial("crash-1", crashes=(crash,)),
+        trial("crash-seq-2", crashes=(
+            Crash(1, at_step=max(1, steps // 3)),
+            Crash(3, at_step=max(2, (2 * steps) // 3)),
+        )),
+        # A genuine 2-concurrent-loss test of a 2-shard parity budget.
+        trial("crash-concurrent-2-r2", 2, crashes=pair),
+        # Across *different* row stripes: each loses one chunk, so
+        # parity 1 suffices.
+        trial("crash-concurrent-2-split-r1", 1, crashes=(crash, Crash(5, at_step=mid))),
+        # Two total losses, so this needs a 2-shard budget to recover exactly.
+        trial("cascade-r2", 2, crashes=(crash,), cascades=(cascade,)),
+        trial("bitflip-crash", sdc="correct",
+              crashes=(Crash(2, at_step=mid),), bitflips=(flip,)),
+        trial("straggler-crash", crashes=(Crash(3, at_step=mid),),
+              stragglers=(Straggler(rank=0, factor=1.5),)),
     ]
-    plan_rng = np.random.default_rng(args.seed + 1)
-    for t in range(args.trials):
-        trials.append(
-            (
-                f"random-{t}",
-                FaultPlan(
-                    seed=args.seed,
-                    crashes=(
-                        Crash(
-                            int(plan_rng.integers(0, pr * pc)),
-                            at_step=int(plan_rng.integers(1, steps)),
-                        ),
-                    ),
-                ),
-                args.parity,
-                None,
-            )
-        )
+    ranks = base.pr * base.pc
+    for t, c in enumerate(random_crashes(args.seed + 1, args.trials, ranks=ranks, steps=steps)):
+        trials.append(trial(f"random-{t}", crashes=(c,)))
     if args.over_parity:
         trials += [
-            (
-                # Two concurrent losses in one row stripe with a single
-                # parity shard: unrecoverable past step 0 by design.
-                "over-parity-2-r1",
-                FaultPlan(
-                    seed=args.seed,
-                    crashes=(Crash(1, at_step=mid), Crash(2, at_step=mid)),
-                ),
-                1,
-                None,
-            ),
-            (
-                "cascade-r1",
-                FaultPlan(
-                    seed=args.seed,
-                    crashes=(Crash(1, at_step=mid),),
-                    cascades=(Cascade(2, at_recovery=1),),
-                ),
-                1,
-                None,
-            ),
-            (
-                "drop",
-                FaultPlan(
-                    seed=args.seed, drops=(MessageDrop(rank=0, send_index=5),)
-                ),
-                args.parity,
-                None,
-            ),
+            # Unrecoverable past step 0 by design with one parity shard.
+            trial("over-parity-2-r1", 1, crashes=pair),
+            trial("cascade-r1", 1, crashes=(crash,), cascades=(cascade,)),
+            trial("drop", drops=(MessageDrop(rank=0, send_index=5),)),
         ]
+    return base, trials
 
+
+def _checkpoint_bits(ckpt):
+    return ckpt.step, tuple(ckpt.losses), _bits(ckpt.weights), _bits(ckpt.velocity)
+
+
+def _chaos_outcome(oracle, erasure, e_err, replicate, r_err):
+    """``(outcome, detail)`` of one chaos trial: its erasure-coded run
+    judged against the replicated run of the same plan and, when their
+    recoveries differ, against the clean replicated ``oracle``."""
+    import numpy as np
+
+    if e_err is not None:
+        # The run itself refused to continue — a *declared* failure,
+        # never a silently wrong answer.
+        return "declared-failed", str(e_err)
+    if erasure.degraded_steps:
+        return "declared-degraded", (
+            f"restored step(s) {erasure.restore_steps} "
+            f"(degraded at {erasure.degraded_steps})"
+        )
+    if r_err is not None:
+        return "declared-failed", f"reference run: {r_err}"
+    if (erasure.grids == replicate.grids
+            and erasure.restore_steps == replicate.restore_steps):
+        # Identical recovery trajectories: the whole runs must be
+        # bit-for-bit interchangeable.
+        same = _bits(erasure.weights) == _bits(replicate.weights)
+        detail = (
+            f"recovered from {sorted(erasure.sim.failed)} via "
+            f"step(s) {erasure.restore_steps}"
+            if erasure.recovered else ""
+        )
+        return ("exact" if same else "SILENT-DIVERGENCE"), detail
+    # Trajectories diverged.  Legitimate only one way: a crash landing on
+    # a take step tears the replicated all-gather but not the purely
+    # local erasure encode, so erasure restores a *newer* step.  Then the
+    # restored state must still match the clean oracle's checkpoint
+    # bit-exactly, and both modes must converge to the same weights up to
+    # reduction order.  (The oracle's store holds the full original-grid
+    # checkpoint at every take step, and every faulted run is
+    # bit-identical to it before its first crash.)
+    ahead = len(erasure.restore_steps) == len(replicate.restore_steps) and all(
+        es >= rs for es, rs in zip(erasure.restore_steps, replicate.restore_steps)
+    )
+    first = erasure.restored[0] if erasure.restored else None
+    holding = oracle.store.get(first.step) if first is not None else None
+    first_ok = holding is not None and (
+        _checkpoint_bits(first) == _checkpoint_bits(holding.checkpoint)
+    )
+    close = all(
+        np.allclose(a, b, atol=1e-9)
+        for a, b in zip(erasure.weights, replicate.weights)
+    )
+    if ahead and first_ok and close:
+        return "exact-ahead", (
+            f"erasure restored step(s) {erasure.restore_steps} vs "
+            f"replication's {replicate.restore_steps}; restored state "
+            "bit-identical to the clean oracle"
+        )
+    return "SILENT-DIVERGENCE", (
+        f"erasure restored {erasure.restore_steps} (grids "
+        f"{erasure.grids}) vs replication {replicate.restore_steps} "
+        f"(grids {replicate.grids}); ahead={ahead} "
+        f"oracle-match={first_ok} converged={close}"
+    )
+
+
+def _run_chaos(args) -> int:
+    import dataclasses
+
+    from repro.analysis import write_run_record
+    from repro.errors import ReproError
+    from repro.run import CHECKPOINT_EVERY, execute
+
+    base, trials = _chaos_trials(args)
     want_artifacts = args.out is not None
     if want_artifacts:
         os.makedirs(args.out, exist_ok=True)
 
-    def run_mode(mode, plan, parity, sdc):
+    def attempt(spec):
         try:
-            return (
-                elastic_mlp_train(
-                    params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                    checkpoint_every=2, ckpt_mode=mode, parity=parity, sdc=sdc,
-                    engine=SimEngine(
-                        pr * pc, trace=want_artifacts, faults=plan,
-                        supervise=True,
-                    ),
-                ),
-                None,
-            )
+            return execute(spec, trace=want_artifacts), None
         except ReproError as exc:
             return None, exc
 
     if not args.json:
         print(
-            f"chaos soak: {len(trials)} trials on a {pr}x{pc} grid, dims "
-            f"{dims}, {steps} steps, checkpoint every 2, parity {args.parity} "
+            f"chaos soak: {len(trials)} trials on a {base.pr}x{base.pc} grid, "
+            f"dims {base.size}, {base.steps} steps, checkpoint every "
+            f"{CHECKPOINT_EVERY}, parity {args.parity} "
             f"(each trial: erasure-coded shards vs full replication)"
         )
-    # Oracle: one clean replicated run.  Its store holds the full
-    # original-grid checkpoint at every take step; the pre-crash
-    # trajectory of every faulted run is bit-identical to it, so any
-    # first restore must reproduce the oracle's checkpoint bit-exactly.
-    oracle, oracle_err = run_mode("replicate", None, args.parity, None)
-    if oracle_err is not None:
-        print(f"chaos: clean oracle run failed: {oracle_err}", file=sys.stderr)
-        return 2
-
-    def ckpt_equal(a, b):
-        if a.step != b.step or tuple(a.losses) != tuple(b.losses):
-            return False
-        if len(a.weights) != len(b.weights):
-            return False
-        if not all(
-            p.tobytes() == q.tobytes() for p, q in zip(a.weights, b.weights)
-        ):
-            return False
-        if (a.velocity is None) != (b.velocity is None):
-            return False
-        if a.velocity is not None and not all(
-            p.tobytes() == q.tobytes() for p, q in zip(a.velocity, b.velocity)
-        ):
-            return False
-        return True
+    # Oracle: one clean replicated run; a failure here is bad input.
+    oracle = execute(
+        dataclasses.replace(base, ckpt_mode="replicate"), trace=want_artifacts
+    ).elastic
 
     rows = []
-    width = max(len(name) for name, _, _, _ in trials)
-    for name, plan, parity, sdc in trials:
-        e_res, e_err = run_mode("erasure", plan, parity, sdc)
-        r_res, r_err = run_mode("replicate", plan, parity, sdc)
-        detail = ""
-        if e_err is not None:
-            # The run itself refused to continue — a *declared* failure,
-            # never a silently wrong answer.
-            outcome, detail = "declared-failed", str(e_err)
-        elif e_res.degraded_steps:
-            outcome = "declared-degraded"
-            detail = (
-                f"restored step(s) {e_res.restore_steps} "
-                f"(degraded at {e_res.degraded_steps})"
-            )
-        elif r_err is not None:
-            outcome, detail = "declared-failed", f"reference run: {r_err}"
-        elif (
-            e_res.grids == r_res.grids
-            and e_res.restore_steps == r_res.restore_steps
-        ):
-            # Identical recovery trajectories: the whole runs must be
-            # bit-for-bit interchangeable.
-            same = all(
-                a.tobytes() == b.tobytes()
-                for a, b in zip(e_res.weights, r_res.weights)
-            )
-            outcome = "exact" if same else "SILENT-DIVERGENCE"
-            if e_res.recovered:
-                detail = (
-                    f"recovered from {sorted(e_res.sim.failed)} via "
-                    f"step(s) {e_res.restore_steps}"
-                )
-        else:
-            # Trajectories diverged.  Legitimate only one way: a crash
-            # landing on a take step tears the replicated all-gather but
-            # not the purely local erasure encode, so erasure restores a
-            # *newer* step.  Then the restored state must still match
-            # the clean oracle's checkpoint bit-exactly, and both modes
-            # must converge to the same weights up to reduction order.
-            ahead = len(e_res.restore_steps) == len(r_res.restore_steps) and all(
-                es >= rs
-                for es, rs in zip(e_res.restore_steps, r_res.restore_steps)
-            )
-            first = e_res.restored[0] if e_res.restored else None
-            holding = (
-                oracle.store.get(first.step) if first is not None else None
-            )
-            first_ok = holding is not None and ckpt_equal(
-                first, holding.checkpoint
-            )
-            close = all(
-                np.allclose(a, b, atol=1e-9)
-                for a, b in zip(e_res.weights, r_res.weights)
-            )
-            if ahead and first_ok and close:
-                outcome = "exact-ahead"
-                detail = (
-                    f"erasure restored step(s) {e_res.restore_steps} vs "
-                    f"replication's {r_res.restore_steps}; restored state "
-                    "bit-identical to the clean oracle"
-                )
-            else:
-                outcome = "SILENT-DIVERGENCE"
-                detail = (
-                    f"erasure restored {e_res.restore_steps} (grids "
-                    f"{e_res.grids}) vs replication {r_res.restore_steps} "
-                    f"(grids {r_res.grids}); ahead={ahead} "
-                    f"oracle-match={first_ok} converged={close}"
-                )
+    width = max(len(name) for name, _ in trials)
+    for name, spec in trials:
+        e_run, e_err = attempt(spec)
+        r_run, r_err = attempt(dataclasses.replace(spec, ckpt_mode="replicate"))
+        e_res = e_run.elastic if e_run else None
+        outcome, detail = _chaos_outcome(
+            oracle, e_res, e_err, r_run.elastic if r_run else None, r_err
+        )
         rows.append(
             {
                 "trial": name,
-                "parity": parity,
+                "parity": spec.parity,
                 "outcome": outcome,
                 "detail": detail,
                 "failed_ranks": sorted(e_res.sim.failed) if e_res else None,
@@ -1150,14 +1002,11 @@ def _run_chaos(args) -> int:
         if want_artifacts:
             stem = os.path.join(args.out, f"trial_{name}")
             with open(f"{stem}.plan.json", "w", encoding="utf-8") as fh:
-                fh.write(plan.to_json())
-            if e_res is not None:
-                record = elastic_run_record(
-                    e_res, batch=batch, steps=steps, checkpoint_every=2,
-                    ckpt_mode="erasure", parity=parity, sdc=sdc,
-                    meta={"chaos_trial": name},
+                fh.write(spec.faults.to_json())
+            if e_run is not None:
+                write_run_record(
+                    e_run.record(meta={"chaos_trial": name}), f"{stem}.record.json"
                 )
-                write_run_record(record, f"{stem}.record.json")
     code = _exit_code(
         (row["outcome"] for row in rows),
         {"SILENT-DIVERGENCE": 2, "declared-failed": 1, "declared-degraded": 1},
@@ -1171,8 +1020,8 @@ def _run_chaos(args) -> int:
     )[code]
     payload = {
         "config": {
-            "dims": list(dims), "pr": pr, "pc": pc, "batch": batch,
-            "steps": steps, "parity": args.parity,
+            "dims": list(base.size), "pr": base.pr, "pc": base.pc,
+            "batch": base.batch, "steps": base.steps, "parity": args.parity,
             "seed": args.seed, "trials": len(trials),
             "over_parity": bool(args.over_parity),
         },
@@ -1194,17 +1043,37 @@ def _run_chaos(args) -> int:
     return code
 
 
-def _run_watch(args) -> int:
-    from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-    from repro.dist.train import distributed_mlp_train, mlp_run_record
-    from repro.observe.health import (
-        HealthConfig,
-        HealthMonitor,
-        evaluate_health,
-    )
-    from repro.observe.watch import WatchRenderer
-    from repro.simmpi.engine import SimEngine
+def _watch_spec(scenario: str, steps: int, seed: int):
+    """The run behind ``repro watch --scenario``: the 1.5D trainer on 2x2
+    (``clean``; ``diverge`` at a deliberately unstable learning rate
+    that blows the loss up past 2x its best), or the elastic trainer on
+    2x4 under a fault plan."""
+    import dataclasses
+
+    from repro.run import RunSpec
     from repro.simmpi.faults import Crash, FaultPlan, Straggler
+
+    spec = RunSpec(size=(8, 10, 6), pr=2, pc=2, batch=8, steps=steps, seed=seed)
+    if scenario == "clean":
+        return spec
+    if scenario == "diverge":
+        return dataclasses.replace(spec, lr=40.0)
+    mid = max(1, steps // 2)
+    faults = {
+        "straggler": dict(stragglers=(Straggler(rank=0, factor=2.0),)),
+        "crash": dict(crashes=(Crash(rank=1, at_step=mid),)),
+        # Two concurrent losses in one stripe, parity 1.
+        "degrade": dict(crashes=(Crash(rank=1, at_step=mid), Crash(rank=2, at_step=mid))),
+    }[scenario]
+    return dataclasses.replace(
+        spec, trainer="elastic", pc=4, faults=FaultPlan(seed=seed, **faults), parity=1,
+    )
+
+
+def _run_watch(args) -> int:
+    from repro.observe.health import HealthConfig, HealthMonitor, evaluate_health
+    from repro.observe.watch import WatchRenderer
+    from repro.run import execute
 
     health_config = HealthConfig(
         stall_steps=args.stall_steps, straggler_factor=args.straggler_factor
@@ -1212,84 +1081,24 @@ def _run_watch(args) -> int:
     health_config.validate()
 
     monitor = HealthMonitor(health_config)
-    if args.json:
-        sink = monitor  # machine-readable mode: no live lines
-    else:
-        sink = WatchRenderer(monitor, heartbeats=not args.quiet)
+    # Machine-readable mode streams no live lines.
+    sink = monitor if args.json else WatchRenderer(monitor, heartbeats=not args.quiet)
 
-    dims = (8, 10, 6)
-    batch = 8
-    steps = args.steps
-    lr = 0.05
-    x, y, params0 = _toy_mlp(dims, 4 * batch, args.seed)
-    mid = max(1, steps // 2)
     scenario = args.scenario
-
+    spec = _watch_spec(scenario, args.steps, args.seed)
     if not args.json:
-        print(f"watch   : scenario {scenario!r}, {steps} steps, "
+        print(f"watch   : scenario {scenario!r}, {spec.steps} steps, "
               f"seed {args.seed}")
-
-    if scenario in ("clean", "diverge"):
-        pr = pc = 2
-        if scenario == "diverge":
-            lr = 40.0  # deliberately unstable: loss blows up past 2x best
-        engine = SimEngine(pr * pc, trace=True, metrics=sink)
-        _, losses, sim = distributed_mlp_train(
-            params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-            lr=lr, engine=engine,
-        )
-        config = {"scenario": scenario, "steps": steps}
-
-        def record_fn():
-            return mlp_run_record(
-                engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
-                steps=steps, meta={"watch_scenario": scenario},
-                health_config=health_config,
-            )
-
-        clocks = sim.clocks
-    else:
-        pr, pc = 2, 4
-        parity = 1
-        if scenario == "straggler":
-            plan = FaultPlan(
-                seed=args.seed,
-                stragglers=(Straggler(rank=0, factor=2.0),),
-            )
-        elif scenario == "crash":
-            plan = FaultPlan(
-                seed=args.seed, crashes=(Crash(rank=1, at_step=mid),)
-            )
-        else:  # degrade: two concurrent losses in one stripe, parity 1
-            plan = FaultPlan(
-                seed=args.seed,
-                crashes=(
-                    Crash(rank=1, at_step=mid),
-                    Crash(rank=2, at_step=mid),
-                ),
-            )
-        engine = SimEngine(
-            pr * pc, trace=True, metrics=sink, faults=plan, supervise=True,
-        )
-        result = elastic_mlp_train(
-            params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-            checkpoint_every=2, parity=parity, engine=engine,
-        )
-        config = {"scenario": scenario, "steps": steps, "parity": parity}
-
-        def record_fn():
-            return elastic_run_record(
-                result, batch=batch, steps=steps, checkpoint_every=2,
-                parity=parity, meta={"watch_scenario": scenario},
-                health_config=health_config,
-            )
-
-        clocks = result.sim.clocks
+    run = execute(spec, metrics=sink)
+    config = {"scenario": scenario, "steps": spec.steps}
+    if spec.trainer == "elastic":
+        config["parity"] = spec.parity
 
     monitor.finish()
     # The verdict (and everything recorded) comes from the deterministic
     # virtual-time replay, not the live thread interleave.
-    report = evaluate_health(engine.tracer.canonical(), health_config)
+    report = evaluate_health(run.engine.tracer.canonical(), health_config)
+    clocks = run.sim.clocks
     makespan = max(clocks) if clocks else 0.0
     worst = report.worst
     if not args.json:
@@ -1299,7 +1108,11 @@ def _run_watch(args) -> int:
         else:
             print("health  : no events — run looks healthy")
 
-    record = record_fn() if args.record or args.registry else None
+    record = None
+    if args.record or args.registry:
+        record = run.record(
+            meta={"watch_scenario": scenario}, health_config=health_config
+        )
     _write_record(args, lambda: record)
     if args.registry:
         from repro.observe.registry import append_entries, entry_from_record
@@ -1316,7 +1129,7 @@ def _run_watch(args) -> int:
         return _emit_json({
             "schema": "repro.cli.watch/v1",
             "scenario": scenario,
-            "config": dict(config, grid=f"{pr}x{pc}", seed=args.seed),
+            "config": dict(config, grid=f"{spec.pr}x{spec.pc}", seed=args.seed),
             "health": report.to_dict(),
             "worst": worst,
             "makespan_s": makespan,
@@ -1465,40 +1278,33 @@ TRACE_PRESETS = {
 
 
 def _run_trace(args) -> int:
-    from repro.analysis import (
-        critical_path,
-        rank_accounting,
-        register_analysis_metrics,
-    )
-    from repro.dist.train import distributed_mlp_train, mlp_run_record
+    from repro.analysis import critical_path, rank_accounting, register_analysis_metrics
     from repro.report.export import export_metrics
     from repro.report.timeline import render_traffic_matrix, traffic_matrix
-    from repro.simmpi.engine import SimEngine
+    from repro.run import RunSpec, execute
     from repro.telemetry.audit import audit_events
     from repro.telemetry.chrome import validate_chrome_trace, write_chrome_trace
     from repro.telemetry.metrics import MetricsRegistry
     from repro.telemetry.summary import span_summary
 
     dims = TRACE_PRESETS[args.experiment]
+    spec = RunSpec(
+        size=dims, pr=args.pr, pc=args.pc, batch=args.batch, steps=args.steps,
+        sdc=args.sdc,
+    )
     print(
         f"tracing : {args.experiment} dims={dims} on a {args.pr}x{args.pc} grid, "
         f"batch {args.batch}, {args.steps} step(s)"
         + (f", SDC guards on ({args.sdc})" if args.sdc else "")
     )
-    x, y, params0 = _toy_mlp(dims, 4 * args.batch, 0)
-    engine = SimEngine(args.pr * args.pc, trace=True)
-    _, _, sim = distributed_mlp_train(
-        params0, x, y,
-        pr=args.pr, pc=args.pc, batch=args.batch, steps=args.steps,
-        engine=engine, sdc=args.sdc,
-    )
-    events = engine.tracer.canonical()
+    run = execute(spec)
+    events = run.engine.tracer.canonical()
     report = audit_events(
         events, dims, pr=args.pr, pc=args.pc, batch=args.batch,
         steps=args.steps, sdc=args.sdc is not None,
     )
-    accounting = rank_accounting(events, clocks=sim.clocks)
-    cp = critical_path(events, clocks=sim.clocks)
+    accounting = rank_accounting(events, clocks=run.sim.clocks)
+    cp = critical_path(events, clocks=run.sim.clocks)
     registry = MetricsRegistry()
     for event in events:
         registry.observe_event(event)
@@ -1529,11 +1335,7 @@ def _run_trace(args) -> int:
         f"{report.max_latency_rel_error:.3e}"
         f" -> {'EXACT' if report.exact else 'MISMATCH'}"
     )
-    _write_record(args, lambda: mlp_run_record(
-        engine, sim, dims=dims, pr=args.pr, pc=args.pc,
-        batch=args.batch, steps=args.steps, sdc=args.sdc,
-        meta={"experiment": args.experiment},
-    ))
+    _write_record(args, lambda: run.record(meta={"experiment": args.experiment}))
     if args.out:
         trace_path = f"{args.out.rstrip('/')}/trace.json"
         obj = write_chrome_trace(
@@ -1553,125 +1355,49 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _profile_grid(args):
-    """``(pr, pc)`` from ``--pr/--pc`` or derived from ``-P``."""
+def _profile_spec(args):
+    """The run ``repro profile`` samples: ``--trainer`` on the grid from
+    ``--pr/--pc`` or derived from ``-P`` (Pr = largest divisor <=
+    sqrt(P)), sized so every rank holds a block."""
     import math
 
     from repro.errors import ConfigurationError
+    from repro.run import RunSpec
 
     if args.pr is not None or args.pc is not None:
         if args.processes is not None:
             raise ConfigurationError("pass either -P or --pr/--pc, not both")
-        return (args.pr if args.pr is not None else 2,
-                args.pc if args.pc is not None else 2)
-    p = args.processes if args.processes is not None else 16
-    if p < 1:
-        raise ConfigurationError(f"-P must be >= 1, got {p}")
-    pr = 1
-    for d in range(1, math.isqrt(p) + 1):
-        if p % d == 0:
-            pr = d
-    return pr, p // pr
+        pr, pc = args.pr or 2, args.pc or 2
+    else:
+        p = args.processes if args.processes is not None else 16
+        if p < 1:
+            raise ConfigurationError(f"-P must be >= 1, got {p}")
+        pr = max(d for d in range(1, math.isqrt(p) + 1) if p % d == 0)
+        pc = p // pr
+    run = dict(trainer=args.trainer, pr=pr, pc=pc, steps=args.steps)
+    if args.trainer == "summa":
+        m, k, n = max(64, 4 * pr), math.lcm(pr, pc) * 8, max(64, 4 * pc)
+        return RunSpec(size=(m, k, n), **run)
+    if args.trainer == "integrated":
+        return RunSpec(size=(max(8, 4 * pr),), batch=2 * pc, **run)
+    return RunSpec(size=(max(64, pr), max(64, pr), max(32, pr)), batch=2 * pc, **run)
 
 
 def _run_profile(args) -> int:
-    import math
-
     from repro.profile import OVERHEAD_BUDGET, ProfileSession, host_block
-    from repro.profile.export import (
-        write_collapsed,
-        write_flamegraph_html,
-        write_pprof_json,
-    )
-    from repro.simmpi.engine import SimEngine
+    from repro.profile.export import write_collapsed, write_flamegraph_html, write_pprof_json
+    from repro.run import execute
 
-    pr, pc = _profile_grid(args)
+    spec = _profile_spec(args)
+    pr, pc, steps = spec.pr, spec.pc, spec.steps
     session = ProfileSession(hz=args.hz)
-    engine = SimEngine(
-        pr * pc, trace=args.record is not None,
-        supervise=args.trainer == "elastic",
-    )
-
-    seed = 0
-    steps = args.steps
-    meta = {"profiled": True}
     if not args.json:
         print(
             f"profile : {args.trainer} on a {pr}x{pc} grid, {steps} step(s), "
             f"sampling at {session.hz:g}Hz"
         )
-    if args.trainer in ("mlp", "elastic"):
-        dims = (max(64, pr), max(64, pr), max(32, pr))
-        batch = 2 * pc
-        x, y, params0 = _toy_mlp(dims, 2 * batch, seed)
-        run = dict(pr=pr, pc=pc, batch=batch, steps=steps, engine=engine)
-        if args.trainer == "mlp":
-            from repro.dist.train import distributed_mlp_train, mlp_run_record
-
-            with session:
-                _, _, sim = distributed_mlp_train(params0, x, y, **run)
-
-            def record_fn():
-                return mlp_run_record(
-                    engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
-                    steps=steps, meta=meta, host=host_block(engine),
-                )
-        else:
-            from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-
-            with session:
-                result = elastic_mlp_train(params0, x, y, **run)
-
-            def record_fn():
-                return elastic_run_record(
-                    result, batch=batch, steps=steps, meta=meta,
-                    host=host_block(result.engine),
-                )
-    elif args.trainer == "summa":
-        import numpy as np
-
-        from repro.dist.summa2d import summa_run_record, summa_train
-
-        rng = np.random.default_rng(seed)
-        k = math.lcm(pr, pc) * 8
-        m = max(64, 4 * pr)
-        n_cols = max(64, 4 * pc)
-        a = rng.standard_normal((m, k))
-        b = rng.standard_normal((k, n_cols))
-        with session:
-            _, sim, _ = summa_train(a, b, pr=pr, pc=pc, engine=engine)
-
-        def record_fn():
-            return summa_run_record(
-                engine, sim, m=m, k=k, n=n_cols, pr=pr, pc=pc,
-                meta=meta, host=host_block(engine),
-            )
-    else:  # integrated
-        from repro.data.synthetic import synthetic_images
-        from repro.dist.integrated import (
-            CNNParams, IntegratedCNNConfig, cnn_run_record,
-            distributed_cnn_train,
-        )
-
-        h = max(8, 4 * pr)
-        config = IntegratedCNNConfig(
-            in_channels=2, height=h, width=h, conv_channels=(4,),
-            conv_kernels=(3,), pool_after=(True,), fc_dims=(32, 5),
-        )
-        batch = 2 * pc
-        x, y = synthetic_images(2 * batch, 2, h, h, 5, seed=seed)
-        params0 = CNNParams.init(config, seed=seed)
-        with session:
-            _, _, sim = distributed_cnn_train(
-                config, params0, x, y, pr=pr, pc=pc, batch=batch,
-                steps=steps, engine=engine,
-            )
-
-        def record_fn():
-            return cnn_run_record(
-                engine, sim, config=config, pr=pr, pc=pc, batch=batch,
-                steps=steps, meta=meta, host=host_block(engine),
-            )
+    with session:
+        run = execute(spec, trace=args.record is not None)
 
     report = session.report()
     # Attribution sanity gate (the acceptance bar): per-subsystem host
@@ -1736,7 +1462,9 @@ def _run_profile(args) -> int:
         )
         for name, path in artifacts.items():
             print(f"export  : {name} -> {path}")
-    _write_record(args, record_fn)
+    _write_record(args, lambda: run.record(
+        meta={"profiled": True}, host=host_block(run.engine)
+    ))
 
     if args.json:
         return _emit_json({

@@ -68,7 +68,6 @@ from repro.dist.train import (
     check_inputs,
     mlp_cut,
     sgd_program,
-    trainer_run_record,
 )
 from repro.errors import ConfigurationError, PeerFailedError, StrategyError
 from repro.machine.params import MachineParams
@@ -84,7 +83,6 @@ __all__ = [
     "replan_grid",
     "elastic_mlp_program",
     "elastic_mlp_train",
-    "elastic_run_record",
 ]
 
 #: Supported checkpoint storage modes.
@@ -463,7 +461,7 @@ def elastic_mlp_train(
     beside it is an error).
     Raises :class:`~repro.errors.RankFailedError` if every rank dies.
     """
-    check_inputs(x, y, batch)
+    check_inputs(x, y, batch, params0.weights[0].shape[1:])
     if checkpoint_every < 1:
         raise ConfigurationError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -504,50 +502,4 @@ def elastic_mlp_train(
         restored=list(restored),
         store=store,
         engine=engine,
-    )
-
-
-def elastic_run_record(
-    result: ElasticResult,
-    *,
-    batch: int,
-    steps: int,
-    checkpoint_every: int = 2,
-    ckpt_mode: str = "erasure",
-    parity: int = 1,
-    sdc=None,
-    meta=None,
-    health_config=None,
-    host=None,
-):
-    """Build the :class:`~repro.analysis.record.RunRecord` of an elastic run.
-
-    The grid recorded is the *initial* ``Pr x Pc`` shape; the grid
-    history, restore steps and degraded steps travel in the record's
-    ``meta`` block (they describe the fault scenario, not the
-    comparable configuration).  Requires the run to have been traced.
-    """
-    dims = (result.weights[0].shape[1],) + tuple(
-        w.shape[0] for w in result.weights
-    )
-    pr, pc = result.grids[0]
-    merged = {
-        "grids": [list(g) for g in result.grids],
-        "restore_steps": list(result.restore_steps),
-        "degraded_steps": list(result.degraded_steps),
-        "failed_ranks": list(result.sim.failed),
-    }
-    merged.update(meta or {})
-    config = {
-        "dims": [int(d) for d in dims],
-        "batch": int(batch),
-        "steps": int(steps),
-        "checkpoint_every": int(checkpoint_every),
-        "ckpt_mode": str(ckpt_mode),
-        "parity": int(parity),
-    }
-    return trainer_run_record(
-        result.engine, result.sim, trainer="elastic", config=config,
-        pr=pr, pc=pc, sdc=sdc, meta=merged, health_config=health_config,
-        host=host,
     )

@@ -46,7 +46,6 @@ from repro.dist.train import (
     assemble_weights,
     check_inputs,
     sgd_program,
-    trainer_run_record,
 )
 from repro.errors import ConfigurationError
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
@@ -57,7 +56,6 @@ __all__ = [
     "CNNParams",
     "serial_cnn_train",
     "distributed_cnn_train",
-    "cnn_run_record",
 ]
 
 
@@ -262,7 +260,8 @@ def serial_cnn_train(
     momentum: float = 0.0,
 ) -> Tuple[CNNParams, List[float]]:
     """Single-process reference CNN SGD. ``x`` is ``(N, C, H, W)``."""
-    check_inputs(x, y, batch, sample_axis=0)
+    image = (config.in_channels, config.height, config.width)
+    check_inputs(x, y, batch, image, sample_axis=0)
     n = x.shape[0]
     params = params.copy()
     opt = SGD(lr=lr, momentum=momentum)
@@ -374,7 +373,8 @@ def distributed_cnn_train(
     carries the run's machine, tracer and metrics sink (see
     :func:`~repro.dist.train.distributed_mlp_train`).
     """
-    check_inputs(x, y, batch, sample_axis=0)
+    image = (config.in_channels, config.height, config.width)
+    check_inputs(x, y, batch, image, sample_axis=0)
     config.validate_for_domain(pr)
     if batch % pc:
         raise ConfigurationError(
@@ -399,36 +399,3 @@ def distributed_cnn_train(
     fc_ws = assemble_weights(result, pr, pc, nconv)
     losses = list(result.values[0][1])
     return CNNParams(conv_ws, fc_ws), losses, result
-
-
-def cnn_run_record(
-    engine,
-    sim: SimResult,
-    *,
-    config: IntegratedCNNConfig,
-    pr: int,
-    pc: int,
-    batch: int,
-    steps: int,
-    sdc=None,
-    meta=None,
-    host=None,
-):
-    """Build the :class:`~repro.analysis.record.RunRecord` of a traced run.
-
-    ``config`` is summarized into JSON-safe comparable fields (conv
-    stack shape plus FC dims); the trace is read in canonical order so
-    the record is deterministic.  ``host`` opts in to the v5 host-time
-    block (e.g. ``repro.profile.host_block(engine)``).
-    """
-    record_config = {
-        "image": [int(config.in_channels), int(config.height), int(config.width)],
-        "conv_channels": [int(c) for c in config.conv_channels],
-        "fc_dims": [int(d) for d in config.fc_dims],
-        "batch": int(batch),
-        "steps": int(steps),
-    }
-    return trainer_run_record(
-        engine, sim, trainer="integrated", config=record_config,
-        pr=pr, pc=pc, sdc=sdc, meta=meta, host=host,
-    )

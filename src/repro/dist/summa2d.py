@@ -30,7 +30,6 @@ import numpy as np
 from repro.dist.abft import inject_unguarded, make_guard
 from repro.dist.grid import GridComm
 from repro.dist.partition import BlockPartition
-from repro.dist.train import trainer_run_record
 from repro.errors import PartitionError, ShapeError
 from repro.simmpi.engine import resolve_engine
 from repro.simmpi.sdc import payload_guard
@@ -42,7 +41,6 @@ __all__ = [
     "summa_stationary_c",
     "summa_matmul",
     "summa_train",
-    "summa_run_record",
 ]
 
 
@@ -172,7 +170,7 @@ def summa_train(
     :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks,
     which carries the run's machine, tracer and metrics sink.  Returns
     ``(c_full, sim_result, engine)`` so callers can keep the tracer
-    handle for :func:`summa_run_record`.
+    handle for a :class:`~repro.analysis.record.RunRecord`.
     """
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"A {a.shape} and B {b.shape} do not conform")
@@ -183,30 +181,3 @@ def summa_train(
         rows.append(np.hstack([result.values[r * pc + c] for c in range(pc)]))
     c_full = np.vstack(rows)
     return c_full, result, engine
-
-
-def summa_run_record(
-    engine,
-    sim,
-    *,
-    m: int,
-    k: int,
-    n: int,
-    pr: int,
-    pc: int,
-    sdc=None,
-    meta=None,
-    host=None,
-):
-    """Build the :class:`~repro.analysis.record.RunRecord` of a traced SUMMA.
-
-    ``engine``/``sim`` come from running :func:`summa_matmul` (or
-    :func:`summa_stationary_c`) on a tracing
-    :class:`~repro.simmpi.engine.SimEngine`; the ``(m, k, n)`` problem
-    shape is the comparable configuration.
-    """
-    config = {"m": int(m), "k": int(k), "n": int(n)}
-    return trainer_run_record(
-        engine, sim, trainer="summa2d", config=config,
-        pr=pr, pc=pc, sdc=sdc, meta=meta, host=host,
-    )

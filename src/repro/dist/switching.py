@@ -113,7 +113,7 @@ def distributed_switching_mlp_train(
     ``"switching"``).
     """
     placements = _check_placements(placements, len(params0.weights))
-    check_inputs(x, y, batch)
+    check_inputs(x, y, batch, params0.weights[0].shape[1:])
     engine = resolve_engine(engine, pr * pc)
     cut = functools.partial(
         _switching_cut, x=x, y=y, placements=placements, pr=pr, pc=pc,

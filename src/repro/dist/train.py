@@ -76,17 +76,26 @@ class MLPParams:
 _X_LAYOUTS = {1: (2, "(features, samples)"), 0: (4, "(N, C, H, W)")}
 
 
-def check_inputs(x: np.ndarray, y: np.ndarray, batch: int, *, sample_axis: int = 1) -> None:
+def check_inputs(
+    x: np.ndarray, y: np.ndarray, batch: int, features: Sequence[int], *,
+    sample_axis: int = 1,
+) -> None:
     """Reject a dataset/batch combination no trainer can run.
 
     Shared by every trainer's entry point, serial or distributed, so
     they fail alike and before any rank starts: cyclic batch windows
     would otherwise wrap silently over a too-small or mis-shaped
-    dataset.  ``sample_axis`` selects the layout (see ``_X_LAYOUTS``).
+    dataset, and a sample of the wrong shape would fail inside the
+    ranks.  ``features`` is the shape of one sample the model takes (an
+    MLP's input width, a CNN's ``(C, H, W)``); ``sample_axis`` selects
+    the layout (see ``_X_LAYOUTS``).
     """
     ndim, layout = _X_LAYOUTS[sample_axis]
     if x.ndim != ndim:
         raise ShapeError(f"x must be {layout}, got {x.shape}")
+    sample = x.shape[:sample_axis] + x.shape[sample_axis + 1:]
+    if sample != tuple(features):
+        raise ShapeError(f"x samples are {sample}, the model takes {tuple(features)}")
     n = x.shape[sample_axis]
     if y.shape != (n,):
         raise ShapeError(f"y shape {y.shape} != ({n},)")
@@ -121,7 +130,7 @@ def serial_mlp_train(
     momentum: float = 0.0,
 ) -> Tuple[MLPParams, List[float]]:
     """Single-process reference SGD; mutates and returns a copy of ``params``."""
-    check_inputs(x, y, batch)
+    check_inputs(x, y, batch, params.weights[0].shape[1:])
     n = x.shape[1]
     params = params.copy()
     weights = params.weights
@@ -296,7 +305,7 @@ def distributed_mlp_train(
     :class:`~repro.simmpi.sdc.SDCPolicy`, or a shared
     :class:`~repro.dist.abft.SDCGuard`.
     """
-    check_inputs(x, y, batch)
+    check_inputs(x, y, batch, params0.weights[0].shape[1:])
     engine = resolve_engine(engine, pr * pc)
     # One shared guard so all ranks aggregate into the same sdc.* counters.
     guard = make_guard(sdc)
@@ -372,7 +381,9 @@ def mlp_run_record(
 ):
     """Build the :class:`~repro.analysis.record.RunRecord` of a traced run.
 
-    See :func:`trainer_run_record` for ``engine``, ``sdc`` and ``host``.
+    The 1.5D MLP shorthand of :func:`trainer_run_record` (see it for
+    ``engine``, ``sdc`` and ``host``), for a run made without
+    ``repro.run.execute``, whose ``Run.record`` covers every trainer.
     """
     config = {
         "dims": list(int(d) for d in dims),

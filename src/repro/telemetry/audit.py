@@ -2,8 +2,10 @@
 
 The simulator *executes* the 1.5D algorithm of Fig. 5 while the cost
 model *predicts* it in closed form; this module closes the loop.  It
-runs (or consumes a trace of) distributed MLP training, aggregates the
-measured per-step communication out of the span-annotated trace events,
+consumes the trace of a distributed MLP training run (for example
+``execute(RunSpec(...)).engine.tracer.canonical()``, see
+:mod:`repro.run`), aggregates the measured per-step communication out
+of the span-annotated trace events,
 and compares per layer and per category against
 :func:`repro.core.costs.integrated_mb_cost`:
 
@@ -47,8 +49,6 @@ import math
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.costs import integrated_mb_cost
 from repro.core.results import ResultTable
 from repro.core.strategy import ProcessGrid
@@ -62,7 +62,6 @@ __all__ = [
     "AuditReport",
     "audit_events",
     "audit_checkpoint_events",
-    "audit_mlp_15d",
     "PHASE_CATEGORY",
     "CKPT_SPAN_CATEGORY",
 ]
@@ -432,43 +431,3 @@ def audit_checkpoint_events(
         )
         _add(int(step), "ckpt.fetch", recovery.filter("ckpt.fetch"), s, insts)
     return AuditReport(tuple(terms), pr=pr, pc=pc, batch=batch, steps=1)
-
-
-def audit_mlp_15d(
-    dims: Sequence[int],
-    *,
-    pr: int,
-    pc: int,
-    batch: int,
-    steps: int = 2,
-    samples: Optional[int] = None,
-    machine: Optional[MachineParams] = None,
-    seed: int = 0,
-    sdc=None,
-) -> Tuple[AuditReport, Tuple[TraceEvent, ...]]:
-    """Run traced 1.5D MLP training and audit it against Eq. 8.
-
-    Returns ``(report, events)`` so callers (the CLI, the tests) can
-    also export the trace.  The training run is deterministic in
-    ``seed``.  ``sdc`` (a policy mode / policy / guard) turns on the
-    ABFT guards for the run and audits their digest escorts too.
-    """
-    from repro.dist.train import MLPParams, distributed_mlp_train
-    from repro.simmpi.engine import SimEngine
-
-    n = samples if samples is not None else 4 * batch
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dims[0], n))
-    y = rng.integers(0, dims[-1], n)
-    params0 = MLPParams.init(dims, seed=seed)
-    engine = SimEngine(pr * pc, machine, trace=True)
-    distributed_mlp_train(
-        params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps, sdc=sdc,
-        engine=engine,
-    )
-    events = engine.tracer.events
-    report = audit_events(
-        events, dims, pr=pr, pc=pc, batch=batch, steps=steps, machine=machine,
-        sdc=sdc is not None,
-    )
-    return report, events

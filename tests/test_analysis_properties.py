@@ -14,8 +14,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import critical_path, rank_accounting, validate_run_record
-from repro.dist.elastic import elastic_mlp_train, elastic_run_record
 from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
+from repro.run import RunSpec, execute
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import Crash, FaultPlan, LinkFault, Straggler
 
@@ -75,25 +75,19 @@ def test_random_grid_invariants(grid, hidden, batch):
 def test_random_fault_plan_invariants(
     crash_rank, crash_step, straggler, link_latency, seed
 ):
-    dims = (8, 10, 6)
-    batch, steps = 8, 6
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
     plan = FaultPlan(
         seed=seed,
         crashes=(Crash(rank=crash_rank, at_step=crash_step),),
         links=(LinkFault(src=0, dst=3, latency_factor=link_latency),),
         stragglers=(Straggler(rank=2, factor=straggler),),
     )
-    result = elastic_mlp_train(
-        MLPParams.init(dims, seed=seed), x, y, pr=2, pc=2,
-        batch=batch, steps=steps, checkpoint_every=2,
-        engine=SimEngine(4, trace=True, faults=plan, supervise=True),
-    )
-    events = result.engine.tracer.canonical()
-    clocks = result.sim.clocks
+    run = execute(RunSpec(
+        trainer="elastic", size=(8, 10, 6), pr=2, pc=2, batch=8, steps=6,
+        seed=seed, faults=plan,
+    ))
+    events = run.engine.tracer.canonical()
+    clocks = run.sim.clocks
     _check_invariants(events, clocks, max(clocks))
-    record = elastic_run_record(result, batch=batch, steps=steps)
+    record = run.record()
     validate_run_record(record.to_dict())
     assert record.dropped == 0

@@ -12,19 +12,17 @@ from repro.analysis import (
     validate_run_record,
     write_run_record,
 )
-from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-from repro.dist.integrated import (
-    CNNParams,
-    IntegratedCNNConfig,
-    cnn_run_record,
-    distributed_cnn_train,
-)
-from repro.dist.summa2d import summa_matmul, summa_run_record
 from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
-from repro.data.synthetic import synthetic_images
 from repro.errors import ConfigurationError
+from repro.run import RunSpec, execute
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import Crash, FaultPlan
+
+#: The elastic runs below: 8-10-6 on 2x2, a crash of rank 1 at step 3.
+ELASTIC = RunSpec(
+    trainer="elastic", size=(8, 10, 6), pr=2, pc=2, batch=8, steps=6, seed=3,
+    faults=FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=3),)),
+)
 
 DIMS = (12, 9, 5)
 
@@ -157,17 +155,7 @@ class TestEveryTrainerEmits:
         assert record.config["dims"] == list(DIMS)
 
     def test_elastic_with_faults(self):
-        rng = np.random.default_rng(3)
-        dims = (8, 10, 6)
-        x = rng.standard_normal((dims[0], 32))
-        y = rng.integers(0, dims[-1], 32)
-        plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=3),))
-        result = elastic_mlp_train(
-            MLPParams.init(dims, seed=3), x, y, pr=2, pc=2, batch=8,
-            steps=6, checkpoint_every=2,
-            engine=SimEngine(4, trace=True, faults=plan, supervise=True),
-        )
-        record = elastic_run_record(result, batch=8, steps=6)
+        record = execute(ELASTIC).record()
         validate_run_record(record.to_dict())
         assert record.trainer == "elastic"
         assert record.grid == {"pr": 2, "pc": 2}
@@ -175,31 +163,15 @@ class TestEveryTrainerEmits:
         assert record.meta["grids"][0] == [2, 2]
 
     def test_integrated(self):
-        cfg = IntegratedCNNConfig(
-            in_channels=2, height=8, width=8,
-            conv_channels=(4,), conv_kernels=(3,), pool_after=(True,),
-            fc_dims=(12, 5),
-        )
-        x, y = synthetic_images(16, 2, 8, 8, 5, seed=7)
-        engine = SimEngine(4, trace=True)
-        _, _, sim = distributed_cnn_train(
-            cfg, CNNParams.init(cfg, seed=3), x, y,
-            pr=2, pc=2, batch=8, steps=2, engine=engine,
-        )
-        record = cnn_run_record(
-            engine, sim, config=cfg, pr=2, pc=2, batch=8, steps=2
-        )
+        spec = RunSpec(trainer="integrated", size=(8,), pr=2, pc=2, seed=7)
+        record = execute(spec).record()
         validate_run_record(record.to_dict())
         assert record.trainer == "integrated"
         assert record.config["image"] == [2, 8, 8]
 
     def test_summa2d(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((8, 4))
-        b = rng.standard_normal((4, 6))
-        engine = SimEngine(4, trace=True)
-        sim = engine.run(summa_matmul, a, b, 2, 2)
-        record = summa_run_record(engine, sim, m=8, k=4, n=6, pr=2, pc=2)
+        spec = RunSpec(trainer="summa", size=(8, 4, 6), pr=2, pc=2, seed=1)
+        record = execute(spec).record()
         validate_run_record(record.to_dict())
         assert record.trainer == "summa2d"
         assert record.config == {"m": 8, "k": 4, "n": 6}
@@ -209,19 +181,8 @@ class TestEveryTrainerEmits:
 
 
 class TestCheckpointCounters:
-    def _elastic_record(self, **train_kw):
-        rng = np.random.default_rng(3)
-        dims = (8, 10, 6)
-        x = rng.standard_normal((dims[0], 32))
-        y = rng.integers(0, dims[-1], 32)
-        plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=3),))
-        result = elastic_mlp_train(
-            MLPParams.init(dims, seed=3), x, y, pr=2, pc=2, batch=8,
-            steps=6, checkpoint_every=2,
-            engine=SimEngine(4, trace=True, faults=plan, supervise=True),
-            **train_kw,
-        )
-        return elastic_run_record(result, batch=8, steps=6)
+    def _elastic_record(self, **spec_kw):
+        return execute(dataclasses.replace(ELASTIC, **spec_kw)).record()
 
     def test_elastic_record_carries_ckpt_block(self):
         record = self._elastic_record()
@@ -272,21 +233,11 @@ class TestHealthBlock:
         from repro.observe.health import HealthConfig
         from repro.simmpi.faults import Straggler
 
-        rng = np.random.default_rng(5)
-        dims = (8, 10, 6)
-        x = rng.standard_normal((dims[0], 32))
-        y = rng.integers(0, dims[-1], 32)
         plan = FaultPlan(
             seed=5, stragglers=(Straggler(rank=0, factor=2.0),)
         )
-        result = elastic_mlp_train(
-            MLPParams.init(dims, seed=5), x, y, pr=2, pc=4, batch=8,
-            steps=6, checkpoint_every=2,
-            engine=SimEngine(8, trace=True, faults=plan, supervise=True),
-        )
-        return elastic_run_record(
-            result, batch=8, steps=6, health_config=HealthConfig()
-        )
+        spec = dataclasses.replace(ELASTIC, pc=4, seed=5, faults=plan)
+        return execute(spec).record(health_config=HealthConfig())
 
     def test_health_block_round_trips(self):
         record = self._faulty_record()

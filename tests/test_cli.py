@@ -365,8 +365,8 @@ class TestProfile:
         assert "profile" in capsys.readouterr().err
 
 
-#: Bad input the commands reject: errors raised inside a command, and
-#: ``--steps`` below 1 on the commands that train.
+#: Bad input the commands reject before anything runs: errors raised
+#: inside a command, and ``--steps`` below 1 on the commands that train.
 BAD_INPUT = [
     ["best", "-B", "0", "-P", "4"],
     ["best", "-B", "16", "-P", "0"],
@@ -385,6 +385,10 @@ BAD_INPUT = [
     ["trace", "--batch", "0"],
     ["trace", "--pr", "-1", "--pc", "-2"],
     ["profile", "--pr", "-2", "--pc", "-1"],
+    ["faults", "--ranks", "1"],
+    ["faults", "--plan", "no-such-plan.json"],
+    ["chaos", "--steps", "3"],
+    ["trace", "--pr", "3", "--pc", "2", "--batch", "1"],  # fewer samples than Pc
 ]
 
 
@@ -395,7 +399,8 @@ def test_bad_input_exits_2_without_traceback(argv):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.strip()
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith(f"repro {argv[0]}: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -162,8 +162,10 @@ class TestDistributedValidation:
             (X[:4], Y[:4], ConfigurationError),  # batch 8 > 4 samples: a wrapped window
             (X, Y[:-1], ShapeError),  # one label short
             (X[:, 0], Y, ShapeError),  # 3-D images
+            (np.concatenate([X, X[:, :1]], axis=1), Y, ShapeError),  # 3 channels, not 2
+            (X[:, :, :6, :6], Y, ShapeError),  # 6x6 images, not 8x8
         ],
-        ids=["batch-over-samples", "short-y", "3d-x"],
+        ids=["batch-over-samples", "short-y", "3d-x", "3-channels", "6x6-images"],
     )
     def test_inputs_checked_before_any_rank_starts(self, trainer, x, y, error):
         """Both CNN entry points run the shared input check on the sample

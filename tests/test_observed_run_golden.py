@@ -16,8 +16,9 @@ import hashlib
 import pytest
 
 from repro.data.synthetic import synthetic_classification
-from repro.dist.elastic import elastic_mlp_train, elastic_run_record
+from repro.dist.elastic import elastic_mlp_train
 from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
+from repro.run import Run, RunSpec
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import Crash, FaultPlan
 from repro.simmpi.tracing import TraceEvent
@@ -80,7 +81,10 @@ def _observed_elastic(tmp_path):
         engine=SimEngine(8, trace=True, metrics=registry, faults=plan, supervise=True),
     )
     assert result.restore_steps == [2] and result.sim.failed == (1,)
-    record = elastic_run_record(result, batch=16, steps=6, checkpoint_every=2)
+    spec = RunSpec(trainer="elastic", size=DIMS, pr=2, pc=4, batch=16, steps=6)
+    record = Run(
+        spec, result.weights, result.losses, result.sim, result.engine, elastic=result
+    ).record()
     return result.engine, registry, _digests(result.engine, registry, record, tmp_path)
 
 

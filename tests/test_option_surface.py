@@ -1,11 +1,15 @@
-"""Pin the public parameter lists of the trainers, the engine and its sinks.
+"""Pin the public parameter lists of the trainers, the engine and its
+sinks, and the fields of the run specification.
 
 The paper trains with plain minibatch SGD at a fixed global batch, and a
 run is configured by its engine.  A new keyword on any of these entry
 points is a new option to test and benchmark: adding one must change
-this file on purpose.
+this file on purpose.  Each :class:`~repro.run.RunSpec` field is one a
+``repro`` command sets to more than one value; a value every caller
+passes alike is a constant, not a field.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -15,6 +19,7 @@ from repro.dist.integrated import distributed_cnn_train
 from repro.dist.summa2d import summa_train
 from repro.dist.switching import distributed_switching_mlp_train
 from repro.dist.train import distributed_mlp_train
+from repro.run import RunSpec, execute
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.tracing import Tracer
 from repro.telemetry.metrics import MetricsRegistry
@@ -40,6 +45,7 @@ SURFACE = [
     ),
     (Tracer.__init__, ("self", "enabled", "sink", "store")),
     (MetricsRegistry.__init__, ("self",)),
+    (execute, ("spec", "trace", "metrics")),
 ]
 
 
@@ -48,3 +54,10 @@ SURFACE = [
 )
 def test_parameter_names_are_pinned(fn, names):
     assert tuple(inspect.signature(fn).parameters) == names
+
+
+def test_run_spec_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(RunSpec)) == (
+        "trainer", "size", "pr", "pc", "batch", "steps", "seed", "lr",
+        "faults", "sdc", "ckpt_mode", "parity",
+    )

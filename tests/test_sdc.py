@@ -390,18 +390,24 @@ class TestEscalation:
 
 class TestGuardCostAndAudit:
     def test_guarded_audit_exact_with_digest_terms(self):
-        from repro.telemetry.audit import audit_mlp_15d
+        from repro.run import RunSpec, execute
+        from repro.telemetry.audit import audit_events
 
-        report, _ = audit_mlp_15d(DIMS, pr=2, pc=2, batch=8, steps=2, sdc="correct")
+        run = execute(RunSpec(size=DIMS, pr=2, pc=2, batch=8, steps=2, sdc="correct"))
+        report = audit_events(
+            run.engine.tracer.canonical(), DIMS, pr=2, pc=2, batch=8, steps=2, sdc=True
+        )
         assert report.exact
         assert report.max_latency_rel_error == 0.0
         categories = {t.category for t in report.terms}
         assert {"abft.digest_fwd", "abft.digest_dx", "abft.digest_dw"} <= categories
 
     def test_guarded_trace_without_sdc_flag_is_an_error(self):
-        from repro.telemetry.audit import audit_events, audit_mlp_15d
+        from repro.run import RunSpec, execute
+        from repro.telemetry.audit import audit_events
 
-        _, events = audit_mlp_15d(DIMS, pr=2, pc=2, batch=8, steps=2, sdc="correct")
+        run = execute(RunSpec(size=DIMS, pr=2, pc=2, batch=8, steps=2, sdc="correct"))
+        events = run.engine.tracer.canonical()
         with pytest.raises(ConfigurationError, match="digest escorts"):
             audit_events(events, DIMS, pr=2, pc=2, batch=8, steps=2)
 

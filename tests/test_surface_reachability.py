@@ -52,15 +52,14 @@ KEEP = (
     ("repro.core.results.ResultTable.columns", "column order of an experiment table"),
     ("repro.core.results.ResultTable.column", "one column of an experiment table"),
     ("repro.simmpi.communicator.Comm.world_ranks", "the membership a split produced"),
-    ("repro.simmpi.tracing.Tracer.faults", "the fault events of a traced run"),
-    # The non-blocking halo path of ROADMAP item 7(iii).
-    ("repro.dist.conv_domain.DomainConv2D.forward_timed", "overlapped halo exchange (item 7(iii))"),
-    ("repro.simmpi.communicator.Comm.isend", "non-blocking send (item 7(iii))"),
-    ("repro.simmpi.communicator.Comm.irecv", "non-blocking receive (item 7(iii))"),
-    ("repro.simmpi.communicator.Request", "non-blocking handle (item 7(iii))"),
-    ("repro.simmpi.communicator.Request.wait", "non-blocking handle (item 7(iii))"),
-    ("repro.simmpi.communicator.Request.test", "non-blocking handle (item 7(iii))"),
-    ("repro.simmpi.communicator.Request.completed", "non-blocking handle (item 7(iii))"),
+    # The non-blocking halo path of ROADMAP item 4(iii).
+    ("repro.dist.conv_domain.DomainConv2D.forward_timed", "overlapped halo exchange (item 4(iii))"),
+    ("repro.simmpi.communicator.Comm.isend", "non-blocking send (item 4(iii))"),
+    ("repro.simmpi.communicator.Comm.irecv", "non-blocking receive (item 4(iii))"),
+    ("repro.simmpi.communicator.Request", "non-blocking handle (item 4(iii))"),
+    ("repro.simmpi.communicator.Request.wait", "non-blocking handle (item 4(iii))"),
+    ("repro.simmpi.communicator.Request.test", "non-blocking handle (item 4(iii))"),
+    ("repro.simmpi.communicator.Request.completed", "non-blocking handle (item 4(iii))"),
 )
 KEPT = {name for name, _ in KEEP}
 

@@ -12,14 +12,18 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.telemetry.audit import (
-    PHASE_CATEGORY,
-    audit_events,
-    audit_mlp_15d,
-)
+from repro.run import RunSpec, execute
+from repro.telemetry.audit import PHASE_CATEGORY, audit_events
 
 DIMS = (32, 24, 16, 10)
 BATCH = 16
+
+
+def traced_audit(dims, *, pr, pc, batch, steps):
+    """Traced 1.5D training of ``dims`` and its Eq. 8 audit: ``(report, events)``."""
+    run = execute(RunSpec(size=dims, pr=pr, pc=pc, batch=batch, steps=steps))
+    events = run.engine.tracer.canonical()
+    return audit_events(events, dims, pr=pr, pc=pc, batch=batch, steps=steps), events
 
 # Grid shapes covering general, pure-model, pure-batch and a
 # non-power-of-two, non-divisible split (24/3, 16/3 are uneven).
@@ -29,14 +33,14 @@ GRIDS = [(4, 2), (2, 4), (4, 1), (1, 4), (3, 2)]
 @pytest.mark.parametrize("pr,pc", GRIDS)
 class TestExactness:
     def test_bandwidth_terms_exact(self, pr, pc):
-        report, _ = audit_mlp_15d(DIMS, pr=pr, pc=pc, batch=BATCH, steps=2)
+        report, _ = traced_audit(DIMS, pr=pr, pc=pc, batch=BATCH, steps=2)
         assert report.max_bandwidth_rel_error == 0.0
         assert report.exact
         for term in report.terms:
             assert term.measured_bytes == term.predicted_bytes
 
     def test_latency_message_counts_exact(self, pr, pc):
-        report, _ = audit_mlp_15d(DIMS, pr=pr, pc=pc, batch=BATCH, steps=2)
+        report, _ = traced_audit(DIMS, pr=pr, pc=pc, batch=BATCH, steps=2)
         assert report.max_latency_rel_error == 0.0
         for term in report.terms:
             assert term.measured_messages == term.predicted_messages
@@ -46,7 +50,7 @@ class TestExactness:
 def test_seven_row_grid_closes_exactly(dims):
     """Each rank of a 7-row group moves 6/7 of a volume, which no float
     holds; the predicted totals are still exactly the traced bytes."""
-    report, _ = audit_mlp_15d(dims, pr=7, pc=1, batch=30, steps=1)
+    report, _ = traced_audit(dims, pr=7, pc=1, batch=30, steps=1)
     for term in report.terms:
         assert term.measured_bytes == term.predicted_bytes, term
     assert report.exact
@@ -54,7 +58,7 @@ def test_seven_row_grid_closes_exactly(dims):
 
 class TestStructure:
     def test_terms_cover_every_eq8_sum(self):
-        report, _ = audit_mlp_15d(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
+        report, _ = traced_audit(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
         cats = {t.category for t in report.terms}
         assert cats == set(PHASE_CATEGORY.values())
         layers = {t.layer_index for t in report.terms if t.category.endswith("dw")}
@@ -67,14 +71,14 @@ class TestStructure:
 
     def test_degenerate_grid_dims_send_nothing(self):
         # pr=1: no model-parallel traffic; every fwd/bwd_dx term is 0 = 0.
-        report, _ = audit_mlp_15d(DIMS, pr=1, pc=4, batch=BATCH, steps=1)
+        report, _ = traced_audit(DIMS, pr=1, pc=4, batch=BATCH, steps=1)
         for t in report.terms:
             if t.category.startswith("model."):
                 assert t.predicted_bytes == t.measured_bytes == 0
 
     def test_message_counts_match_round_formulas(self):
         pr, pc = 4, 2
-        report, _ = audit_mlp_15d(DIMS, pr=pr, pc=pc, batch=BATCH, steps=1)
+        report, _ = traced_audit(DIMS, pr=pr, pc=pc, batch=BATCH, steps=1)
         p = pr * pc
         for t in report.terms:
             if t.category == "model.allgather_fwd":
@@ -85,13 +89,13 @@ class TestStructure:
                 assert t.measured_messages == p * 2 * (pc - 1)
 
     def test_audit_report_table_renders(self):
-        report, _ = audit_mlp_15d(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
+        report, _ = traced_audit(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
         text = report.to_table().to_ascii()
         assert "model.allgather_fwd" in text
         assert "bytes_rel_err" in text
 
     def test_events_returned_for_export(self):
-        _, events = audit_mlp_15d(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
+        _, events = traced_audit(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
         assert any(e.op == "span" for e in events)
         assert any(e.op == "send" and e.data_bytes > 0 for e in events)
 
@@ -99,7 +103,7 @@ class TestStructure:
 class TestAuditEvents:
     def test_wrong_dims_detected(self):
         # Audit a real trace against the wrong network: errors must show.
-        _, events = audit_mlp_15d(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
+        _, events = traced_audit(DIMS, pr=2, pc=2, batch=BATCH, steps=1)
         wrong = (32, 48, 32, 10)
         report = audit_events(events, wrong, pr=2, pc=2, batch=BATCH, steps=1)
         assert report.max_bandwidth_rel_error > 0.0

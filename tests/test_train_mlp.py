@@ -87,6 +87,12 @@ class TestEveryEntryPointRejectsBadInputs:
         with pytest.raises(ShapeError, match="features, samples"):
             train(PARAMS, X[0], Y, batch=16, steps=1)
 
+    def test_feature_count_mismatch(self, train):
+        """A sample narrower than the first layer fails as a typed error
+        before any rank starts, not as a NumPy or rank failure."""
+        with pytest.raises(ShapeError, match="the model takes"):
+            train(PARAMS, X[:-1], Y, batch=16, steps=1)
+
     def test_label_count_mismatch(self, train):
         with pytest.raises(ShapeError, match="y shape"):
             train(PARAMS, X, Y[:-1], batch=16, steps=1)
