@@ -67,9 +67,11 @@ class RunSpec:
     operands; it ignores ``batch``, ``steps`` and ``lr``).  ``faults``
     is a :class:`~repro.simmpi.faults.FaultPlan`, ``sdc`` an ABFT policy
     mode (``"detect"``/``"correct"``/``"recompute"``), and ``ckpt_mode``
-    and ``parity`` the elastic trainer's checkpoint policy.  A spec no
-    trainer can run is a :class:`~repro.errors.ConfigurationError` when
-    it is made, before anything runs.
+    and ``parity`` the elastic trainer's checkpoint policy.  A bad
+    trainer name or size, or a batch smaller than ``pc`` (a batch group
+    with no sample, which the cost model and the audit reject), is a
+    :class:`~repro.errors.ConfigurationError` when the spec is made,
+    before anything runs.
     """
 
     trainer: str = "mlp"
