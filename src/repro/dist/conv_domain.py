@@ -296,11 +296,17 @@ class DomainConv2D:
         b = dy_local.shape[0]
         wout = dy_local.shape[3]
         x_ext = self._x_ext
+        # Each lowered buffer goes as soon as its product is taken: every
+        # rank's step state is live at once, and none of these may be
+        # held through the halo exchange below.
         cols = im2col(x_ext, kh, kw, stride=self.stride, pad_h=0, pad_w=kw // 2)
         dy_mat = dy_local.transpose(1, 0, 2, 3).reshape(f, b * self.local_out_height * wout)
         dw_partial = (dy_mat @ cols.T).reshape(weights.shape)
+        del cols
         dcols = weights.reshape(f, -1).T @ dy_mat
+        del dy_mat
         dx_ext = col2im(dcols, x_ext.shape, kh, kw, stride=self.stride, pad_h=0, pad_w=kw // 2)
+        del dcols
         top, bottom = self.top_halo, self.bottom_halo
         if top == 0 and bottom == 0:
             return dx_ext, dw_partial

@@ -13,7 +13,8 @@ hook that additionally lets them
   row group, so a take moves **zero** bytes and stores ``~1/k`` of the
   state per rank.  ``ckpt_mode="replicate"`` keeps the original
   behaviour (every rank all-gathers and holds the full state), and is
-  the automatic fallback whenever ``Pc - parity < 1``; and
+  the automatic fallback once failures shrink the grid to
+  ``Pc - parity < 1`` (a starting grid that narrow is refused); and
 * survive injected rank crashes — including **concurrent** crashes and
   crashes that land during recovery: when a peer failure surfaces as
   :class:`~repro.errors.PeerFailedError`, the survivors ``shrink`` the
@@ -80,6 +81,7 @@ __all__ = [
     "Checkpoint",
     "ElasticResult",
     "CKPT_MODES",
+    "check_ckpt_policy",
     "replan_grid",
     "elastic_mlp_program",
     "elastic_mlp_train",
@@ -87,6 +89,28 @@ __all__ = [
 
 #: Supported checkpoint storage modes.
 CKPT_MODES = ("erasure", "replicate")
+
+
+def check_ckpt_policy(pc: int, ckpt_mode: str, parity: int) -> None:
+    """Refuse a checkpoint policy the ``Pc``-wide starting grid cannot keep.
+
+    An erasure stripe holds ``Pc - parity`` data chunks, so it needs
+    ``1 <= parity < Pc``: anything else would store full replicas under
+    the name ``erasure``.  Only a grid shrunk by failures falls back to
+    replication (see :meth:`_Recovery._take`).
+    """
+    if ckpt_mode not in CKPT_MODES:
+        raise ConfigurationError(
+            f"ckpt_mode must be one of {CKPT_MODES}, got {ckpt_mode!r}"
+        )
+    if parity < 1:
+        raise ConfigurationError(f"parity must be >= 1, got {parity}")
+    if ckpt_mode == "erasure" and parity >= pc:
+        raise ConfigurationError(
+            f"an erasure checkpoint stripes over the Pc={pc} row replicas and "
+            f"needs 1 <= parity < Pc, got parity {parity}; use ckpt_mode "
+            "'replicate' on this grid"
+        )
 
 
 @dataclasses.dataclass
@@ -453,7 +477,8 @@ def elastic_mlp_train(
     ``ckpt_mode`` selects erasure-coded sharded checkpoints (default)
     or full replication; ``parity`` is the number of Reed-Solomon
     parity chunks per stripe, i.e. the number of *concurrent* rank
-    losses every striped checkpoint survives bit-exactly.
+    losses every striped checkpoint survives bit-exactly; erasure needs
+    ``1 <= parity < pc`` (:func:`check_ckpt_policy`).
     ``sdc`` enables ABFT guards against injected bit flips.
     ``engine`` is ``None`` (a default supervised engine) or a prebuilt
     ``SimEngine(pr * pc, machine, trace=..., metrics=..., faults=...,
@@ -466,12 +491,7 @@ def elastic_mlp_train(
         raise ConfigurationError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
         )
-    if ckpt_mode not in CKPT_MODES:
-        raise ConfigurationError(
-            f"ckpt_mode must be one of {CKPT_MODES}, got {ckpt_mode!r}"
-        )
-    if parity < 1:
-        raise ConfigurationError(f"parity must be >= 1, got {parity}")
+    check_ckpt_policy(pc, ckpt_mode, parity)
     engine = resolve_engine(engine, pr * pc, faults=faults, supervise=True)
     result = engine.run(
         elastic_mlp_program,

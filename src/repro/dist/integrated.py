@@ -331,9 +331,11 @@ def _cnn_cut(world, ckpt: Checkpoint, config: IntegratedCNNConfig, x, y, *,
             y[my_cols], batch=batch, step=t, guard=guard, input_grad=True,
         )
         # --- backward through the redistribution: slice my rows, no comm ---
-        d_feat_full = da.T.reshape(flat_shape)
         pooled_part = BlockPartition(flat_shape[2], grid.pr)
-        d_feat = pooled_part.take(d_feat_full, grid.row, axis=2).copy()
+        d_feat = pooled_part.take(da.T.reshape(flat_shape), grid.row, axis=2).copy()
+        # Every rank's step state is live at once: what the backward no
+        # longer reads goes before the next blocking exchange.
+        del a_full, da
         # --- backward: domain conv stack ---
         conv_grads: List[Optional[np.ndarray]] = [None] * nconv
         for i in range(nconv - 1, -1, -1):
@@ -341,9 +343,11 @@ def _cnn_cut(world, ckpt: Checkpoint, config: IntegratedCNNConfig, x, y, *,
                 if config.pool_after[i]:
                     d_feat = maxpool2d_backward(d_feat, pool_args[i], pool_inshapes[i], 2)
                 dzc = relu_grad(conv_pre[i], d_feat)
+                conv_pre[i] = pool_args[i] = d_feat = None
                 d_feat, dw_partial = convs[i].backward(dzc, conv_ws[i])
+                del dzc
                 # Weights are replicated on all P ranks: all-reduce everywhere.
-                conv_grads[i] = grid.comm.allreduce(dw_partial)
+                conv_grads[i] = grid.comm.allreduce_inplace(dw_partial)
         return loss, conv_grads + fc_grads
 
     return Replica(grid, conv_ws + fc_ws, SGD(lr=lr, momentum=momentum), step)

@@ -135,9 +135,10 @@ def conv2d_backward(
     cols = im2col(x, kh, kw, stride, pad, pad)
     dy_mat = dy.transpose(1, 0, 2, 3).reshape(f, b * hout * wout)
     dw = (dy_mat @ cols.T).reshape(w.shape)
+    del cols  # the lowered buffers are the largest live: drop each once used
     dcols = w.reshape(f, -1).T @ dy_mat
-    dx = col2im(dcols, x.shape, kh, kw, stride, pad, pad)
-    return dx, dw
+    del dy_mat
+    return col2im(dcols, x.shape, kh, kw, stride, pad, pad), dw
 
 
 def maxpool2d_forward(

@@ -135,7 +135,7 @@ def backward_dx_15d(
     )
     if grid.pr == 1:
         return dx_partial
-    return grid.col_comm.allreduce(dx_partial)
+    return grid.col_comm.allreduce_inplace(dx_partial)
 
 
 def backward_dw_15d(
@@ -158,7 +158,7 @@ def backward_dw_15d(
     )
     if grid.pc == 1:
         return dw_partial
-    return grid.row_comm.allreduce(dw_partial)
+    return grid.row_comm.allreduce_inplace(dw_partial)
 
 
 def redistribute_15d(

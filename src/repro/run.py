@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.data.synthetic import synthetic_images
 from repro.dist.abft import SDCGuard, make_guard
-from repro.dist.elastic import ElasticResult, elastic_mlp_train
+from repro.dist.elastic import ElasticResult, check_ckpt_policy, elastic_mlp_train
 from repro.dist.integrated import CNNParams, IntegratedCNNConfig, distributed_cnn_train
 from repro.dist.summa2d import summa_train
 from repro.dist.train import MLPParams, distributed_mlp_train, trainer_run_record
@@ -68,8 +68,10 @@ class RunSpec:
     is a :class:`~repro.simmpi.faults.FaultPlan`, ``sdc`` an ABFT policy
     mode (``"detect"``/``"correct"``/``"recompute"``), and ``ckpt_mode``
     and ``parity`` the elastic trainer's checkpoint policy.  A bad
-    trainer name or size, or a batch smaller than ``pc`` (a batch group
-    with no sample, which the cost model and the audit reject), is a
+    trainer name or size, a batch smaller than ``pc`` (a batch group
+    with no sample, which the cost model and the audit reject), or an
+    elastic checkpoint policy the grid cannot keep
+    (:func:`~repro.dist.elastic.check_ckpt_policy`), is a
     :class:`~repro.errors.ConfigurationError` when the spec is made,
     before anything runs.
     """
@@ -105,6 +107,8 @@ class RunSpec:
                 f"batch {self.batch} cannot be split over Pc={self.pc} "
                 "(fewer than one sample per batch group)"
             )
+        if self.trainer == "elastic":
+            check_ckpt_policy(self.pc, self.ckpt_mode, self.parity)
 
     def inputs(self):
         """The seeded ``(x, y, params0)`` the run trains on; for SUMMA,

@@ -29,6 +29,7 @@ from repro.telemetry.spans import span
 __all__ = [
     "allgather_blocks",
     "allreduce",
+    "allreduce_inplace",
     "bcast_binomial",
     "barrier_dissemination",
 ]
@@ -114,22 +115,45 @@ def allreduce(comm, arr: np.ndarray) -> np.ndarray:
     The bandwidth-optimal ring of the paper's Eq. 4 analysis: a ring
     reduce-scatter, then a ring all-gather of the reduced chunks.  A
     plain run takes :func:`_ring_rounds_plain`; a faulted, traced or
-    guarded one goes round by round through ``comm.sendrecv``.
+    guarded one goes round by round through ``comm.sendrecv``.  ``arr``
+    is not modified: the ring runs on a private copy of it.
     """
     if not isinstance(arr, np.ndarray):
         raise CommunicatorError("allreduce requires a NumPy array payload")
-    p, r = comm.size, comm.rank
-    if p == 1:
+    if comm.size == 1:
         return arr.copy()
+    return _ring_allreduce(comm, arr.flatten()).reshape(arr.shape)
+
+
+def allreduce_inplace(comm, arr: np.ndarray) -> np.ndarray:
+    """:func:`allreduce` into ``arr``'s own buffer (``MPI_IN_PLACE``).
+
+    For a partial the caller just computed and holds no other use for,
+    such as a gradient block: the ring reduces straight into it, so no
+    second copy of the block is live while the rank waits on its peers.
+    Same rounds, messages, clocks and result as :func:`allreduce`;
+    ``arr`` must be a writeable C-contiguous array, and is returned.
+    """
+    if not isinstance(arr, np.ndarray):
+        raise CommunicatorError("allreduce requires a NumPy array payload")
+    if not (arr.flags.c_contiguous and arr.flags.writeable):
+        raise CommunicatorError("an in-place allreduce needs a writeable C-contiguous array")
+    if comm.size > 1:
+        _ring_allreduce(comm, arr.reshape(-1))  # a view: reduced in place
+    return arr
+
+
+def _ring_allreduce(comm, flat: np.ndarray) -> np.ndarray:
+    """Both ring phases over the 1-D ``flat``, reduced in place; on ``P > 1``."""
+    p, r = comm.size, comm.rank
     seq = comm._next_coll_seq()
     with span("allreduce", comm=comm, alg="ring", seq=seq):
-        _mark(comm, "allreduce[ring]", int(arr.nbytes), seq=seq)
-        flat = arr.flatten()  # the one private copy, reduced in place
+        _mark(comm, "allreduce[ring]", int(flat.nbytes), seq=seq)
         bounds = _chunk_bounds(flat.size, p)
         engine = comm._engine
         if engine.injector is None and not engine.tracer.enabled and current_guard() is None:
             _ring_rounds_plain(comm, flat, bounds, p, r)
-            return flat.reshape(arr.shape)
+            return flat
         right = (r + 1) % p
         left = (r - 1) % p
         sendrecv = comm.sendrecv
@@ -148,7 +172,7 @@ def allreduce(comm, arr: np.ndarray) -> np.ndarray:
             received = sendrecv(flat[s0:s1], right, left, tag + round_no)
             r0, r1 = bounds[(r - round_no) % p]
             flat[r0:r1] = received
-        return flat.reshape(arr.shape)
+        return flat
 
 
 def _ring_rounds_plain(comm, flat: np.ndarray, bounds, p: int, r: int) -> None:

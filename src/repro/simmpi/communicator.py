@@ -560,6 +560,13 @@ class Comm:
             raise CommunicatorError(f"unknown all-reduce algorithm {algorithm!r}")
         return collops.allreduce(self, arr)
 
+    def allreduce_inplace(self, arr: np.ndarray) -> np.ndarray:
+        """The ring all-reduce into ``arr`` itself; see
+        :func:`~repro.simmpi.collops.allreduce_inplace`."""
+        from repro.simmpi import collops
+
+        return collops.allreduce_inplace(self, arr)
+
     # -- sub-communicators ------------------------------------------------------
 
     def split(self, color: int, key: Optional[int] = None) -> "Comm":

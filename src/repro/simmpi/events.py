@@ -68,9 +68,22 @@ _DONE = 3
 _STACK_BYTES = 512 * 1024
 
 #: Most workers kept parked between runs: glibc's default malloc-arena
-#: count on 64-bit Linux.  Past it threads share arenas anyway, and each
-#: parked thread keeps its own allocator cache (~25 KiB).
+#: count on 64-bit Linux.  The heap no longer follows it: under
+#: :data:`_HEAP_POLICY` every tasklet allocates from one shared arena,
+#: and each parked thread keeps only its allocator cache (~25 KiB).
 _MAX_PARKED = 8 * (os.cpu_count() or 1)
+
+#: glibc ``mallopt`` settings applied once per process, at the first
+#: run (:func:`_share_one_heap`); see "Host memory" in ``docs/SIMMPI.md``.
+#: One arena (``M_ARENA_MAX``): only one tasklet runs at a time, so what
+#: one rank frees the next can reuse, where one arena per thread would
+#: multiply the heap's high-water mark.  A fixed 32 MiB mmap threshold
+#: (``M_MMAP_THRESHOLD``, glibc's own dynamic ceiling) and a trim
+#: threshold of 1 GiB (``M_TRIM_THRESHOLD``) keep that shared heap from
+#: trimming and page-faulting its top back in on every step.
+_HEAP_POLICY = ((-8, 1), (-3, 32 << 20), (-1, 1 << 30))
+
+_heap_shared = False
 
 
 class _Gate:
@@ -117,6 +130,29 @@ _names = itertools.count()
 if hasattr(os, "register_at_fork"):
     # Threads do not survive fork(): a child's pool starts empty.
     os.register_at_fork(after_in_child=_parked.clear)
+
+
+def _share_one_heap() -> None:
+    """Apply :data:`_HEAP_POLICY` through glibc's ``mallopt``, once.
+
+    Where the C library has no ``mallopt`` the policy is skipped.
+    ``ctypes.CDLL(None)`` searches the symbols already loaded, so no
+    helper process (``ctypes.util.find_library`` runs ``ldconfig``).
+    """
+    global _heap_shared
+    if _heap_shared:
+        return
+    _heap_shared = True
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no glibc malloc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        mallopt(param, value)
 
 
 def _park(worker: _Worker) -> bool:
@@ -311,6 +347,7 @@ class EventCore:
             heappush(self._heap, (0.0, self._seq, task.rank))
             self._seq += 1
         self._program = (fn, args, kwargs)
+        _share_one_heap()
         self._assign(range(self.size) if spawn_order is None else spawn_order)
         self._next_gate().open()  # hand the baton to the first tasklet
         self._main_gate.wait()  # until every tasklet is done

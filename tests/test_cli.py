@@ -358,6 +358,23 @@ class TestProfile:
         doc = (out / "flamegraph.html").read_text()
         assert doc.startswith("<!doctype html>") and "<script" not in doc
 
+    def test_profile_summa_reports_its_one_product(self, capsys):
+        # SUMMA runs one product whatever --steps says: the header and
+        # --json report that product, not the --steps asked for.
+        import json
+
+        sent = []
+        for steps in ("1", "7"):
+            assert main(["profile", "--trainer", "summa", "-P", "4",
+                         "--steps", steps, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["steps"] == 1
+            sent.append(payload["report"]["counters"]["msgs_sent"])
+        assert sent == [8, 8]
+        assert main(["profile", "--trainer", "summa", "-P", "4", "--steps", "7"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "one product" in header and "step" not in header
+
     def test_profile_bad_grid_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--pr", "0"])

@@ -20,6 +20,7 @@ from repro.dist.sgd import SGD
 from repro.dist.train import MLPParams, distributed_mlp_train, serial_mlp_train
 from repro.errors import ConfigurationError, RankFailedError
 from repro.machine.params import cori_knl
+from repro.run import RunSpec
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import (
     Cascade,
@@ -296,15 +297,31 @@ class TestCheckpointModes:
             np.testing.assert_allclose(w, r, rtol=1e-10, atol=1e-12)
 
     def test_narrow_grid_falls_back_to_replication(self):
-        # Pc - parity < 1 cannot stripe; the trainer must silently use
-        # full replication (and still recover).
+        # A 1x2 grid stripes with parity 1 until the crash shrinks it to
+        # 1x1, where Pc - parity < 1 cannot stripe: the takes after the
+        # restore fall back to full replication (and still recover).
         plan = FaultPlan(seed=3, crashes=(Crash(rank=1, at_step=5),))
-        res = _elastic(faults=plan, pr=2, pc=1, trace=True)
-        takes = [
-            e for e in res.engine.tracer.canonical() if e.op == "ckpt.take"
-        ]
-        assert takes and all(int(e.tag[1]) == MODE_REPLICATE for e in takes)
+        res = _elastic(faults=plan, pr=1, pc=2, trace=True)
+        assert res.grids == [(1, 2), (1, 1)]
+        modes = {
+            int(e.tag[0]): int(e.tag[1])
+            for e in res.engine.tracer.canonical() if e.op == "ckpt.take"
+        }
+        assert modes == {2: MODE_ERASURE, 4: MODE_ERASURE, 6: MODE_REPLICATE}
         assert res.restore_steps == [4] and not res.degraded_steps
+
+    @pytest.mark.parametrize("pc, parity", [(1, 1), (2, 2), (4, 4)])
+    def test_grid_that_cannot_stripe_is_refused(self, pc, parity):
+        # An erasure run whose starting grid has no data chunk per stripe
+        # fails before any rank starts, instead of storing full replicas
+        # under the name "erasure"; replication on that grid is fine.
+        with pytest.raises(ConfigurationError, match="1 <= parity < Pc"):
+            _elastic(pr=1, pc=pc, parity=parity)
+        spec = dict(trainer="elastic", pr=5, pc=pc, batch=8, parity=parity)
+        with pytest.raises(ConfigurationError, match="1 <= parity < Pc"):
+            RunSpec(**spec)
+        assert RunSpec(**spec, ckpt_mode="replicate").ckpt_mode == "replicate"
+        assert not _elastic(pr=1, pc=pc, parity=parity, ckpt_mode="replicate").recovered
 
     def test_cascading_crash_during_recovery(self):
         # Rank 2 dies while recovering from rank 1's crash; recovery
