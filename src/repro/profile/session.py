@@ -151,6 +151,11 @@ class ProfileSession:
         if self._entered:
             raise RuntimeError("ProfileSession is single-use; create a new one")
         self._entered = True
+        # The sampler thread must not get a malloc arena of its own: the
+        # simulator's rank threads would then be split over two heaps.
+        from ..simmpi.events import share_one_heap
+
+        share_one_heap()
         self._hooks = _hooks.activate(self)
         _spans.enable_registry()
         self._sampler = Sampler(self._hooks, self.hz, self.max_samples)

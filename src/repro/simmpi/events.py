@@ -55,7 +55,7 @@ from repro.errors import (
 )
 from repro.profile import hooks as _profile_hooks
 
-__all__ = ["EventCore", "EventMailbox"]
+__all__ = ["EventCore", "EventMailbox", "share_one_heap"]
 
 _READY = 0
 _RUNNING = 1
@@ -74,7 +74,8 @@ _STACK_BYTES = 512 * 1024
 _MAX_PARKED = 8 * (os.cpu_count() or 1)
 
 #: glibc ``mallopt`` settings applied once per process, at the first
-#: run (:func:`_share_one_heap`); see "Host memory" in ``docs/SIMMPI.md``.
+#: run or profile session (:func:`share_one_heap`); see "Host memory"
+#: in ``docs/SIMMPI.md``.
 #: One arena (``M_ARENA_MAX``): only one tasklet runs at a time, so what
 #: one rank frees the next can reuse, where one arena per thread would
 #: multiply the heap's high-water mark.  A fixed 32 MiB mmap threshold
@@ -132,12 +133,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_parked.clear)
 
 
-def _share_one_heap() -> None:
+def share_one_heap() -> None:
     """Apply :data:`_HEAP_POLICY` through glibc's ``mallopt``, once.
 
-    Where the C library has no ``mallopt`` the policy is skipped.
-    ``ctypes.CDLL(None)`` searches the symbols already loaded, so no
-    helper process (``ctypes.util.find_library`` runs ``ldconfig``).
+    Called before the package starts its first thread: the first run's
+    workers, or a profile session's sampler.  A thread that allocated
+    before keeps an arena of its own, and glibc, past ``M_ARENA_MAX``,
+    hands that arena to later threads too.  Where the C library has no
+    ``mallopt`` the policy is skipped.  ``ctypes.CDLL(None)`` searches
+    the symbols already loaded, so no helper process
+    (``ctypes.util.find_library`` runs ``ldconfig``).
     """
     global _heap_shared
     if _heap_shared:
@@ -347,7 +352,7 @@ class EventCore:
             heappush(self._heap, (0.0, self._seq, task.rank))
             self._seq += 1
         self._program = (fn, args, kwargs)
-        _share_one_heap()
+        share_one_heap()
         self._assign(range(self.size) if spawn_order is None else spawn_order)
         self._next_gate().open()  # hand the baton to the first tasklet
         self._main_gate.wait()  # until every tasklet is done

@@ -71,14 +71,27 @@ def test_one_engine_run_leaves_one_arena():
     assert "ARENAS 1\n" in out
 
 
+def test_a_profile_session_opened_first_keeps_one_arena():
+    # The sampler thread starts before the first run: were it to get an
+    # arena of its own, glibc would hand that one to rank threads too.
+    out = _python("""
+        from repro.profile import ProfileSession
+        from repro.simmpi.engine import SimEngine
+        with ProfileSession(hz=1.0):
+            assert SimEngine(16).run(allocating).values == (4.0,) * 16
+        print("ARENAS", arenas())
+    """)
+    assert "ARENAS 1\n" in out
+
+
 def test_applying_the_policy_twice_is_harmless():
     out = _python("""
         from repro.simmpi import events
         from repro.simmpi.engine import SimEngine
         SimEngine(4).run(allocating)
-        events._share_one_heap()       # a second run's call: a no-op
+        events.share_one_heap()       # a second run's call: a no-op
         events._heap_shared = False
-        events._share_one_heap()       # set again from scratch
+        events.share_one_heap()       # set again from scratch
         assert SimEngine(16).run(allocating).values == (4.0,) * 16
         print("ARENAS", arenas())
     """)
