@@ -107,9 +107,9 @@ def check_ckpt_policy(pc: int, ckpt_mode: str, parity: int) -> None:
         raise ConfigurationError(f"parity must be >= 1, got {parity}")
     if ckpt_mode == "erasure" and parity >= pc:
         raise ConfigurationError(
-            f"an erasure checkpoint stripes over the Pc={pc} row replicas and "
-            f"needs 1 <= parity < Pc, got parity {parity}; use ckpt_mode "
-            "'replicate' on this grid"
+            f"an erasure checkpoint stripes over the Pc={pc} row replicas, so "
+            f"it needs 1 <= parity < Pc; got parity {parity} (ckpt_mode "
+            "'replicate' has no such limit)"
         )
 
 

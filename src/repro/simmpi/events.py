@@ -67,22 +67,28 @@ _DONE = 3
 #: and pickle internals while letting P=1024+ tasklets coexist.
 _STACK_BYTES = 512 * 1024
 
-#: Most workers kept parked between runs: glibc's default malloc-arena
-#: count on 64-bit Linux.  The heap no longer follows it: under
-#: :data:`_HEAP_POLICY` every tasklet allocates from one shared arena,
-#: and each parked thread keeps only its allocator cache (~25 KiB).
+#: Most workers kept parked between runs (glibc's default malloc-arena
+#: count on 64-bit Linux).  All of them allocate from the one arena of
+#: :data:`_HEAP_POLICY`; a parked thread keeps its allocator cache
+#: (~25 KiB) and its stack.
 _MAX_PARKED = 8 * (os.cpu_count() or 1)
+
+# ``mallopt`` parameter numbers, from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 #: glibc ``mallopt`` settings applied once per process, at the first
 #: run or profile session (:func:`share_one_heap`); see "Host memory"
-#: in ``docs/SIMMPI.md``.
-#: One arena (``M_ARENA_MAX``): only one tasklet runs at a time, so what
-#: one rank frees the next can reuse, where one arena per thread would
-#: multiply the heap's high-water mark.  A fixed 32 MiB mmap threshold
-#: (``M_MMAP_THRESHOLD``, glibc's own dynamic ceiling) and a trim
-#: threshold of 1 GiB (``M_TRIM_THRESHOLD``) keep that shared heap from
-#: trimming and page-faulting its top back in on every step.
-_HEAP_POLICY = ((-8, 1), (-3, 32 << 20), (-1, 1 << 30))
+#: in ``docs/SIMMPI.md``.  One arena: only one tasklet runs at a time,
+#: so what one rank frees the next can reuse, where an arena per thread
+#: multiplies the heap's high-water mark.  A fixed 32 MiB mmap threshold
+#: (glibc's own dynamic ceiling) and a 1 GiB trim threshold keep that
+#: shared heap from trimming and page-faulting its top back in on every
+#: step.
+_HEAP_POLICY = (
+    (_M_ARENA_MAX, 1),
+    (_M_MMAP_THRESHOLD, 32 << 20),
+    (_M_TRIM_THRESHOLD, 1 << 30),
+)
 
 _heap_shared = False
 
