@@ -41,7 +41,7 @@ PARAMS0 = CNNParams.init(CONFIG, seed=1)
 #: early and the gradients reduced in place: 7 364 316 to 7 366 707
 #: bytes over three runs (CPython 3.11, NumPy 2.4), where conv 0's
 #: backward waits on its halo exchange.  It reads about 4.76 MB now.
-PARENT_PEAK = 7_364_000
+PEAK_BEFORE = 7_364_000
 
 
 def _run():
@@ -93,18 +93,18 @@ def traced_memory():
         tracemalloc.stop()
 
 
-def test_peak_is_below_the_parent_peak_less_the_released_buffers(traced_memory):
+def test_peak_is_below_the_earlier_peak_less_the_released_buffers(traced_memory):
     _run()  # warm-up outside the count: worker threads, imports, caches
     gc.collect()
     tracemalloc.reset_peak()
     _run()
     _, peak = tracemalloc.get_traced_memory()
-    # At the parent's peak conv 0's backward held its im2col columns and
+    # At the earlier peak conv 0's backward held its im2col columns and
     # their gradient on every rank, each (C*kh*kw) x (b*h*W) float64.
     kh = CONFIG.conv_kernels[0]
     columns = CONFIG.in_channels * kh * kh * (BATCH // PC) * (SIDE // PR) * SIDE * 8
     released = PR * PC * 2 * columns
-    assert peak <= PARENT_PEAK - released, (peak, PARENT_PEAK - released)
+    assert peak <= PEAK_BEFORE - released, (peak, PEAK_BEFORE - released)
 
 
 def test_no_lowered_buffer_is_held_across_a_halo_exchange(traced_memory, monkeypatch):
