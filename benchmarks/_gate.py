@@ -20,7 +20,6 @@ A check is a tuple ``(kind, key, limit_key, message)`` judging
 * ``"floor"`` / ``"ceiling"`` — against ``baseline[limit_key]``, loosened
   by the tolerance (floor slack is clamped so a floor never reaches 0).
 * ``"same"`` — an exact count that must equal ``baseline[key]``.
-* ``"at_least"`` — against ``record[limit_key]``, no tolerance.
 """
 
 import argparse
@@ -38,9 +37,6 @@ def _judge(check, record, baseline, tolerance, limits):
     elif kind == "same":
         limit = baseline.get(key)
         failed = value != limit
-    elif kind == "at_least":
-        limit = record[limit_key]
-        failed = value < limit
     else:
         slack = 1.0 + tolerance if kind == "ceiling" else 1.0 - min(tolerance, 0.99)
         limit = limits[limit_key] = float(baseline[limit_key]) * slack

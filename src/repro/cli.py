@@ -321,18 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[steps(8), seed, record, as_json],
         config_defaults=_watch_defaults,
         help=(
-            "run a training scenario under the live health monitor: "
-            "heartbeats and rule firings (stall, straggler, loss NaN/"
-            "divergence, comm-wait spike, ckpt degradation) stream to the "
-            "terminal as the run executes; exit 0 healthy / 1 warnings / "
-            "2 critical"
+            "run a training scenario, then judge its trace with the health "
+            "rules: heartbeats and rule firings (stall, straggler, loss NaN/"
+            "divergence, comm-wait spike, ckpt degradation) are replayed in "
+            "scheduler order, then the verdict table; exit 0 healthy / "
+            "1 warnings / 2 critical"
         ),
     )
     watch_p.add_argument(
         "--scenario",
         default="straggler",
         choices=["clean", "straggler", "crash", "degrade", "diverge"],
-        help="what to run under the monitor (default: straggler)",
+        help="what to run and judge (default: straggler)",
     )
     watch_p.add_argument(
         "--quiet", action="store_true",
@@ -1067,8 +1067,8 @@ def _watch_spec(scenario: str, steps: int, seed: int):
 
 
 def _run_watch(args) -> int:
-    from repro.observe.health import HealthConfig, HealthMonitor, evaluate_health
-    from repro.observe.watch import WatchRenderer
+    from repro.observe.health import HealthConfig, evaluate_health
+    from repro.observe.watch import stream_watch
     from repro.run import execute
 
     health_config = HealthConfig(
@@ -1076,28 +1076,25 @@ def _run_watch(args) -> int:
     )
     health_config.validate()
 
-    monitor = HealthMonitor(health_config)
-    # Machine-readable mode streams no live lines.
-    sink = monitor if args.json else WatchRenderer(monitor, heartbeats=not args.quiet)
-
     scenario = args.scenario
     spec = _watch_spec(scenario, args.steps, args.seed)
     if not args.json:
         print(f"watch   : scenario {scenario!r}, {spec.steps} steps, "
               f"seed {args.seed}")
-    run = execute(spec, metrics=sink)
+    run = execute(spec)
     config = {"scenario": scenario, "steps": spec.steps}
     if spec.trainer == "elastic":
         config["parity"] = spec.parity
 
-    monitor.finish()
-    # The verdict (and everything recorded) comes from the deterministic
-    # virtual-time replay, not the live thread interleave.
+    # The verdict (and everything recorded) is the virtual-time replay;
+    # the stream replays the same trace in scheduler order.
     report = evaluate_health(run.engine.tracer.canonical(), health_config)
     clocks = run.sim.clocks
     makespan = max(clocks) if clocks else 0.0
     worst = report.worst
     if not args.json:
+        stream_watch(run.engine.tracer.events, health_config,
+                     heartbeats=not args.quiet)
         print()
         if report.events:
             print(report.to_table().to_ascii())
@@ -1355,7 +1352,9 @@ def _profile_spec(args):
     """The run ``repro profile`` samples: ``--trainer`` on the grid from
     ``--pr/--pc`` or derived from ``-P`` (Pr = largest divisor <=
     sqrt(P)), sized so every rank holds a block.  SUMMA runs one
-    product whatever ``--steps`` says, so its spec has one step."""
+    product whatever ``--steps`` says, so its spec has one step.  An
+    elastic run replicates its checkpoints where ``Pc`` is too narrow
+    for an erasure stripe."""
     import math
 
     from repro.errors import ConfigurationError
@@ -1372,6 +1371,8 @@ def _profile_spec(args):
         pr = max(d for d in range(1, math.isqrt(p) + 1) if p % d == 0)
         pc = p // pr
     run = dict(trainer=args.trainer, pr=pr, pc=pc, steps=args.steps)
+    if args.trainer == "elastic" and pc <= RunSpec.parity:
+        run["ckpt_mode"] = "replicate"  # an erasure stripe needs Pc > parity
     if args.trainer == "summa":
         m, k, n = max(64, 4 * pr), math.lcm(pr, pc) * 8, max(64, 4 * pc)
         return RunSpec(size=(m, k, n), **{**run, "steps": 1})

@@ -306,7 +306,10 @@ class DomainConv2D:
         dcols = weights.reshape(f, -1).T @ dy_mat
         del dy_mat
         dx_ext = col2im(dcols, x_ext.shape, kh, kw, stride=self.stride, pad_h=0, pad_w=kw // 2)
-        del dcols
+        # The cached input's last read: else every rank keeps it through
+        # the caller's gradient all-reduce.
+        del dcols, x_ext
+        self._x_ext = None
         top, bottom = self.top_halo, self.bottom_halo
         if top == 0 and bottom == 0:
             return dx_ext, dw_partial

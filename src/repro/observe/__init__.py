@@ -1,15 +1,15 @@
-"""Live run health monitoring and the longitudinal run registry.
+"""Run health judged from the trace, and the longitudinal run registry.
 
 Two halves (docs/OBSERVE.md):
 
-* :mod:`repro.observe.health` — a streaming rule engine over per-rank
-  heartbeats and trace events in *virtual* time.  Attach a
-  :class:`HealthMonitor` as a tracer sink (``SimEngine(metrics=...)``
-  accepts it — anything with ``observe_event`` works) to raise typed
-  :class:`HealthEvent`\\ s (stall, straggler, loss NaN/divergence,
-  comm-wait spike, checkpoint degradation) while a run executes, or
-  call :func:`evaluate_health` post-hoc on a recorded trace for a
-  deterministic report (this is what RunRecord schema v4 embeds).
+* :mod:`repro.observe.health` — rules over per-rank heartbeats and
+  trace events in *virtual* time, judged after the run from its
+  recorded trace.  :func:`evaluate_health` replays the trace in
+  virtual-time order and raises typed :class:`HealthEvent`\\ s (stall,
+  straggler, loss NaN/divergence, comm-wait spike, checkpoint
+  degradation) into a deterministic :class:`HealthReport`; this is
+  what RunRecords embed.  ``repro watch`` prints the same rules'
+  alerts over a replay in scheduler order (:mod:`repro.observe.watch`).
 * :mod:`repro.observe.registry` — an append-only JSONL store
   (``benchmarks/REGISTRY.jsonl``) ingesting RunRecords and BENCH
   results, with rolling median + MAD trend baselines powering the

@@ -1,4 +1,4 @@
-"""Streaming health rules over per-rank heartbeats in virtual time.
+"""Health rules over per-rank heartbeats in virtual time, judged from a trace.
 
 The monitor consumes raw :class:`~repro.simmpi.tracing.TraceEvent`\\ s —
 heartbeats (``op == "hb"``, emitted once per step by every trainer),
@@ -24,19 +24,12 @@ raises typed :class:`HealthEvent`\\ s when a rule trips:
     the elastic trainer declared a degraded restore (``ckpt.degraded``
     marker).
 
-Two consumption modes share the same rules:
-
-* **streaming** — ``HealthMonitor`` as a tracer sink, for the live
-  ``repro watch`` renderer.  Cross-rank rules see events in scheduler
-  order, which is fixed run to run; the dedupe (one event per
-  ``(kind, rank)`` per fault epoch) keeps the set of raised events
-  stable whatever the order.
-* **deterministic** — :func:`evaluate_health` replays a recorded trace
-  in virtual-time order.  Same rules, bit-stable output; this is what
-  RunRecord schema v4 embeds.
-
-Observing is observability-only: the monitor never touches virtual
-clocks, so monitored runs are bit-identical to unmonitored ones.
+The rules run after the run, on the recorded trace, and see one event
+at a time through :meth:`HealthMonitor.observe_event`.
+:func:`evaluate_health` feeds them in virtual-time order: the same
+report for a given trace whatever the scheduler did, and what RunRecords
+embed.  ``repro watch`` also replays the trace in append (scheduler)
+order to print its stream of alerts (:mod:`repro.observe.watch`).
 """
 
 from __future__ import annotations
@@ -44,8 +37,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import statistics
-import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.results import ResultTable
 from repro.errors import ConfigurationError
@@ -150,116 +142,72 @@ class _RankState:
 
 
 class HealthMonitor:
-    """The streaming rule engine; duck-types the tracer-sink protocol.
+    """The rule state machine over one stream of trace events.
 
-    Pass as ``SimEngine(metrics=HealthMonitor(...))`` — anything with an
-    ``observe_event`` method is accepted there.  To keep aggregate
-    metrics too, hand the monitor a ``registry``: every event is
-    forwarded to it before the rules run.  ``on_event`` is called with
-    each raised :class:`HealthEvent` (the live renderer hook); it runs
-    on the rank thread that tripped the rule, under the monitor lock.
+    Feed it events with :meth:`observe_event`, then call :meth:`finish`
+    once for the end-of-run sweep.  :attr:`events` lists every
+    :class:`HealthEvent` raised so far, in the order raised.
     """
 
-    def __init__(
-        self,
-        config: Optional[HealthConfig] = None,
-        *,
-        registry: Optional[Any] = None,
-        on_event: Optional[Callable[[HealthEvent], None]] = None,
-    ) -> None:
+    def __init__(self, config: Optional[HealthConfig] = None) -> None:
         self.config = config or HealthConfig()
         self.config.validate()
-        self.registry = registry
-        self.on_event = on_event
-        self._lock = threading.Lock()
-        self._events: List[HealthEvent] = []
+        self.events: List[HealthEvent] = []
         self._raised: set = set()
         self._ranks: Dict[int, _RankState] = {}
         self._durations: Dict[int, Dict[int, float]] = {}
         self._judged_steps: set = set()
         self._best_loss: Optional[float] = None
         self._epoch = 0
-        self._finished = False
-        self._heartbeats = 0
-
-    # -- results ------------------------------------------------------------
-
-    @property
-    def events(self) -> Tuple[HealthEvent, ...]:
-        with self._lock:
-            return tuple(self._events)
-
-    @property
-    def heartbeats_seen(self) -> int:
-        """How many heartbeat events reached the monitor (liveness probe)."""
-        with self._lock:
-            return self._heartbeats
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.kind] = out.get(ev.kind, 0) + 1
-        return out
-
-    def report(self) -> "HealthReport":
-        return HealthReport(self.events)
-
-    # -- the sink -----------------------------------------------------------
 
     def observe_event(self, event: Any) -> None:
-        if self.registry is not None:
-            self.registry.observe_event(event)
         op = event.op
-        with self._lock:
-            if op == HB_OP:
-                self._on_heartbeat(event)
-            elif op == "recv":
-                state = self._ranks.get(event.rank)
-                if state is not None:
-                    state.recv_s += event.t_end - event.t_start
-            elif op == "fault.crash":
-                # The elastic trainer shrinks and renumbers the world
-                # after a crash, so per-rank progress identities from
-                # before it are meaningless: start a fresh epoch.
-                self._ranks.clear()
-                self._durations.clear()
-                self._judged_steps.clear()
-                self._epoch += 1
-            elif op == "ckpt.degraded":
-                self._raise(
-                    "ckpt_degraded",
-                    event.rank,
-                    event.t_end,
-                    "restore degraded to an older checkpoint",
-                )
+        if op == HB_OP:
+            self._on_heartbeat(event)
+        elif op == "recv":
+            state = self._ranks.get(event.rank)
+            if state is not None:
+                state.recv_s += event.t_end - event.t_start
+        elif op == "fault.crash":
+            # The elastic trainer shrinks and renumbers the world
+            # after a crash, so per-rank progress identities from
+            # before it are meaningless: start a fresh epoch.
+            self._ranks.clear()
+            self._durations.clear()
+            self._judged_steps.clear()
+            self._epoch += 1
+        elif op == "ckpt.degraded":
+            self._raise(
+                "ckpt_degraded",
+                event.rank,
+                event.t_end,
+                "restore degraded to an older checkpoint",
+            )
 
     def finish(self) -> "HealthReport":
         """End-of-run sweep: ranks that went quiet count as stalled."""
-        with self._lock:
-            if not self._finished:
-                self._finished = True
-                for done in sorted(self._durations):
-                    if (self._epoch, done) not in self._judged_steps:
-                        self._judged_steps.add((self._epoch, done))
-                        self._judge_straggler(done)
-                steps = {
-                    r: st.last_step
-                    for r, st in self._ranks.items()
-                    if st.last_step is not None
-                }
-                if steps:
-                    leader = max(steps.values())
-                    for rank in sorted(steps):
-                        lag = leader - steps[rank]
-                        if lag >= self.config.stall_steps:
-                            self._raise(
-                                "stall",
-                                rank,
-                                self._ranks[rank].last_t,
-                                f"ended {lag} steps behind the leader",
-                                step=steps[rank],
-                            )
-        return self.report()
+        for done in sorted(self._durations):
+            if (self._epoch, done) not in self._judged_steps:
+                self._judged_steps.add((self._epoch, done))
+                self._judge_straggler(done)
+        steps = {
+            r: st.last_step
+            for r, st in self._ranks.items()
+            if st.last_step is not None
+        }
+        if steps:
+            leader = max(steps.values())
+            for rank in sorted(steps):
+                lag = leader - steps[rank]
+                if lag >= self.config.stall_steps:
+                    self._raise(
+                        "stall",
+                        rank,
+                        self._ranks[rank].last_t,
+                        f"ended {lag} steps behind the leader",
+                        step=steps[rank],
+                    )
+        return HealthReport(self.events)
 
     # -- rules --------------------------------------------------------------
 
@@ -275,21 +223,19 @@ class HealthMonitor:
         if key in self._raised:
             return
         self._raised.add(key)
-        ev = HealthEvent(
-            kind=kind,
-            rank=rank,
-            t_s=t_s,
-            severity=HEALTH_KINDS[kind],
-            detail=detail,
-            step=step,
+        self.events.append(
+            HealthEvent(
+                kind=kind,
+                rank=rank,
+                t_s=t_s,
+                severity=HEALTH_KINDS[kind],
+                detail=detail,
+                step=step,
+            )
         )
-        self._events.append(ev)
-        if self.on_event is not None:
-            self.on_event(ev)
 
     def _on_heartbeat(self, event: Any) -> None:
         cfg = self.config
-        self._heartbeats += 1
         fields = dict(event.tag)
         step = fields.get("step")
         if step is None:
@@ -409,7 +355,7 @@ def evaluate_health(
 
     Bit-stable for a given trace: events are fed in virtual-time order,
     so cross-rank rules see the same interleave every run.  This is the
-    evaluation RunRecord schema v4 embeds.
+    evaluation RunRecords embed.
     """
     monitor = HealthMonitor(config)
     for event in virtual_order(events):

@@ -188,16 +188,14 @@ class Run:
         )
 
 
-def execute(spec: RunSpec, *, trace: bool = True, metrics=None) -> Run:
+def execute(spec: RunSpec, *, trace: bool = True) -> Run:
     """Run ``spec`` on a new ``SimEngine(pr * pc)``.
 
-    ``trace`` keeps the trace a :meth:`Run.record` needs; ``metrics`` is
-    a tracer sink (a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    or a live health monitor).  The elastic trainer runs supervised.
-    Errors of the run itself propagate.
+    ``trace`` keeps the trace a :meth:`Run.record` needs.  The elastic
+    trainer runs supervised.  Errors of the run itself propagate.
     """
     engine = SimEngine(
-        spec.pr * spec.pc, trace=trace, metrics=metrics, faults=spec.faults,
+        spec.pr * spec.pc, trace=trace, faults=spec.faults,
         supervise=spec.trainer == "elastic",
     )
     guard = make_guard(spec.sdc)

@@ -11,7 +11,7 @@ The package splits into four pieces:
 * :mod:`repro.telemetry.audit` — measured-vs-analytic communication
   audits against Eqs. 3/4/8 of the paper.
 * :mod:`repro.telemetry.heartbeat` — per-rank progress heartbeats the
-  live health monitor (:mod:`repro.observe`) evaluates.
+  health rules (:mod:`repro.observe`) evaluate from the trace.
 
 Only the always-needed, dependency-light pieces are imported here;
 ``chrome``, ``audit`` and ``summary`` are imported where used (they pull

@@ -1,4 +1,4 @@
-"""Per-rank progress heartbeats for the live health monitor.
+"""Per-rank progress heartbeats for the health rules.
 
 A heartbeat is a zero-duration :class:`~repro.simmpi.tracing.TraceEvent`
 (``op == "hb"``) each trainer emits once per step (once per panel for
@@ -10,8 +10,8 @@ is 1.4x the median"), and loss divergence/NaN all read them.
 
 Emission is observability-only by construction: recording never touches
 the virtual clock, costs no simulated communication, and is a no-op
-when tracing is disabled — so monitored runs are bit-identical to
-unmonitored ones (property-tested in ``tests/test_observe_health.py``).
+when tracing is disabled — so a run with a trace sink is bit-identical
+to one without (tested in ``tests/test_observe_health.py``).
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ RECORD = {
     "speedup": 5.0,
     "overhead": 1.02,
     "bytes": 64,
-    "min_bytes": 64,
     "identical": True,
     "min_speedup": 4.0,
     "max_overhead": 1.05,
@@ -31,7 +30,6 @@ CHECKS = [
     ("floor", "speedup", "min_speedup", "speedup {value:.1f}x under {limit:.1f}x"),
     ("ceiling", "overhead", "max_overhead", "overhead {value:.2f}x over {limit:.2f}x"),
     ("same", "bytes", None, "{key} changed: {value} vs baseline {limit}"),
-    ("at_least", "bytes", "min_bytes", "only {value} bytes, expected {limit}"),
 ]
 
 
@@ -76,14 +74,13 @@ def test_tolerance_loosens_floors_and_ceilings(baseline, capsys):
 def test_perturbed_baseline_lists_every_regression(tmp_path, capsys):
     path = tmp_path / "perturbed.json"
     path.write_text(json.dumps(dict(RECORD, min_speedup=100.0, bytes=65)))
-    assert run(path, record=dict(RECORD, identical=False, min_bytes=70)) == 1
+    assert run(path, record=dict(RECORD, identical=False)) == 1
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err.splitlines() == [
         "REGRESSION: outputs diverged",
         "REGRESSION: speedup 5.0x under 100.0x",
         "REGRESSION: bytes changed: 64 vs baseline 65",
-        "REGRESSION: only 64 bytes, expected 70",
     ]
 
 

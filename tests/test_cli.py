@@ -375,6 +375,19 @@ class TestProfile:
         header = capsys.readouterr().out.splitlines()[0]
         assert "one product" in header and "step" not in header
 
+    def test_profile_elastic_replicates_where_no_stripe_fits(self, tmp_path, capsys):
+        # An erasure stripe needs Pc > parity (1): a one-column grid
+        # checkpoints by replication, and its record says so.
+        import json
+
+        record = tmp_path / "run.json"
+        assert main(["profile", "--trainer", "elastic", "--pr", "2", "--pc", "1",
+                     "--steps", "1", "--json", "--record", str(record)]) == 0
+        assert json.loads(record.read_text())["config"]["ckpt_mode"] == "replicate"
+        assert main(["profile", "--trainer", "elastic", "-P", "1", "--steps", "1",
+                     "--json"]) == 0
+        capsys.readouterr()
+
     def test_profile_bad_grid_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--pr", "0"])

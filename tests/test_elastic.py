@@ -267,6 +267,41 @@ class TestCheckpointModes:
         ]
         assert ckpt_sends == []
 
+    def test_capacity_and_overhead_on_the_reference_job(self):
+        # A 2x4 job (24, 16, 10), batch 16, 8 steps, a take every 2
+        # steps at parity 1.  Erasure shards store 6x less than full
+        # replicas (the floor is 2x), cost no virtual time, and neither
+        # mode changes the weights of the checkpoint-free run.
+        dims, batch, steps = (24, 16, 10), 16, 8
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((dims[0], 4 * batch))
+        y = rng.integers(0, dims[-1], 4 * batch)
+        params0 = MLPParams.init(dims, seed=1)
+
+        def one(mode, every):
+            res = elastic_mlp_train(
+                params0, x, y, pr=2, pc=4, batch=batch, steps=steps,
+                checkpoint_every=every, ckpt_mode=mode, parity=1,
+                engine=SimEngine(8, trace=True, supervise=True),
+            )
+            takes = [
+                e for e in res.engine.tracer.events
+                if e.op == "ckpt.take" and int(e.tag[0]) > 0
+            ]
+            stored = sum(int(e.tag[2]) for e in takes)
+            return [w.tobytes() for w in res.weights], res.sim.time, stored, len(takes)
+
+        # A take interval past the last step: no periodic take fires.
+        off_w, off_s, off_stored, _ = one("erasure", 2 * steps)
+        er_w, er_s, er_stored, er_takes = one("erasure", 2)
+        rp_w, _, rp_stored, rp_takes = one("replicate", 2)
+        assert er_w == off_w and rp_w == off_w
+        assert off_stored == 0
+        assert (er_stored, rp_stored) == (17424, 104448)
+        assert rp_stored / er_stored >= 2.0
+        assert er_s / off_s <= 1.05
+        assert er_takes == rp_takes == 24
+
     def test_concurrent_double_crash_within_parity(self):
         # Ranks 1 and 2 share a row stripe of the 2x4 grid: two
         # concurrent losses, survivable bit-exactly with parity 2.

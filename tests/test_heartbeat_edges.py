@@ -7,10 +7,10 @@ never enters:
   same virtual instant (tiny problems where compute costs round to
   nothing), so per-step durations are 0 and both the straggler median
   and the comm-wait fraction would divide by zero without their guards;
-* **a monitor attached mid-run** — the streaming monitor starts
-  consuming a heartbeat stream partway through (``repro watch`` joining
-  a run in progress): the first heartbeat seen per rank must establish
-  state without fabricating a duration or a spurious alert;
+* **a monitor attached mid-run** — the rules start consuming a
+  heartbeat stream partway through (a trace cut to its later steps):
+  the first heartbeat seen per rank must establish state without
+  fabricating a duration or a spurious alert;
 * **dedupe across an elastic shrink** — a ``fault.crash`` renumbers the
   world, so the one-event-per-``(kind, rank)`` dedupe must reset with
   the epoch while still suppressing repeats within one.
@@ -25,6 +25,7 @@ from repro.observe.health import HealthConfig, HealthMonitor, evaluate_health
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.tracing import TraceEvent
 from repro.telemetry.heartbeat import HB_OP, emit_heartbeat
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def hb(rank, step, t, loss=None, phase="train"):
@@ -225,18 +226,17 @@ class TestEmitterEdges:
 
     def test_metrics_sink_receives_beats_without_trace_storage(self):
         # Attaching a metrics sink enables recording even when no trace
-        # is stored — that is how `repro watch` monitors live without
-        # the memory cost of a full trace buffer.
-        monitor = HealthMonitor()
-        engine = SimEngine(2, None, trace=False, metrics=monitor)
+        # is stored: the registry counts every beat at constant memory.
+        registry = MetricsRegistry()
+        engine = SimEngine(2, None, trace=False, metrics=registry)
 
         def program(comm):
             emit_heartbeat(comm, step=0)
             return None
 
         engine.run(program)
-        assert monitor.heartbeats_seen == 2
-        assert monitor.finish().events == ()
+        assert engine.tracer.events == ()
+        assert registry.counter("hb.count").total() == 2
 
 
 class TestWarmupBoundary:

@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from repro.data.synthetic import synthetic_images
-from repro.dist import conv_domain, layers
+from repro.dist import conv_domain, integrated, layers
 from repro.dist.conv_domain import DomainConv2D
 from repro.dist.integrated import (
     CNNParams,
@@ -159,3 +159,31 @@ def test_serial_conv_backward_frees_its_columns_before_col2im(traced_memory, mon
     serial_cnn_train(CONFIG, PARAMS0, X, Y, batch=BATCH, steps=1)
     assert len(held) == CONFIG.num_convs
     assert max(held) < SMALLEST_BUFFER, held
+
+
+def test_no_halo_extended_input_outlives_its_backward(traced_memory, monkeypatch):
+    # A ring all-reduce returns on no rank before every rank has entered
+    # it, so once conv 0's weight gradient (the step's last conv
+    # all-reduce) comes back, every rank has run both convs' backward:
+    # no halo-extended input ``_assemble_ext`` built may still be live.
+    sites = [_lines(DomainConv2D._assemble_ext)]
+    reduce, held = Comm.allreduce_inplace, []
+
+    def spying_reduce(self, *args, **kwargs):
+        out = reduce(self, *args, **kwargs)
+        caller = sys._getframe(1)
+        if caller.f_code.co_filename == integrated.__file__ and caller.f_locals.get("i") == 0:
+            held.append(_largest_live_from(tracemalloc.take_snapshot(), sites))
+        return out
+
+    monkeypatch.setattr(Comm, "allreduce_inplace", spying_reduce)
+    # One step, so no rank can have started the next step's forward.
+    distributed_cnn_train(
+        CONFIG, PARAMS0, X, Y, pr=PR, pc=PC, batch=BATCH, steps=1,
+        engine=SimEngine(PR * PC),
+    )
+    # The smaller of the two: conv 0's, b x C x (h + 2 halo rows) x W
+    # float64 on one rank.  Smaller live blocks are NumPy bookkeeping.
+    smallest_ext = (BATCH // PC) * CONFIG.in_channels * (SIDE // PR + 2) * SIDE * 8
+    assert len(held) == PR * PC
+    assert max(held) < smallest_ext, held

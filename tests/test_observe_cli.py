@@ -129,7 +129,7 @@ class TestHistory:
 
 class TestIngest:
     def test_bench_files_ingest(self, tmp_path, capsys):
-        names = ("checkpoint", "observe", "profile", "sdc", "search", "simmpi")
+        names = ("profile", "search", "simmpi")
         registry = tmp_path / "reg.jsonl"
         assert main(["ingest", *(f"benchmarks/BENCH_{n}.json" for n in names),
                      "--registry", str(registry)]) == 0

@@ -1,10 +1,10 @@
-"""Tests for the streaming health monitor and its deterministic replay."""
+"""Tests for the health rules and their deterministic replay."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dist.train import MLPParams, distributed_mlp_train
 from repro.errors import ConfigurationError
@@ -19,6 +19,7 @@ from repro.observe.health import (
 )
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.tracing import TraceEvent
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def hb(rank, step, t, loss=None, phase="train"):
@@ -250,7 +251,11 @@ class TestBitIdentity:
         seed=st.integers(min_value=0, max_value=2**16),
         steps=st.integers(min_value=1, max_value=3),
     )
-    def test_monitor_on_equals_monitor_off(self, seed, steps):
+    @example(seed=0, steps=3)
+    def test_sink_on_equals_sink_off(self, seed, steps):
+        # A metrics sink sees every event as it is recorded, yet the
+        # run it watches is bit-identical to a bare one: same weights,
+        # losses and virtual makespan (an overhead of exactly 1.0).
         dims = (8, 6, 4)
         batch = 4
         rng = np.random.default_rng(seed)
@@ -258,24 +263,25 @@ class TestBitIdentity:
         y = rng.integers(0, dims[-1], 2 * batch)
         params0 = MLPParams.init(dims, seed=seed)
 
-        def one(monitor):
-            engine = SimEngine(4, None, trace=True, metrics=monitor)
+        def one(metrics):
+            engine = SimEngine(4, None, trace=True, metrics=metrics)
             weights, losses, sim = distributed_mlp_train(
                 params0, x, y, pr=2, pc=2, batch=batch, steps=steps,
                 engine=engine,
             )
-            return weights, losses, sim.time
+            return weights, losses, sim.time, engine.tracer.events
 
-        bare_w, bare_l, bare_t = one(None)
-        monitor = HealthMonitor()
-        mon_w, mon_l, mon_t = one(monitor)
-        monitor.finish()
-        assert mon_t == bare_t
-        assert mon_l == bare_l
+        bare_w, bare_l, bare_t, _ = one(None)
+        registry = MetricsRegistry()
+        sink_w, sink_l, sink_t, trace = one(registry)
+        assert sink_t == bare_t
+        assert sink_l == bare_l
         assert all(
-            a.tobytes() == b.tobytes() for a, b in zip(mon_w, bare_w)
+            a.tobytes() == b.tobytes() for a, b in zip(sink_w, bare_w)
         )
-        assert monitor.heartbeats_seen == 4 * steps
+        # One end-of-step heartbeat per rank per step: Pr * Pc * steps.
+        assert sum(e.op == "hb" for e in trace) == 4 * steps
+        assert registry.counter("hb.count").total() == 4 * steps
 
     def test_monitored_trace_replays_identically(self):
         dims = (8, 6, 4)
@@ -283,16 +289,16 @@ class TestBitIdentity:
         x = rng.standard_normal((dims[0], 8))
         y = rng.integers(0, dims[-1], 8)
         params0 = MLPParams.init(dims, seed=0)
-        monitor = HealthMonitor()
-        engine = SimEngine(4, None, trace=True, metrics=monitor)
+        engine = SimEngine(4, None, trace=True)
         distributed_mlp_train(
             params0, x, y, pr=2, pc=2, batch=4, steps=2, engine=engine
         )
-        monitor.finish()
-        # Deterministic replay of the stored trace raises the same set.
+        # The scheduler-order replay (what ``repro watch`` streams) and
+        # the virtual-order one (the verdict) raise the same kinds.
+        streamed = feed(engine.tracer.events)
         replay = evaluate_health(engine.tracer.canonical())
-        assert {e.to_dict()["kind"] for e in replay.events} == {
-            e.to_dict()["kind"] for e in monitor.events
+        assert {e.kind for e in replay.events} == {
+            e.kind for e in streamed.events
         }
 
     def test_heartbeats_are_zero_duration(self):

@@ -45,7 +45,7 @@ SURFACE = [
     ),
     (Tracer.__init__, ("self", "enabled", "sink", "store")),
     (MetricsRegistry.__init__, ("self",)),
-    (execute, ("spec", "trace", "metrics")),
+    (execute, ("spec", "trace")),
 ]
 
 

@@ -402,6 +402,31 @@ class TestGuardCostAndAudit:
         categories = {t.category for t in report.terms}
         assert {"abft.digest_fwd", "abft.digest_dx", "abft.digest_dw"} <= categories
 
+    def test_guard_overhead_and_digest_bytes_on_the_reference_job(self):
+        # A 2x2 1.5D job (24, 16, 10), batch 16, 3 steps: guarded weights
+        # equal the unguarded ones bit for bit, and the only guard cost
+        # in virtual time is the digest escorts, 864 bytes on the wire.
+        dims, batch = (24, 16, 10), 16
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((dims[0], 4 * batch))
+        y = rng.integers(0, dims[-1], 4 * batch)
+        params0 = MLPParams.init(dims, seed=1)
+
+        def one(sdc):
+            engine = SimEngine(4, None, trace=True)
+            weights, _, sim = distributed_mlp_train(
+                params0, x, y, pr=2, pc=2, batch=batch, steps=3,
+                engine=engine, sdc=sdc,
+            )
+            digests = sum(e.guard_bytes for e in engine.tracer.events if e.op == "send")
+            return weights, sim.time, digests
+
+        plain_w, plain_s, plain_digests = one(None)
+        guarded_w, guarded_s, digests = one("correct")
+        assert bits(guarded_w) == bits(plain_w)
+        assert plain_digests == 0 and digests == 864
+        assert guarded_s / plain_s <= 1.05
+
     def test_guarded_trace_without_sdc_flag_is_an_error(self):
         from repro.run import RunSpec, execute
         from repro.telemetry.audit import audit_events
