@@ -31,7 +31,6 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.results import ResultTable
-from repro.errors import ConfigurationError
 from repro.report.tables import format_seconds
 from repro.simmpi.tracing import TraceEvent
 from repro.telemetry.audit import PHASE_CATEGORY
@@ -174,9 +173,13 @@ class CriticalPathReport:
 
     @property
     def length_s(self) -> float:
-        """Virtual time covered by the chain (<= makespan by construction)."""
+        """Virtual time covered by the chain (<= makespan by construction).
+
+        An empty path means no message bounds the run: the longest rank's
+        own timeline is the chain, and its length is the makespan.
+        """
         if not self.path:
-            return 0.0
+            return self.makespan_s
         return self.path[-1].event.t_end - self.path[0].event.t_start
 
     @property
@@ -249,15 +252,18 @@ def critical_path(
     ``clocks`` (the run's final per-rank virtual clocks) pin each
     rank's true wall time so trailing local compute after its last
     message counts against its slack; without them the last event of a
-    rank is assumed to end its timeline.  Raises
-    :class:`~repro.errors.ConfigurationError` on a trace with no p2p
-    events.
+    rank is assumed to end its timeline.  A trace with no p2p events
+    (a one-rank run) has an empty path whose length is the makespan:
+    the latest clock, or the latest event end without clocks.
     """
     graph = build_dependency_graph(events)
     nodes = graph.nodes
     if not nodes:
-        raise ConfigurationError(
-            "cannot extract a critical path: the trace has no p2p events"
+        ends = [e.t_end for e in events]
+        if clocks is not None:
+            ends += [float(c) for c in clocks]
+        return CriticalPathReport(
+            path=(), makespan_s=max(ends, default=0.0), slack=(), graph=graph
         )
     n = len(nodes)
     # A node has at most one program successor and, if it is a matched

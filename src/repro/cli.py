@@ -1067,7 +1067,7 @@ def _watch_spec(scenario: str, steps: int, seed: int):
 
 
 def _run_watch(args) -> int:
-    from repro.observe.health import HealthConfig, evaluate_health
+    from repro.observe.health import HealthConfig
     from repro.observe.watch import stream_watch
     from repro.run import execute
 
@@ -1086,15 +1086,15 @@ def _run_watch(args) -> int:
     if spec.trainer == "elastic":
         config["parity"] = spec.parity
 
-    # The verdict (and everything recorded) is the virtual-time replay;
-    # the stream replays the same trace in scheduler order.
-    report = evaluate_health(run.engine.tracer.canonical(), health_config)
+    # One virtual-time replay of the trace is both the stream and the
+    # verdict (the one every record embeds).
+    report = stream_watch(run.engine.tracer.canonical(), health_config,
+                          None if args.json else sys.stdout,
+                          heartbeats=not args.quiet)
     clocks = run.sim.clocks
     makespan = max(clocks) if clocks else 0.0
     worst = report.worst
     if not args.json:
-        stream_watch(run.engine.tracer.events, health_config,
-                     heartbeats=not args.quiet)
         print()
         if report.events:
             print(report.to_table().to_ascii())

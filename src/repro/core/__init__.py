@@ -48,7 +48,7 @@ from repro.core.simulate import IterationCost, SimulationPoint, simulate_iterati
 from repro.core.pareto import ParetoPoint, comm_memory_frontier
 from repro.core.plan import IterationPlan, PlanStep, build_iteration_plan
 from repro.core.results import ResultTable
-from repro.core.sweep import ScalingPoint, strong_scaling_curve, weak_scaling_curve
+from repro.core.sweep import ScalingPoint, strong_scaling_curve
 
 __all__ = [
     "Placement",
@@ -90,5 +90,4 @@ __all__ = [
     "build_iteration_plan",
     "ScalingPoint",
     "strong_scaling_curve",
-    "weak_scaling_curve",
 ]

@@ -7,9 +7,12 @@ time, speedup and parallel efficiency of the best integrated strategy
 versus pure batch parallelism as ``P`` grows.
 
 The per-point evaluation (:func:`evaluate_scaling_point`) and the table
-builders are exposed separately so :mod:`repro.search.sweeps` can fan
-the points out across a process pool and still produce byte-identical
-tables.
+builders are exposed separately so :mod:`repro.search.sweeps` can score
+the points on a :class:`~repro.search.SearchEngine` and still produce
+byte-identical tables.  :func:`strong_scaling_curve` is the serial
+oracle the engine-backed curves are checked against; the weak-scaling
+curve exists only engine-backed
+(:func:`repro.search.sweeps.weak_scaling_curve`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "strong_scaling_table",
     "weak_scaling_table",
     "strong_scaling_curve",
-    "weak_scaling_curve",
 ]
 
 
@@ -197,25 +199,3 @@ def strong_scaling_curve(
     ]
     return points, strong_scaling_table(network, batch, points)
 
-
-def weak_scaling_curve(
-    network: NetworkSpec,
-    pairs: Sequence[Tuple[int, float]],
-    machine: MachineParams,
-    compute: ComputeModel,
-    *,
-    dataset_size: Optional[int] = None,
-    search=None,
-    **search_kwargs,
-) -> Tuple[List[ScalingPoint], ResultTable]:
-    """``(P, B)`` growing together (the Fig. 9 axis, joined up)."""
-    if not pairs:
-        raise ConfigurationError("need at least one (P, B) pair")
-    points = [
-        evaluate_scaling_point(
-            network, batch, p, machine, compute,
-            dataset_size=dataset_size, search=search, **search_kwargs,
-        )
-        for p, batch in pairs
-    ]
-    return points, weak_scaling_table(network, points)

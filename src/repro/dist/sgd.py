@@ -50,10 +50,6 @@ class SGD:
                 self._velocity[i] = g
             w -= self.lr * g
 
-    def reset(self) -> None:
-        """Drop momentum state (e.g. between independent training runs)."""
-        self._velocity.clear()
-
     def get_state(self) -> Dict[int, np.ndarray]:
         """Copy of the momentum buffers, keyed by parameter index.
 

@@ -12,13 +12,14 @@ measuring the time needed for an SGD iteration").  Two classes live here:
 
 :class:`ComputeModel`
     Maps a distributed configuration to per-process compute time per
-    iteration.  Each of the ``P = Pr*Pc`` processes works on a local
-    batch ``b = B/Pc`` and on a ``1/Pr`` share of the per-sample work
-    (model rows or domain rows), so the per-iteration compute time is
-    ``t_iter(B/Pc) / Pr``.  The batch-size dependence of the table
-    captures the hardware-efficiency effect the paper highlights (small
-    local batches under-utilise the node, Fig. 4); dividing by ``Pr``
-    assumes the model/domain split is load balanced, as the paper does.
+    iteration.  Every grid over the same ``P = Pr*Pc`` processes does the
+    same total work, so each process runs an even ``1/P`` share of the
+    ``B``-sample iteration: ``(B/P) * t_iter(b)/b`` at ``b = max(B/P, 1)``
+    (:meth:`ComputeModel.share_iteration_time`).  The batch-size
+    dependence of the table captures the hardware-efficiency effect the
+    paper highlights (small local batches under-utilise the node,
+    Fig. 4); the even share assumes the model/domain split is load
+    balanced, as the paper does.
 """
 
 from __future__ import annotations
@@ -111,36 +112,16 @@ class EpochTimeTable:
 class ComputeModel:
     """Per-process compute time for a distributed SGD iteration.
 
-    ``iteration_time(B, Pr, Pc)`` models each process holding a local
-    batch ``B / Pc`` and a ``1 / Pr`` share of per-sample work.  ``Pr``
-    covers both model and domain splits — in both cases each process
-    executes that fraction of the per-sample flops, which is exactly how
-    the paper scales measured compute across grids.
+    :meth:`share_iteration_time` depends on ``(B, P)`` only: model,
+    domain and batch splits over ``P`` processes all give each process a
+    ``1/P`` share of the iteration's flops, which is how the paper
+    scales measured compute across grids.
     """
 
     table: EpochTimeTable
     #: Smallest local batch used for table lookup.  Local batches below
     #: one sample (possible only transiently in sweeps) clamp here.
     min_local_batch: float = 1.0
-
-    def local_batch(self, global_batch: float, pc: int) -> float:
-        if global_batch <= 0:
-            raise ConfigurationError(f"global batch must be positive, got {global_batch}")
-        if pc <= 0:
-            raise ConfigurationError(f"Pc must be positive, got {pc}")
-        return max(global_batch / pc, self.min_local_batch)
-
-    def iteration_time(self, global_batch: float, pr: int = 1, pc: int = 1) -> float:
-        """Per-process compute seconds for one iteration on a ``pr x pc`` grid."""
-        if pr <= 0:
-            raise ConfigurationError(f"Pr must be positive, got {pr}")
-        b_local = self.local_batch(global_batch, pc)
-        return self.table.iteration_time(b_local) / pr
-
-    def epoch_time(self, global_batch: float, pr: int = 1, pc: int = 1) -> float:
-        """Per-process compute seconds for one epoch (``N/B`` iterations)."""
-        iters = self.table.dataset_size / global_batch
-        return self.iteration_time(global_batch, pr, pc) * iters
 
     def share_iteration_time(self, global_batch: float, p: int) -> float:
         """Per-process compute for an even ``1/P`` share of the iteration.

@@ -109,13 +109,3 @@ class ConvSpec(LayerSpec):
         out = self.output_shape(in_shape)
         taps = self.kernel_h * self.kernel_w * (in_shape.channels // self.groups)
         return 2 * taps * out.size
-
-    @property
-    def halo_rows(self) -> int:
-        """Halo depth for domain (height) partitioning: ``floor(k_h / 2)``."""
-        return self.kernel_h // 2
-
-    @property
-    def halo_cols(self) -> int:
-        """Halo depth for width partitioning: ``floor(k_w / 2)``."""
-        return self.kernel_w // 2

@@ -94,10 +94,12 @@ class WeightedLayer:
 
     @property
     def halo_rows(self) -> int:
+        """Halo depth for domain (height) partitioning: ``floor(k_h / 2)``."""
         return self.kernel_h // 2
 
     @property
     def halo_cols(self) -> int:
+        """Halo depth for width partitioning: ``floor(k_w / 2)``."""
         return self.kernel_w // 2
 
     def __hash__(self) -> int:

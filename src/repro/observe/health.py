@@ -87,17 +87,6 @@ class HealthEvent:
             out["step"] = self.step
         return out
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "HealthEvent":
-        return cls(
-            kind=payload["kind"],
-            rank=payload["rank"],
-            t_s=payload["t_s"],
-            severity=payload["severity"],
-            detail=payload["detail"],
-            step=payload.get("step"),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class HealthConfig:
@@ -391,12 +380,6 @@ class HealthReport:
             "counts": self.counts,
             "events": [ev.to_dict() for ev in self.events],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "HealthReport":
-        return cls(
-            tuple(HealthEvent.from_dict(e) for e in payload.get("events", ()))
-        )
 
     def to_table(self, title: str = "health events") -> ResultTable:
         table = ResultTable(

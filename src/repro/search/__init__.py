@@ -1,4 +1,4 @@
-"""Memoized, vectorized, parallel strategy search (see docs/SEARCH.md).
+"""Memoized, vectorized strategy search (see docs/SEARCH.md).
 
 The paper's evaluation is a search over ``Pr x Pc`` grid factorizations
 per ``(P, B)`` point (Eqs. 3/4/8/9).  :mod:`repro.core.optimizer` scores
@@ -16,8 +16,8 @@ without changing a single answer:
   ``evaluate_grids`` / ``best_strategy`` return bit-identical results
   to the serial :mod:`repro.core.optimizer` path;
 * :mod:`repro.search.sweeps` — multi-point sweeps (strong/weak scaling,
-  Pareto frontier, machine sensitivity) over an optional process pool
-  with deterministic, order-independent merging.
+  Pareto frontier, machine sensitivity), evaluated in-process in input
+  order on one engine.
 
 ``benchmarks/bench_search.py`` gates the engine's cold-cache speedup
 over the serial path against ``benchmarks/BENCH_search.json``.

@@ -290,18 +290,6 @@ class FaultPlan:
                 f"backoff_base must be positive, got {self.backoff_base}"
             )
 
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.crashes
-            or self.cascades
-            or self.transients
-            or self.drops
-            or self.links
-            or self.stragglers
-            or self.bitflips
-        )
-
     # -- (de)serialisation for the CLI --------------------------------------
 
     _KINDS = {
@@ -353,63 +341,6 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def random(cls, seed: int, size: int, *, steps: int = 8) -> "FaultPlan":
-        """A small arbitrary-but-seeded plan over ``size`` ranks.
-
-        Used by the randomized robustness tests: any plan this returns
-        must end in success, a raised simulator error, or a completed
-        recovery — never a hang.
-        """
-        rng = np.random.default_rng(seed)
-        crashes: List[Crash] = []
-        transients: List[TransientFault] = []
-        drops: List[MessageDrop] = []
-        links: List[LinkFault] = []
-        stragglers: List[Straggler] = []
-        # At most size-1 crashes so at least one rank can survive.
-        for rank in rng.permutation(size)[: int(rng.integers(0, size))]:
-            crashes.append(Crash(int(rank), at_step=int(rng.integers(0, steps))))
-        if rng.random() < 0.5:
-            transients.append(
-                TransientFault(
-                    rank=int(rng.integers(0, size)),
-                    send_index=int(rng.integers(0, 20)),
-                    attempts=int(rng.integers(1, 6)),
-                )
-            )
-        if rng.random() < 0.3:
-            drops.append(
-                MessageDrop(rank=int(rng.integers(0, size)), send_index=int(rng.integers(0, 20)))
-            )
-        if rng.random() < 0.5:
-            src, dst = rng.integers(0, size, 2)
-            if src != dst:
-                links.append(
-                    LinkFault(
-                        int(src),
-                        int(dst),
-                        latency_factor=float(1 + rng.random() * 9),
-                        bandwidth_factor=float(rng.random() * 0.9 + 0.1),
-                    )
-                )
-        if rng.random() < 0.5:
-            stragglers.append(
-                Straggler(
-                    rank=int(rng.integers(0, size)),
-                    factor=float(1 + rng.random() * 2),
-                    jitter=float(rng.random()),
-                )
-            )
-        return cls(
-            seed=seed,
-            crashes=tuple(crashes),
-            transients=tuple(transients),
-            drops=tuple(drops),
-            links=tuple(links),
-            stragglers=tuple(stragglers),
-        )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,7 +10,6 @@ from repro.analysis import (
 )
 from repro.dist.summa2d import summa_matmul
 from repro.dist.train import MLPParams, distributed_mlp_train
-from repro.errors import ConfigurationError
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.tracing import TraceEvent
 
@@ -100,9 +99,13 @@ class TestHandCriticalPath:
         cp = critical_path(HAND_EVENTS, clocks=(5.0, 2.5))
         assert cp.makespan_s == 5.0
 
-    def test_no_p2p_events_rejected(self):
-        with pytest.raises(ConfigurationError):
-            critical_path([_ev(0, "span", -1, 0.0, 1.0)])
+    def test_no_p2p_events_path_spans_the_makespan(self):
+        events = [_ev(0, "span", -1, 0.0, 1.0)]
+        cp = critical_path(events)
+        assert cp.path == () and cp.slack == ()
+        assert cp.length_s == cp.makespan_s == 1.0
+        assert critical_path(events, clocks=(2.5,)).length_s == 2.5
+        assert critical_path([]).length_s == 0.0
 
 
 class TestAttribution:

@@ -388,6 +388,23 @@ class TestProfile:
                      "--json"]) == 0
         capsys.readouterr()
 
+    def test_one_rank_runs_record_an_empty_critical_path(self, tmp_path, capsys):
+        # A one-rank trace has no p2p events: no message bounds the run,
+        # so the critical path is empty and spans the whole makespan.
+        import json
+
+        traced, profiled = tmp_path / "trace.json", tmp_path / "profile.json"
+        assert main(["trace", "--pr", "1", "--pc", "1", "--steps", "1",
+                     "--record", str(traced)]) == 0
+        assert main(["profile", "-P", "1", "--steps", "1", "--json",
+                     "--record", str(profiled)]) == 0
+        capsys.readouterr()
+        for path in (traced, profiled):
+            record = json.loads(path.read_text())
+            critical = record["critical"]
+            assert critical["events"] == 0
+            assert critical["length_s"] == critical["makespan_s"] == record["makespan_s"]
+
     def test_profile_bad_grid_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--pr", "0"])

@@ -21,11 +21,11 @@ GOLDEN = {  # argv -> (exit code, sha256(stdout)[:24])
     "chaos --trials 1": (0, "ea34136f06be23910a3f5349"),
     "chaos --trials 0 --steps 6 --over-parity": (1, "21acf6b06dc93b09b1af7583"),
     "trace": (0, "d877e5cfd0c3f0e39a51824d"),
-    "watch --scenario clean": (0, "68c0bdf0f5b8879c9539dc81"),
-    "watch --scenario straggler": (1, "f83b49fa689c36cb2c4958e4"),
-    "watch --scenario crash": (1, "4ea4d45466430b065f698d4c"),
-    "watch --scenario degrade": (2, "ef3cf04ae4b663d1ecdc5173"),
-    "watch --scenario diverge": (1, "71ea9045296750bcdaea137a"),
+    "watch --scenario clean": (0, "a737b66369ef0e2547290032"),
+    "watch --scenario straggler": (1, "3446a7d08015a2fb0b8855a8"),
+    "watch --scenario crash": (1, "369f660dde431721bb22c8e3"),
+    "watch --scenario degrade": (2, "ad18418f1bd73e89f38eaa32"),
+    "watch --scenario diverge": (1, "a6611ad402316ad2786a69f5"),
     # The two experiments that print the switching trainer's virtual time.
     "run dist": (0, "a8e47c81e4e65474a3218053"),
     "run modelcheck": (0, "a4a6c065eb927700898cc10d"),

@@ -71,18 +71,16 @@ class TestEpochTimeTable:
 class TestComputeModel:
     def test_pure_batch_iteration_time(self):
         cm = ComputeModel.knl_alexnet()
-        # B=2048 over Pc=8 -> local batch 256.
+        # B=2048 over P=8 -> 256 samples per process.
         expected = cm.table.iteration_time(256)
-        assert cm.iteration_time(2048, pr=1, pc=8) == pytest.approx(expected)
-
-    def test_model_split_divides_work(self):
-        cm = ComputeModel.knl_alexnet()
-        base = cm.iteration_time(1024, pr=1, pc=4)
-        assert cm.iteration_time(1024, pr=4, pc=4) == pytest.approx(base / 4)
+        assert cm.share_iteration_time(2048, 8) == pytest.approx(expected)
 
     def test_local_batch_clamps_at_one(self):
+        """A share below one sample is looked up at the b = 1 entry."""
         cm = ComputeModel.knl_alexnet()
-        assert cm.local_batch(4, 16) == 1.0
+        assert cm.share_iteration_time(4, 16) == pytest.approx(
+            cm.table.iteration_time(1) * 4 / 16
+        )
 
     def test_share_time_equals_iteration_time_when_b_ge_p(self):
         cm = ComputeModel.knl_alexnet()
@@ -103,18 +101,11 @@ class TestComputeModel:
         for t0, t1 in zip(times, times[1:]):
             assert t1 < t0
 
-    def test_epoch_time_multiplies_iterations(self):
-        cm = ComputeModel.knl_alexnet()
-        per_iter = cm.iteration_time(2048, pr=2, pc=8)
-        assert cm.epoch_time(2048, pr=2, pc=8) == pytest.approx(
-            per_iter * IMAGENET_TRAIN_IMAGES / 2048
-        )
-
-    @pytest.mark.parametrize("args", [(0, 1, 1), (256, 0, 1), (256, 1, 0)])
+    @pytest.mark.parametrize("args", [(0, 1), (256, 0), (-256, 4)])
     def test_validation(self, args):
         cm = ComputeModel.knl_alexnet()
         with pytest.raises(ConfigurationError):
-            cm.iteration_time(*args)
+            cm.share_iteration_time(*args)
 
     def test_share_validation(self):
         cm = ComputeModel.knl_alexnet()

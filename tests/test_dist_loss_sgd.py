@@ -82,7 +82,7 @@ class TestSGD:
         w = np.zeros(1)
         opt = SGD(lr=1.0, momentum=0.9)
         opt.step([w], [np.array([1.0])])
-        opt.reset()
+        opt.set_state({})
         w2 = np.zeros(1)
         opt.step([w2], [np.array([1.0])])
         assert w2[0] == pytest.approx(-1.0)

@@ -7,7 +7,8 @@ fires on any unmatched receive, and results are independent of both
 tasklet spawn order and repetition.  The pooled worker threads that
 host tasklets are checked for reuse, the parking cap, fork safety and
 clean thread-local state between runs.  The deprecated compatibility
-names (``backend=``, ``make_guard(single_thread=)``) are pinned inert.
+names (``backend=``, ``make_guard(single_thread=)``, the sweeps'
+``jobs=``) are pinned inert.
 """
 
 import gc
@@ -248,10 +249,10 @@ def test_failed_run_leaves_clean_workers_behind():
 
 
 _AFTER_FORK = """
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 import numpy as np
-from repro.experiments.common import default_setting
-from repro.search import sweeps
 from repro.simmpi import SimEngine
 
 def program(comm):
@@ -265,10 +266,9 @@ pid = os.fork()
 if pid == 0:
     os._exit(0 if run4() == expected else 3)
 assert os.waitpid(pid, 0)[1] == 0, "the forked child's run failed"
-s = default_setting()
-points, _ = sweeps.strong_scaling_curve(s.network, 512, [8, 64], s.machine, s.compute, jobs=2)
-assert len(points) == 2
-assert sweeps._map_ordered(run4, [0, 1], 2) == [expected, expected]
+fork = multiprocessing.get_context("fork")
+with ProcessPoolExecutor(max_workers=2, mp_context=fork) as pool:
+    assert list(pool.map(run4, [0, 1])) == [expected, expected]
 assert run4() == expected
 print("ok")
 """
@@ -276,8 +276,9 @@ print("ok")
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_runs_finish_after_fork():
-    """After engine runs, a forked child, a sweep's process pool and the
-    parent each finish a 4-rank run: none waits on a thread it lacks."""
+    """After engine runs, a forked child, a forked process pool running
+    engines and the parent each finish a 4-rank run: none waits on a
+    thread it lacks."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.Popen(
         [sys.executable, "-c", _AFTER_FORK],
@@ -300,9 +301,21 @@ def test_scheduler_switch_counter_advances():
 
 
 def test_compat_names_are_inert():
-    """``backend=`` and ``make_guard(single_thread=)`` are accepted and
-    select nothing; an unknown backend name is still refused."""
+    """``backend=``, ``make_guard(single_thread=)`` and the sweeps'
+    ``jobs=1`` are accepted and select nothing; an unknown backend name
+    or another ``jobs`` is still refused."""
     from repro.errors import ConfigurationError
+    from repro.experiments.common import default_setting
+    from repro.search import SearchEngine, comm_memory_frontier
+
+    s = default_setting()
+    compat_frontier, compat_table = comm_memory_frontier(
+        s.network, 512, 8, s.machine, jobs=1, engine=SearchEngine()
+    )
+    frontier, table = comm_memory_frontier(s.network, 512, 8, s.machine, engine=SearchEngine())
+    assert compat_frontier == frontier and compat_table.rows == table.rows
+    with pytest.raises(ConfigurationError, match="jobs"):
+        comm_memory_frontier(s.network, 512, 8, s.machine, jobs=2)
 
     before = {t.ident for t in threading.enumerate()}
     compat = SimEngine(4, backend="thread", trace=True)

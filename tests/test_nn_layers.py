@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.nn.conv import ConvSpec, conv_output_extent
 from repro.nn.fc import FCSpec
 from repro.nn.layer import ActivationSpec, DropoutSpec, FlattenSpec, LRNSpec, Shape3D
+from repro.nn.network import NetworkSpec
 from repro.nn.pool import PoolSpec
 
 
@@ -76,8 +77,12 @@ class TestConvSpec:
         assert spec.flops(Shape3D(5, 5, 2)) == 2 * 3 * 3 * 2 * out.size
 
     def test_halo_properties(self):
-        assert ConvSpec.square(64, 3).halo_rows == 1
-        assert ConvSpec.square(64, 5).halo_cols == 2
+        """A conv layer's halo is ``floor(k / 2)`` deep, per dimension."""
+        net = NetworkSpec(
+            "halo", Shape3D(16, 16, 3), [("c", ConvSpec(64, kernel_h=3, kernel_w=5))]
+        )
+        (layer,) = net.weighted_layers
+        assert (layer.halo_rows, layer.halo_cols) == (1, 2)
 
     def test_channels_not_divisible_by_groups(self):
         spec = ConvSpec.square(64, 3, groups=2)

@@ -71,6 +71,27 @@ class TestWatch:
     def test_bad_threshold_rejected(self, capsys):
         assert main(["watch", "--straggler-factor", "0.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "scenario", ["clean", "straggler", "crash", "degrade", "diverge"]
+    )
+    def test_stream_alerts_are_the_verdict_rows(self, capsys, scenario):
+        """The streamed alerts are the verdict's events, one line each,
+        in the verdict's order (``crash`` raises a cross-rank straggler
+        pair that only a virtual-order stream sees in full)."""
+        main(["watch", "--scenario", scenario, "--quiet"])
+        alerts = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("!! ")
+        ]
+        _, payload = run_json(capsys, ["watch", "--scenario", scenario, "--json"])
+        rows = [
+            f"!! {e['severity'].upper()} {e['kind']}: rank {e['rank']}"
+            + ("" if e.get("step") is None else f" step {e['step']}")
+            + f" @t={e['t_s']:.6f}s — {e['detail']}"
+            for e in payload["health"]["events"]
+        ]
+        assert alerts == rows
+
     def test_runs_are_deterministic(self, capsys):
         _, one = run_json(capsys, ["watch", "--scenario", "crash", "--json"])
         _, two = run_json(capsys, ["watch", "--scenario", "crash", "--json"])

@@ -8,7 +8,8 @@ from repro.core.memory import memory_footprint
 from repro.core.optimizer import best_strategy, optimal_placements
 from repro.core.overlap import overlapped_time_from_breakdown
 from repro.core.strategy import Placement, ProcessGrid, Strategy
-from repro.core.sweep import strong_scaling_curve, weak_scaling_curve
+from repro.core.sweep import strong_scaling_curve
+from repro.search.sweeps import weak_scaling_curve
 from repro.errors import ConfigurationError, StrategyError
 from repro.machine.compute import ComputeModel
 from repro.machine.params import cori_knl

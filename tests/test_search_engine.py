@@ -3,14 +3,11 @@
 The bit-identity *properties* live in ``tests/test_randomized.py`` and
 the frozen numbers in ``tests/test_golden_costs.py``; these tests cover
 the machinery: cache bookkeeping and invalidation, vectorized table
-construction and validation, deterministic parallel sweeps, the
+construction and validation, the in-process sweeps, the
 zero-division guards, and the benchmark record/gate.
 """
 
 import dataclasses
-import pickle
-import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,7 +24,7 @@ from repro.core.sweep import strong_scaling_curve as serial_strong
 from repro.errors import ConfigurationError, StrategyError
 from repro.experiments.common import default_setting
 from repro.nn.zoo import mlp
-from repro.search import SearchEngine, sweeps
+from repro.search import SearchEngine
 from repro.search.cache import CostCache, compute_key, machine_key
 from repro.search.sweeps import (
     comm_memory_frontier,
@@ -257,30 +254,23 @@ class TestSearchEngineFamilies:
 
 
 class TestParallelSweeps:
+    """The engine-backed sweeps run in-process and equal the serial oracle."""
+
     def test_pool_points_identical_to_serial(self):
         processes = (8, 64, 256)
         serial_points, serial_table = serial_strong(
             NET, 512, processes, MACHINE, COMPUTE, dataset_size=DATASET
         )
-        pool_points, pool_table = strong_scaling_curve(
-            NET, 512, processes, MACHINE, COMPUTE, dataset_size=DATASET, jobs=2
+        engine_points, engine_table = strong_scaling_curve(
+            NET, 512, processes, MACHINE, COMPUTE, dataset_size=DATASET,
+            engine=SearchEngine(),
         )
-        assert serial_points == pool_points
-        assert serial_table.rows == pool_table.rows
-
-    def test_weak_curve_pool_identical(self):
-        pairs = ((8, 64), (32, 256), (128, 1024))
-        a, _ = weak_scaling_curve(
-            NET, pairs, MACHINE, COMPUTE, dataset_size=DATASET
-        )
-        b, _ = weak_scaling_curve(
-            NET, pairs, MACHINE, COMPUTE, dataset_size=DATASET, jobs=2
-        )
-        assert a == b
+        assert serial_points == engine_points
+        assert serial_table.rows == engine_table.rows
 
     def test_frontier_pool_identical_to_serial(self):
         f1, t1 = serial_frontier(NET, 512, 64, MACHINE)
-        f2, t2 = comm_memory_frontier(NET, 512, 64, MACHINE, jobs=2)
+        f2, t2 = comm_memory_frontier(NET, 512, 64, MACHINE, engine=SearchEngine())
         assert f1 == f2
         assert t1.rows == t2.rows
 
@@ -291,18 +281,32 @@ class TestParallelSweeps:
             MACHINE.derated(bandwidth_factor=0.25),
         ]
         points = machine_sensitivity(
-            NET, COMPUTE, machines, p=64, batch=512, dataset_size=DATASET, jobs=2
+            NET, COMPUTE, machines, p=64, batch=512, dataset_size=DATASET,
+            engine=SearchEngine(),
         )
         assert [round(pt.alpha_us, 6) for pt in points] == [
             round(m.alpha * 1e6, 6) for m in machines
         ]
+        assert [pt.epoch_s for pt in points] == [
+            best_strategy(NET, 512, 64, m, COMPUTE, dataset_size=DATASET).total_epoch
+            for m in machines
+        ]
         assert all(pt.speedup is not None and pt.speedup >= 1.0 for pt in points)
 
     def test_negative_jobs_rejected(self):
-        with pytest.raises(ConfigurationError, match="jobs"):
-            strong_scaling_curve(
-                NET, 512, (8,), MACHINE, COMPUTE, dataset_size=DATASET, jobs=-1
-            )
+        """``jobs`` is inert: ``None`` and ``1`` run in-process, any other
+        value names the removed pool instead of falling back silently."""
+        for jobs in (-1, 0, 2):
+            with pytest.raises(ConfigurationError, match="process-pool sweep was removed"):
+                strong_scaling_curve(
+                    NET, 512, (8,), MACHINE, COMPUTE, dataset_size=DATASET, jobs=jobs
+                )
+            with pytest.raises(ConfigurationError, match="process-pool sweep was removed"):
+                weak_scaling_curve(NET, ((8, 64),), MACHINE, COMPUTE, jobs=jobs)
+            with pytest.raises(ConfigurationError, match="process-pool sweep was removed"):
+                comm_memory_frontier(NET, 512, 8, MACHINE, jobs=jobs)
+        with pytest.raises(TypeError):
+            machine_sensitivity(NET, COMPUTE, [MACHINE], p=8, batch=64, jobs=1)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -313,48 +317,12 @@ class TestParallelSweeps:
             machine_sensitivity(NET, COMPUTE, [], p=8, batch=64)
 
     def test_domain_errors_propagate_from_pool(self):
-        with pytest.raises(StrategyError, match="no feasible strategy"):
-            strong_scaling_curve(
-                NET, 512, (8, 16), MACHINE, COMPUTE, dataset_size=DATASET,
-                jobs=2, max_memory_elements=1.0,
-            )
-
-    @pytest.mark.parametrize(
-        "failure", [BrokenProcessPool("worker died"), OSError("no fork"), pickle.PicklingError("x")]
-    )
-    def test_pool_failure_warns_once_and_matches_serial(self, monkeypatch, failure):
-        """A broken pool costs the parallelism, not the sweep — loudly."""
-
-        class FailingPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, task, payload):
-                raise failure
-
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FailingPool)
-        processes = (8, 64, 256)
-        expected, expected_table = strong_scaling_curve(
-            NET, 512, processes, MACHINE, COMPUTE, dataset_size=DATASET, jobs=1
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            points, table = strong_scaling_curve(
-                NET, 512, processes, MACHINE, COMPUTE, dataset_size=DATASET, jobs=4
-            )
-        assert points == expected
-        assert table.rows == expected_table.rows
-        assert len(caught) == 1
-        assert caught[0].category is RuntimeWarning
-        message = str(caught[0].message)
-        # The pool is capped at one worker per point: 3, not the 4 requested.
-        assert repr(failure) in message and "3 workers" in message
+        kwargs = dict(dataset_size=DATASET, max_memory_elements=1.0)
+        with pytest.raises(StrategyError, match="no feasible strategy") as serial:
+            serial_strong(NET, 512, (8, 16), MACHINE, COMPUTE, **kwargs)
+        with pytest.raises(StrategyError, match="no feasible strategy") as engine:
+            strong_scaling_curve(NET, 512, (8, 16), MACHINE, COMPUTE, **kwargs)
+        assert str(engine.value) == str(serial.value)
 
 
 class TestScalingPointGuards:

@@ -15,6 +15,14 @@ definition only its own tests call is dead weight to maintain.
 The scan is by name, not by type, so it can only err towards calling
 something live.  What it still flags must go, or join :data:`KEEP` with
 the reason it stays.
+
+Its blind spot is a name collision: a method stays live whenever *any*
+live body reads an attribute of that name, whoever owns it.  A classmethod
+``random`` looks called because code calls ``np.random``, a property
+``empty`` because of ``np.empty``, a ``from_dict`` or ``reset`` because
+another class has one.  Finding those takes recording the calls the entry
+points actually make (``sys.setprofile`` plus ``threading.setprofile``,
+forked children included) and reading the definitions that never ran.
 """
 
 from __future__ import annotations
